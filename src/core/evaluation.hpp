@@ -10,6 +10,11 @@
 // The engine produces the per-day NRMSE series behind Figures 1/2/9, the
 // retrain counts of Tables 3/4/5, and — via metrics::delta_nrmse_pct
 // against the Static run — the ΔNRMSE̅ values in every evaluation table.
+//
+// The loop itself is the steppable `Evaluation`: `run_scheme` drives one
+// to completion, and every serve::FleetRuntime shard owns one and steps
+// it once per fleet step, so offline evaluation and online serving share
+// a single implementation of the measurement loop.
 #pragma once
 
 #include <cstdint>
@@ -19,13 +24,17 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "core/scheme.hpp"
 #include "data/features.hpp"
 #include "drift/kswin.hpp"
 #include "ingest/health.hpp"
 #include "ingest/pipeline.hpp"
+#include "io/serializer.hpp"
 #include "models/regressor.hpp"
 #include "obs/events.hpp"
+#include "obs/metrics.hpp"
+#include "simd/simd.hpp"
 
 namespace leaf::core {
 
@@ -76,7 +85,8 @@ struct EvalConfig {
   /// error is recorded with day/KPI/model/scheme context.  Single-writer:
   /// never share one log between concurrently running evaluations.
   obs::EventLog* events = nullptr;
-  /// Serve shard index stamped on emitted events (-1 outside serve).
+  /// Serve shard index stamped on emitted events and labelling the
+  /// per-shard retrain latency (-1 outside serve).
   int obs_shard = -1;
 };
 
@@ -123,6 +133,90 @@ using StepObserver = std::function<void(int day, double nrmse, bool drift,
 /// which needs per-sample signed errors from the *evolving* model chain).
 using PredictionSink = std::function<void(
     int day, const data::SupervisedSet& test, std::span<const double> pred)>;
+
+/// Gate consulted when the scheme asks for a retrain on `day`; returning
+/// false suppresses it (counted in DegradedStats::suppressed_retrains).
+/// The serving fleet routes its retrain circuit breaker through this.
+using RetrainGate = std::function<bool(int day)>;
+
+/// One walk-forward run as a step machine: init() performs the initial
+/// fit, each step() scores one evaluation day and lets the scheme retrain,
+/// and save()/load() capture every bit of the run state, so a run can be
+/// paused, snapshotted, and resumed into an identical continuation.
+///
+/// The featurizer, prototype, scheme and span sites are borrowed and must
+/// outlive the evaluation, as must whatever `cfg` points at; the observer
+/// and sink are copied.  The span sites time the initial fit and every
+/// retrain fit under caller-chosen names.
+class Evaluation {
+ public:
+  Evaluation(const data::Featurizer& featurizer,
+             const models::Regressor& prototype, MitigationScheme& scheme,
+             const EvalConfig& cfg, obs::SpanSite& initial_fit_span,
+             obs::SpanSite& retrain_fit_span,
+             const StepObserver& observer = {},
+             const PredictionSink& sink = {});
+
+  /// Fits the initial model on the `train_window` days ending at the
+  /// anchor and resets the scheme, detector, RNG and results.  Throws
+  /// std::runtime_error when that window holds no supervised pairs.
+  void init();
+
+  /// Scores the next evaluation day and lets the scheme retrain.  `gate`
+  /// (when set) may veto a requested retrain; `force_retrain` requests a
+  /// retrain on the latest labeled window even when the scheme did not.
+  /// No-op once done().
+  void step(const RetrainGate& gate = {}, bool force_retrain = false);
+
+  bool done() const { return done_; }
+  int next_day() const { return next_day_; }
+  std::uint64_t steps() const { return steps_; }
+  /// Results so far (ne_p95 not yet computed).
+  const EvalResult& result() const { return result_; }
+  /// Results so far with ne_p95 and the ingest counters filled in.
+  EvalResult finalized_result() const;
+
+  /// True once a trained model is deployed.
+  bool ready() const { return model_ != nullptr && model_->trained(); }
+  /// The deployed model's forecasts for the rows of X.
+  void predict(const Matrix& X, std::span<double> out) const {
+    model_->predict_into(X, out);
+  }
+
+  /// Snapshot hooks: the complete run state (RNG, detector, scheme, model,
+  /// bin-edge cache, training set, cursor, partial results).  load()
+  /// validates what it reads and throws io::SnapshotError on damage.
+  void save(io::Serializer& out) const;
+  void load(io::Deserializer& in);
+
+ private:
+  const data::Featurizer* featurizer_;
+  const models::Regressor* prototype_;
+  MitigationScheme* scheme_;
+  EvalConfig cfg_;
+  obs::SpanSite* initial_fit_span_;
+  obs::SpanSite* retrain_fit_span_;
+  StepObserver observer_;
+  PredictionSink sink_;
+
+  /// Heap-held so models keep a stable pointer to it across moves.
+  std::unique_ptr<models::FitCaches> fit_caches_;
+  std::unique_ptr<models::Regressor> model_;
+  drift::Kswin detector_;
+  Rng rng_;
+  data::SupervisedSet train_;
+  EvalResult result_;
+  std::vector<double> abs_ne_samples_;
+  int next_day_ = 0;
+  int num_days_ = 0;
+  double norm_range_ = 0.0;
+  bool done_ = false;
+  std::uint64_t steps_ = 0;
+  // Scratch, never snapshotted: the uncached test slice and the reusable
+  // aligned prediction buffer (sized by the high-water test-slice size).
+  data::SupervisedSet test_local_;
+  simd::AlignedBuffer pred_;
+};
 
 /// Runs one (model, scheme) pair over the dataset behind `featurizer`.
 /// The model passed in is used as a prototype: the engine trains a fresh

@@ -105,12 +105,10 @@ SnapshotReader::SnapshotReader(std::vector<std::uint8_t> bytes, ReadMode mode)
   if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0)
     throw SnapshotError("bad magic: not a LEAF snapshot file");
   const std::uint32_t version = in.get_u32();
-  if (version < kMinReadVersion || version > kFormatVersion)
+  if (version != kFormatVersion)
     throw SnapshotError("unsupported format version " +
                         std::to_string(version) + " (this build reads " +
-                        std::to_string(kMinReadVersion) + ".." +
                         std::to_string(kFormatVersion) + ")");
-  version_ = version;
   const std::uint32_t count = in.get_u32();
   sections_.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
@@ -199,6 +197,13 @@ std::uint64_t SnapshotReader::section_bytes(const std::string& name) const {
   if (s == nullptr || !s->valid)
     throw SnapshotError("missing section '" + name + "'");
   return s->length;
+}
+
+std::pair<std::size_t, std::size_t> SnapshotReader::payload_range(
+    const std::string& name) const {
+  const Section* s = find(name);
+  if (s == nullptr) throw SnapshotError("missing section '" + name + "'");
+  return {s->offset, s->length};
 }
 
 }  // namespace leaf::io

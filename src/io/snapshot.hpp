@@ -46,12 +46,8 @@ inline constexpr char kMagic[8] = {'L', 'E', 'A', 'F', 'S', 'N', 'A', 'P'};
 // v3: serve shard sections carry supervision state (health FSM, fault
 // counters, retrain circuit breaker, supervision event log).
 // v4: fleet snapshots carry a "tsdb" section (telemetry store + meta-
-// drift detector state).  v3 files still restore — the reader accepts
-// [kMinReadVersion, kFormatVersion] and consumers treat the missing
-// section as an empty store.
+// drift detector state).  The reader accepts exactly kFormatVersion.
 inline constexpr std::uint32_t kFormatVersion = 4;
-/// Oldest format version this build still reads.
-inline constexpr std::uint32_t kMinReadVersion = 3;
 
 /// Test/chaos seam: while alive, the next SnapshotWriter::write_file
 /// call fails after writing `after_bytes` bytes of the temporary file,
@@ -111,15 +107,18 @@ class SnapshotReader {
   static SnapshotReader from_file(const std::string& path,
                                   ReadMode mode = ReadMode::kStrict);
 
-  /// Format version of the parsed file (kMinReadVersion..kFormatVersion).
-  std::uint32_t version() const { return version_; }
-
   /// True when `name` is present *and* intact.
   bool has(const std::string& name) const;
   /// Deserializer over a verified section payload; throws if absent or
   /// corrupt.
   Deserializer section(const std::string& name) const;
   std::uint64_t section_bytes(const std::string& name) const;
+  /// {offset, length} of the named section's payload within the container
+  /// bytes, whether or not its checksum verified ({0, 0} when a truncated
+  /// header cut it off) — the seam for corrupting one section of encoded
+  /// bytes.  Throws if absent.
+  std::pair<std::size_t, std::size_t> payload_range(
+      const std::string& name) const;
   std::uint64_t total_bytes() const { return bytes_.size(); }
 
   /// Names of sections whose payloads failed validation (lenient mode;
@@ -140,7 +139,6 @@ class SnapshotReader {
   std::vector<std::uint8_t> bytes_;
   std::vector<Section> sections_;
   std::vector<std::string> corrupt_;
-  std::uint32_t version_ = kFormatVersion;
 };
 
 }  // namespace leaf::io

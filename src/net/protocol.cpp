@@ -60,19 +60,13 @@ const char* to_string(ErrorCode c) {
 }
 
 std::vector<std::uint8_t> encode_frame(const Frame& frame) {
-  if (frame.version != kProtocolVersion && frame.version != kProtocolV1)
-    throw ProtocolError(ErrorCode::kMalformed,
-                        "cannot encode protocol version " +
-                            std::to_string(frame.version));
   io::Serializer s;
   for (char c : kMagic) s.put_u8(static_cast<std::uint8_t>(c));
-  s.put_u32(frame.version);
+  s.put_u32(kProtocolVersion);
   s.put_u8(static_cast<std::uint8_t>(frame.type));
   s.put_u64(frame.request_id);
-  if (frame.version >= 2) {
-    for (std::uint8_t b : frame.trace) s.put_u8(b);
-    s.put_u64(frame.parent_span);
-  }
+  for (std::uint8_t b : frame.trace) s.put_u8(b);
+  s.put_u64(frame.parent_span);
   s.put_u32(static_cast<std::uint32_t>(frame.payload.size()));
   s.put_u32(io::crc32(frame.payload));
   std::vector<std::uint8_t> out(s.bytes().begin(), s.bytes().end());
@@ -98,18 +92,14 @@ void FrameDecoder::validate_header() {
   }
   if (b.size() < 8) return;
   const std::uint32_t version = read_u32(b, 4);
-  if (version != kProtocolVersion && version != kProtocolV1) {
+  if (version != kProtocolVersion) {
     poisoned_ = true;
     throw ProtocolError(ErrorCode::kMalformed,
                         "unsupported protocol version " +
                             std::to_string(version));
   }
-  // The header layout (size, payload_len offset) depends on the version
-  // just read — a v1 frame must be bounds-checked at v1 offsets.
-  const std::size_t header =
-      version == kProtocolV1 ? kHeaderBytesV1 : kHeaderBytes;
-  if (b.size() >= header) {
-    const std::uint32_t payload_len = read_u32(b, header - 8);
+  if (b.size() >= kHeaderBytes) {
+    const std::uint32_t payload_len = read_u32(b, kHeaderBytes - 8);
     if (payload_len > max_frame_bytes_) {
       poisoned_ = true;
       throw ProtocolError(ErrorCode::kOversized,
@@ -139,22 +129,15 @@ std::optional<Frame> FrameDecoder::next() {
   validate_header();
   const std::span<const std::uint8_t> b(buf_.data() + pos_,
                                         buf_.size() - pos_);
-  if (b.size() < 8) return std::nullopt;
-  const std::uint32_t version = read_u32(b, 4);
-  const std::size_t header =
-      version == kProtocolV1 ? kHeaderBytesV1 : kHeaderBytes;
-  if (b.size() < header) return std::nullopt;
+  if (b.size() < kHeaderBytes) return std::nullopt;
   const std::uint8_t type = b[8];
   const std::uint64_t request_id = read_u64(b, 9);
   obs::TraceId trace{};
-  std::uint64_t parent_span = 0;
-  if (version >= 2) {
-    std::memcpy(trace.data(), b.data() + 17, trace.size());
-    parent_span = read_u64(b, 33);
-  }
-  const std::uint32_t payload_len = read_u32(b, header - 8);
-  const std::uint32_t want_crc = read_u32(b, header - 4);
-  if (b.size() < header + payload_len) return std::nullopt;
+  std::memcpy(trace.data(), b.data() + 17, trace.size());
+  const std::uint64_t parent_span = read_u64(b, 33);
+  const std::uint32_t payload_len = read_u32(b, kHeaderBytes - 8);
+  const std::uint32_t want_crc = read_u32(b, kHeaderBytes - 4);
+  if (b.size() < kHeaderBytes + payload_len) return std::nullopt;
 
   const bool known_type =
       type <= static_cast<std::uint8_t>(MsgType::kQuerySeries) ||
@@ -165,15 +148,16 @@ std::optional<Frame> FrameDecoder::next() {
     throw ProtocolError(ErrorCode::kMalformed,
                         "unknown frame type " + std::to_string(type));
   }
-  const std::span<const std::uint8_t> payload = b.subspan(header, payload_len);
+  const std::span<const std::uint8_t> payload =
+      b.subspan(kHeaderBytes, payload_len);
   if (io::crc32(payload) != want_crc) {
     poisoned_ = true;
     throw ProtocolError(ErrorCode::kMalformed, "frame CRC mismatch");
   }
   Frame frame{static_cast<MsgType>(type), request_id,
               std::vector<std::uint8_t>(payload.begin(), payload.end()),
-              version, trace, parent_span};
-  pos_ += header + payload_len;
+              trace, parent_span};
+  pos_ += kHeaderBytes + payload_len;
   compact();
   return frame;
 }

@@ -4,22 +4,19 @@
 // little-endian, encoded with the bounds-checked leaf::io serializer):
 //
 //   magic        4 bytes   "LNET"
-//   version      u32       kProtocolVersion (2; version 1 still decoded)
+//   version      u32       kProtocolVersion (2)
 //   type         u8        MsgType
 //   request_id   u64       client-chosen correlation id, echoed in responses
-//   trace_id     16 bytes  v2 only: distributed-trace id (zero = none)
-//   parent_span  u64       v2 only: caller's span id (zero = trace root)
+//   trace_id     16 bytes  distributed-trace id (zero = none)
+//   parent_span  u64       caller's span id (zero = trace root)
 //   payload_len  u32       payload byte count (bounded by the decoder)
 //   crc          u32       CRC-32 of the payload bytes (io::crc32)
 //   payload      bytes     one encoded message body (below)
 //
-// Version compatibility: v2 (current) inserts the 24 tracing bytes
-// between request_id and payload_len; every field up to and including
-// request_id sits at the same offset in both versions, and the decoder
-// accepts both — a v1 client talks to a v2 server unchanged, and the
-// server echoes each response in the request's version so an old client
-// never sees bytes it cannot parse.  Any other version poisons the
-// stream (it cannot be resynchronized).
+// Versioning: v2 added the 24 tracing bytes between request_id and
+// payload_len.  The decoder accepts exactly kProtocolVersion; any other
+// version (including the retired v1) poisons the stream, since a header
+// of unknown layout cannot be resynchronized.
 //
 // Like the LEAFSNAP container, every frame is independently checksummed
 // and every decode parses into temporaries with explicit bounds checks:
@@ -49,15 +46,12 @@
 namespace leaf::net {
 
 inline constexpr char kMagic[4] = {'L', 'N', 'E', 'T'};
-/// Current protocol version.  v2 added the per-frame trace id + parent
-/// span id; v1 frames (no tracing bytes) are still decoded and answered.
+/// The protocol version every frame carries (v2: per-frame trace id +
+/// parent span id).
 inline constexpr std::uint32_t kProtocolVersion = 2;
-inline constexpr std::uint32_t kProtocolV1 = 1;
-/// v2 frame header size: magic + version + type + request_id + trace_id +
+/// Frame header size: magic + version + type + request_id + trace_id +
 /// parent_span + payload_len + crc.
 inline constexpr std::size_t kHeaderBytes = 4 + 4 + 1 + 8 + 16 + 8 + 4 + 4;
-/// v1 frame header size (no tracing fields).
-inline constexpr std::size_t kHeaderBytesV1 = 4 + 4 + 1 + 8 + 4 + 4;
 /// Default per-frame payload ceiling (NetConfig can lower it).
 inline constexpr std::size_t kDefaultMaxFrameBytes = 1u << 20;
 
@@ -113,17 +107,14 @@ class ProtocolError : public std::runtime_error {
 };
 
 /// One decoded frame: type + correlation id + verified payload bytes,
-/// plus the v2 tracing context.  The tracing fields default to "absent"
-/// so `Frame{type, id, payload}` aggregate initializers keep working;
-/// `version` controls which layout encode_frame emits (servers echo the
-/// request's version so v1 clients get v1 responses).
+/// plus the tracing context.  The tracing fields default to "absent" so
+/// `Frame{type, id, payload}` aggregate initializers keep working.
 struct Frame {
   MsgType type = MsgType::kPredict;
   std::uint64_t request_id = 0;
   std::vector<std::uint8_t> payload;
-  std::uint32_t version = kProtocolVersion;
-  obs::TraceId trace{};           ///< v2: all-zero = no trace attached
-  std::uint64_t parent_span = 0;  ///< v2: 0 = root of the trace
+  obs::TraceId trace{};           ///< all-zero = no trace attached
+  std::uint64_t parent_span = 0;  ///< 0 = root of the trace
 
   bool operator==(const Frame&) const = default;
 };

@@ -15,16 +15,6 @@ obs::Counter& counter(const char* name, const std::string& labels = "") {
   return obs::MetricsRegistry::global().counter(name, labels);
 }
 
-/// Batch-size distribution.  Unlike the repo's `*_seconds` histograms this
-/// one records *logical* data: batch composition is a pure function of the
-/// request schedule under the loopback transport, so it rides the
-/// determinism checks instead of being masked by them.
-obs::Histogram& batch_rows_histogram() {
-  static obs::Histogram& h = obs::MetricsRegistry::global().histogram(
-      "leaf_net_batch_rows", {1, 2, 4, 8, 16, 32, 64, 128});
-  return h;
-}
-
 /// Exact-percentile RPC latency, one series per request type.  The name
 /// carries `_seconds`, so the whole family is wall-clock-masked.
 obs::LatencyHistogram& rpc_latency(MsgType type) {
@@ -86,12 +76,11 @@ void ServerCore::respond(ConnId conn, const Frame& frame,
 
 void ServerCore::respond_error(ConnId conn, std::uint64_t request_id,
                                ErrorCode code, const std::string& message,
-                               ResponseSink& sink, std::uint32_t version,
+                               ResponseSink& sink,
                                const obs::TraceId* trace) {
   counter("leaf_net_errors_total", obs::label("code", to_string(code))).inc();
   Frame frame =
       make_frame(MsgType::kError, request_id, ErrorResponse{code, message});
-  frame.version = version;
   if (trace != nullptr) frame.trace = *trace;
   respond(conn, frame, sink);
 }
@@ -100,7 +89,6 @@ void ServerCore::init_pending(Pending& p, ConnId conn, const Frame& frame) {
   p.conn = conn;
   p.request_id = frame.request_id;
   p.type = frame.type;
-  p.version = frame.version;
   p.trace = obs::trace_is_zero(frame.trace)
                 ? obs::derive_trace_id(conn, frame.request_id)
                 : frame.trace;
@@ -122,8 +110,7 @@ void ServerCore::finish_error(Pending& p, ErrorCode code,
                               ResponseSink& sink) {
   std::size_t respond_span = 0;
   if (p.traced) respond_span = p.spans.begin("respond");
-  respond_error(p.conn, p.request_id, code, message, sink, p.version,
-                &p.trace);
+  respond_error(p.conn, p.request_id, code, message, sink, &p.trace);
   if (p.traced) {
     p.spans.end(respond_span);
     p.spans.end(0);  // the root "request" span
@@ -210,7 +197,6 @@ void ServerCore::handle_frame(ConnId conn, const Frame& frame,
         Frame resp =
             make_frame(MsgType::kScrapeOk, frame.request_id,
                        ScrapeResponse{scrape_output(fleet_, req.json)});
-        resp.version = p.version;
         resp.trace = p.trace;
         std::size_t respond_span = 0;
         if (p.traced) respond_span = p.spans.begin("respond");
@@ -232,7 +218,6 @@ void ServerCore::handle_frame(ConnId conn, const Frame& frame,
         init_pending(p, conn, frame);
         Frame resp =
             make_frame(MsgType::kStatusOk, frame.request_id, status());
-        resp.version = p.version;
         resp.trace = p.trace;
         std::size_t respond_span = 0;
         if (p.traced) respond_span = p.spans.begin("respond");
@@ -287,7 +272,6 @@ void ServerCore::handle_frame(ConnId conn, const Frame& frame,
         }
         Frame resp =
             make_frame(MsgType::kQuerySeriesOk, frame.request_id, body);
-        resp.version = p.version;
         resp.trace = p.trace;
         std::size_t respond_span = 0;
         if (p.traced) respond_span = p.spans.begin("respond");
@@ -309,7 +293,7 @@ void ServerCore::handle_frame(ConnId conn, const Frame& frame,
     // the connection — the stream itself is still framed correctly.
     counter("leaf_net_malformed_frames_total").inc();
     respond_error(conn, frame.request_id, e.code(), e.what(), sink,
-                  frame.version, &frame.trace);
+                  &frame.trace);
   }
 }
 
@@ -462,7 +446,6 @@ std::size_t ServerCore::pump(ResponseSink& sink) {
             out.begin() + static_cast<std::ptrdiff_t>(offset + p.rows.rows()));
         offset += p.rows.rows();
         Frame frame = make_frame(MsgType::kPredictOk, p.request_id, resp);
-        frame.version = p.version;
         frame.trace = p.trace;
         batch.responses.push_back(encode_frame(frame));
       }
@@ -478,8 +461,11 @@ std::size_t ServerCore::pump(ResponseSink& sink) {
   for (std::size_t shard = 0; shard < batches.size(); ++shard) {
     Batch& batch = batches[shard];
     if (batch.requests.empty()) continue;
+    // Rows per batch is logical data (batch composition is a pure function
+    // of the request schedule under loopback), so it rides the
+    // determinism checks as a counter beside the batch count.
     counter("leaf_net_batches_total").inc();
-    batch_rows_histogram().observe(static_cast<double>(batch.rows.rows()));
+    counter("leaf_net_batch_rows_total").inc(batch.rows.rows());
     for (std::size_t i = 0; i < batch.requests.size(); ++i) {
       Pending& p = batch.requests[i];
       if (p.traced)  // graft the shard's batch spans into this request

@@ -49,8 +49,7 @@
 // span ids are assigned, and spans flushed, only from the serial phases
 // in deterministic response order, so span topology and counts are a
 // pure function of the request schedule.  Only the Chrome "ts"/"dur"
-// keys read the wall clock.  Responses echo the request's protocol
-// version (a v1 client gets v1 bytes back) and its trace id.
+// keys read the wall clock.  Responses echo the request's trace id.
 #pragma once
 
 #include <cstdint>
@@ -168,7 +167,6 @@ class ServerCore {
     std::uint32_t deadline_ms = 0;  ///< 0 = none
     std::uint64_t seq = 0;          ///< global arrival order
     MsgType type = MsgType::kPredict;
-    std::uint32_t version = kProtocolVersion;  ///< response echoes this
     obs::TraceId trace{};           ///< wire trace id or derived
     std::uint64_t parent_span = 0;  ///< caller's span id off the wire
     bool traced = false;            ///< tracer attached AND id sampled
@@ -185,9 +183,8 @@ class ServerCore {
   void respond(ConnId conn, const Frame& frame, ResponseSink& sink);
   void respond_error(ConnId conn, std::uint64_t request_id, ErrorCode code,
                      const std::string& message, ResponseSink& sink,
-                     std::uint32_t version = kProtocolVersion,
                      const obs::TraceId* trace = nullptr);
-  /// Fills a Pending's trace/version context from the request frame and —
+  /// Fills a Pending's trace context from the request frame and —
   /// when the request is sampled — opens its root "request" span.
   void init_pending(Pending& p, ConnId conn, const Frame& frame);
   /// Answers a Pending with a typed error, closing and flushing its span

@@ -74,34 +74,6 @@ void set_enabled(bool on) {
   enabled_flag().store(kCompiledIn && on, std::memory_order_relaxed);
 }
 
-Histogram::Histogram(std::vector<double> bounds)
-    : bounds_(std::move(bounds)),
-      buckets_(new std::atomic<std::uint64_t>[bounds_.size() + 1]) {
-  for (std::size_t i = 0; i <= bounds_.size(); ++i) buckets_[i].store(0);
-}
-
-void Histogram::observe(double v) {
-  if constexpr (!kCompiledIn) {
-    (void)v;
-    return;
-  }
-  std::size_t i = 0;
-  while (i < bounds_.size() && v > bounds_[i]) ++i;
-  buckets_[i].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  double prev = sum_.load(std::memory_order_relaxed);
-  while (!sum_.compare_exchange_weak(prev, prev + v,
-                                     std::memory_order_relaxed))
-    ;
-}
-
-void Histogram::reset() {
-  for (std::size_t i = 0; i <= bounds_.size(); ++i)
-    buckets_[i].store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0.0, std::memory_order_relaxed);
-}
-
 LatencyHistogram::LatencyHistogram()
     : buckets_(new std::atomic<std::uint64_t>[kBucketCount]) {
   for (std::size_t i = 0; i < kBucketCount; ++i) buckets_[i].store(0);
@@ -187,15 +159,6 @@ Gauge& MetricsRegistry::gauge(const std::string& name,
   return *slot;
 }
 
-Histogram& MetricsRegistry::histogram(const std::string& name,
-                                      const std::vector<double>& bounds,
-                                      const std::string& labels) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = histograms_[{name, labels}];
-  if (!slot) slot = std::make_unique<Histogram>(bounds);
-  return *slot;
-}
-
 LatencyHistogram& MetricsRegistry::latency(const std::string& name,
                                            const std::string& labels) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -232,26 +195,6 @@ std::string MetricsRegistry::scrape() const {
     type_line(key.first, "gauge");
     out += prom_series(key.first, key.second) + " " + fmt_value(g->value()) +
            "\n";
-  }
-  for (const auto& [key, h] : histograms_) {
-    type_line(key.first, "histogram");
-    std::uint64_t cumulative = 0;
-    for (std::size_t i = 0; i < h->bounds().size(); ++i) {
-      cumulative += h->bucket(i);
-      const std::string le = label("le", fmt_value(h->bounds()[i]));
-      out += key.first + "_bucket{" +
-             (key.second.empty() ? le : key.second + "," + le) + "} " +
-             fmt_value(static_cast<double>(cumulative)) + "\n";
-    }
-    cumulative += h->bucket(h->bounds().size());
-    const std::string le_inf = label("le", "+Inf");
-    out += key.first + "_bucket{" +
-           (key.second.empty() ? le_inf : key.second + "," + le_inf) + "} " +
-           fmt_value(static_cast<double>(cumulative)) + "\n";
-    out += prom_series(key.first + "_sum", key.second) + " " +
-           fmt_value(h->sum()) + "\n";
-    out += prom_series(key.first + "_count", key.second) + " " +
-           fmt_value(static_cast<double>(h->count())) + "\n";
   }
   // Latency summaries: every line (quantiles, _sum, _count) belongs to a
   // `_seconds` series, so the whole family is masked by name.  The
@@ -314,16 +257,6 @@ std::string MetricsRegistry::scrape_json() const {
     head(key, "gauge");
     out += ", \"value\": " + fmt_value(g->value()) + "}";
   }
-  for (const auto& [key, h] : histograms_) {
-    head(key, "histogram");
-    out += ", \"buckets\": [";
-    for (std::size_t i = 0; i <= h->bounds().size(); ++i) {
-      if (i > 0) out += ", ";
-      out += fmt_value(static_cast<double>(h->bucket(i)));
-    }
-    out += "], \"count\": " + fmt_value(static_cast<double>(h->count())) +
-           ", \"sum_seconds\": " + fmt_value(h->sum()) + "}";
-  }
   static const char* const kQuantileNames[] = {"0.5", "0.9", "0.99", "0.999"};
   static const double kQuantiles[] = {0.5, 0.9, 0.99, 0.999};
   for (const auto& [key, lh] : latencies_) {
@@ -355,7 +288,6 @@ void MetricsRegistry::reset_values() {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& [key, c] : counters_) c->reset();
   for (auto& [key, g] : gauges_) g->reset();
-  for (auto& [key, h] : histograms_) h->reset();
   for (auto& [key, lh] : latencies_) lh->reset();
   for (auto& [name, s] : spans_) s->reset();
 }

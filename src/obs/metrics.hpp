@@ -8,10 +8,10 @@
 //                  atomic add and its final value is independent of thread
 //                  scheduling (integer addition commutes).
 //   * Gauge      — last-written double (set from sequential code only).
-//   * Histogram  — fixed upper-bound buckets (u64 counts) plus sum/count.
-//                  By repo convention histograms record *wall-clock* data
-//                  and their names contain `_seconds`, so determinism
-//                  tests can mask them by name.
+//   * LatencyHistogram — log-bucketed wall-clock durations with quantile
+//                  queries, scraped as a Prometheus summary.  Names must
+//                  contain `_seconds`, so determinism tests mask them by
+//                  name.
 //   * SpanSite   — per-call-site aggregate (count, total/max nanoseconds)
 //                  fed by the RAII `LEAF_SPAN("site")` macro.
 //
@@ -22,10 +22,10 @@
 // excluded from cross-thread / cross-resume comparisons.
 //
 // Compile gate: building with -DLEAF_OBS=OFF defines LEAF_OBS_ENABLED=0,
-// which turns Counter::inc / Histogram::observe / LEAF_SPAN into no-ops
-// the optimizer deletes.  Runtime gate: the LEAF_OBS environment variable
-// ("0"/"off" disables) or set_enabled(false) stops span clock reads and
-// event emission without recompiling.
+// which turns Counter::inc / LatencyHistogram::observe / LEAF_SPAN into
+// no-ops the optimizer deletes.  Runtime gate: the LEAF_OBS environment
+// variable ("0"/"off" disables) or set_enabled(false) stops span clock
+// reads and event emission without recompiling.
 #pragma once
 
 #include <atomic>
@@ -70,14 +70,6 @@ class Stopwatch {
  private:
   double t0_;
 };
-
-/// Standard latency bucket bounds in seconds, shared by the timing
-/// histograms (retrain latency, snapshot writes) so dashboards line up.
-inline const std::vector<double>& latency_buckets() {
-  static const std::vector<double> bounds{0.0005, 0.001, 0.005, 0.01, 0.05,
-                                          0.1,    0.5,   1.0,   5.0};
-  return bounds;
-}
 
 // --- striped counter -------------------------------------------------------
 
@@ -128,32 +120,6 @@ class Gauge {
 
  private:
   std::atomic<double> v_{0.0};
-};
-
-/// Fixed-bucket histogram: `bounds` are ascending inclusive upper bounds;
-/// an implicit +Inf bucket catches the overflow.  Bucket/count fields are
-/// u64 (scheduling-independent); `sum` accumulates doubles whose merge
-/// order is unspecified — by convention histograms hold wall-clock data
-/// and are named `*_seconds`, which keeps them out of determinism checks.
-class Histogram {
- public:
-  explicit Histogram(std::vector<double> bounds);
-
-  void observe(double v);
-
-  const std::vector<double>& bounds() const { return bounds_; }
-  std::uint64_t bucket(std::size_t i) const {
-    return buckets_[i].load(std::memory_order_relaxed);
-  }
-  std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }
-  double sum() const { return sum_.load(std::memory_order_relaxed); }
-  void reset();
-
- private:
-  std::vector<double> bounds_;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> buckets_;  // bounds+1 slots
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<double> sum_{0.0};
 };
 
 /// Log-bucketed latency histogram with quantile queries (HdrHistogram
@@ -298,9 +264,6 @@ class MetricsRegistry {
   /// for none.
   Counter& counter(const std::string& name, const std::string& labels = "");
   Gauge& gauge(const std::string& name, const std::string& labels = "");
-  Histogram& histogram(const std::string& name,
-                       const std::vector<double>& bounds,
-                       const std::string& labels = "");
   /// Log-bucketed latency series, exposed as a Prometheus summary with
   /// quantile lines.  Names must contain `_seconds` (wall-clock data).
   LatencyHistogram& latency(const std::string& name,
@@ -325,7 +288,6 @@ class MetricsRegistry {
   mutable std::mutex mu_;
   std::map<Key, std::unique_ptr<Counter>> counters_;
   std::map<Key, std::unique_ptr<Gauge>> gauges_;
-  std::map<Key, std::unique_ptr<Histogram>> histograms_;
   std::map<Key, std::unique_ptr<LatencyHistogram>> latencies_;
   std::map<std::string, std::unique_ptr<SpanSite>> spans_;
 };

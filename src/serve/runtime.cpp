@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <limits>
 #include <map>
@@ -12,79 +11,22 @@
 #include <thread>
 #include <utility>
 
-#include "common/calendar.hpp"
-#include "common/metrics.hpp"
-#include "common/stats.hpp"
 #include "core/scheme.hpp"
 #include "io/serializer.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "par/parallel.hpp"
-#include "simd/simd.hpp"
 
 namespace leaf::serve {
 
 namespace {
 
-constexpr const char* kLegacyFleetFile = "fleet.leafsnap";
-
-void write_ints(io::Serializer& out, const std::vector<int>& v) {
-  out.put_ints(v);
-}
-
-std::string fmt6(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.6g", v);
-  return buf;
-}
-
-/// Path of snapshot generation `gen` (gen 0 = the legacy single-file name
-/// from format v2 deployments, kept discoverable so resuming from one
-/// fails with "unsupported format version" instead of "no snapshot").
+/// Path of snapshot generation `gen`.
 std::string gen_path(const std::string& dir, std::uint64_t gen) {
-  if (gen == 0) return (std::filesystem::path(dir) / kLegacyFleetFile).string();
   char name[40];
   std::snprintf(name, sizeof name, "fleet-%06llu.leafsnap",
                 static_cast<unsigned long long>(gen));
   return (std::filesystem::path(dir) / name).string();
-}
-
-std::uint32_t read_le32(std::span<const std::uint8_t> b, std::size_t pos) {
-  return static_cast<std::uint32_t>(b[pos]) |
-         static_cast<std::uint32_t>(b[pos + 1]) << 8 |
-         static_cast<std::uint32_t>(b[pos + 2]) << 16 |
-         static_cast<std::uint32_t>(b[pos + 3]) << 24;
-}
-
-std::uint64_t read_le64(std::span<const std::uint8_t> b, std::size_t pos) {
-  return static_cast<std::uint64_t>(read_le32(b, pos)) |
-         static_cast<std::uint64_t>(read_le32(b, pos + 4)) << 32;
-}
-
-/// Walks an encoded LEAFSNAP container and returns the payload range of
-/// the named section (chaos snapshot corruption flips a bit inside it).
-std::optional<std::pair<std::size_t, std::size_t>> find_section_payload(
-    std::span<const std::uint8_t> bytes, const std::string& name) {
-  std::size_t pos = sizeof(io::kMagic) + 4;  // magic + version
-  if (pos + 4 > bytes.size()) return std::nullopt;
-  const std::uint32_t count = read_le32(bytes, pos);
-  pos += 4;
-  for (std::uint32_t i = 0; i < count; ++i) {
-    if (pos + 4 > bytes.size()) return std::nullopt;
-    const std::uint32_t name_len = read_le32(bytes, pos);
-    pos += 4;
-    if (pos + name_len + 8 + 4 > bytes.size()) return std::nullopt;
-    const std::string section_name(
-        reinterpret_cast<const char*>(bytes.data() + pos), name_len);
-    pos += name_len;
-    const std::uint64_t payload_len = read_le64(bytes, pos);
-    pos += 8 + 4;  // payload_len + crc
-    if (pos + payload_len > bytes.size()) return std::nullopt;
-    if (section_name == name && payload_len > 0)
-      return std::make_pair(pos, static_cast<std::size_t>(payload_len));
-    pos += payload_len;
-  }
-  return std::nullopt;
 }
 
 /// Thrown when a snapshot's meta section parses cleanly but describes a
@@ -106,32 +48,20 @@ const char* to_string(ShardHealth h) {
   return "?";
 }
 
-/// One shard = one (KPI, model family, scheme) pipeline.  `step()` is the
-/// loop body of core::run_scheme verbatim (uncached path, no ingest
-/// guards), so a shard's EvalResult matches run_scheme exactly.
+/// One shard = one (KPI, model family, scheme) pipeline: a core::Evaluation
+/// (the same walk-forward loop core::run_scheme drives, so a shard's
+/// EvalResult matches run_scheme exactly) plus the supervision state the
+/// fleet keeps around it.
 struct FleetRuntime::Shard {
   ShardSpec spec;
   int index = -1;  ///< position in the fleet; stamped on emitted events
   const data::Featurizer* featurizer = nullptr;
   double dispersion = 0.0;
+  obs::EventLog events;  ///< single-writer: only this shard's step() emits
   core::EvalConfig cfg;
   std::unique_ptr<models::Regressor> prototype;
   std::unique_ptr<core::MitigationScheme> scheme;
-
-  // --- mutable per-step state (everything below is snapshotted) ---------
-  models::FitCaches fit_caches;
-  obs::EventLog events;  ///< single-writer: only this shard's step() emits
-  std::unique_ptr<models::Regressor> model;
-  drift::Kswin detector;
-  Rng rng;
-  data::SupervisedSet train;
-  core::EvalResult result;
-  std::vector<double> abs_ne_samples;
-  int next_day = 0;
-  int num_days = 0;
-  double norm_range = 0.0;
-  bool done = false;
-  std::uint64_t steps = 0;
+  core::Evaluation eval;  ///< snapshotted
   // --- supervision state (also snapshotted) -----------------------------
   bool initialized = false;
   ShardHealth health = ShardHealth::kHealthy;
@@ -141,23 +71,39 @@ struct FleetRuntime::Shard {
   std::string last_error;
   core::RetrainBreaker breaker;
   obs::EventLog supervision;  ///< single-writer, like `events`
-  // Reusable aligned arena for the per-step prediction buffer (NOT
-  // snapshotted: scratch only, sized by the high-water test-slice size).
-  // Replaces a std::vector allocation per step per shard.
-  simd::AlignedBuffer predict_scratch;
 
-  Shard(ShardSpec s, const data::Featurizer& f, double disp,
+  Shard(ShardSpec s, int i, const data::Featurizer& f, double disp,
         const core::EvalConfig& c, const Scale& scale,
         const core::BreakerConfig& bcfg)
-      : spec(s),
+      : spec(std::move(s)),
+        index(i),
         featurizer(&f),
         dispersion(disp),
-        cfg(c),
+        cfg(with_shard_events(c, &events, i)),
         prototype(models::make_model(spec.model, scale, cfg.seed)),
-        scheme(core::make_scheme(spec.scheme, disp, cfg.seed ^ 0x99)),
-        detector(cfg.detector),
-        rng(cfg.seed),
+        scheme(make_shard_scheme()),
+        eval(make_eval(*scheme)),
         breaker(bcfg) {}
+
+  static core::EvalConfig with_shard_events(core::EvalConfig c,
+                                            obs::EventLog* log, int i) {
+    c.events = log;
+    c.obs_shard = i;
+    return c;
+  }
+
+  std::unique_ptr<core::MitigationScheme> make_shard_scheme() const {
+    return core::make_scheme(spec.scheme, dispersion, cfg.seed ^ 0x99);
+  }
+
+  core::Evaluation make_eval(core::MitigationScheme& s) const {
+    static obs::SpanSite& init_fit_span =
+        obs::MetricsRegistry::global().span_site("serve.init_fit");
+    static obs::SpanSite& retrain_fit_span =
+        obs::MetricsRegistry::global().span_site("serve.retrain_fit");
+    return core::Evaluation(*featurizer, *prototype, s, cfg, init_fit_span,
+                            retrain_fit_span);
+  }
 
   void emit_supervision(obs::EventKind kind, int day, std::string detail) {
     supervision.emit({kind, day, index, data::to_string(spec.kpi),
@@ -165,164 +111,25 @@ struct FleetRuntime::Shard {
                       0.0});
   }
 
-  /// Initial training, mirroring the run_scheme preamble.
   void init() {
-    result = core::EvalResult{};
-    result.scheme = scheme->name();
-    result.model = prototype->name();
-
-    const int anchor =
-        cfg.anchor_day >= 0 ? cfg.anchor_day : cal::anchor_2018_07_01();
-    norm_range = cfg.norm_range_override > 0.0 ? cfg.norm_range_override
-                                               : featurizer->norm_range();
-    num_days = featurizer->dataset().num_days();
-
-    train = featurizer->window(anchor - cfg.train_window + 1, anchor);
-    if (train.empty())
-      throw std::runtime_error(
-          "serve: shard training window produced no supervised pairs");
-    model = prototype->clone_untrained();
-    model->attach_caches(&fit_caches);
-    {
-      LEAF_SPAN("serve.init_fit");
-      model->fit(train.X, train.y);
-    }
-
-    scheme->reset();
-    detector.reset();
-    rng = Rng(cfg.seed);
-    abs_ne_samples.clear();
-    events.clear();
-    next_day = anchor + cfg.horizon;
-    done = next_day >= num_days;
-    steps = 0;
-    health = ShardHealth::kHealthy;
-    consecutive_failures = 0;
-    total_faults = 0;
-    backoff_until = 0;
-    last_error.clear();
-    breaker.reset();
-    supervision.clear();
+    eval.init();
     initialized = true;
   }
 
-  /// One evaluation step (the run_scheme loop body for day = next_day).
-  /// `storm_retrain` is the chaos retrain-storm fault point: force a
-  /// Triggered-style retrain request this step (gated by the breaker like
-  /// any other request).
+  /// One evaluation step.  `storm_retrain` is the chaos retrain-storm
+  /// fault point: force a Triggered-style retrain request this step.
+  /// Every retrain request passes the circuit breaker first.
   void step(bool storm_retrain) {
-    if (done) return;
     LEAF_SPAN("serve.step");
-    static obs::Counter& steps_ctr =
-        obs::MetricsRegistry::global().counter("leaf_eval_steps_total");
-    static obs::Counter& scored_ctr =
-        obs::MetricsRegistry::global().counter("leaf_eval_days_scored_total");
-    static obs::Counter& skipped_ctr =
-        obs::MetricsRegistry::global().counter("leaf_eval_days_skipped_total");
-    static obs::Counter& nonfinite_ctr =
-        obs::MetricsRegistry::global().counter("leaf_eval_nonfinite_total");
-    static obs::Counter& drift_ctr =
-        obs::MetricsRegistry::global().counter("leaf_drift_events_total");
-    static obs::Counter& retrain_ctr =
-        obs::MetricsRegistry::global().counter("leaf_retrains_total");
+    eval.step([this](int day) { return allow_retrain(day); }, storm_retrain);
+  }
+
+  /// Retrain circuit breaker: a storm of requests inside the sliding
+  /// window trips it OPEN and the shard keeps serving its frozen model
+  /// (counted like the ingest OUTAGE freeze).  Disabled by default.
+  bool allow_retrain(int day) {
     static obs::Counter& suppressed_ctr = obs::MetricsRegistry::global().counter(
         "leaf_breaker_suppressed_retrains_total");
-    static obs::Histogram& retrain_latency =
-        obs::MetricsRegistry::global().histogram("leaf_retrain_latency_seconds",
-                                                 obs::latency_buckets());
-    ++steps;
-    steps_ctr.inc();
-    const int day = next_day;
-    next_day += cfg.stride;
-    if (next_day >= num_days) done = true;
-
-    const auto emit = [&](obs::EventKind kind, std::string detail,
-                          double seconds = 0.0) {
-      events.emit({kind, day, index, data::to_string(spec.kpi), result.model,
-                   result.scheme, std::move(detail), seconds});
-    };
-
-    const data::SupervisedSet test = featurizer->at_target_day(day);
-    if (static_cast<int>(test.size()) < cfg.min_samples_per_day) {
-      ++result.degraded.days_skipped;
-      skipped_ctr.inc();
-      return;
-    }
-
-    static obs::Counter& scratch_grows_ctr =
-        obs::MetricsRegistry::global().counter(
-            "leaf_shard_scratch_grows_total");
-    static obs::Counter& scratch_reuses_ctr =
-        obs::MetricsRegistry::global().counter(
-            "leaf_shard_scratch_reuses_total");
-    const bool scratch_grew = predict_scratch.reserve(test.size());
-    (scratch_grew ? scratch_grows_ctr : scratch_reuses_ctr).inc();
-    const std::span<double> pred = predict_scratch.acquire(test.size());
-    model->predict_into(test.X, pred);
-    const double err = metrics::nrmse(pred, test.y, norm_range);
-    if (cfg.guard_nonfinite && !std::isfinite(err)) {
-      ++result.degraded.nonfinite_errors;
-      nonfinite_ctr.inc();
-      emit(obs::EventKind::kNonFinite, "rows=" + std::to_string(test.size()));
-      return;
-    }
-    scored_ctr.inc();
-
-    double ne_acc = 0.0;
-    std::size_t ne_count = 0;
-    for (std::size_t i = 0; i < test.size(); ++i) {
-      const double ne =
-          metrics::normalized_error(pred[i], test.y[i], norm_range);
-      if (cfg.guard_nonfinite && !std::isfinite(ne)) continue;
-      ne_acc += ne;
-      ++ne_count;
-      abs_ne_samples.push_back(std::abs(ne));
-    }
-
-    result.days.push_back(day);
-    result.nrmse.push_back(err);
-    result.mean_ne.push_back(
-        ne_count > 0 ? ne_acc / static_cast<double>(ne_count) : 0.0);
-
-    const bool drift = detector.update(err);
-    if (drift) {
-      result.drift_days.push_back(day);
-      drift_ctr.inc();
-      emit(obs::EventKind::kDrift,
-           "detector=KSWIN,p=" + fmt6(detector.last_p_value()) +
-               ",nrmse=" + fmt6(err));
-    }
-
-    core::SchemeContext ctx{.featurizer = *featurizer,
-                            .model = *model,
-                            .current_train = train,
-                            .eval_day = day,
-                            .nrmse = err,
-                            .drift = drift,
-                            .train_window = cfg.train_window,
-                            .rng = &rng,
-                            .prototype = prototype.get(),
-                            .cache = nullptr,
-                            .events = &events,
-                            .shard = index};
-    const double retrain_t0 = obs::enabled() ? obs::monotonic_seconds() : 0.0;
-    std::optional<data::SupervisedSet> new_train = scheme->on_step(ctx);
-    std::unique_ptr<models::Regressor> replacement =
-        scheme->take_replacement_model();
-    if (storm_retrain && replacement == nullptr &&
-        (!new_train.has_value() || new_train->empty())) {
-      data::SupervisedSet forced =
-          core::latest_labeled_window(ctx, cfg.train_window);
-      if (!forced.empty()) new_train = std::move(forced);
-    }
-
-    const bool wants_retrain =
-        replacement != nullptr || (new_train.has_value() && !new_train->empty());
-    if (!wants_retrain) return;
-
-    // Retrain circuit breaker: a storm of requests inside the sliding
-    // window trips it OPEN and the shard keeps serving its frozen model
-    // (counted like the ingest OUTAGE freeze).  Disabled by default.
     using BState = core::RetrainBreaker::State;
     const BState before = breaker.state();
     const bool allowed = breaker.allow(day);
@@ -341,53 +148,13 @@ struct FleetRuntime::Shard {
     if (after == BState::kClosed && before == BState::kOpen)
       emit_supervision(obs::EventKind::kBreakerClose, day,
                        "probe retrain allowed");
-    if (!allowed) {
-      ++result.degraded.suppressed_retrains;
-      suppressed_ctr.inc();
-      return;
-    }
-
-    bool retrained = false;
-    if (replacement != nullptr) {
-      model = std::move(replacement);
-      result.retrain_days.push_back(day);
-      retrained = true;
-    } else {
-      train = std::move(*new_train);
-      model = prototype->clone_untrained();
-      model->attach_caches(&fit_caches);
-      {
-        LEAF_SPAN("serve.retrain_fit");
-        model->fit(train.X, train.y);
-      }
-      result.retrain_days.push_back(day);
-      retrained = true;
-    }
-    if (retrained) {
-      const double secs =
-          obs::enabled() ? obs::monotonic_seconds() - retrain_t0 : 0.0;
-      retrain_ctr.inc();
-      retrain_latency.observe(secs);
-      obs::MetricsRegistry::global()
-          .latency("leaf_shard_retrain_seconds",
-                   obs::label("shard", std::to_string(index)))
-          .observe(secs);
-      emit(obs::EventKind::kRetrain,
-           "train_rows=" + std::to_string(train.size()), secs);
-    }
-  }
-
-  core::EvalResult finalized_result() const {
-    core::EvalResult out = result;
-    out.ne_p95 = abs_ne_samples.empty()
-                     ? 0.0
-                     : stats::quantile(abs_ne_samples, 0.95);
-    return out;
+    if (!allowed) suppressed_ctr.inc();
+    return allowed;
   }
 
   void save(io::Serializer& out) const {
-    // Format v3: supervision state leads, so even a shard that never
-    // initialized (init threw, quarantined) snapshots cleanly.
+    // Supervision state leads, so even a shard that never initialized
+    // (init threw, quarantined) snapshots cleanly.
     out.put_bool(initialized);
     out.put_u8(static_cast<std::uint8_t>(health));
     out.put_i32(consecutive_failures);
@@ -397,32 +164,9 @@ struct FleetRuntime::Shard {
     breaker.save_state(out);
     supervision.save(out);
     if (!initialized) return;
-
-    io::write(out, rng);
-    detector.save_state(out);
-    scheme->save_state(out);
-    models::save_regressor(out, *model);
-    fit_caches.bin_edges.save(out);
-    io::write(out, train);
-    out.put_i32(next_day);
-    out.put_i32(num_days);
-    out.put_f64(norm_range);
-    out.put_bool(done);
-    out.put_u64(steps);
-    write_ints(out, result.days);
-    out.put_doubles(result.nrmse);
-    out.put_doubles(result.mean_ne);
-    write_ints(out, result.retrain_days);
-    write_ints(out, result.drift_days);
-    out.put_i32(result.degraded.days_skipped);
-    out.put_i32(result.degraded.nonfinite_errors);
-    out.put_i32(result.degraded.frozen_detector_days);
-    out.put_i32(result.degraded.suppressed_retrains);
-    out.put_i64(result.degraded.values_imputed);
-    out.put_i64(result.degraded.quarantined_records);
-    out.put_doubles(abs_ne_samples);
-    // Format v2: the shard's event log rides along, so a resumed run's
-    // merged event stream is identical to an uninterrupted one.
+    eval.save(out);
+    // The shard's event log rides along, so a resumed run's merged event
+    // stream is identical to an uninterrupted one.
     events.save(out);
   }
 
@@ -437,19 +181,8 @@ struct FleetRuntime::Shard {
     std::string last_error;
     core::RetrainBreaker breaker;
     obs::EventLog supervision;
-    Rng::State rng;
-    std::unique_ptr<drift::Kswin> detector;
-    std::unique_ptr<core::MitigationScheme> scheme;
-    std::unique_ptr<models::Regressor> model;
-    models::BinEdgeCache bin_edges;
-    data::SupervisedSet train;
-    int next_day = 0;
-    int num_days = 0;
-    double norm_range = 0.0;
-    bool done = false;
-    std::uint64_t steps = 0;
-    core::EvalResult result;
-    std::vector<double> abs_ne_samples;
+    std::unique_ptr<core::MitigationScheme> scheme;  ///< owned for `eval`
+    std::optional<core::Evaluation> eval;
     obs::EventLog events;
   };
 
@@ -472,51 +205,14 @@ struct FleetRuntime::Shard {
       if (r.health != ShardHealth::kQuarantined)
         throw io::SnapshotError(
             "shard snapshotted uninitialized but not quarantined");
-      if (!in.exhausted())
-        throw io::SnapshotError("trailing bytes after shard state");
-      return r;
+    } else {
+      r.scheme = make_shard_scheme();
+      r.eval.emplace(make_eval(*r.scheme));
+      r.eval->load(in);
+      r.events.load(in);
     }
-
-    Rng tmp_rng(cfg.seed);
-    io::read_rng(in, tmp_rng);
-    r.rng = tmp_rng.capture();
-    r.detector = std::make_unique<drift::Kswin>(cfg.detector);
-    r.detector->load_state(in);
-    r.scheme = core::make_scheme(spec.scheme, dispersion, cfg.seed ^ 0x99);
-    r.scheme->reset();
-    r.scheme->load_state(in);
-    r.model = models::load_regressor(in);
-    if (r.model->name() != prototype->name())
-      throw io::SnapshotError("shard model family mismatch: snapshot has '" +
-                              r.model->name() + "', runtime expects '" +
-                              prototype->name() + "'");
-    r.bin_edges.load(in);
-    r.train = io::read_supervised_set(in);
-    r.next_day = in.get_i32();
-    r.num_days = in.get_i32();
-    r.norm_range = in.get_f64();
-    r.done = in.get_bool();
-    r.steps = in.get_u64();
-    r.result.scheme = r.scheme->name();
-    r.result.model = prototype->name();
-    r.result.days = in.get_ints();
-    r.result.nrmse = in.get_doubles();
-    r.result.mean_ne = in.get_doubles();
-    r.result.retrain_days = in.get_ints();
-    r.result.drift_days = in.get_ints();
-    r.result.degraded.days_skipped = in.get_i32();
-    r.result.degraded.nonfinite_errors = in.get_i32();
-    r.result.degraded.frozen_detector_days = in.get_i32();
-    r.result.degraded.suppressed_retrains = in.get_i32();
-    r.result.degraded.values_imputed = in.get_i64();
-    r.result.degraded.quarantined_records = in.get_i64();
-    r.abs_ne_samples = in.get_doubles();
-    r.events.load(in);
     if (!in.exhausted())
       throw io::SnapshotError("trailing bytes after shard state");
-    if (r.result.nrmse.size() != r.result.days.size() ||
-        r.result.mean_ne.size() != r.result.days.size())
-      throw io::SnapshotError("shard result series have inconsistent sizes");
     return r;
   }
 
@@ -530,20 +226,8 @@ struct FleetRuntime::Shard {
     breaker = std::move(r.breaker);
     supervision = std::move(r.supervision);
     if (!initialized) return;
-    rng.restore(r.rng);
-    detector = std::move(*r.detector);
+    eval = std::move(*r.eval);  // borrows r.scheme, which moves in next
     scheme = std::move(r.scheme);
-    model = std::move(r.model);
-    fit_caches.bin_edges = std::move(r.bin_edges);
-    model->attach_caches(&fit_caches);
-    train = std::move(r.train);
-    next_day = r.next_day;
-    num_days = r.num_days;
-    norm_range = r.norm_range;
-    done = r.done;
-    steps = r.steps;
-    result = std::move(r.result);
-    abs_ne_samples = std::move(r.abs_ne_samples);
     events = std::move(r.events);
   }
 };
@@ -581,10 +265,9 @@ FleetRuntime::FleetRuntime(const data::CellularDataset& ds, const Scale& scale,
     if (seed == 0) seed = fleet_rng.substream(i)();
     const auto [featurizer, dispersion] = by_kpi[spec.kpi];
     core::EvalConfig cfg = core::make_eval_config(scale_, seed);
-    shards_.push_back(std::make_unique<Shard>(spec, *featurizer, dispersion,
-                                              cfg, scale_,
-                                              supervisor_.breaker));
-    shards_.back()->index = static_cast<int>(i);
+    shards_.push_back(std::make_unique<Shard>(spec, static_cast<int>(i),
+                                              *featurizer, dispersion, cfg,
+                                              scale_, supervisor_.breaker));
   }
 }
 
@@ -592,7 +275,8 @@ FleetRuntime::~FleetRuntime() = default;
 
 bool FleetRuntime::done() const {
   for (const auto& s : shards_)
-    if (!s->done && s->health != ShardHealth::kQuarantined) return false;
+    if (!s->eval.done() && s->health != ShardHealth::kQuarantined)
+      return false;
   return true;
 }
 
@@ -617,7 +301,8 @@ void FleetRuntime::handle_shard_failure(Shard& shard,
     // step failures escalate once the retry budget is spent.
     shard.health = ShardHealth::kQuarantined;
     quarantine_ctr.inc();
-    shard.emit_supervision(obs::EventKind::kShardQuarantined, shard.next_day,
+    shard.emit_supervision(obs::EventKind::kShardQuarantined,
+                           shard.eval.next_day(),
                            context);
     LEAF_LOG_ERROR("serve: shard %d quarantined (%s)", shard.index,
                    context.c_str());
@@ -628,7 +313,7 @@ void FleetRuntime::handle_shard_failure(Shard& shard,
         << (shard.consecutive_failures - 1);
     shard.backoff_until = fleet_step + 1 + backoff;
     shard.emit_supervision(
-        obs::EventKind::kShardFaulted, shard.next_day,
+        obs::EventKind::kShardFaulted, shard.eval.next_day(),
         context + ",retry_at_step=" + std::to_string(shard.backoff_until));
     LEAF_LOG_WARN("serve: shard %d faulted, retry at fleet step %llu (%s)",
                   shard.index,
@@ -652,7 +337,7 @@ void FleetRuntime::start() {
 void FleetRuntime::step_shard(Shard& shard, std::uint64_t fleet_step) {
   static obs::Counter& recovered_ctr =
       obs::MetricsRegistry::global().counter("leaf_shard_recoveries_total");
-  if (shard.done || !shard.initialized ||
+  if (shard.eval.done() || !shard.initialized ||
       shard.health == ShardHealth::kQuarantined)
     return;
   if (shard.health == ShardHealth::kFaulted &&
@@ -683,7 +368,7 @@ void FleetRuntime::step_shard(Shard& shard, std::uint64_t fleet_step) {
       shard.consecutive_failures = 0;
       recovered_ctr.inc();
       shard.emit_supervision(
-          obs::EventKind::kShardRecovered, shard.next_day,
+          obs::EventKind::kShardRecovered, shard.eval.next_day(),
           "fleet_step=" + std::to_string(fleet_step) +
               ",after_failures=" + std::to_string(shard.total_faults));
       LEAF_LOG_INFO("serve: shard %d recovered at fleet step %llu",
@@ -762,9 +447,10 @@ void FleetRuntime::sample_telemetry() {
   double faults = 0.0;
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     const Shard& s = *shards_[i];
+    const core::EvalResult& result = s.eval.result();
     const std::string labels = obs::label("shard", std::to_string(i));
-    if (!s.result.nrmse.empty()) {
-      const double nrmse = s.result.nrmse.back();
+    if (!result.nrmse.empty()) {
+      const double nrmse = result.nrmse.back();
       tsdb_.record("leaf_fleet_shard_nrmse", labels, tick, nrmse);
       meta_drift_.observe("shard" + std::to_string(i) + "_nrmse",
                           static_cast<int>(i), tick, nrmse);
@@ -772,11 +458,11 @@ void FleetRuntime::sample_telemetry() {
     tsdb_.record("leaf_fleet_shard_health", labels, tick,
                  static_cast<double>(s.health));
     tsdb_.record("leaf_fleet_shard_retrains", labels, tick,
-                 static_cast<double>(s.result.retrain_count()));
+                 static_cast<double>(result.retrain_count()));
     tsdb_.record("leaf_fleet_shard_drift_events", labels, tick,
-                 static_cast<double>(s.result.drift_days.size()));
+                 static_cast<double>(result.drift_days.size()));
     tsdb_.record("leaf_fleet_shard_days_evaluated", labels, tick,
-                 static_cast<double>(s.result.days.size()));
+                 static_cast<double>(result.days.size()));
     if (s.health == ShardHealth::kQuarantined) quarantined += 1.0;
     faults += static_cast<double>(s.total_faults);
   }
@@ -822,10 +508,6 @@ std::vector<std::uint64_t> FleetRuntime::snapshot_generations(
   std::error_code ec;
   for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
     const std::string name = entry.path().filename().string();
-    if (name == kLegacyFleetFile) {
-      gens.push_back(0);
-      continue;
-    }
     unsigned long long gen = 0;
     int consumed = 0;
     if (std::sscanf(name.c_str(), "fleet-%llu.leafsnap%n", &gen,
@@ -889,10 +571,10 @@ std::uint64_t FleetRuntime::snapshot(const std::string& dir) {
   if (chaos_.enabled() && chaos_.corrupt_snapshot(gen)) {
     const int target =
         chaos_.corrupt_target(shards_.size(), gen);
-    const auto payload = find_section_payload(
-        bytes, "shard" + std::to_string(target));
-    if (payload.has_value()) {
-      bytes[payload->first + payload->second / 2] ^= 0x01;
+    const auto [offset, length] = io::SnapshotReader(bytes).payload_range(
+        "shard" + std::to_string(target));
+    if (length > 0) {
+      bytes[offset + length / 2] ^= 0x01;
       LEAF_LOG_WARN("serve: chaos corrupted shard %d in snapshot gen %llu",
                     target, static_cast<unsigned long long>(gen));
     }
@@ -928,8 +610,6 @@ std::uint64_t FleetRuntime::snapshot(const std::string& dir) {
 
   obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
   reg.counter("leaf_snapshots_total").inc();
-  reg.histogram("leaf_snapshot_write_seconds", obs::latency_buckets())
-      .observe(secs);
   reg.latency("leaf_snapshot_seconds").observe(secs);
   reg.gauge("leaf_snapshot_bytes").set(static_cast<double>(written));
   // Operational message: deliberately NOT an event-log entry, or a resumed
@@ -1009,9 +689,9 @@ void FleetRuntime::restore(const std::string& dir) {
       steps_run = gen_steps;
       // Telemetry rides with the anchor generation only (mixing store
       // history across generations would fabricate a timeline no run
-      // produced).  A v3 file has no "tsdb" section and a damaged one is
-      // demoted by the lenient reader: both restore as an empty store —
-      // telemetry loss is never fatal to the fleet.
+      // produced).  A damaged "tsdb" section is demoted by the lenient
+      // reader and restores as an empty store — telemetry loss is never
+      // fatal to the fleet.
       if (reader->has("tsdb")) {
         try {
           io::Deserializer ts = reader->section("tsdb");
@@ -1097,7 +777,8 @@ void FleetRuntime::restore(const std::string& dir) {
 std::vector<core::EvalResult> FleetRuntime::results() const {
   std::vector<core::EvalResult> out;
   out.reserve(shards_.size());
-  for (const auto& shard : shards_) out.push_back(shard->finalized_result());
+  for (const auto& shard : shards_)
+    out.push_back(shard->eval.finalized_result());
   return out;
 }
 
@@ -1110,14 +791,15 @@ ServeStats FleetRuntime::stats() const {
     s.kpi = data::to_string(shard->spec.kpi);
     s.model = shard->prototype->name();
     s.scheme = shard->scheme->name();
-    s.steps = shard->steps;
-    s.days_evaluated = static_cast<int>(shard->result.days.size());
-    s.retrains = shard->result.retrain_count();
-    s.drift_events = static_cast<int>(shard->result.drift_days.size());
-    s.days_skipped = shard->result.degraded.days_skipped;
-    s.nonfinite_errors = shard->result.degraded.nonfinite_errors;
-    s.next_day = shard->next_day;
-    s.done = shard->done;
+    const core::EvalResult& result = shard->eval.result();
+    s.steps = shard->eval.steps();
+    s.days_evaluated = static_cast<int>(result.days.size());
+    s.retrains = result.retrain_count();
+    s.drift_events = static_cast<int>(result.drift_days.size());
+    s.days_skipped = result.degraded.days_skipped;
+    s.nonfinite_errors = result.degraded.nonfinite_errors;
+    s.next_day = shard->eval.next_day();
+    s.done = shard->eval.done();
     s.health = shard->health;
     s.faults = shard->total_faults;
     s.consecutive_failures = shard->consecutive_failures;
@@ -1125,7 +807,7 @@ ServeStats FleetRuntime::stats() const {
     s.last_error = shard->last_error;
     s.breaker_state = shard->breaker.state_name();
     s.breaker_trips = shard->breaker.trips();
-    s.suppressed_retrains = shard->result.degraded.suppressed_retrains;
+    s.suppressed_retrains = result.degraded.suppressed_retrains;
     stats.total_retrains += s.retrains;
     stats.total_drift_events += s.drift_events;
     stats.total_faults += s.faults;
@@ -1141,7 +823,7 @@ ServeStats FleetRuntime::stats() const {
 bool FleetRuntime::shard_ready(std::size_t i) const {
   const Shard& shard = *shards_.at(i);
   return shard.initialized && shard.health != ShardHealth::kQuarantined &&
-         shard.model != nullptr && shard.model->trained();
+         shard.eval.ready();
 }
 
 int FleetRuntime::shard_num_features(std::size_t i) const {
@@ -1162,7 +844,7 @@ void FleetRuntime::predict_shard(std::size_t i, const Matrix& X,
         " features, got " + std::to_string(X.cols()));
   if (out.size() != X.rows())
     throw std::invalid_argument("serve: predict output size mismatch");
-  shard.model->predict_into(X, out);
+  shard.eval.predict(X, out);
 }
 
 void FleetRuntime::predict_shard(std::size_t i, const Matrix& X,
@@ -1187,8 +869,9 @@ double FleetRuntime::current_avg_nrmse() const {
   double acc = 0.0;
   std::size_t n = 0;
   for (const auto& shard : shards_) {
-    if (shard->result.nrmse.empty()) continue;
-    const double err = shard->result.nrmse.back();
+    const std::vector<double>& nrmse = shard->eval.result().nrmse;
+    if (nrmse.empty()) continue;
+    const double err = nrmse.back();
     if (!std::isfinite(err)) continue;
     acc += err;
     ++n;

@@ -4,10 +4,12 @@
 // A `FleetRuntime` owns N independent shards, one per (target KPI, model
 // family, mitigation scheme) pipeline over a shared dataset — the
 // deployment shape of §5: many concurrently maintained forecasting models
-// walking the same telemetry stream.  Each shard carries its own model,
-// KSWIN detector, scheme, and RNG, and steps through evaluation days with
-// exactly the same per-step semantics as core::run_scheme, so a
-// single-shard fleet reproduces run_scheme bit-for-bit.
+// walking the same telemetry stream.  Each shard owns a core::Evaluation
+// — its own model, KSWIN detector, scheme, and RNG — and steps it once
+// per fleet step.  That is the very loop core::run_scheme drives, so a
+// single-shard fleet reproduces run_scheme bit-for-bit; serving adds only
+// the retrain circuit breaker (a retrain gate) and the chaos retrain
+// storm (a forced retrain) as step arguments.
 //
 // Shards are stepped concurrently on the leaf::par pool.  Because every
 // mutable object is shard-private and per-shard seeds are derived with

@@ -95,36 +95,16 @@ inline std::vector<std::uint8_t> read_raw(const std::string& path) {
 /// missing or empty.
 inline bool corrupt_section_payload(std::vector<std::uint8_t>& bytes,
                                     const std::string& name) {
-  const auto rd32 = [&bytes](std::size_t p) {
-    return static_cast<std::uint32_t>(bytes[p]) |
-           static_cast<std::uint32_t>(bytes[p + 1]) << 8 |
-           static_cast<std::uint32_t>(bytes[p + 2]) << 16 |
-           static_cast<std::uint32_t>(bytes[p + 3]) << 24;
-  };
-  std::size_t pos = sizeof(io::kMagic) + 4;  // magic + version
-  if (pos + 4 > bytes.size()) return false;
-  const std::uint32_t count = rd32(pos);
-  pos += 4;
-  for (std::uint32_t i = 0; i < count; ++i) {
-    if (pos + 4 > bytes.size()) return false;
-    const std::uint32_t name_len = rd32(pos);
-    pos += 4;
-    if (pos + name_len + 8 + 4 > bytes.size()) return false;
-    const std::string section_name(
-        reinterpret_cast<const char*>(bytes.data() + pos), name_len);
-    pos += name_len;
-    const std::uint64_t payload_len =
-        static_cast<std::uint64_t>(rd32(pos)) |
-        static_cast<std::uint64_t>(rd32(pos + 4)) << 32;
-    pos += 8 + 4;  // payload_len + crc
-    if (pos + payload_len > bytes.size()) return false;
-    if (section_name == name && payload_len > 0) {
-      bytes[pos + payload_len / 2] ^= 0x01;
-      return true;
-    }
-    pos += payload_len;
+  try {
+    const auto [offset, length] =
+        io::SnapshotReader(bytes, io::SnapshotReader::ReadMode::kLenient)
+            .payload_range(name);
+    if (length == 0) return false;
+    bytes[offset + length / 2] ^= 0x01;
+    return true;
+  } catch (const io::SnapshotError&) {
+    return false;  // no such section, or a header no reader accepts
   }
-  return false;
 }
 
 }  // namespace leaf::testing

@@ -805,23 +805,6 @@ TEST_F(NetFixture, QuerySeriesOverCapIsOversizedAndConnectionSurvives) {
   EXPECT_EQ(conn.receive()->type, MsgType::kQuerySeriesOk);
 }
 
-TEST_F(NetFixture, V1ClientGetsV1QuerySeriesResponse) {
-  auto fleet = ready_fleet(2);
-  Loopback loop(*fleet);
-  LoopbackConnection& conn = loop.connect();
-
-  SeriesRequest req;
-  req.name = "leaf_fleet_steps";
-  Frame f = make_frame(MsgType::kQuerySeries, 3, req);
-  f.version = kProtocolV1;
-  conn.send(f);
-  const std::optional<Frame> resp = conn.receive();
-  ASSERT_TRUE(resp.has_value());
-  EXPECT_EQ(resp->type, MsgType::kQuerySeriesOk);
-  EXPECT_EQ(resp->version, kProtocolV1);  // echoed, never upgraded
-  EXPECT_EQ(resp->request_id, 3u);
-}
-
 TEST_F(NetFixture, FuzzLiteMutatedQuerySeriesFramesNeverKillTheFleet) {
   const obs::LogLevel prev_level = obs::log_level();
   obs::set_log_level(obs::LogLevel::kError);

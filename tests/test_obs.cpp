@@ -1,4 +1,4 @@
-// Unit tests for leaf::obs — striped counters, histograms, span sites,
+// Unit tests for leaf::obs — striped counters, span sites, latency summaries,
 // scrape formats, the event log, and the determinism contract (logical
 // telemetry identical at any LEAF_THREADS).
 #include <gtest/gtest.h>
@@ -52,27 +52,6 @@ TEST(ObsCounter, IncByN) {
   c.inc(5);
   c.inc(7);
   EXPECT_EQ(c.value(), 12u);
-}
-
-// --- histograms -------------------------------------------------------------
-
-TEST(ObsHistogram, BucketsAreInclusiveUpperBoundsPlusOverflow) {
-  if (!kCompiledIn) GTEST_SKIP() << "built with -DLEAF_OBS=OFF";
-  Histogram h({0.1, 1.0, 10.0});
-  h.observe(0.05);   // bucket 0
-  h.observe(0.1);    // bucket 0 (inclusive upper bound)
-  h.observe(0.5);    // bucket 1
-  h.observe(10.0);   // bucket 2
-  h.observe(100.0);  // +Inf overflow bucket
-  EXPECT_EQ(h.bucket(0), 2u);
-  EXPECT_EQ(h.bucket(1), 1u);
-  EXPECT_EQ(h.bucket(2), 1u);
-  EXPECT_EQ(h.bucket(3), 1u);  // +Inf
-  EXPECT_EQ(h.count(), 5u);
-  EXPECT_NEAR(h.sum(), 110.65, 1e-9);
-  h.reset();
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.bucket(0), 0u);
 }
 
 // --- span sites -------------------------------------------------------------
@@ -221,42 +200,42 @@ TEST(ObsRegistry, PrometheusScrapeCompliesWithTheTextFormat) {
   MetricsRegistry& reg = MetricsRegistry::global();
   reg.counter("test_obs_audit_total").inc(2);
   reg.gauge("test_obs_audit_gauge").set(1.5);
-  Histogram& h = reg.histogram("test_obs_audit_seconds", latency_buckets());
+  LatencyHistogram& h = reg.latency("test_obs_audit_seconds");
   h.observe(0.0007);
   h.observe(0.3);
-  h.observe(99.0);  // overflow: only the +Inf bucket catches it
-  reg.latency("test_obs_audit_latency_seconds").observe(0.125);
+  h.observe(99.0);
 
   const std::string text = reg.scrape();
   ASSERT_FALSE(text.empty());
   EXPECT_EQ(text.back(), '\n');
 
-  // A bucket run is one (histogram name, label set) series; the `le`
-  // label itself is stripped so the run's key matches its _count line.
+  // A summary run is one (name, label set) series; the `quantile` label
+  // itself is stripped so the run's key matches its _sum/_count lines.
   const auto series_key = [](const std::string& name,
                              const std::string& labels) {
     std::string rest = labels;
-    const std::size_t le = rest.find("le=\"");
-    if (le != std::string::npos) {
-      std::size_t end = rest.find('"', le + 4);
-      end = rest.find('"', end + 1);  // closing quote of the value
+    const std::size_t q = rest.find("quantile=\"");
+    if (q != std::string::npos) {
+      std::size_t end = rest.find('"', q + 10);
       end = end == std::string::npos ? rest.size() : end + 1;
-      std::size_t begin = le;
-      if (begin > 0 && rest[begin - 1] == ',') --begin;       // mid/tail le
-      else if (end < rest.size() && rest[end] == ',') ++end;  // leading le
+      std::size_t begin = q;
+      if (begin > 0 && rest[begin - 1] == ',') --begin;       // mid/tail label
+      else if (end < rest.size() && rest[end] == ',') ++end;  // leading label
       rest.erase(begin, end - begin);
     }
     return name + "|" + rest;
   };
 
+  static const std::vector<std::string> kQuantiles = {"0.5", "0.9", "0.99",
+                                                      "0.999"};
   std::istringstream lines(text);
   std::string line;
-  std::string bucket_key;  // (histogram, labels) run being walked
-  std::string bucket_family;
-  std::uint64_t prev_cumulative = 0;
-  std::uint64_t inf_value = 0;
-  bool saw_inf = false;
-  std::vector<std::string> audited_histograms;
+  std::string summary_key;  // (summary, labels) run being walked
+  std::string summary_name;
+  std::vector<std::string> seen_quantiles;
+  double prev_quantile = 0.0;
+  bool saw_sum = false;
+  std::vector<std::string> audited_summaries;
   while (std::getline(lines, line)) {
     ASSERT_FALSE(line.empty()) << "blank line in scrape";
     if (line[0] == '#') {
@@ -265,8 +244,7 @@ TEST(ObsRegistry, PrometheusScrapeCompliesWithTheTextFormat) {
       std::string hash, kw, name, kind;
       c >> hash >> kw >> name >> kind;
       EXPECT_EQ(kw, "TYPE") << line;
-      EXPECT_TRUE(kind == "counter" || kind == "gauge" ||
-                  kind == "histogram" || kind == "summary")
+      EXPECT_TRUE(kind == "counter" || kind == "gauge" || kind == "summary")
           << line;
       continue;
     }
@@ -288,44 +266,47 @@ TEST(ObsRegistry, PrometheusScrapeCompliesWithTheTextFormat) {
           << line;
     if (brace != std::string::npos) EXPECT_EQ(series.back(), '}') << line;
 
-    // Histogram bucket discipline: cumulative counts, closing +Inf.
+    // Summary discipline: the four quantiles in ascending order with
+    // non-decreasing values, then _sum, then a _count closing the run.
     const std::string labels =
         brace == std::string::npos
             ? ""
             : series.substr(brace + 1, series.size() - brace - 2);
-    const bool is_bucket = name.size() > 7 &&
-                           name.compare(name.size() - 7, 7, "_bucket") == 0;
-    if (is_bucket) {
-      EXPECT_NE(labels.find("le=\""), std::string::npos) << line;
-      const std::string family = name.substr(0, name.size() - 7);
-      const std::string key = series_key(family, labels);
-      if (key != bucket_key) {
-        bucket_key = key;
-        bucket_family = family;
-        prev_cumulative = 0;
-        saw_inf = false;
+    const std::size_t q = labels.find("quantile=\"");
+    if (q != std::string::npos) {
+      const std::string key = series_key(name, labels);
+      if (key != summary_key) {
+        summary_key = key;
+        summary_name = name;
+        seen_quantiles.clear();
+        prev_quantile = 0.0;
+        saw_sum = false;
       }
-      const std::uint64_t v = std::stoull(value);
-      EXPECT_GE(v, prev_cumulative) << "non-cumulative bucket: " << line;
-      prev_cumulative = v;
-      if (labels.find("le=\"+Inf\"") != std::string::npos) {
-        saw_inf = true;
-        inf_value = v;
+      const std::size_t qend = labels.find('"', q + 10);
+      seen_quantiles.push_back(labels.substr(q + 10, qend - q - 10));
+      const double v = std::stod(value);
+      EXPECT_GE(v, prev_quantile) << "decreasing quantile: " << line;
+      prev_quantile = v;
+    } else if (!summary_key.empty() && name == summary_name + "_sum" &&
+               series_key(summary_name, labels) == summary_key) {
+      EXPECT_EQ(seen_quantiles, kQuantiles) << summary_key;
+      EXPECT_GE(std::stod(value), 0.0) << line;
+      saw_sum = true;
+    } else if (!summary_key.empty() && name == summary_name + "_count" &&
+               series_key(summary_name, labels) == summary_key) {
+      EXPECT_TRUE(saw_sum) << "no _sum line for " << summary_key;
+      if (summary_name == "test_obs_audit_seconds") {
+        EXPECT_EQ(std::stoull(value), 3u) << line;
       }
-    } else if (!bucket_key.empty() && name == bucket_family + "_count" &&
-               series_key(bucket_family, labels) == bucket_key) {
-      // _count follows the buckets and equals the +Inf bucket.
-      EXPECT_TRUE(saw_inf) << "no le=\"+Inf\" bucket for " << bucket_key;
-      EXPECT_EQ(std::stoull(value), inf_value) << line;
-      audited_histograms.push_back(bucket_family);
-      bucket_key.clear();
-      bucket_family.clear();
+      audited_summaries.push_back(summary_name);
+      summary_key.clear();
+      summary_name.clear();
     }
   }
-  // The audit actually exercised the histogram path.
-  EXPECT_NE(std::find(audited_histograms.begin(), audited_histograms.end(),
+  // The audit actually exercised the summary path.
+  EXPECT_NE(std::find(audited_summaries.begin(), audited_summaries.end(),
                       "test_obs_audit_seconds"),
-            audited_histograms.end());
+            audited_summaries.end());
 }
 
 // --- event log --------------------------------------------------------------

@@ -60,26 +60,73 @@ void expect_identical(const std::vector<core::EvalResult>& a,
   for (std::size_t i = 0; i < a.size(); ++i) expect_identical(a[i], b[i]);
 }
 
+/// FNV-1a over a byte string.
+std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
 // A single-shard fleet must reproduce core::run_scheme bit-for-bit: same
-// seed derivations, same per-step semantics.
+// seed derivations, same per-step semantics, same drift-event stream —
+// for every mitigation scheme family, with a tree and a linear model.
 TEST_F(ServeFixture, SingleShardMatchesRunScheme) {
   const std::uint64_t seed = 11;
   const data::TargetKpi kpi = data::TargetKpi::kDVol;
-
-  const core::EvalConfig cfg = core::make_eval_config(scale, seed);
   const data::Featurizer fz(ds, kpi);
-  const auto prototype =
-      models::make_model(models::ModelFamily::kGbdt, scale, cfg.seed);
-  const auto scheme = core::make_scheme(
-      "Triggered", core::kpi_dispersion(ds, kpi), cfg.seed ^ 0x99);
-  const core::EvalResult want = core::run_scheme(fz, *prototype, *scheme, cfg);
+  const double dispersion = core::kpi_dispersion(ds, kpi);
 
-  FleetRuntime fleet(
-      ds, scale, {{kpi, models::ModelFamily::kGbdt, "Triggered", seed}});
-  fleet.run_to_end();
-  const std::vector<core::EvalResult> got = fleet.results();
-  ASSERT_EQ(got.size(), 1u);
-  expect_identical(got[0], want);
+  for (const char* scheme_name :
+       {"Static", "Triggered", "Naive30", "LEAF", "PairedLearners", "AUE2"}) {
+    for (models::ModelFamily family :
+         {models::ModelFamily::kGbdt, models::ModelFamily::kRidge}) {
+      SCOPED_TRACE(std::string(scheme_name) + " x " +
+                   models::to_string(family));
+      obs::EventLog events;
+      core::EvalConfig cfg = core::make_eval_config(scale, seed);
+      cfg.events = &events;
+      cfg.obs_shard = 0;
+      const auto prototype = models::make_model(family, scale, cfg.seed);
+      const auto scheme =
+          core::make_scheme(scheme_name, dispersion, cfg.seed ^ 0x99);
+      const core::EvalResult want =
+          core::run_scheme(fz, *prototype, *scheme, cfg);
+
+      FleetRuntime fleet(ds, scale, {{kpi, family, scheme_name, seed}});
+      fleet.run_to_end();
+      const std::vector<core::EvalResult> got = fleet.results();
+      ASSERT_EQ(got.size(), 1u);
+      expect_identical(got[0], want);
+      EXPECT_EQ(got[0].retrain_count(), want.retrain_count());
+      EXPECT_EQ(fleet.events_jsonl(/*with_timing=*/false),
+                events.to_jsonl(/*with_timing=*/false));
+    }
+  }
+}
+
+// Snapshot format golden: with obs runtime-disabled (no wall-clock in the
+// event logs) a fixed fleet after a fixed number of steps snapshots to
+// exactly these bytes.  Any change to what a shard serializes, or in
+// which order, changes the hash.
+TEST_F(ServeFixture, SnapshotBytesMatchGolden) {
+  if (!obs::kCompiledIn) GTEST_SKIP() << "built with -DLEAF_OBS=OFF";
+  struct ObsRestore {
+    bool was = obs::enabled();
+    ~ObsRestore() { obs::set_enabled(was); }
+  } restore_obs;
+  obs::set_enabled(false);
+
+  FleetRuntime fleet(ds, scale, small_fleet());
+  fleet.run_steps(7);
+  const std::string dir = temp_dir("golden");
+  std::filesystem::remove_all(dir);
+  ASSERT_GT(fleet.snapshot(dir), 0u);
+  const std::vector<std::uint8_t> bytes =
+      leaf::testing::read_raw(dir + "/fleet-000001.leafsnap");
+  EXPECT_EQ(fnv1a(bytes), 0x50b28b89bf7a5fd7ULL) << std::hex << fnv1a(bytes);
 }
 
 // Same fleet, different thread counts → byte-identical results.

@@ -1,8 +1,8 @@
 // Tests for the serving-plane observability layer added on top of
 // leaf::net — deterministic distributed tracing (trace/span id
 // derivation, the Chrome trace-event sink, end-to-end span topology
-// through the loopback server at multiple thread counts), the LNET v1/v2
-// dual-version codec, exact latency percentiles, and the SLO burn-rate
+// through the loopback server at multiple thread counts), the LNET v2
+// trace-context codec, exact latency percentiles, and the SLO burn-rate
 // watchdog.
 #include <gtest/gtest.h>
 
@@ -129,7 +129,7 @@ TEST(Tracer, UnopenableSinkFailsLoudly) {
   EXPECT_EQ(tracer.spans_written(), 0u);
 }
 
-// --- LNET v1/v2 dual-version codec ------------------------------------------
+// --- LNET v2 trace-context codec --------------------------------------------
 
 TEST(TraceProtocol, V2FrameCarriesTraceContext) {
   net::Frame in{net::MsgType::kPredict, 99, {1, 2, 3}};
@@ -142,61 +142,43 @@ TEST(TraceProtocol, V2FrameCarriesTraceContext) {
   dec.feed(bytes);
   const std::optional<net::Frame> out = dec.next();
   ASSERT_TRUE(out.has_value());
-  EXPECT_EQ(out->version, net::kProtocolVersion);
   EXPECT_EQ(out->trace, in.trace);
   EXPECT_EQ(out->parent_span, in.parent_span);
   EXPECT_EQ(*out, in);
 }
 
-TEST(TraceProtocol, V1FrameRoundTripsWithoutTracingBytes) {
-  net::Frame in{net::MsgType::kPredict, 7, {9, 8}};
-  in.version = net::kProtocolV1;
-  const std::vector<std::uint8_t> bytes = net::encode_frame(in);
-  ASSERT_EQ(bytes.size(), net::kHeaderBytesV1 + in.payload.size());
-
-  net::FrameDecoder dec;
-  dec.feed(bytes);
-  const std::optional<net::Frame> out = dec.next();
-  ASSERT_TRUE(out.has_value());
-  EXPECT_EQ(out->version, net::kProtocolV1);
-  EXPECT_TRUE(obs::trace_is_zero(out->trace));
-  EXPECT_EQ(out->parent_span, 0u);
-  EXPECT_EQ(out->payload, in.payload);
-}
-
-TEST(TraceProtocol, MixedVersionStreamDecodes) {
-  net::Frame v1{net::MsgType::kFleetStatus, 1, {}};
-  v1.version = net::kProtocolV1;
-  net::Frame v2{net::MsgType::kFleetStatus, 2, {}};
-  v2.trace = obs::derive_trace_id(1, 2);
-  std::vector<std::uint8_t> bytes = net::encode_frame(v1);
-  const std::vector<std::uint8_t> more = net::encode_frame(v2);
-  bytes.insert(bytes.end(), more.begin(), more.end());
-
-  net::FrameDecoder dec;
-  dec.feed(bytes);
-  const auto a = dec.next();
-  const auto b = dec.next();
-  ASSERT_TRUE(a.has_value());
-  ASSERT_TRUE(b.has_value());
-  EXPECT_EQ(a->version, net::kProtocolV1);
-  EXPECT_EQ(b->version, net::kProtocolVersion);
-  EXPECT_EQ(b->trace, v2.trace);
-}
-
+// Every version but the current one poisons the decoder — including the
+// retired v1, alone or behind a good v2 frame in the same stream.
 TEST(TraceProtocol, UnknownVersionIsFatalFramingDamage) {
-  std::vector<std::uint8_t> bytes =
-      net::encode_frame({net::MsgType::kPredict, 1, {}});
-  bytes[4] = 3;  // version field, little-endian low byte
-  net::FrameDecoder dec;
-  try {
-    dec.feed(bytes);
-    dec.next();
-    FAIL() << "unknown version accepted";
-  } catch (const net::ProtocolError& e) {
-    EXPECT_TRUE(e.fatal());
+  const std::vector<std::uint8_t> good =
+      net::encode_frame({net::MsgType::kFleetStatus, 1, {}});
+  for (const std::uint8_t version : {0, 1, 3, 0x77}) {
+    for (const bool behind_good_frame : {false, true}) {
+      SCOPED_TRACE("version " + std::to_string(version) +
+                   (behind_good_frame ? " behind a v2 frame" : ""));
+      std::vector<std::uint8_t> bad =
+          net::encode_frame({net::MsgType::kPredict, 2, {9, 8}});
+      bad[4] = version;  // version field, little-endian low byte
+      std::vector<std::uint8_t> bytes;
+      if (behind_good_frame) bytes = good;
+      bytes.insert(bytes.end(), bad.begin(), bad.end());
+
+      net::FrameDecoder dec;
+      try {
+        dec.feed(bytes);
+        if (behind_good_frame) {
+          const std::optional<net::Frame> first = dec.next();
+          ASSERT_TRUE(first.has_value());
+          EXPECT_EQ(first->request_id, 1u);
+        }
+        dec.next();
+        FAIL() << "unknown version accepted";
+      } catch (const net::ProtocolError& e) {
+        EXPECT_TRUE(e.fatal());
+      }
+      EXPECT_TRUE(dec.poisoned());
+    }
   }
-  EXPECT_TRUE(dec.poisoned());
 }
 
 // --- end-to-end tracing through the loopback server -------------------------
@@ -322,44 +304,6 @@ TEST_F(TraceNetFixture, TraceFingerprintIdenticalAcrossThreadCounts) {
   EXPECT_EQ(f1, f4);
   std::remove(p1.c_str());
   std::remove(p4.c_str());
-}
-
-TEST_F(TraceNetFixture, V1ClientIsAnsweredInV1AgainstAV2Server) {
-  auto fleet = ready_fleet(1);
-  net::Loopback loop(*fleet);
-  net::LoopbackConnection& conn = loop.connect();
-
-  net::Frame status{net::MsgType::kFleetStatus, 1, {}};
-  status.version = net::kProtocolV1;
-  conn.send(status);
-  const auto sresp = conn.receive();
-  ASSERT_TRUE(sresp.has_value());
-  EXPECT_EQ(sresp->version, net::kProtocolV1);
-  const auto body = net::decode_body<net::StatusResponse>(*sresp);
-
-  net::PredictRequest req;
-  req.shard = 0;
-  req.rows = probe_rows(1, body.shards[0].num_features, 11);
-  net::Frame predict = net::make_frame(net::MsgType::kPredict, 2, req);
-  predict.version = net::kProtocolV1;
-  conn.send(predict);
-  loop.pump();
-  const auto presp = conn.receive();
-  ASSERT_TRUE(presp.has_value());
-  EXPECT_EQ(presp->version, net::kProtocolV1);
-  EXPECT_TRUE(obs::trace_is_zero(presp->trace));
-  EXPECT_EQ(presp->type, net::MsgType::kPredictOk);
-
-  // The same predict through a v2 client must return the same values —
-  // the protocol bump never changes results.
-  net::LoopbackConnection& conn2 = loop.connect();
-  conn2.send(net::make_frame(net::MsgType::kPredict, 2, req));
-  loop.pump();
-  const auto presp2 = conn2.receive();
-  ASSERT_TRUE(presp2.has_value());
-  EXPECT_EQ(presp2->version, net::kProtocolVersion);
-  EXPECT_EQ(net::decode_body<net::PredictResponse>(*presp).values,
-            net::decode_body<net::PredictResponse>(*presp2).values);
 }
 
 TEST_F(TraceNetFixture, ResponsesEchoTheRequestsTraceId) {

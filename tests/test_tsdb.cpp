@@ -1,14 +1,12 @@
 // Tests for leaf::tsdb — ring-buffer retention and wraparound,
-// downsampling goldens, query matching, snapshot round-trips (v4 and the
-// v3 fallback), meta-drift detection on telemetry streams, and the
-// fleet-level determinism contract: stored series are bit-identical at
-// any LEAF_THREADS and across SIGKILL + --resume.
+// downsampling goldens, query matching, snapshot round-trips (and the
+// damaged-section fallback), meta-drift detection on telemetry streams,
+// and the fleet-level determinism contract: stored series are
+// bit-identical at any LEAF_THREADS and across SIGKILL + --resume.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <limits>
 #include <memory>
 #include <string>
@@ -24,6 +22,7 @@
 #include "obs/metrics.hpp"
 #include "par/parallel.hpp"
 #include "serve/runtime.hpp"
+#include "snapshot_fault_helpers.hpp"
 #include "tsdb/meta_drift.hpp"
 #include "tsdb/store.hpp"
 
@@ -339,69 +338,62 @@ TEST_F(TsdbFleetFixture, SnapshotResumeContinuesTheSeriesByteIdentically) {
   std::filesystem::remove_all(dir);
 }
 
-/// Strips the "tsdb" section from a LEAFSNAP container on disk and
-/// stamps it format version 3 — a faithful replica of a pre-tsdb file.
-void downgrade_snapshot_to_v3(const std::string& path) {
-  std::vector<std::uint8_t> bytes;
-  {
-    std::ifstream in(path, std::ios::binary);
-    ASSERT_TRUE(in.good());
-    bytes.assign(std::istreambuf_iterator<char>(in),
-                 std::istreambuf_iterator<char>());
-  }
-  ASSERT_GT(bytes.size(), 16u);
-  const auto rd_u32 = [&](std::size_t at) {
-    std::uint32_t v;
-    std::memcpy(&v, bytes.data() + at, 4);
-    return v;
-  };
-  bytes[8] = 3;  // version u32 (little-endian) follows the 8-byte magic
-  std::uint32_t count = rd_u32(12);
-  std::size_t pos = 16;
-  for (std::uint32_t i = 0; i < count; ++i) {
-    const std::size_t sec_start = pos;
-    const std::uint32_t name_len = rd_u32(pos);
-    pos += 4;
-    const std::string name(reinterpret_cast<const char*>(bytes.data() + pos),
-                           name_len);
-    pos += name_len;
-    std::uint64_t payload_len;
-    std::memcpy(&payload_len, bytes.data() + pos, 8);
-    pos += 8 + 4 + payload_len;  // payload_len + crc + payload
-    if (name == "tsdb") {
-      bytes.erase(bytes.begin() + static_cast<std::ptrdiff_t>(sec_start),
-                  bytes.begin() + static_cast<std::ptrdiff_t>(pos));
-      --count;
-      std::memcpy(bytes.data() + 12, &count, 4);
-      break;
-    }
-  }
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
-}
-
-TEST_F(TsdbFleetFixture, V3SnapshotWithoutTsdbSectionStillRestores) {
-  const std::string dir = ::testing::TempDir() + "leaf_tsdb_v3";
+/// Snapshots a 2-shard fleet after 4 steps into a fresh `dir`, then
+/// rewrites every generation file through `damage`.
+template <typename Damage>
+void snapshot_then_damage(const data::CellularDataset& ds, const Scale& scale,
+                          const std::vector<serve::ShardSpec>& specs,
+                          const std::string& dir, Damage damage) {
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
-  serve::FleetRuntime fleet(ds, scale, specs(2));
+  serve::FleetRuntime fleet(ds, scale, specs);
   fleet.run_steps(4);
   fleet.snapshot(dir);
-  for (const auto& entry : std::filesystem::directory_iterator(dir))
-    downgrade_snapshot_to_v3(entry.path().string());
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    std::vector<std::uint8_t> bytes =
+        leaf::testing::read_raw(entry.path().string());
+    damage(bytes);
+    leaf::testing::write_raw(entry.path().string(), bytes);
+  }
+}
+
+// Telemetry loss is never fatal: a tsdb section whose CRC fails restores
+// as an empty store while every shard resumes.
+TEST_F(TsdbFleetFixture, CorruptTsdbSectionRestoresEmptyStore) {
+  const std::string dir = ::testing::TempDir() + "leaf_tsdb_corrupt";
+  snapshot_then_damage(ds, scale, specs(2), dir,
+                       [](std::vector<std::uint8_t>& bytes) {
+                         ASSERT_TRUE(leaf::testing::corrupt_section_payload(
+                             bytes, "tsdb"));
+                       });
 
   serve::FleetRuntime revived(ds, scale, specs(2));
-  revived.restore(dir);  // must not throw: v3 is still readable
+  revived.restore(dir);  // must not throw: only telemetry is damaged
   EXPECT_EQ(revived.steps_run(), 4u);
-  // No telemetry section: the store starts empty, ticks resume at the
-  // step counter, and the fleet keeps stepping.
+  // No usable telemetry section: the store starts empty, ticks resume at
+  // the step counter, and the fleet keeps stepping.
   EXPECT_EQ(revived.telemetry().num_series(), 0u);
   EXPECT_EQ(revived.sample_tick(), 4u);
   EXPECT_TRUE(revived.step());
   if (obs::kCompiledIn) {
     EXPECT_GT(revived.telemetry().num_series(), 0u);
   }
+  std::filesystem::remove_all(dir);
+}
+
+// The reader accepts exactly the current format: a v3-stamped file is
+// refused outright, never half-read.
+TEST_F(TsdbFleetFixture, V3StampedSnapshotIsRejected) {
+  const std::string dir = ::testing::TempDir() + "leaf_tsdb_v3";
+  snapshot_then_damage(ds, scale, specs(2), dir,
+                       [](std::vector<std::uint8_t>& bytes) {
+                         bytes = leaf::testing::with_format_version(bytes, 3);
+                       });
+
+  serve::FleetRuntime revived(ds, scale, specs(2));
+  leaf::testing::expect_snapshot_error([&] { revived.restore(dir); },
+                                       "unsupported format version 3");
+  EXPECT_EQ(revived.steps_run(), 0u);
   std::filesystem::remove_all(dir);
 }
 
