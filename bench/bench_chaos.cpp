@@ -12,7 +12,7 @@
 //              divergence after replay;
 //   storm      a retrain storm trips the per-shard circuit breaker the
 //              same number of times at every thread count;
-//   watchdog   an SLO watchdog fed per-step fleet stats trips
+//   watchdog   the fleet's SLO watchdog, fed by its telemetry tick, trips
 //              slo-burn-critical on the quarantine burn, and the event
 //              shows up in the merged supervision JSONL;
 //   partial    a failed snapshot write leaves no litter and the fleet
@@ -265,25 +265,19 @@ int main(int argc, char** argv) {
   }
 
   // ---- watchdog: quarantine burn surfaces in the supervision stream -------
-  // The isolation fault schedule quarantines 2 of 8 shards; an SLO
-  // watchdog fed per-step fleet stats must trip slo-burn-critical
-  // (quarantine rate 0.25 over a 0.2 threshold), and its events must
-  // merge into the fleet's supervision JSONL via attach_supervision_log.
+  // The isolation fault schedule quarantines 2 of 8 shards; the fleet's
+  // SLO watchdog, fed by its per-step telemetry tick, must trip
+  // slo-burn-critical (quarantine rate 0.25 over a 0.2 threshold), and its
+  // events must merge into the fleet's supervision JSONL.
   int watchdog_criticals = 0;
   {
     par::set_threads(1);
-    serve::FleetRuntime fleet(ds, scale, make_specs(), 2024,
-                              with_chaos(isolation_spec));
-    obs::SloWatchdog dog(obs::SloSpec::parse("window=4,quarantine=0.2"));
-    fleet.attach_supervision_log(&dog.events());
+    serve::SupervisorConfig sup = with_chaos(isolation_spec);
+    sup.slo = obs::SloSpec::parse("window=4,quarantine=0.2");
+    serve::FleetRuntime fleet(ds, scale, make_specs(), 2024, sup);
+    const obs::SloWatchdog& dog = *fleet.slo_watchdog();
     const obs::Stopwatch sw;
-    while (fleet.run_steps(1) > 0) {
-      obs::SloSample s;
-      s.shards = fleet.num_shards();
-      s.quarantined = fleet.stats().shards_quarantined;
-      s.nrmse = fleet.current_avg_nrmse();
-      dog.observe(s);
-    }
+    fleet.run_to_end();
     if (dog.state() != obs::SloWatchdog::State::kCritical)
       return fail("watchdog: quarantine burn never went critical");
     for (const obs::Event& e : dog.events().events())

@@ -21,7 +21,7 @@
 //                and 4 writes TRACE_t1.json / TRACE_t4.json — after
 //                masking the wall-clock "ts"/"dur" fields the two span
 //                streams must be byte-identical;
-//   slo          a seeded chaos deadline storm must drive the SLO
+//   slo          a seeded chaos deadline storm must drive the fleet's SLO
 //                watchdog to slo-burn-critical, and a quiet tail must
 //                bring it back to slo-recovered.
 //
@@ -423,22 +423,23 @@ int main(int argc, char** argv) {
 
   // ---- slo: deadline storm trips the watchdog, quiet tail recovers --------
   // Storm membership is a pure function of (seed, conn, round), so the
-  // event sequence and final state are golden.
+  // event sequence and final state are golden.  The watchdog is the
+  // fleet's own, fed by one telemetry tick per round.
   std::uint64_t slo_criticals = 0, slo_recoveries = 0;
   std::string slo_final_state;
-  {
-    obs::MetricsRegistry::global().reset_values();
+  if (obs::kCompiledIn) {
     const chaos::Engine storm(
         chaos::ChaosConfig::parse("seed=7,deadline-storm=0.75"));
-    obs::SloWatchdog dog(
-        obs::SloSpec::parse("window=4,deadline-miss=0.3,recover=3"));
+    serve::SupervisorConfig armed;
+    armed.slo = obs::SloSpec::parse("window=4,deadline-miss=0.3,recover=3");
+    serve::FleetRuntime slo_fleet(ds, scale, make_specs(4), 2024, armed);
+    slo_fleet.run_steps(1);
+    const obs::SloWatchdog& dog = *slo_fleet.slo_watchdog();
     net::NetConfig cfg;
     cfg.max_batch_rows = 8;
-    net::Loopback loop(fleet, cfg);
+    net::Loopback loop(slo_fleet, cfg);
     std::vector<net::LoopbackConnection*> conns;
     for (int c = 0; c < 4; ++c) conns.push_back(&loop.connect());
-    obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
-    std::uint64_t last_responses = 0, last_sheds = 0, last_retries = 0;
     bool burned_critical = false;
     std::uint64_t id = 1;
     const int storm_from = 4, storm_to = 10, total_rounds = 20;
@@ -446,7 +447,7 @@ int main(int argc, char** argv) {
       const bool stormy = round >= storm_from && round < storm_to;
       for (int c = 0; c < 4; ++c) {
         const std::uint32_t shard = static_cast<std::uint32_t>(c % num_shards);
-        const int cols = fleet.shard_num_features(shard);
+        const int cols = slo_fleet.shard_num_features(shard);
         // During the storm most requests carry a 5 ms budget that expires
         // while queued; quiet rounds have no deadline at all.
         const std::uint64_t deadline =
@@ -463,22 +464,8 @@ int main(int argc, char** argv) {
       do {
         loop.pump();
       } while (loop.core().queued() > 0);
-      obs::SloSample s;
-      const std::uint64_t responses =
-          reg.counter("leaf_net_responses_total").value();
-      const std::uint64_t sheds = reg.counter("leaf_net_sheds_total").value();
-      const std::uint64_t retries =
-          reg.counter("leaf_net_retries_total").value();
-      s.requests = responses - last_responses;
-      s.deadline_misses = sheds - last_sheds;
-      s.sheds = sheds - last_sheds;
-      s.retries = retries - last_retries;
-      s.shards = fleet.num_shards();
-      s.quarantined = fleet.stats().shards_quarantined;
-      last_responses = responses;
-      last_sheds = sheds;
-      last_retries = retries;
-      if (dog.observe(s) == obs::SloWatchdog::State::kCritical)
+      slo_fleet.sample_telemetry();
+      if (dog.state() == obs::SloWatchdog::State::kCritical)
         burned_critical = true;
     }
     for (const obs::Event& e : dog.events().events()) {
@@ -490,8 +477,7 @@ int main(int argc, char** argv) {
       return fail("slo: deadline storm never tripped slo-burn-critical");
     if (dog.state() != obs::SloWatchdog::State::kOk || slo_recoveries == 0)
       return fail("slo: watchdog never recovered after the storm passed");
-    if (obs::kCompiledIn &&
-        reg.gauge("leaf_slo_state").value() != 0.0)
+    if (obs::MetricsRegistry::global().gauge("leaf_slo_state").value() != 0.0)
       return fail("slo: leaf_slo_state gauge disagrees with watchdog state");
     std::printf("%-12s criticals=%llu recoveries=%llu final=%s\n", "slo",
                 static_cast<unsigned long long>(slo_criticals),
@@ -500,6 +486,8 @@ int main(int argc, char** argv) {
     csv.row({"slo", "1", "4", "1", std::to_string(total_rounds * 4), "0",
              std::to_string(slo_criticals), std::to_string(slo_recoveries),
              "0", "0"});
+  } else {
+    std::printf("%-12s skipped (-DLEAF_OBS=OFF)\n", "slo");
   }
 
   // ---- tsdb: telemetry store determinism + meta-drift storm golden --------

@@ -38,11 +38,13 @@
 // respond — as a Chrome trace-event JSON file (load it in
 // chrome://tracing or Perfetto).  `--trace-sample-every N` keeps every
 // N-th trace id (deterministic: the decision is a pure function of the
-// id, never of wall clock).  `--slo SPEC` arms the burn-rate watchdog
-// (obs/slo.hpp spec grammar, e.g. "window=8,deadline-miss=0.3"): each
-// fleet step / poll cycle feeds it one sample of serving-plane counter
-// deltas, and state transitions emit slo-burn-warning / slo-burn-critical
-// / slo-recovered supervision events and trip the leaf_slo_state gauge.
+// id, never of wall clock).  `--slo SPEC` arms the fleet's burn-rate
+// watchdog (obs/slo.hpp spec grammar, e.g. "window=8,deadline-miss=0.3"):
+// the fleet's telemetry tick — every step, then every idle poll once the
+// fleet is done — feeds it one sample of serving-plane counter deltas,
+// and state transitions emit slo-burn-warning / slo-burn-critical /
+// slo-recovered supervision events and trip the leaf_slo_state gauge.
+// With -DLEAF_OBS=OFF there is no telemetry tick, so `--slo` does nothing.
 //
 // Query mode is the matching client:
 //
@@ -95,6 +97,7 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -448,9 +451,8 @@ int run_serve(int argc, char** argv) {
                  "--breaker-max-retrains >= 0\n");
     return 2;
   }
-  obs::SloSpec slo;
   try {
-    slo = obs::SloSpec::parse(slo_spec);
+    supervisor.slo = obs::SloSpec::parse(slo_spec);
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "%s\n", e.what());
     return 2;
@@ -490,6 +492,9 @@ int run_serve(int argc, char** argv) {
               static_cast<unsigned long long>(common.seed));
   if (supervisor.chaos.any())
     LEAF_LOG_WARN("chaos enabled: %s", supervisor.chaos.to_string().c_str());
+  if (fleet.slo_watchdog() != nullptr)
+    LEAF_LOG_INFO("slo watchdog armed: %s",
+                  supervisor.slo.to_string().c_str());
 
   if (resume) {
     if (!serve::FleetRuntime::has_snapshot(common.snapshot_dir)) {
@@ -549,43 +554,10 @@ int run_serve(int argc, char** argv) {
                   static_cast<unsigned long long>(trace_sample_every));
   }
 
-  // The SLO watchdog ticks once per loop iteration (a logical tick, never
-  // a wall-clock timer) on deltas of the serving-plane counters, so its
-  // state trajectory is a pure function of the request/fleet schedule.
-  std::unique_ptr<obs::SloWatchdog> watchdog;
-  if (slo.any()) {
-    watchdog = std::make_unique<obs::SloWatchdog>(slo);
-    fleet.attach_supervision_log(&watchdog->events());
-    LEAF_LOG_INFO("slo watchdog armed: %s", slo.to_string().c_str());
-  }
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
-  std::uint64_t last_responses = 0, last_sheds = 0, last_retries = 0;
-  const auto watchdog_tick = [&]() {
-    if (watchdog == nullptr) return;
-    const std::uint64_t responses =
-        reg.counter("leaf_net_responses_total").value();
-    const std::uint64_t sheds = reg.counter("leaf_net_sheds_total").value();
-    const std::uint64_t retries =
-        reg.counter("leaf_net_retries_total").value();
-    obs::SloSample s;
-    s.requests = responses - last_responses;
-    s.deadline_misses = sheds - last_sheds;
-    s.sheds = sheds - last_sheds;
-    s.retries = retries - last_retries;
-    s.shards = fleet.num_shards();
-    s.quarantined = fleet.stats().shards_quarantined;
-    s.telemetry_drift =
-        static_cast<std::uint64_t>(fleet.telemetry_drift_state());
-    s.nrmse = fleet.current_avg_nrmse();
-    last_responses = responses;
-    last_sheds = sheds;
-    last_retries = retries;
-    watchdog->observe(s);
-  };
-
   // The fleet and the RPC front end share this one thread: queries are
   // answered between steps, so predictions never race shard mutation and
-  // crash-equivalence is preserved.
+  // crash-equivalence is preserved.  Each step() ends with one telemetry
+  // tick, which also feeds the SLO watchdog when --slo armed it.
   while (!served_enough() && fleet.step()) {
     if (snapshot_every > 0 && fleet.steps_run() % snapshot_every == 0)
       fleet.snapshot(common.snapshot_dir);  // logs at INFO internally
@@ -598,7 +570,6 @@ int run_serve(int argc, char** argv) {
           s.shards.size(), s.total_drift_events, s.total_retrains);
     }
     if (server != nullptr) server->poll_once(0);
-    watchdog_tick();
   }
   if (!common.snapshot_dir.empty()) fleet.snapshot(common.snapshot_dir);
 
@@ -609,9 +580,8 @@ int run_serve(int argc, char** argv) {
     server->poll_once(50);
     // The fleet is frozen but the serving plane is not: keep sampling
     // telemetry each idle tick so the net-plane series (and the
-    // meta-drift detectors watching them) track the query traffic.
+    // watchdogs watching them) track the query traffic.
     fleet.sample_telemetry();
-    watchdog_tick();
   }
   if (server != nullptr)
     std::printf("leafctl serve: answered %llu request(s)\n",
@@ -626,7 +596,7 @@ int run_serve(int argc, char** argv) {
                 static_cast<unsigned long long>(tracer->spans_written()),
                 tracer->path().c_str());
   }
-  if (watchdog != nullptr)
+  if (const obs::SloWatchdog* watchdog = fleet.slo_watchdog())
     LEAF_LOG_INFO("slo watchdog final state: %s",
                   obs::to_string(watchdog->state()));
 
@@ -660,6 +630,20 @@ int run_serve(int argc, char** argv) {
 }
 
 // --- query mode ------------------------------------------------------------
+
+/// One RPC round trip expecting a `Body` reply.  A kError reply throws
+/// "server error (CODE): MESSAGE", which the query and top modes print
+/// to stderr before exiting 1.
+template <typename Body>
+Body checked_call(net::TcpClient& client, const net::Frame& request) {
+  const net::Frame resp = net::call(client, request);
+  if (resp.type == net::MsgType::kError) {
+    const auto err = net::decode_body<net::ErrorResponse>(resp);
+    throw std::runtime_error(std::string("server error (") +
+                             net::to_string(err.code) + "): " + err.message);
+  }
+  return net::decode_body<Body>(resp);
+}
 
 int run_query(int argc, char** argv) {
   std::string connect_addr;
@@ -730,15 +714,8 @@ int run_query(int argc, char** argv) {
 
     // Status first in every case: predict needs the shard's feature
     // count to build a valid request.
-    const net::Frame status_resp = net::call(
+    const auto status = checked_call<net::StatusResponse>(
         client, net::Frame{net::MsgType::kFleetStatus, request_id++, {}});
-    if (status_resp.type == net::MsgType::kError) {
-      const auto err = net::decode_body<net::ErrorResponse>(status_resp);
-      std::fprintf(stderr, "server error (%s): %s\n",
-                   net::to_string(err.code), err.message.c_str());
-      return 1;
-    }
-    const auto status = net::decode_body<net::StatusResponse>(status_resp);
 
     if (do_status) {
       std::printf("fleet: %llu steps, %zu shard(s)\n",
@@ -756,34 +733,22 @@ int run_query(int argc, char** argv) {
     }
 
     if (do_metrics) {
-      const net::Frame resp = net::call(
-          client,
-          net::make_frame(net::MsgType::kScrapeMetrics, request_id++,
-                          net::ScrapeRequest{json}));
-      if (resp.type == net::MsgType::kError) {
-        const auto err = net::decode_body<net::ErrorResponse>(resp);
-        std::fprintf(stderr, "server error (%s): %s\n",
-                     net::to_string(err.code), err.message.c_str());
-        return 1;
-      }
-      std::fputs(net::decode_body<net::ScrapeResponse>(resp).body.c_str(),
+      std::fputs(checked_call<net::ScrapeResponse>(
+                     client, net::make_frame(net::MsgType::kScrapeMetrics,
+                                             request_id++,
+                                             net::ScrapeRequest{json}))
+                     .body.c_str(),
                  stdout);
     }
 
     if (do_slo) {
       // The SLO slice of the text scrape: the leaf_slo_state gauge plus
       // every latency-summary quantile line.
-      const net::Frame resp = net::call(
-          client, net::make_frame(net::MsgType::kScrapeMetrics, request_id++,
-                                  net::ScrapeRequest{false}));
-      if (resp.type == net::MsgType::kError) {
-        const auto err = net::decode_body<net::ErrorResponse>(resp);
-        std::fprintf(stderr, "server error (%s): %s\n",
-                     net::to_string(err.code), err.message.c_str());
-        return 1;
-      }
       const std::string body =
-          net::decode_body<net::ScrapeResponse>(resp).body;
+          checked_call<net::ScrapeResponse>(
+              client, net::make_frame(net::MsgType::kScrapeMetrics,
+                                      request_id++, net::ScrapeRequest{false}))
+              .body;
       std::size_t start = 0;
       while (start < body.size()) {
         const std::size_t nl = body.find('\n', start);
@@ -805,16 +770,9 @@ int run_query(int argc, char** argv) {
       req.end_step = to_step;
       req.resolution = resolution_code;
       req.max_series = max_series;
-      const net::Frame resp = net::call(
+      const auto body = checked_call<net::SeriesResponse>(
           client,
           net::make_frame(net::MsgType::kQuerySeries, request_id++, req));
-      if (resp.type == net::MsgType::kError) {
-        const auto err = net::decode_body<net::ErrorResponse>(resp);
-        std::fprintf(stderr, "server error (%s): %s\n",
-                     net::to_string(err.code), err.message.c_str());
-        return 1;
-      }
-      const auto body = net::decode_body<net::SeriesResponse>(resp);
       std::printf("%zu series (store at step %llu)%s\n", body.series.size(),
                   static_cast<unsigned long long>(body.last_step),
                   body.truncated ? ", truncated" : "");
@@ -855,15 +813,8 @@ int run_query(int argc, char** argv) {
       for (auto& v : req.rows.flat()) v = rng.uniform();
       const net::MsgType type = rows == 1 ? net::MsgType::kPredict
                                           : net::MsgType::kBatchPredict;
-      const net::Frame resp =
-          net::call(client, net::make_frame(type, request_id++, req));
-      if (resp.type == net::MsgType::kError) {
-        const auto err = net::decode_body<net::ErrorResponse>(resp);
-        std::fprintf(stderr, "server error (%s): %s\n",
-                     net::to_string(err.code), err.message.c_str());
-        return 1;
-      }
-      const auto pred = net::decode_body<net::PredictResponse>(resp);
+      const auto pred = checked_call<net::PredictResponse>(
+          client, net::make_frame(type, request_id++, req));
       std::printf("shard %d predictions (%zu row(s), seed %llu):\n", shard,
                   pred.values.size(), static_cast<unsigned long long>(seed));
       for (double v : pred.values) std::printf("  %.6f\n", v);
@@ -877,10 +828,11 @@ int run_query(int argc, char** argv) {
 
 // --- top mode --------------------------------------------------------------
 
-/// First sample of `name` in a Prometheus text scrape (the line must
-/// start with the exact series name followed by '{' or ' ').  NaN when
-/// the series is absent.
+/// Sum of every label set of `name` in a Prometheus text scrape (a line
+/// must start with the exact series name followed by '{' or ' ').  NaN
+/// when the series is absent.
 double scrape_value(const std::string& body, const std::string& name) {
+  double total = std::numeric_limits<double>::quiet_NaN();
   std::size_t start = 0;
   while (start < body.size()) {
     const std::size_t nl = body.find('\n', start);
@@ -890,12 +842,14 @@ double scrape_value(const std::string& body, const std::string& name) {
         (body[start + name.size()] == ' ' ||
          body[start + name.size()] == '{')) {
       const std::size_t sp = body.rfind(' ', end);
-      if (sp != std::string::npos && sp > start)
-        return std::strtod(body.c_str() + sp + 1, nullptr);
+      if (sp != std::string::npos && sp > start) {
+        const double v = std::strtod(body.c_str() + sp + 1, nullptr);
+        total = std::isnan(total) ? v : total + v;
+      }
     }
     start = end + 1;
   }
-  return std::numeric_limits<double>::quiet_NaN();
+  return total;
 }
 
 /// Renders a value window as an 8-level block sparkline, scaled to the
@@ -961,27 +915,13 @@ int run_top(int argc, char** argv) {
       if (iter > 0)
         std::this_thread::sleep_for(std::chrono::milliseconds(interval_ms));
 
-      const net::Frame status_resp = net::call(
+      const auto status = checked_call<net::StatusResponse>(
           client, net::Frame{net::MsgType::kFleetStatus, request_id++, {}});
-      if (status_resp.type == net::MsgType::kError) {
-        const auto err = net::decode_body<net::ErrorResponse>(status_resp);
-        std::fprintf(stderr, "server error (%s): %s\n",
-                     net::to_string(err.code), err.message.c_str());
-        return 1;
-      }
-      const auto status = net::decode_body<net::StatusResponse>(status_resp);
-
-      const net::Frame scrape_resp = net::call(
-          client, net::make_frame(net::MsgType::kScrapeMetrics, request_id++,
-                                  net::ScrapeRequest{false}));
-      if (scrape_resp.type == net::MsgType::kError) {
-        const auto err = net::decode_body<net::ErrorResponse>(scrape_resp);
-        std::fprintf(stderr, "server error (%s): %s\n",
-                     net::to_string(err.code), err.message.c_str());
-        return 1;
-      }
       const std::string scrape =
-          net::decode_body<net::ScrapeResponse>(scrape_resp).body;
+          checked_call<net::ScrapeResponse>(
+              client, net::make_frame(net::MsgType::kScrapeMetrics,
+                                      request_id++, net::ScrapeRequest{false}))
+              .body;
 
       net::SeriesRequest sreq;
       sreq.name = "leaf_rule_*";
@@ -993,9 +933,14 @@ int run_top(int argc, char** argv) {
       if (series_resp.type == net::MsgType::kQuerySeriesOk)
         series = net::decode_body<net::SeriesResponse>(series_resp);
 
+      // ServerCore registers its shed / retry counters on first use.
+      const auto count = [&scrape](const char* name) {
+        const double v = scrape_value(scrape, name);
+        return std::isnan(v) ? 0.0 : v;
+      };
       const double responses = scrape_value(scrape, "leaf_net_responses_total");
-      const double sheds = scrape_value(scrape, "leaf_net_sheds_total");
-      const double retries = scrape_value(scrape, "leaf_net_retries_total");
+      const double sheds = count("leaf_net_sheds_total");
+      const double retries = count("leaf_net_retries_total");
       const double slo_state = scrape_value(scrape, "leaf_slo_state");
       const double drift_state =
           scrape_value(scrape, "leaf_telemetry_drift_state");

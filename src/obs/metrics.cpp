@@ -174,6 +174,17 @@ SpanSite& MetricsRegistry::span_site(const std::string& name) {
   return *slot;
 }
 
+std::uint64_t MetricsRegistry::counter_sum(
+    const std::string& name, const std::string& labels_contains) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::uint64_t total = 0;
+  for (auto it = counters_.lower_bound({name, ""});
+       it != counters_.end() && it->first.first == name; ++it)
+    if (it->first.second.find(labels_contains) != std::string::npos)
+      total += it->second->value();
+  return total;
+}
+
 std::string MetricsRegistry::scrape() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::string out;

@@ -270,6 +270,12 @@ class MetricsRegistry {
                             const std::string& labels = "");
   SpanSite& span_site(const std::string& name);
 
+  /// Total of counter `name` over every registered label set whose label
+  /// body contains `labels_contains` (empty: all of them).  Registers
+  /// nothing; 0 when no series matches.
+  std::uint64_t counter_sum(const std::string& name,
+                            const std::string& labels_contains = "") const;
+
   /// Prometheus text exposition, sorted by (name, labels) so the output
   /// is byte-stable for a given set of metric values.
   std::string scrape() const;

@@ -1,13 +1,14 @@
 // leaf::obs — SLO burn-rate watchdog for the serving plane.
 //
 // An `SloWatchdog` turns the serving plane's raw counters into an
-// operator-facing alarm: each logical tick (a fleet step, a pump cycle —
-// never a wall-clock timer) the caller feeds it one `SloSample` of
-// deltas, the watchdog evaluates rolling-window burn rates against the
-// declarative thresholds of an `SloSpec`, and state transitions emit
-// typed supervision events (`slo-burn-warning` / `slo-burn-critical` /
-// `slo-recovered`) and trip the `leaf_slo_state` gauge (0 = ok,
-// 1 = warning, 2 = critical) that the chaos harness asserts on.
+// operator-facing alarm: each logical tick (a fleet step or an idle
+// serving tick — never a wall-clock timer) FleetRuntime::sample_telemetry
+// feeds it one `SloSample` of deltas, the watchdog evaluates
+// rolling-window burn rates against the declarative thresholds of an
+// `SloSpec`, and state transitions emit typed supervision events
+// (`slo-burn-warning` / `slo-burn-critical` / `slo-recovered`) and trip
+// the `leaf_slo_state` gauge (0 = ok, 1 = warning, 2 = critical) that the
+// chaos harness asserts on.
 //
 // Burn signals:
 //   * deadline-miss rate — deadline sheds / predict requests
@@ -101,9 +102,8 @@ class SloWatchdog {
 
   State state() const { return state_; }
   const SloSpec& spec() const { return spec_; }
-  /// Typed supervision events emitted on state transitions; merge into
-  /// the fleet supervision stream via
-  /// FleetRuntime::attach_supervision_log.
+  /// Typed supervision events emitted on state transitions (a fleet-owned
+  /// watchdog's merge into FleetRuntime::supervision_events()).
   const EventLog& events() const { return events_; }
 
   /// Current rolling-window burn rates (for tests and the --slo view).

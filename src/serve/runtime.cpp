@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <optional>
@@ -243,6 +244,7 @@ FleetRuntime::FleetRuntime(const data::CellularDataset& ds, const Scale& scale,
     throw std::invalid_argument("FleetRuntime: at least one shard required");
   if (supervisor_.snapshot_keep < 1)
     throw std::invalid_argument("FleetRuntime: snapshot_keep must be >= 1");
+  if (supervisor_.slo.any()) slo_.emplace(supervisor_.slo);
 
   // One featurizer (and dispersion) per distinct KPI, shared read-only by
   // the shards forecasting it.
@@ -393,46 +395,56 @@ bool FleetRuntime::step() {
   return !done();
 }
 
-void FleetRuntime::record_net_deltas(std::uint64_t tick) {
+obs::SloSample FleetRuntime::record_net_deltas(std::uint64_t tick) {
   // Net-plane counters are process-lifetime registry state, so their
   // per-tick deltas depend on process history (a resumed process restarts
   // the baselines): stored for operators, excluded from fingerprint().
+  // Each total sums every label set (ServerCore labels requests and
+  // responses by type, errors by code).
   static constexpr const char* kNetCounters[] = {
       "leaf_net_requests_total",  "leaf_net_responses_total",
       "leaf_net_sheds_total",     "leaf_net_retries_total",
       "leaf_net_errors_total",    "leaf_net_malformed_frames_total",
   };
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
-  if (net_baselines_.empty()) {
-    for (const char* name : kNetCounters)
-      net_baselines_.push_back(
-          {name, static_cast<double>(reg.counter(name).value())});
+  constexpr std::size_t kSheds = 2, kRetries = 3;
+  // The slot after kNetCounters is the rate rules' denominator: predict
+  // requests only (type="predict" and type="batch_predict").
+  constexpr std::size_t kPredicts = std::size(kNetCounters);
+  const obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
+  std::uint64_t deltas[kPredicts + 1];
+  for (std::size_t i = 0; i <= kPredicts; ++i) {
+    const std::uint64_t total =
+        i < kPredicts ? reg.counter_sum(kNetCounters[i])
+                      : reg.counter_sum("leaf_net_requests_total", "predict\"");
+    if (net_baselines_.size() <= i) net_baselines_.push_back(total);
+    // A total below its baseline means the registry was reset: the whole
+    // current value is this tick's delta.
+    deltas[i] = total >= net_baselines_[i] ? total - net_baselines_[i] : total;
+    net_baselines_[i] = total;
+    if (i < kPredicts)
+      tsdb_.record(std::string(kNetCounters[i]) + "_per_tick", "", tick,
+                   static_cast<double>(deltas[i]), /*deterministic=*/false);
   }
-  double requests = 0.0;
-  double sheds = 0.0;
-  double retries = 0.0;
-  for (NetBaseline& b : net_baselines_) {
-    const double now = static_cast<double>(reg.counter(b.metric).value());
-    const double delta = now - b.last;
-    b.last = now;
-    tsdb_.record(b.metric + "_per_tick", "", tick, delta,
-                 /*deterministic=*/false);
-    if (b.metric == "leaf_net_requests_total") requests = delta;
-    else if (b.metric == "leaf_net_sheds_total") sheds = delta;
-    else if (b.metric == "leaf_net_retries_total") retries = delta;
-  }
+
   // Recording rules: deadline-miss and shed rates per tick.  Sheds fire
   // exactly when a request's deadline lapsed in queue, so the shed delta
   // *is* the deadline-miss count; the shed rate also folds in RETRYs.
-  const double denom = requests > 0.0 ? requests : 1.0;
-  const double miss_rate = sheds / denom;
-  const double shed_rate = (sheds + retries) / denom;
+  obs::SloSample s;
+  s.requests = deltas[kPredicts];
+  s.deadline_misses = deltas[kSheds];
+  s.sheds = deltas[kSheds];
+  s.retries = deltas[kRetries];
+  const double denom =
+      static_cast<double>(std::max<std::uint64_t>(s.requests, 1));
+  const double miss_rate = static_cast<double>(s.deadline_misses) / denom;
+  const double shed_rate = static_cast<double>(s.sheds + s.retries) / denom;
   tsdb_.record("leaf_rule_deadline_miss_rate", "", tick, miss_rate,
                /*deterministic=*/false);
   tsdb_.record("leaf_rule_shed_rate", "", tick, shed_rate,
                /*deterministic=*/false);
   meta_drift_.observe("deadline_miss_rate", -1, tick, miss_rate);
   meta_drift_.observe("shed_rate", -1, tick, shed_rate);
+  return s;
 }
 
 void FleetRuntime::sample_telemetry() {
@@ -443,7 +455,7 @@ void FleetRuntime::sample_telemetry() {
   if (chaos_.enabled() && chaos_.tsdb_gap(tick)) return;
 
   // Deterministic series: pure functions of shard state, resume-safe.
-  double quarantined = 0.0;
+  std::uint64_t quarantined = 0;
   double faults = 0.0;
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     const Shard& s = *shards_[i];
@@ -463,26 +475,34 @@ void FleetRuntime::sample_telemetry() {
                  static_cast<double>(result.drift_days.size()));
     tsdb_.record("leaf_fleet_shard_days_evaluated", labels, tick,
                  static_cast<double>(result.days.size()));
-    if (s.health == ShardHealth::kQuarantined) quarantined += 1.0;
+    if (s.health == ShardHealth::kQuarantined) ++quarantined;
     faults += static_cast<double>(s.total_faults);
   }
+  const double avg_nrmse = current_avg_nrmse();
   tsdb_.record("leaf_fleet_steps", "", tick,
                static_cast<double>(steps_run_));
-  tsdb_.record("leaf_fleet_avg_nrmse", "", tick, current_avg_nrmse());
-  tsdb_.record("leaf_fleet_shards_quarantined", "", tick, quarantined);
+  tsdb_.record("leaf_fleet_avg_nrmse", "", tick, avg_nrmse);
+  tsdb_.record("leaf_fleet_shards_quarantined", "", tick,
+               static_cast<double>(quarantined));
   tsdb_.record("leaf_fleet_faults", "", tick, faults);
-  const double qrate =
-      shards_.empty() ? 0.0
-                      : quarantined / static_cast<double>(shards_.size());
+  const double qrate = static_cast<double>(quarantined) /
+                       static_cast<double>(shards_.size());
   tsdb_.record("leaf_rule_quarantine_rate", "", tick, qrate);
   meta_drift_.observe("quarantine_rate", -1, tick, qrate);
 
-  // Volatile net-plane deltas + their recording rules.
-  record_net_deltas(tick);
+  // Volatile net-plane deltas + their recording rules, completed into the
+  // tick's one sample.
+  obs::SloSample sample = record_net_deltas(tick);
+  sample.shards = shards_.size();
+  sample.quarantined = quarantined;
+  sample.telemetry_drift =
+      static_cast<std::uint64_t>(telemetry_drift_state());
+  sample.nrmse = avg_nrmse;
 
   obs::MetricsRegistry::global()
       .gauge("leaf_telemetry_drift_state")
-      .set(static_cast<double>(meta_drift_.state(sample_tick_)));
+      .set(static_cast<double>(sample.telemetry_drift));
+  if (slo_) slo_->observe(sample);
 }
 
 std::uint64_t FleetRuntime::run_to_end() {
@@ -747,7 +767,8 @@ void FleetRuntime::restore(const std::string& dir) {
     sample_tick_ = steps_run_;  // ticks re-anchor to the step boundary
   }
   // Net-delta baselines are process state, never snapshot state: a
-  // resumed process restarts them at the current counter values.
+  // resumed process restarts them at the current counter values.  The
+  // SLO watchdog is process state too and simply keeps its window.
   net_baselines_.clear();
 
   int fallbacks = 0;
@@ -893,10 +914,10 @@ std::string FleetRuntime::events_jsonl(bool with_timing) const {
 
 std::vector<obs::Event> FleetRuntime::supervision_events() const {
   std::vector<const obs::EventLog*> logs;
-  logs.reserve(shards_.size() + extra_supervision_.size() + 1);
+  logs.reserve(shards_.size() + 2);
   for (const auto& shard : shards_) logs.push_back(&shard->supervision);
   logs.push_back(&meta_drift_.events());
-  for (const obs::EventLog* log : extra_supervision_) logs.push_back(log);
+  if (slo_) logs.push_back(&slo_->events());
   return obs::EventLog::merge(logs);
 }
 

@@ -43,6 +43,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -58,6 +59,7 @@
 #include "io/snapshot.hpp"
 #include "models/factory.hpp"
 #include "obs/events.hpp"
+#include "obs/slo.hpp"
 #include "obs/trace.hpp"
 #include "tsdb/meta_drift.hpp"
 #include "tsdb/store.hpp"
@@ -97,7 +99,8 @@ struct RecoveryPolicy {
 };
 
 /// Fleet supervision configuration: recovery, retrain circuit breaking,
-/// snapshot retention, and the chaos schedule (disabled by default).
+/// snapshot retention, the chaos schedule, and the SLO watchdog (the last
+/// two disabled by default).
 struct SupervisorConfig {
   RecoveryPolicy recovery;
   /// Per-shard retrain circuit breaker (0 max_retrains = disabled).
@@ -106,6 +109,9 @@ struct SupervisorConfig {
   int snapshot_keep = 3;
   /// Seeded fault-injection schedule (leaf::chaos); empty = no chaos.
   chaos::ChaosConfig chaos;
+  /// SLO burn-rate thresholds (the `--slo` spec).  A spec with any
+  /// threshold arms the fleet's watchdog; the default never alarms.
+  obs::SloSpec slo;
 };
 
 /// Per-shard progress counters.
@@ -221,26 +227,12 @@ class FleetRuntime {
   std::string events_jsonl(bool with_timing = true) const;
 
   /// Supervision event stream (shard faults, recoveries, quarantines,
-  /// breaker transitions, snapshot fallbacks), merged like
-  /// merged_events().  Kept separate from the drift-event stream so the
-  /// drift telemetry of a healthy shard is byte-identical whether or not
-  /// *other* shards misbehaved.
+  /// breaker transitions, snapshot fallbacks, telemetry-drift firings and
+  /// SLO burn transitions), merged like merged_events().  Kept separate
+  /// from the drift-event stream so the drift telemetry of a healthy shard
+  /// is byte-identical whether or not *other* shards misbehaved.
   std::vector<obs::Event> supervision_events() const;
   std::string supervision_jsonl(bool with_timing = true) const;
-
-  /// Merges an external supervision log (e.g. the SLO watchdog's burn
-  /// events) into supervision_events().  Each non-null log is appended
-  /// (several can be attached); the logs must outlive the runtime; pass
-  /// nullptr to detach all.
-  void attach_supervision_log(const obs::EventLog* log) {
-    if (log == nullptr) extra_supervision_.clear();
-    else extra_supervision_.push_back(log);
-  }
-
-  /// Fleet-average of each shard's most recent per-day NRMSE — the model-
-  /// quality signal the SLO watchdog's nrmse-regression burn rate tracks.
-  /// NaN until at least one shard has scored a day.
-  double current_avg_nrmse() const;
 
   /// Prometheus text scrape: fleet-state-derived `leaf_fleet_*` series
   /// (deterministic and resume-safe, since they are recomputed from shard
@@ -250,13 +242,17 @@ class FleetRuntime {
 
   // --- telemetry store (leaf::tsdb) -------------------------------------
 
-  /// Samples fleet telemetry into the embedded time-series store and
-  /// feeds the meta-drift recording rules, advancing the logical sample
-  /// tick.  Called automatically at every step() boundary; the serving
-  /// loop also calls it per idle tick once the fleet is done stepping so
-  /// net-plane series keep flowing.  Timestamps are logical tick indices,
-  /// never wall-clock.  A chaos `tsdb-gap` decision skips the sampling
-  /// but still advances the tick, leaving a deterministic gap.  No-op
+  /// The one telemetry tick: samples fleet state and the per-tick deltas
+  /// of the leaf_net_* counters (every label set summed), records them in
+  /// the embedded store, feeds the meta-drift recording rules, then — when
+  /// armed — feeds the same sample, with the post-tick
+  /// telemetry_drift_state(), to the SLO watchdog.  Both rate rules divide
+  /// by predict requests only (type predict + batch_predict).  Called
+  /// automatically at every step() boundary; the serving loop also calls
+  /// it per idle tick once the fleet is done stepping so net-plane series
+  /// keep flowing.  Timestamps are logical tick indices, never wall-clock.
+  /// A chaos `tsdb-gap` decision skips the whole tick (store, rules and
+  /// watchdog) but still advances it, leaving a deterministic gap.  No-op
   /// when observability is compiled out.
   void sample_telemetry();
 
@@ -281,6 +277,13 @@ class FleetRuntime {
   /// Logical sample tick (number of sample_telemetry() calls, snapshot-
   /// carried so resumed series continue seamlessly).
   std::uint64_t sample_tick() const { return sample_tick_; }
+
+  /// The SLO burn-rate watchdog, or nullptr when supervisor().slo sets no
+  /// threshold.  Process state like the net-delta baselines: never
+  /// snapshotted, so a resumed process starts it fresh.
+  const obs::SloWatchdog* slo_watchdog() const {
+    return slo_ ? &*slo_ : nullptr;
+  }
 
   // --- net-plane query surface (leaf::net) ------------------------------
   // Predictions are pure reads of a shard's current model: they never
@@ -319,7 +322,12 @@ class FleetRuntime {
   void step_shard(Shard& shard, std::uint64_t fleet_step);
   void handle_shard_failure(Shard& shard, std::uint64_t fleet_step,
                             const char* what);
-  void record_net_deltas(std::uint64_t tick);
+  /// Records the per-tick net-plane deltas and their rate rules; returns
+  /// them as the tick's SloSample (net fields only).
+  obs::SloSample record_net_deltas(std::uint64_t tick);
+  /// Fleet-average of each shard's most recent per-day NRMSE (the
+  /// watchdog's nrmse-regression signal); NaN before any shard scored.
+  double current_avg_nrmse() const;
 
   const data::CellularDataset* ds_;
   Scale scale_;
@@ -333,19 +341,16 @@ class FleetRuntime {
   std::uint64_t steps_run_ = 0;
   std::uint64_t snapshot_gen_ = 0;   ///< last generation written/restored
   int snapshot_fallbacks_ = 0;       ///< rollbacks in the last restore
-  std::vector<const obs::EventLog*> extra_supervision_;  ///< SLO watchdog etc.
   // --- telemetry store --------------------------------------------------
   tsdb::Store tsdb_;
   tsdb::MetaDrift meta_drift_;
+  std::optional<obs::SloWatchdog> slo_;  ///< armed by supervisor_.slo
   std::uint64_t sample_tick_ = 0;
-  /// Process-lifetime registry counter baselines for the volatile
-  /// net-plane rate series (delta since this runtime started / resumed).
-  /// Never snapshotted: a resumed process starts fresh deltas.
-  struct NetBaseline {
-    std::string metric;
-    double last = 0.0;
-  };
-  std::vector<NetBaseline> net_baselines_;
+  /// Last seen totals of the process-lifetime net-plane counters, one per
+  /// sampled counter plus the predict-request total (deltas since this
+  /// runtime started / resumed).  Empty until the first tick.  Never
+  /// snapshotted: a resumed process starts fresh deltas.
+  std::vector<std::uint64_t> net_baselines_;
 };
 
 }  // namespace leaf::serve

@@ -2,16 +2,12 @@
 
 #include <cmath>
 
-#include "drift/adwin.hpp"
-
 namespace leaf::tsdb {
 
 MetaDrift::MetaDrift(MetaDriftConfig cfg) : cfg_(std::move(cfg)) {}
 
 std::unique_ptr<drift::DriftDetector> MetaDrift::make_detector(
     const std::string& rule) const {
-  if (cfg_.detector == "ADWIN")
-    return std::make_unique<drift::Adwin>();
   // Derive the rule's KSWIN seed from its name so every rule draws an
   // independent — but run-to-run stable — sample stream.
   std::uint64_t h = 0xcbf29ce484222325ULL;

@@ -5,10 +5,10 @@
 // plane's* telemetry.  Recording rules derive one scalar per logical
 // tick from the fleet/net state — deadline-miss rate, shed rate,
 // quarantine rate, and each shard's NRMSE — and each rule feeds its own
-// `drift::Kswin` (or `drift::Adwin`) instance.  A detector firing means
-// the telemetry's distribution changed: a deadline storm starting, a
-// quarantine wave, a shard's error regime shifting — exactly the trend
-// breaks a point-in-time scrape cannot see.
+// `drift::Kswin` instance.  A detector firing means the telemetry's
+// distribution changed: a deadline storm starting, a quarantine wave, a
+// shard's error regime shifting — exactly the trend breaks a
+// point-in-time scrape cannot see.
 //
 // Firings emit `telemetry-drift` supervision events (merged into the
 // fleet supervision stream) and raise `state()` — the number of rules
@@ -37,8 +37,6 @@
 namespace leaf::tsdb {
 
 struct MetaDriftConfig {
-  /// Detector family per rule: "KSWIN" or "ADWIN".
-  std::string detector = "KSWIN";
   /// KSWIN tuning for telemetry streams: smaller windows than the model
   /// detectors, because serving incidents play out over tens of ticks,
   /// not hundreds of evaluation days.
@@ -70,8 +68,8 @@ class MetaDrift {
   /// Total firings across all rules.
   std::uint64_t firings() const { return firings_; }
 
-  /// The telemetry-drift supervision events (merge into the fleet
-  /// supervision stream via FleetRuntime::attach_supervision_log).
+  /// The telemetry-drift supervision events (merged into
+  /// FleetRuntime::supervision_events()).
   const obs::EventLog& events() const { return events_; }
 
   /// Snapshot support: detector state, hold windows, and the event log,

@@ -459,5 +459,58 @@ TEST_F(TsdbFleetFixture, DeadlineStormRaisesTelemetryDrift) {
   EXPECT_TRUE(saw_event);
 }
 
+TEST_F(TsdbFleetFixture, TelemetryTickFeedsTheFleetSloWatchdogPredictRates) {
+  if (!obs::kCompiledIn) GTEST_SKIP() << "built with -DLEAF_OBS=OFF";
+  // ServerCore counts requests under type= labels, so the per-tick delta
+  // must sum label sets, and the rate rules divide by predict requests:
+  // 1 expired deadline out of 4 predicts is a 0.25 miss rate — the
+  // watchdog's warning level (0.5 x 0.5), not a critical burn.
+  serve::SupervisorConfig armed;
+  armed.slo = obs::SloSpec::parse("window=2,deadline-miss=0.5,recover=1");
+  serve::FleetRuntime fleet(ds, scale, specs(1), 2024, armed);
+  ASSERT_NE(fleet.slo_watchdog(), nullptr);
+  fleet.run_steps(1);
+  net::Loopback loop(fleet);
+  net::LoopbackConnection& conn = loop.connect();
+  const int cols = fleet.shard_num_features(0);
+  std::uint64_t id = 1;
+  for (int tick = 0; tick < 2; ++tick) {
+    for (int r = 0; r < 4; ++r) {
+      net::PredictRequest req{0, r == 0 ? 10u : 0u,
+                              Matrix(1, static_cast<std::size_t>(cols))};
+      conn.send(net::make_frame(net::MsgType::kPredict, id++, req));
+    }
+    loop.clock().advance_ms(50);  // only the 10 ms budget lapses in queue
+    loop.pump();
+    while (conn.receive().has_value()) {
+    }
+    fleet.sample_telemetry();
+
+    const auto newest = [&](const std::string& name) {
+      const auto q = fleet.telemetry().query(
+          {name, "", 0, ~0ULL, Resolution::kRaw, 4});
+      return q.series.size() == 1 && !q.series[0].values.empty()
+                 ? q.series[0].values.back()
+                 : std::numeric_limits<double>::quiet_NaN();
+    };
+    EXPECT_EQ(newest("leaf_net_requests_total_per_tick"), 4.0);
+    EXPECT_EQ(newest("leaf_net_sheds_total_per_tick"), 1.0);
+    EXPECT_DOUBLE_EQ(newest("leaf_rule_deadline_miss_rate"), 0.25);
+    EXPECT_DOUBLE_EQ(newest("leaf_rule_shed_rate"), 0.25);
+    EXPECT_EQ(fleet.slo_watchdog()->state(),
+              obs::SloWatchdog::State::kWarning);
+  }
+  EXPECT_DOUBLE_EQ(fleet.slo_watchdog()->burn().deadline_miss, 0.25);
+  EXPECT_EQ(obs::MetricsRegistry::global().gauge("leaf_slo_state").value(),
+            1.0);
+  int warnings = 0, criticals = 0;
+  for (const obs::Event& e : fleet.supervision_events()) {
+    if (e.kind == obs::EventKind::kSloBurnWarning) ++warnings;
+    if (e.kind == obs::EventKind::kSloBurnCritical) ++criticals;
+  }
+  EXPECT_EQ(warnings, 1);
+  EXPECT_EQ(criticals, 0);
+}
+
 }  // namespace
 }  // namespace leaf::tsdb
