@@ -1,7 +1,7 @@
 // bench_chaos — deterministic chaos harness for the supervision layer.
 //
 // Drives leaf::serve fleets through seeded fault schedules (leaf::chaos)
-// and verifies, at multiple thread counts, the properties CI enforces:
+// and verifies, at multiple thread counts:
 //
 //   isolation  permanently faulting 2 of 8 shards quarantines exactly
 //              those two while every healthy shard's results and masked
@@ -14,13 +14,14 @@
 //              same number of times at every thread count;
 //   watchdog   the fleet's SLO watchdog, fed by its telemetry tick, trips
 //              slo-burn-critical on the quarantine burn, and the event
-//              shows up in the merged supervision JSONL;
+//              shows up in the merged supervision JSONL (skipped with
+//              -DLEAF_OBS=OFF: no telemetry tick, nothing to observe);
 //   partial    a failed snapshot write leaves no litter and the fleet
 //              keeps serving.
 //
-// Any violation exits non-zero.  Emits BENCH_chaos.{csv,json}; the JSON
-// carries the golden event counts the CI chaos job asserts on.
-// `--smoke` shrinks the sweep for CI.
+// Any violation exits non-zero.  Emits BENCH_chaos.{csv,json}.  `--smoke`
+// shrinks the sweep; at LEAF_SCALE=small it also pins the event counts to
+// the goldens below (the `bench_chaos_smoke` ctest).
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -40,6 +41,11 @@
 using namespace leaf;
 
 namespace {
+
+// Golden counts of `--smoke` at LEAF_SCALE=small.
+constexpr std::uint64_t kGoldenQuarantined = 2, kGoldenFaults = 8,
+                        kGoldenFallbacks = 1, kGoldenBreakerTrips = 18,
+                        kGoldenSuppressed = 144, kGoldenCriticals = 1;
 
 std::vector<serve::ShardSpec> make_specs() {
   std::vector<serve::ShardSpec> specs;
@@ -270,7 +276,7 @@ int main(int argc, char** argv) {
   // slo-burn-critical (quarantine rate 0.25 over a 0.2 threshold), and its
   // events must merge into the fleet's supervision JSONL.
   int watchdog_criticals = 0;
-  {
+  if (obs::kCompiledIn) {
     par::set_threads(1);
     serve::SupervisorConfig sup = with_chaos(isolation_spec);
     sup.slo = obs::SloSpec::parse("window=4,quarantine=0.2");
@@ -293,6 +299,8 @@ int main(int argc, char** argv) {
     csv.row({"watchdog", "1", fmt(sw.seconds()),
              std::to_string(fleet.stats().shards_quarantined),
              std::to_string(watchdog_criticals), "0", "0", "0", "0"});
+  } else {
+    std::printf("%-10s skipped (-DLEAF_OBS=OFF)\n", "watchdog");
   }
 
   // ---- partial: failed snapshot write leaves no litter --------------------
@@ -325,10 +333,27 @@ int main(int argc, char** argv) {
        << "  \"storm\": {\"breaker_trips\": " << storm_trips
        << ", \"suppressed_retrains\": " << storm_suppressed << "},\n"
        << "  \"watchdog\": {\"criticals\": " << watchdog_criticals
-       << ", \"merged_into_supervision\": true},\n"
+       << ", \"merged_into_supervision\": "
+       << (obs::kCompiledIn ? "true" : "false") << "},\n"
        << "  \"metrics\": " << bench::metrics_json() << "\n}\n";
   par::set_threads(0);
   bench::require_ok(csv);
   std::printf("\nwrote %s/BENCH_chaos.json\n", bench::out_dir().c_str());
+
+  if (smoke && scale.level == Scale::Level::kSmall) {
+    bench::require_golden("isolation.quarantined", isolation_quarantined,
+                          kGoldenQuarantined);
+    bench::require_golden("isolation.faults", isolation_faults,
+                          kGoldenFaults);
+    bench::require_golden("rollback.snapshot_fallbacks", rollback_fallbacks,
+                          kGoldenFallbacks);
+    bench::require_golden("storm.breaker_trips", storm_trips,
+                          kGoldenBreakerTrips);
+    bench::require_golden("storm.suppressed_retrains", storm_suppressed,
+                          kGoldenSuppressed);
+    if (obs::kCompiledIn)
+      bench::require_golden("watchdog.criticals", watchdog_criticals,
+                            kGoldenCriticals);
+  }
   return 0;
 }

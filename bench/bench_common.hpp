@@ -47,6 +47,20 @@ inline void require_ok(CsvWriter& w) {
   }
 }
 
+/// Pins one logical output (a count or a result fingerprint) to the value
+/// recorded at LEAF_SCALE=small, where the `smoke` ctests run the bench:
+/// a mismatch prints both values and exits 1.  Benches call it only at
+/// the scale and `--smoke` setting the golden was recorded at.
+inline void require_golden(const char* what, std::uint64_t got,
+                           std::uint64_t want, bool hex = false) {
+  if (got == want) return;
+  std::fprintf(stderr, hex ? "FATAL: golden %s: got %llx, want %llx\n"
+                           : "FATAL: golden %s: got %llu, want %llu\n",
+               what, static_cast<unsigned long long>(got),
+               static_cast<unsigned long long>(want));
+  std::exit(1);
+}
+
 /// Standard header every bench prints.
 inline void banner(const char* exp_id, const char* what, const Scale& scale) {
   std::printf("================================================================\n");

@@ -6,14 +6,16 @@
 // After the google-benchmark suite, main() runs a LEAF_THREADS scaling
 // sweep (threads ∈ {1,2,4,8} × {forest fit, GBDT fit, permutation
 // importance, full run_scheme}) and writes the measured wall times and
-// speedups to $LEAF_BENCH_OUT/BENCH_parallel.json.
+// speedups to $LEAF_BENCH_OUT/BENCH_parallel.json.  The sweep fails if the
+// run_scheme span sites did not record into the metrics section.
 //
 // With --kernels the gbench suite and the thread sweep are skipped and a
 // leaf::simd micro-suite runs instead: each kernel is timed through its
 // scalar reference and its vectorized implementation, the two results are
 // asserted bit-identical, and per-kernel ns/op + speedup + a result
-// fingerprint go to $LEAF_BENCH_OUT/BENCH_kernels.json.  CI diffs that
-// fingerprint between -DLEAF_SIMD=ON and OFF builds.
+// fingerprint go to $LEAF_BENCH_OUT/BENCH_kernels.json.  With --smoke the
+// suite fingerprint is pinned to a golden that every ISA, every build
+// flag and -DLEAF_SIMD=ON/OFF must reproduce.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -244,7 +246,7 @@ void run_thread_sweep(bool smoke) {
   };
 
   // --smoke: one rep at 1 and 2 threads — enough to exercise every
-  // workload and produce a parseable BENCH_parallel.json in CI.
+  // workload and produce a parseable BENCH_parallel.json.
   const std::vector<int> sweep_threads =
       smoke ? std::vector<int>{1, 2} : std::vector<int>{1, 2, 4, 8};
   const int reps = smoke ? 1 : 3;
@@ -281,6 +283,15 @@ void run_thread_sweep(bool smoke) {
   json << "\n  ],\n  \"metrics\": " << bench::metrics_json() << "\n}\n";
   par::set_threads(0);  // restore the LEAF_THREADS / hardware default
   std::printf("wrote %s/BENCH_parallel.json\n", bench::out_dir().c_str());
+
+  if constexpr (obs::kCompiledIn) {
+    for (const char* site : {"bench.run_scheme", "run_scheme.initial_fit"}) {
+      if (obs::MetricsRegistry::global().span_site(site).count() == 0) {
+        std::fprintf(stderr, "FATAL: span site %s recorded nothing\n", site);
+        std::exit(1);
+      }
+    }
+  }
 }
 
 // --- leaf::simd kernel micro-suite (--kernels) ----------------------------
@@ -319,6 +330,10 @@ double time_kernel_ns_op(const char* site, const std::function<void()>& call,
       reps);
   return ms * 1e6 / (static_cast<double>(iters) * static_cast<double>(n));
 }
+
+// Suite fingerprint of `--kernels --smoke`; identical on SSE2, AVX2 and
+// the scalar reference, and under every sanitizer.
+constexpr std::uint64_t kGoldenKernelFingerprint = 0x11ab3e36019a9db3ULL;
 
 void run_kernel_suite(bool smoke) {
   const int reps = smoke ? 2 : 7;
@@ -525,6 +540,9 @@ void run_kernel_suite(bool smoke) {
                  "bit-identical\n");
     std::exit(1);
   }
+  if (smoke)
+    bench::require_golden("kernel suite fingerprint", suite_fp,
+                          kGoldenKernelFingerprint, /*hex=*/true);
 }
 
 }  // namespace

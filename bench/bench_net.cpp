@@ -1,8 +1,7 @@
 // bench_net — loopback RPC front-end harness for the serving fleet.
 //
 // Drives leaf::net's ServerCore through deterministic loopback schedules
-// and verifies, at multiple thread counts, the properties the CI net job
-// asserts:
+// and verifies, at multiple thread counts:
 //
 //   sweep        clients x batch-size throughput sweep: every request is
 //                answered, every response matches a direct
@@ -20,14 +19,15 @@
 //   trace        the same schedule with a Tracer attached at threads 1
 //                and 4 writes TRACE_t1.json / TRACE_t4.json — after
 //                masking the wall-clock "ts"/"dur" fields the two span
-//                streams must be byte-identical;
+//                streams must be byte-identical, and must hold every span
+//                of the predict path (request -> respond);
 //   slo          a seeded chaos deadline storm must drive the fleet's SLO
 //                watchdog to slo-burn-critical, and a quiet tail must
 //                bring it back to slo-recovered.
 //
-// Any violation exits non-zero.  Emits BENCH_net.{csv,json}; the JSON
-// carries the golden counts the CI net job asserts on.  `--smoke`
-// shrinks the sweep for CI.
+// Any violation exits non-zero.  Emits BENCH_net.{csv,json}.  `--smoke`
+// shrinks the sweep; at LEAF_SCALE=small it also pins the counts to the
+// goldens below (the `bench_net_smoke` ctest).
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -49,6 +49,13 @@
 using namespace leaf;
 
 namespace {
+
+// Golden counts of `--smoke` at LEAF_SCALE=small.  The admission counts
+// (4 served, 4 shed, 2 retries) hold at every scale and are checked inline.
+constexpr std::uint64_t kGoldenDropped = 3, kGoldenSurvivorResponses = 30,
+                        kGoldenTraceSpans = 50, kGoldenSloCriticals = 1,
+                        kGoldenSloRecoveries = 1, kGoldenTsdbSamples = 2093,
+                        kGoldenTsdbDriftEvents = 2, kGoldenTsdbDriftState = 2;
 
 std::vector<serve::ShardSpec> make_specs(std::size_t n) {
   std::vector<serve::ShardSpec> specs;
@@ -414,6 +421,11 @@ int main(int argc, char** argv) {
       return fail("trace: output is not a Chrome trace-event array");
     if (masked1 != masked4 || spans1 != spans4)
       return fail("trace: masked span streams differ across thread counts");
+    for (const char* name : {"request", "decode", "admission", "batch",
+                             "shard-predict", "respond"})
+      if (masked1.find("\"name\": \"" + std::string(name) + "\"") ==
+          std::string::npos)
+        return fail("trace: a predict-path span name is missing");
     trace_spans = spans1;
     std::printf("%-12s threads 1 vs 4: %llu spans, masked streams identical\n",
                 "trace", static_cast<unsigned long long>(trace_spans));
@@ -529,6 +541,7 @@ int main(int argc, char** argv) {
     };
     const auto [fp1, n1, ev1, state1] = run(1);
     const auto [fp4, n4, ev4, state4] = run(4);
+    if (n1 == 0) return fail("tsdb: no samples recorded");
     if (ev1 == 0 || state1 == 0)
       return fail("tsdb: deadline storm never fired the meta-drift rule");
     if (fp1 != fp4 || n1 != n4 || ev1 != ev4 || state1 != state4)
@@ -546,6 +559,10 @@ int main(int argc, char** argv) {
   } else {
     std::printf("%-12s skipped (-DLEAF_OBS=OFF)\n", "tsdb");
   }
+
+  const std::string metrics = bench::metrics_json();
+  if (metrics.rfind("{\"metrics\": []", 0) == 0)
+    return fail("metrics: the registry holds no series");
 
   std::ofstream json(bench::out_dir() + "/BENCH_net.json");
   json << "{\n"
@@ -566,9 +583,28 @@ int main(int argc, char** argv) {
        << ", \"drift_events\": " << tsdb_drift_events
        << ", \"drift_state\": " << tsdb_drift_state
        << ", \"identical\": true},\n"
-       << "  \"metrics\": " << bench::metrics_json() << "\n}\n";
+       << "  \"metrics\": " << metrics << "\n}\n";
   par::set_threads(0);
   bench::require_ok(csv);
   std::printf("\nwrote %s/BENCH_net.json\n", bench::out_dir().c_str());
+
+  if (smoke && scale.level == Scale::Level::kSmall) {
+    bench::require_golden("chaos.dropped_conns", chaos_dropped,
+                          kGoldenDropped);
+    bench::require_golden("chaos.survivor_responses",
+                          chaos_survivor_responses, kGoldenSurvivorResponses);
+    bench::require_golden("trace.spans", trace_spans, kGoldenTraceSpans);
+    if (obs::kCompiledIn) {
+      bench::require_golden("slo.criticals", slo_criticals,
+                            kGoldenSloCriticals);
+      bench::require_golden("slo.recoveries", slo_recoveries,
+                            kGoldenSloRecoveries);
+      bench::require_golden("tsdb.samples", tsdb_samples, kGoldenTsdbSamples);
+      bench::require_golden("tsdb.drift_events", tsdb_drift_events,
+                            kGoldenTsdbDriftEvents);
+      bench::require_golden("tsdb.drift_state", tsdb_drift_state,
+                            kGoldenTsdbDriftState);
+    }
+  }
   return 0;
 }

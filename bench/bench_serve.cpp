@@ -4,11 +4,15 @@
 // completion on a small dataset, and reports evaluation-step throughput
 // (shard-days/sec).  Also asserts the determinism contract: per-shard
 // results at every thread count must be byte-identical to the
-// single-thread run.  Emits BENCH_serve.json next to the CSV dumps.
+// single-thread run, and at LEAF_SCALE=small equal to the golden
+// fingerprints below on every ISA and build flag (the `bench_serve_smoke`
+// ctest).  Emits BENCH_serve.json next to the CSV dumps.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
+#include <string>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -20,6 +24,11 @@
 using namespace leaf;
 
 namespace {
+
+// Result fingerprints at LEAF_SCALE=small for 1, 4 and 8 shards.
+constexpr std::size_t kShardCounts[] = {1, 4, 8};
+constexpr std::uint64_t kGoldenFingerprints[] = {
+    0xe8b87c59c421aff3ULL, 0x5439cdb950677022ULL, 0xaf780295edf4a0eaULL};
 
 std::vector<serve::ShardSpec> make_specs(std::size_t n) {
   std::vector<serve::ShardSpec> specs;
@@ -64,7 +73,6 @@ int main() {
 
   const data::CellularDataset ds = data::generate_fixed_dataset(scale, 42);
 
-  const std::size_t shard_counts[] = {1, 4, 8};
   const int thread_counts[] = {1, 2, 4};
 
   CsvWriter csv = bench::csv("BENCH_serve.csv");
@@ -77,7 +85,8 @@ int main() {
 
   std::printf("%8s %8s %8s %12s %14s\n", "shards", "threads", "steps",
               "seconds", "shard-days/s");
-  for (std::size_t n_shards : shard_counts) {
+  for (std::size_t i = 0; i < std::size(kShardCounts); ++i) {
+    const std::size_t n_shards = kShardCounts[i];
     std::size_t reference_fp = 0;
     for (int threads : thread_counts) {
       par::set_threads(threads);
@@ -90,6 +99,10 @@ int main() {
       const std::size_t fp = fingerprint(results);
       if (threads == thread_counts[0]) {
         reference_fp = fp;
+        if (scale.level == Scale::Level::kSmall)
+          bench::require_golden(
+              ("fingerprint, " + std::to_string(n_shards) + " shards").c_str(),
+              fp, kGoldenFingerprints[i], /*hex=*/true);
       } else if (fp != reference_fp) {
         std::fprintf(stderr,
                      "FATAL: fleet results differ between thread counts "
