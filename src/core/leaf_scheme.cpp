@@ -116,13 +116,16 @@ std::optional<data::SupervisedSet> LeafScheme::on_step(
     auto candidate = ctx.prototype->clone_untrained();
     candidate->fit(train.X, train.y);
     if (candidate->trained()) {
+      std::vector<double> cur(pool.size()), cand(pool.size());
+      ctx.model.predict_into(pool.X, cur);
+      candidate->predict_into(pool.X, cand);
       double w_sum = 0.0, cur_sq = 0.0, cand_sq = 0.0;
       for (std::size_t i = 0; i < pool.size(); ++i) {
         const double age =
             static_cast<double>(ctx.eval_day - pool.target_day[i]);
         const double w = std::exp(-std::max(0.0, age) / cfg_.recency_tau_days);
-        const double dc = ctx.model.predict_one(pool.X.row(i)) - pool.y[i];
-        const double dn = candidate->predict_one(pool.X.row(i)) - pool.y[i];
+        const double dc = cur[i] - pool.y[i];
+        const double dn = cand[i] - pool.y[i];
         w_sum += w;
         cur_sq += w * dc * dc;
         cand_sq += w * dn * dn;

@@ -82,6 +82,12 @@ class Deserializer {
   /// with a clear error instead of a giant allocation.
   std::uint64_t get_count(std::size_t elem_bytes);
 
+  /// Skips n bytes (throws like a read when fewer remain).
+  void skip(std::size_t n) {
+    need(n);
+    pos_ += n;
+  }
+
  private:
   void need(std::size_t n) const;
 

@@ -46,7 +46,13 @@ std::unique_ptr<WeightedEnsemble> WeightedEnsemble::load(io::Deserializer& in) {
   auto ensemble = std::make_unique<WeightedEnsemble>();
   for (std::size_t i = 0; i < count; ++i) {
     const double weight = in.get_f64();
-    ensemble->add_member(load_regressor(in), weight);
+    if (!(weight >= 0.0))  // negative or NaN
+      throw io::SnapshotError("ensemble member weight is negative or NaN");
+    std::unique_ptr<Regressor> member = load_regressor(in);
+    if (!member->trained())
+      throw io::SnapshotError("ensemble member '" + member->name() +
+                              "' is untrained");
+    ensemble->add_member(std::move(member), weight);
   }
   return ensemble;
 }

@@ -75,18 +75,26 @@ void Forest::fit(const Matrix& X, std::span<const double> y,
       fitted[t].fit(bd, y, w, rows, tree_cfg, tree_rng);
     }
   });
-  trees_.reserve(n_trees);
-  for (auto& tree : fitted) {
-    if (tree.trained()) trees_.push_back(std::move(tree));
+  std::size_t nodes = 0;
+  for (const DecisionTree& tree : fitted) nodes += tree.node_count();
+  trees_.reserve(n_trees, nodes);
+  for (DecisionTree& tree : fitted) {
+    if (tree.trained()) trees_.append(tree);
+    tree = DecisionTree{};  // release as we go, bounding the fit's peak memory
   }
-  trained_ = !trees_.empty();
+  trained_ = trees_.tree_count() > 0;
 }
 
 double Forest::predict_one(std::span<const double> x) const {
   assert(trained_);
-  double acc = 0.0;
-  for (const auto& tree : trees_) acc += tree.predict_one(x);
-  return acc / static_cast<double>(trees_.size());
+  return trees_.predict_one(x, 0.0, 1.0) /
+         static_cast<double>(trees_.tree_count());
+}
+
+void Forest::predict_into(const Matrix& X, std::span<double> out) const {
+  trees_.predict_into(X, 0.0, 1.0, out);
+  const auto n = static_cast<double>(trees_.tree_count());
+  for (double& v : out) v /= n;
 }
 
 std::unique_ptr<Regressor> Forest::clone_untrained() const {
@@ -103,8 +111,7 @@ void Forest::save(io::Serializer& out) const {
   out.put_bool(cfg_.random_thresholds);
   out.put_u64(cfg_.seed);
   out.put_bool(trained_);
-  out.put_u64(trees_.size());
-  for (const auto& tree : trees_) tree.save(out);
+  trees_.save(out);
 }
 
 std::unique_ptr<Forest> Forest::load(io::Deserializer& in) {
@@ -119,10 +126,7 @@ std::unique_ptr<Forest> Forest::load(io::Deserializer& in) {
   cfg.seed = in.get_u64();
   auto model = std::make_unique<Forest>(cfg, display_name);
   model->trained_ = in.get_bool();
-  const std::size_t count = in.get_count(8);  // >= node-count word per tree
-  model->trees_.reserve(count);
-  for (std::size_t i = 0; i < count; ++i)
-    model->trees_.push_back(DecisionTree::load(in));
+  model->trees_.load(in);
   return model;
 }
 

@@ -33,12 +33,15 @@ class Forest final : public Regressor {
   void fit(const Matrix& X, std::span<const double> y,
            std::span<const double> w = {}) override;
   double predict_one(std::span<const double> x) const override;
+  void predict_into(const Matrix& X, std::span<double> out) const override;
   std::unique_ptr<Regressor> clone_untrained() const override;
   std::string name() const override { return name_; }
   bool trained() const override { return trained_; }
   void attach_caches(FitCaches* caches) override { caches_ = caches; }
 
-  std::size_t tree_count() const { return trees_.size(); }
+  std::size_t tree_count() const { return trees_.tree_count(); }
+  /// The fitted trees; a prediction is (t0 + t1 + ...) / tree_count().
+  const FlatTrees& trees() const { return trees_; }
 
   std::string serial_key() const override { return "forest"; }
   void save(io::Serializer& out) const override;
@@ -49,7 +52,7 @@ class Forest final : public Regressor {
   std::string name_;
   bool trained_ = false;
   FitCaches* caches_ = nullptr;
-  std::vector<DecisionTree> trees_;
+  FlatTrees trees_;
 };
 
 }  // namespace leaf::models

@@ -5,7 +5,6 @@
 #include <numeric>
 
 #include "obs/metrics.hpp"
-#include "par/parallel.hpp"
 
 namespace leaf::models {
 
@@ -74,7 +73,7 @@ void Gbdt::fit(const Matrix& X, std::span<const double> y,
       std::max<std::size_t>(1, static_cast<std::size_t>(
                                    cfg_.row_subsample * static_cast<double>(n)));
 
-  trees_.reserve(static_cast<std::size_t>(cfg_.num_trees));
+  DecisionTree tree;
   for (int t = 0; t < cfg_.num_trees; ++t) {
     for (std::size_t i = 0; i < n; ++i) residual[i] = y[i] - pred[i];
 
@@ -82,25 +81,22 @@ void Gbdt::fit(const Matrix& X, std::span<const double> y,
         subsample < n ? rng.sample_without_replacement(n, subsample)
                       : std::vector<std::size_t>{};
 
-    DecisionTree tree;
     tree.fit(bd, residual, w, rows, tree_cfg, rng);
     if (!tree.trained()) break;
-
-    // Per-row prediction refresh: rows are independent and land in
-    // per-row slots, so this is thread-count-invariant.
-    par::parallel_for(n, [&](std::size_t i) {
-      pred[i] += cfg_.learning_rate * tree.predict_one(X.row(i));
-    });
-    trees_.push_back(std::move(tree));
+    trees_.append(tree);
+    trees_.add_tree(X, trees_.tree_count() - 1, cfg_.learning_rate, pred);
   }
+  trees_.shrink_to_fit();
   trained_ = true;
 }
 
 double Gbdt::predict_one(std::span<const double> x) const {
   assert(trained_);
-  double out = base_;
-  for (const auto& tree : trees_) out += cfg_.learning_rate * tree.predict_one(x);
-  return out;
+  return trees_.predict_one(x, base_, cfg_.learning_rate);
+}
+
+void Gbdt::predict_into(const Matrix& X, std::span<double> out) const {
+  trees_.predict_into(X, base_, cfg_.learning_rate, out);
 }
 
 std::unique_ptr<Regressor> Gbdt::clone_untrained() const {
@@ -116,8 +112,7 @@ void Gbdt::save(io::Serializer& out) const {
   out.put_u64(cfg_.seed);
   out.put_bool(trained_);
   out.put_f64(base_);
-  out.put_u64(trees_.size());
-  for (const auto& tree : trees_) tree.save(out);
+  trees_.save(out);
 }
 
 std::unique_ptr<Gbdt> Gbdt::load(io::Deserializer& in) {
@@ -131,10 +126,7 @@ std::unique_ptr<Gbdt> Gbdt::load(io::Deserializer& in) {
   auto model = std::make_unique<Gbdt>(cfg, display_name);
   model->trained_ = in.get_bool();
   model->base_ = in.get_f64();
-  const std::size_t count = in.get_count(8);  // >= node-count word per tree
-  model->trees_.reserve(count);
-  for (std::size_t i = 0; i < count; ++i)
-    model->trees_.push_back(DecisionTree::load(in));
+  model->trees_.load(in);
   return model;
 }
 

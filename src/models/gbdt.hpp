@@ -34,13 +34,17 @@ class Gbdt final : public Regressor {
   void fit(const Matrix& X, std::span<const double> y,
            std::span<const double> w = {}) override;
   double predict_one(std::span<const double> x) const override;
+  void predict_into(const Matrix& X, std::span<double> out) const override;
   std::unique_ptr<Regressor> clone_untrained() const override;
   std::string name() const override { return name_; }
   bool trained() const override { return trained_; }
   void attach_caches(FitCaches* caches) override { caches_ = caches; }
 
   const GbdtConfig& config() const { return cfg_; }
-  std::size_t tree_count() const { return trees_.size(); }
+  std::size_t tree_count() const { return trees_.tree_count(); }
+  /// The fitted trees; a prediction is base() + lr*t0 + lr*t1 + ...
+  const FlatTrees& trees() const { return trees_; }
+  double base() const { return base_; }
 
   std::string serial_key() const override { return "gbdt"; }
   void save(io::Serializer& out) const override;
@@ -52,7 +56,7 @@ class Gbdt final : public Regressor {
   bool trained_ = false;
   double base_ = 0.0;
   FitCaches* caches_ = nullptr;
-  std::vector<DecisionTree> trees_;
+  FlatTrees trees_;
 };
 
 }  // namespace leaf::models

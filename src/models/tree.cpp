@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
 #include "obs/metrics.hpp"
 #include "par/parallel.hpp"
@@ -444,35 +447,267 @@ TreeConfig load_tree_config(io::Deserializer& in) {
   return cfg;
 }
 
-void DecisionTree::save(io::Serializer& out) const {
-  out.put_u64(nodes_.size());
-  for (const Node& n : nodes_) {
-    out.put_i32(n.feature);
-    out.put_f64(n.threshold);
-    out.put_i32(n.left);
-    out.put_i32(n.right);
-    out.put_f64(n.value);
+void FlatTrees::clear() {
+  slot_.clear();
+  threshold_.clear();
+  left_.clear();
+  value_.clear();
+  roots_.clear();
+  depth_.clear();
+  width_ = 0;
+}
+
+void FlatTrees::reserve(std::size_t trees, std::size_t nodes) {
+  slot_.reserve(node_count() + nodes);
+  threshold_.reserve(node_count() + nodes);
+  left_.reserve(node_count() + nodes);
+  value_.reserve(node_count() + nodes);
+  roots_.reserve(tree_count() + trees);
+  depth_.reserve(tree_count() + trees);
+}
+
+void FlatTrees::append(const DecisionTree& tree) {
+  assert(tree.trained());
+  const auto root = static_cast<std::int32_t>(node_count());
+  roots_.push_back(root);
+  depth_.push_back(tree.depth() - 1);
+  for (std::size_t i = 0; i < tree.nodes_.size(); ++i) {
+    const DecisionTree::Node& n = tree.nodes_[i];
+    const bool leaf = n.feature < 0;
+    assert(!leaf || n.threshold == 0.0);
+    slot_.push_back(leaf ? 0 : n.feature + 1);
+    threshold_.push_back(n.threshold);
+    left_.push_back(root + (leaf ? static_cast<std::int32_t>(i) : n.left));
+    value_.push_back(n.value);
+    if (!leaf)
+      width_ = std::max(width_, static_cast<std::size_t>(n.feature) + 1);
   }
 }
 
-DecisionTree DecisionTree::load(io::Deserializer& in) {
-  const std::size_t count = in.get_count(4 + 8 + 4 + 4 + 8);
-  DecisionTree t;
-  t.nodes_.resize(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    Node& n = t.nodes_[i];
-    n.feature = in.get_i32();
-    n.threshold = in.get_f64();
-    n.left = in.get_i32();
-    n.right = in.get_i32();
-    n.value = in.get_f64();
-    if (n.feature >= 0) {
-      const auto limit = static_cast<std::int32_t>(count);
-      if (n.left < 0 || n.left >= limit || n.right < 0 || n.right >= limit)
-        throw io::SnapshotError("decision tree child index out of range");
+void FlatTrees::shrink_to_fit() {
+  slot_.shrink_to_fit();
+  threshold_.shrink_to_fit();
+  left_.shrink_to_fit();
+  value_.shrink_to_fit();
+  roots_.shrink_to_fit();
+  depth_.shrink_to_fit();
+}
+
+namespace {
+
+/// Rows per block: the block's rows and one tree's nodes stay in L1 while
+/// every tree walks the block.
+constexpr std::size_t kBlockRows = 64;
+/// Traversal chains interleaved per tree walk.
+constexpr std::size_t kLanes = 8;
+/// Below this many rows prediction stays on the calling thread.
+constexpr std::size_t kParallelRows = 32;
+
+/// Walks eight rows `depth` steps down the tree rooted at `root` and adds
+/// scale * leaf value to acc[l].  `xt` holds the rows slot-major
+/// (xt[slot * 8 + l]) with slot 0 fixed at 0.0.  Each step is branch-free:
+/// a node moves to left + !(x <= threshold), so NaN goes right, and a leaf
+/// (left == itself, slot 0, threshold 0.0) compares 0.0 <= 0.0 and stays.
+void walk8(const std::int32_t* slot, const double* threshold,
+           const std::int32_t* left, const double* value, std::int32_t root,
+           int depth, const double* xt, double scale, double* acc) {
+  std::int32_t at[kLanes];
+  for (std::size_t l = 0; l < kLanes; ++l) at[l] = root;
+  for (int d = 0; d < depth; ++d) {
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      const std::int32_t n = at[l];
+      const double x = xt[static_cast<std::size_t>(slot[n]) * kLanes + l];
+      at[l] = left[n] + static_cast<std::int32_t>(!(x <= threshold[n]));
     }
   }
-  return t;
+  for (std::size_t l = 0; l < kLanes; ++l) acc[l] += scale * value[at[l]];
+}
+
+/// walk8 for one row, read in place (x[slot - 1]) until it reaches a leaf.
+void walk1(const std::int32_t* slot, const double* threshold,
+           const std::int32_t* left, const double* value, std::int32_t root,
+           const double* x, double scale, double* acc) {
+  std::int32_t n = root;
+  for (std::int32_t child = left[n]; child != n; child = left[n])
+    n = child + static_cast<std::int32_t>(!(x[slot[n] - 1] <= threshold[n]));
+  *acc += scale * value[n];
+}
+
+}  // namespace
+
+void FlatTrees::accumulate(const double* data, std::size_t cols,
+                           std::size_t rows, std::size_t tree_begin,
+                           std::size_t tree_end, double scale,
+                           double* out) const {
+  if (cols < width_) {
+    throw std::invalid_argument(
+        "tree ensemble reads feature " + std::to_string(width_ - 1) +
+        " but the input has " + std::to_string(cols) + " columns");
+  }
+  // Tree-major within a block: each tree walks every row of the block
+  // before the next tree starts, and row r's sum still gains its trees in
+  // tree order.
+  const std::size_t group = (cols + 1) * kLanes;
+  const auto blocks = [&](std::size_t row_begin, std::size_t row_end) {
+    std::vector<double> xt;
+    for (std::size_t b = row_begin; b < row_end; b += kBlockRows) {
+      const std::size_t e = std::min(row_end, b + kBlockRows);
+      const std::size_t full = b + (e - b) / kLanes * kLanes;
+      // Slot-major copy of the block's whole groups of eight rows.
+      xt.resize((full - b) / kLanes * group);
+      for (std::size_t g = b; g < full; g += kLanes) {
+        double* dst = xt.data() + (g - b) / kLanes * group;
+        for (std::size_t l = 0; l < kLanes; ++l) {
+          const double* src = data + (g + l) * cols;
+          dst[l] = 0.0;
+          for (std::size_t f = 0; f < cols; ++f)
+            dst[(f + 1) * kLanes + l] = src[f];
+        }
+      }
+      for (std::size_t t = tree_begin; t < tree_end; ++t) {
+        for (std::size_t g = b; g < full; g += kLanes)
+          walk8(slot_.data(), threshold_.data(), left_.data(), value_.data(),
+                roots_[t], depth_[t], xt.data() + (g - b) / kLanes * group,
+                scale, out + g);
+        for (std::size_t r = full; r < e; ++r)
+          walk1(slot_.data(), threshold_.data(), left_.data(), value_.data(),
+                roots_[t], data + r * cols, scale, out + r);
+      }
+    }
+  };
+  if (rows < kParallelRows) {
+    blocks(0, rows);
+    return;
+  }
+  // Rows are independent and land in per-row slots, so the split (and
+  // thus the thread count) cannot change any result.
+  const std::size_t n_blocks = (rows + kBlockRows - 1) / kBlockRows;
+  par::parallel_for_chunks(n_blocks, [&](std::size_t cb, std::size_t ce) {
+    blocks(cb * kBlockRows, std::min(rows, ce * kBlockRows));
+  });
+}
+
+void FlatTrees::predict_into(const Matrix& X, double base, double scale,
+                             std::span<double> out) const {
+  assert(out.size() == X.rows());
+  LEAF_SPAN("predict.batch");
+  static obs::Counter& rows_ctr =
+      obs::MetricsRegistry::global().counter("leaf_predict_rows_total");
+  rows_ctr.inc(X.rows());
+  std::fill(out.begin(), out.end(), base);
+  accumulate(X.flat().data(), X.cols(), X.rows(), 0, tree_count(), scale,
+             out.data());
+}
+
+double FlatTrees::predict_one(std::span<const double> x, double base,
+                              double scale) const {
+  double acc = base;
+  accumulate(x.data(), x.size(), 1, 0, tree_count(), scale, &acc);
+  return acc;
+}
+
+void FlatTrees::add_tree(const Matrix& X, std::size_t t, double scale,
+                         std::span<double> out) const {
+  assert(out.size() == X.rows() && t < tree_count());
+  accumulate(X.flat().data(), X.cols(), X.rows(), t, t + 1, scale,
+             out.data());
+}
+
+DecisionTree FlatTrees::tree(std::size_t t) const {
+  const auto root = static_cast<std::size_t>(roots_[t]);
+  const std::size_t end =
+      t + 1 < tree_count() ? static_cast<std::size_t>(roots_[t + 1])
+                           : node_count();
+  DecisionTree out;
+  for (std::size_t n = root; n < end; ++n) {
+    DecisionTree::Node node{.threshold = threshold_[n], .value = value_[n]};
+    if (left_[n] != static_cast<std::int32_t>(n)) {
+      node.feature = slot_[n] - 1;
+      node.left = left_[n] - roots_[t];
+      node.right = node.left + 1;
+    }
+    out.nodes_.push_back(node);
+  }
+  return out;
+}
+
+void FlatTrees::save(io::Serializer& out) const {
+  out.put_u64(tree_count());
+  for (std::size_t t = 0; t < tree_count(); ++t) {
+    const DecisionTree tr = tree(t);
+    out.put_u64(tr.nodes_.size());
+    for (const DecisionTree::Node& n : tr.nodes_) {
+      out.put_i32(n.feature);
+      out.put_f64(n.threshold);
+      out.put_i32(n.left);
+      out.put_i32(n.right);
+      out.put_f64(n.value);
+    }
+  }
+}
+
+void FlatTrees::load(io::Deserializer& in) {
+  constexpr std::size_t kNodeBytes = 4 + 8 + 4 + 4 + 8;
+  clear();
+  const std::size_t trees = in.get_count(8);  // >= node-count word per tree
+  // Size the store exactly first, from the node-count words alone, so a
+  // restore allocates each array once.
+  std::size_t nodes = 0;
+  io::Deserializer scan = in;
+  for (std::size_t t = 0; t < trees; ++t) {
+    const std::size_t count = scan.get_count(kNodeBytes);
+    scan.skip(count * kNodeBytes);
+    nodes += count;
+  }
+  if (nodes >
+      static_cast<std::size_t>(std::numeric_limits<std::int32_t>::max()))
+    throw io::SnapshotError("tree ensemble has too many nodes");
+  reserve(trees, nodes);
+  std::vector<int> level;  // splits above each node of the current tree
+  for (std::size_t t = 0; t < trees; ++t) {
+    const std::size_t count = in.get_count(kNodeBytes);
+    const std::size_t root = node_count();
+    if (count == 0) throw io::SnapshotError("decision tree has no nodes");
+    roots_.push_back(static_cast<std::int32_t>(root));
+    depth_.push_back(0);
+    level.assign(count, 0);
+    slot_.resize(root + count);
+    threshold_.resize(root + count);
+    left_.resize(root + count);
+    value_.resize(root + count);
+    for (std::size_t i = 0; i < count; ++i) {
+      const std::size_t n = root + i;
+      const std::int32_t feature = in.get_i32();
+      threshold_[n] = in.get_f64();
+      const std::int64_t left = in.get_i32();
+      const std::int64_t right = in.get_i32();
+      value_[n] = in.get_f64();
+      if (feature < 0) {
+        // The one leaf form fit writes; walk8 relies on the 0.0 threshold.
+        if (feature != -1 || left != -1 || right != -1 ||
+            threshold_[n] != 0.0)
+          throw io::SnapshotError("decision tree leaf is malformed");
+        slot_[n] = 0;
+        left_[n] = static_cast<std::int32_t>(n);
+        continue;
+      }
+      // A split's children come after it, right next to each other, so
+      // every traversal moves forward and none can loop.
+      if (left <= static_cast<std::int64_t>(i) || right != left + 1 ||
+          right >= static_cast<std::int64_t>(count))
+        throw io::SnapshotError("decision tree child index out of range");
+      if (feature == std::numeric_limits<std::int32_t>::max())
+        throw io::SnapshotError("decision tree feature index out of range");
+      slot_[n] = feature + 1;
+      const auto l = static_cast<std::size_t>(left);
+      left_[n] = static_cast<std::int32_t>(root + l);
+      width_ = std::max(width_, static_cast<std::size_t>(feature) + 1);
+      for (std::size_t c = l; c <= l + 1; ++c) {
+        level[c] = std::max(level[c], level[i] + 1);
+        depth_.back() = std::max(depth_.back(), level[c]);
+      }
+    }
+  }
 }
 
 void BinEdgeCache::save(io::Serializer& out) const {

@@ -125,11 +125,16 @@ TreeConfig load_tree_config(io::Deserializer& in);
 
 /// A fitted regression tree.  Prediction traverses raw-value thresholds,
 /// so it works on any feature vector, not just binned training rows.
+///
+/// Ensembles keep their trees in a FlatTrees store; a DecisionTree lives
+/// only while it is being grown, and as the scalar reference traversal
+/// the store is tested against.
 class DecisionTree {
  public:
   /// Fits to (binned) rows given targets and optional weights.  `rows`
   /// selects the training subset (bootstrap / subsample); empty means all
-  /// rows.  The tree stores *raw* thresholds taken from `bd`.
+  /// rows.  The tree stores *raw* thresholds taken from `bd`.  Children are
+  /// laid out after their parent, the right child right after the left.
   void fit(const BinnedData& bd, std::span<const double> y,
            std::span<const double> w, std::span<const std::size_t> rows,
            const TreeConfig& cfg, Rng& rng);
@@ -140,13 +145,8 @@ class DecisionTree {
   std::size_t node_count() const { return nodes_.size(); }
   int depth() const;
 
-  /// Snapshot support (leaf::io).  `load` validates child indices against
-  /// the node count, so corrupt-but-CRC-valid payloads fail loudly instead
-  /// of producing out-of-bounds traversals.
-  void save(io::Serializer& out) const;
-  static DecisionTree load(io::Deserializer& in);
-
  private:
+  friend class FlatTrees;
   struct Node {
     int feature = -1;  // -1 == leaf
     double threshold = 0.0;
@@ -155,6 +155,74 @@ class DecisionTree {
     double value = 0.0;
   };
   std::vector<Node> nodes_;
+};
+
+/// The trees of one ensemble (Gbdt, Forest) compiled into a single
+/// structure-of-arrays node store.  Node n splits on feature
+/// slot_[n] - 1 at threshold_[n] and continues at left_[n]
+/// (x <= threshold) or left_[n] + 1 (otherwise, NaN included).  A leaf has
+/// left_[n] == n, slot 0 and threshold 0.0.  Indices are absolute within
+/// the store.
+///
+/// Prediction walks a block of rows tree by tree, eight rows at a time as
+/// independent traversal chains, and adds each tree's leaf value to every
+/// row's sum in tree order, so the sums are bit-identical to looping
+/// DecisionTree::predict_one.
+class FlatTrees {
+ public:
+  void clear();
+  /// Sizes the store for `trees` more trees of `nodes` nodes in all.
+  void reserve(std::size_t trees, std::size_t nodes);
+  /// Appends a trained tree.
+  void append(const DecisionTree& tree);
+  /// Drops spare capacity once the last tree is in.
+  void shrink_to_fit();
+
+  std::size_t tree_count() const { return roots_.size(); }
+  std::size_t node_count() const { return left_.size(); }
+
+  /// out[r] = base + scale*t0(X.row(r)) + scale*t1(X.row(r)) + ... over
+  /// every tree, in tree order.  Opens the `predict.batch` span and counts
+  /// rows like Regressor::predict_into; rows are split over leaf::par in
+  /// blocks when X has at least 32 of them.
+  void predict_into(const Matrix& X, double base, double scale,
+                    std::span<double> out) const;
+  /// The one-row case of predict_into (no span, no row count).
+  double predict_one(std::span<const double> x, double base,
+                     double scale) const;
+  /// out[r] += scale * t(X.row(r)) for the single tree t (the GBDT fit's
+  /// per-round refresh).
+  void add_tree(const Matrix& X, std::size_t t, double scale,
+                std::span<double> out) const;
+
+  /// Rebuilds tree t as a DecisionTree, the reference traversal.
+  DecisionTree tree(std::size_t t) const;
+
+  /// Snapshot support (leaf::io): a tree count, then per tree its node
+  /// count and nodes (feature, threshold, left, right, value; -1s for a
+  /// leaf's feature and children).  `load` requires every split's left
+  /// child to come after it and its right child right after the left, and
+  /// every leaf in the form fit writes (threshold 0.0), so no payload it
+  /// accepts can make a traversal loop.
+  void save(io::Serializer& out) const;
+  void load(io::Deserializer& in);
+
+ private:
+  /// out[r] += scale * t(row r) for t in [tree_begin, tree_end), over
+  /// `rows` row-major rows of `cols` values.
+  void accumulate(const double* data, std::size_t cols, std::size_t rows,
+                  std::size_t tree_begin, std::size_t tree_end, double scale,
+                  double* out) const;
+
+  std::vector<std::int32_t> slot_;
+  std::vector<double> threshold_;
+  std::vector<std::int32_t> left_;
+  std::vector<double> value_;
+  std::vector<std::int32_t> roots_;  ///< first node of each tree
+  std::vector<int> depth_;           ///< splits on each tree's longest path
+  /// Largest split feature + 1 (0 when no tree splits): narrower inputs
+  /// are rejected with std::invalid_argument.
+  std::size_t width_ = 0;
 };
 
 }  // namespace leaf::models

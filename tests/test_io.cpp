@@ -3,6 +3,7 @@
 // input (truncation, bad CRCs, wrong versions, unknown factory keys).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -10,6 +11,8 @@
 #include <fstream>
 #include <limits>
 #include <memory>
+#include <stdexcept>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "drift/adwin.hpp"
@@ -20,6 +23,7 @@
 #include "models/ensemble.hpp"
 #include "models/factory.hpp"
 #include "models/persistence.hpp"
+#include "models/tree.hpp"
 #include "snapshot_fault_helpers.hpp"
 
 namespace leaf::io {
@@ -355,6 +359,148 @@ TEST(ModelIo, CorruptTreePayloadThrowsNoUb) {
     Deserializer in(bytes.subspan(0, keep));
     EXPECT_THROW(models::load_regressor(in), SnapshotError) << "keep=" << keep;
   }
+}
+
+// One-tree "gbdt" payload built by hand, in the layout Gbdt::save writes:
+// base 0.5, learning rate 0.1, then the tree's nodes as given.
+struct RawNode {
+  std::int32_t feature;
+  double threshold;
+  std::int32_t left, right;
+  double value;
+};
+
+std::vector<std::uint8_t> one_tree_gbdt(const std::vector<RawNode>& nodes) {
+  Serializer out;
+  out.put_string("gbdt");
+  out.put_string("GBDT");
+  out.put_i32(1);      // num_trees
+  out.put_f64(0.1);    // learning_rate
+  out.put_f64(1.0);    // row_subsample
+  models::save_tree_config(out, models::TreeConfig{});
+  out.put_u64(1);      // seed
+  out.put_bool(true);  // trained
+  out.put_f64(0.5);    // base
+  out.put_u64(1);      // tree count
+  out.put_u64(nodes.size());
+  for (const RawNode& n : nodes) {
+    out.put_i32(n.feature);
+    out.put_f64(n.threshold);
+    out.put_i32(n.left);
+    out.put_i32(n.right);
+    out.put_f64(n.value);
+  }
+  return {out.bytes().begin(), out.bytes().end()};
+}
+
+std::unique_ptr<models::Regressor> load_bytes(
+    const std::vector<std::uint8_t>& bytes) {
+  Deserializer in(bytes);
+  return models::load_regressor(in);
+}
+
+constexpr RawNode kLeaf1{-1, 0.0, -1, -1, 1.0};
+constexpr RawNode kLeaf2{-1, 0.0, -1, -1, 2.0};
+
+TEST(ModelIo, HandBuiltTreePayloadLoadsAndRoundTrips) {
+  const auto bytes = one_tree_gbdt({{0, 0.5, 1, 2, 0.0}, kLeaf1, kLeaf2});
+  const auto model = load_bytes(bytes);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(model->predict_one(std::vector<double>{0.5}), 0.5 + 0.1 * 1.0);
+  EXPECT_EQ(model->predict_one(std::vector<double>{0.6}), 0.5 + 0.1 * 2.0);
+  EXPECT_EQ(model->predict_one(std::vector<double>{nan}), 0.5 + 0.1 * 2.0);
+  Serializer out;
+  models::save_regressor(out, *model);
+  EXPECT_TRUE(std::equal(bytes.begin(), bytes.end(), out.bytes().begin(),
+                         out.bytes().end()));
+}
+
+TEST(ModelIo, TreeSelfLoopRejected) {
+  // A root whose left child is itself used to load and then never return
+  // from predict_one.
+  leaf::testing::expect_snapshot_error(
+      [] { load_bytes(one_tree_gbdt({{0, 0.5, 0, 1, 0.0}, kLeaf1})); },
+      "child index");
+}
+
+TEST(ModelIo, TreeBackEdgeRejected) {
+  leaf::testing::expect_snapshot_error(
+      [] {
+        load_bytes(one_tree_gbdt(
+            {{0, 0.5, 1, 2, 0.0}, {0, 0.2, 0, 1, 0.0}, kLeaf2}));
+      },
+      "child index");
+}
+
+TEST(ModelIo, TreeNonAdjacentChildrenRejected) {
+  leaf::testing::expect_snapshot_error(
+      [] {
+        load_bytes(
+            one_tree_gbdt({{0, 0.5, 1, 3, 0.0}, kLeaf1, kLeaf2, kLeaf2}));
+      },
+      "child index");
+}
+
+TEST(ModelIo, TreeLeafWithChildrenRejected) {
+  leaf::testing::expect_snapshot_error(
+      [] {
+        load_bytes(
+            one_tree_gbdt({{0, 0.5, 1, 2, 0.0}, {-1, 0.0, 1, 2, 1.0}, kLeaf2}));
+      },
+      "leaf");
+}
+
+TEST(ModelIo, TreeFeatureBeyondInputWidthThrowsOnPredict) {
+  // The width is unknown at load time; predicting a narrower row must
+  // throw instead of reading past it.
+  const auto model =
+      load_bytes(one_tree_gbdt({{1000, 0.5, 1, 2, 0.0}, kLeaf1, kLeaf2}));
+  const Matrix X(40, 6);
+  std::vector<double> out(X.rows());
+  EXPECT_THROW(model->predict_into(X, out), std::invalid_argument);
+  EXPECT_THROW(model->predict_one(X.row(0)), std::invalid_argument);
+  const Matrix wide(3, 1001, 0.25);
+  out.resize(wide.rows());
+  model->predict_into(wide, out);
+  EXPECT_EQ(out[2], 0.5 + 0.1 * 1.0);
+}
+
+// An "ensemble" payload holding one member with the given weight.
+std::vector<std::uint8_t> one_member_ensemble(double weight,
+                                              const models::Regressor& m) {
+  Serializer out;
+  out.put_string("ensemble");
+  out.put_u64(1);
+  out.put_f64(weight);
+  models::save_regressor(out, m);
+  return {out.bytes().begin(), out.bytes().end()};
+}
+
+TEST(ModelIo, EnsembleNegativeWeightRejected) {
+  const Problem p;
+  models::Persistence member(0);
+  member.fit(p.X, p.y);
+  leaf::testing::expect_snapshot_error(
+      [&] { load_bytes(one_member_ensemble(-0.5, member)); },
+      "negative or NaN");
+}
+
+TEST(ModelIo, EnsembleNanWeightRejected) {
+  const Problem p;
+  models::Persistence member(0);
+  member.fit(p.X, p.y);
+  leaf::testing::expect_snapshot_error(
+      [&] {
+        load_bytes(one_member_ensemble(
+            std::numeric_limits<double>::quiet_NaN(), member));
+      },
+      "negative or NaN");
+}
+
+TEST(ModelIo, EnsembleUntrainedMemberRejected) {
+  const models::Persistence member(0);
+  leaf::testing::expect_snapshot_error(
+      [&] { load_bytes(one_member_ensemble(1.0, member)); }, "untrained");
 }
 
 // ---- detector round trips ------------------------------------------------

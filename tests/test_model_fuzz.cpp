@@ -1,0 +1,135 @@
+// Byte-mutation fuzz of serialized tree-ensemble payloads ("gbdt",
+// "forest").  Payloads go straight to models::load_regressor, below the
+// snapshot container's CRC, so every corruption reaches the decoders.
+// Each trial must either throw io::SnapshotError or yield a model whose
+// predict_into on a fixed matrix returns (or, for a split feature beyond
+// the matrix's width, throws std::invalid_argument).  Under ASan/UBSan
+// this also checks that no accepted payload reads out of bounds, and a
+// payload that could make traversal loop would hang the test.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <stdexcept>
+#include <vector>
+
+#include "common/rng.hpp"
+#include "io/serializer.hpp"
+#include "models/factory.hpp"
+#include "models/forest.hpp"
+#include "models/gbdt.hpp"
+
+namespace leaf::models {
+namespace {
+
+constexpr int kTrialsPerFamily = 5000;
+
+struct FuzzOutcome {
+  int rejected = 0;   ///< load threw SnapshotError
+  int predicted = 0;  ///< loaded, predict_into returned
+  int too_narrow = 0; ///< loaded, predict_into refused the matrix width
+};
+
+void mutate(std::vector<std::uint8_t>& bytes, Rng& rng) {
+  const std::int32_t interesting[] = {
+      0, 1, -1, 2, 7, 1000, std::numeric_limits<std::int32_t>::max(),
+      std::numeric_limits<std::int32_t>::min()};
+  const int edits = 1 + static_cast<int>(rng.index(3));
+  for (int e = 0; e < edits && !bytes.empty(); ++e) {
+    const std::size_t at = rng.index(bytes.size());
+    // Bit flips and byte or int32 overwrites; one edit in eight truncates.
+    switch (rng.index(8)) {
+      case 0:
+      case 1:
+      case 2:
+        bytes[at] ^= static_cast<std::uint8_t>(1u << rng.index(8));
+        break;
+      case 3:
+      case 4:
+        bytes[at] = static_cast<std::uint8_t>(rng.index(256));
+        break;
+      case 5:
+      case 6: {
+        const std::int32_t v = interesting[rng.index(std::size(interesting))];
+        std::uint8_t le[4];
+        std::memcpy(le, &v, sizeof le);
+        for (std::size_t k = 0; k < 4 && at + k < bytes.size(); ++k)
+          bytes[at + k] = le[k];
+        break;
+      }
+      default:
+        bytes.resize(at);
+        break;
+    }
+  }
+}
+
+FuzzOutcome fuzz(const Regressor& model, std::uint64_t seed) {
+  io::Serializer out;
+  save_regressor(out, model);
+  const std::vector<std::uint8_t> clean(out.bytes().begin(),
+                                        out.bytes().end());
+  Rng rng(seed);
+  const Matrix X(40, 5, 0.25);
+  std::vector<double> pred(X.rows());
+  FuzzOutcome outcome;
+  for (int trial = 0; trial < kTrialsPerFamily; ++trial) {
+    std::vector<std::uint8_t> bytes = clean;
+    mutate(bytes, rng);
+    io::Deserializer in(bytes);
+    std::unique_ptr<Regressor> loaded;
+    try {
+      loaded = load_regressor(in);
+    } catch (const io::SnapshotError&) {
+      ++outcome.rejected;
+      continue;
+    }
+    try {
+      loaded->predict_into(X, pred);
+      ++outcome.predicted;
+    } catch (const std::invalid_argument&) {
+      ++outcome.too_narrow;
+    }
+  }
+  return outcome;
+}
+
+/// 80 rows of 5 features with a nonlinear target.
+struct Problem {
+  Matrix X{80, 5};
+  std::vector<double> y;
+  Problem() {
+    Rng rng(5);
+    y.resize(X.rows());
+    for (std::size_t r = 0; r < X.rows(); ++r) {
+      for (std::size_t c = 0; c < X.cols(); ++c) X(r, c) = rng.normal();
+      y[r] = X(r, 0) * X(r, 1) + X(r, 2);
+    }
+  }
+};
+
+TEST(ModelPayloadFuzz, MutatedGbdtPayloadsThrowOrPredict) {
+  const Problem p;
+  GbdtConfig cfg = GbdtConfig::catboost_like(8, 1);
+  cfg.tree.max_depth = 4;
+  Gbdt model(cfg);
+  model.fit(p.X, p.y);
+  const FuzzOutcome o = fuzz(model, 0x6BD7);
+  EXPECT_GT(o.rejected, 0);
+  EXPECT_GT(o.predicted, 0);
+}
+
+TEST(ModelPayloadFuzz, MutatedForestPayloadsThrowOrPredict) {
+  const Problem p;
+  ForestConfig cfg = ForestConfig::random_forest(6, 1);
+  cfg.max_depth = 5;
+  Forest model(cfg, "RandomForest");
+  model.fit(p.X, p.y);
+  const FuzzOutcome o = fuzz(model, 0xF0E5);
+  EXPECT_GT(o.rejected, 0);
+  EXPECT_GT(o.predicted, 0);
+}
+
+}  // namespace
+}  // namespace leaf::models

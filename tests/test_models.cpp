@@ -1,7 +1,12 @@
 // Unit tests for the regression model zoo (models/).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <tuple>
 
 #include "common/metrics.hpp"
 #include "common/rng.hpp"
@@ -11,6 +16,7 @@
 #include "models/knn.hpp"
 #include "models/lstm.hpp"
 #include "models/ridge.hpp"
+#include "par/pool.hpp"
 
 namespace leaf::models {
 namespace {
@@ -50,6 +56,29 @@ struct LinearProblem {
     return metrics::rmse(pred, y_test);
   }
 };
+
+std::uint64_t bits(double v) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+/// n rows cycling through the training rows, which hold every split
+/// threshold a tree model can learn (thresholds are bin edges, and bin
+/// edges are training values).  Every fifth row instead carries NaN, +inf
+/// or -inf in one column.
+Matrix contract_rows(const Matrix& train, std::size_t n) {
+  const double specials[] = {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity()};
+  Matrix X(n, train.cols());
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto src = train.row(i % train.rows());
+    std::copy(src.begin(), src.end(), X.row(i).begin());
+    if (i % 5 == 2) X(i, (i / 15) % X.cols()) = specials[(i / 5) % 3];
+  }
+  return X;
+}
 
 // ---- generic contract, parameterized over families ----------------------
 
@@ -98,9 +127,14 @@ TEST_P(ModelContractTest, BatchPredictMatchesPredictOne) {
   const Scale scale = Scale::for_level(Scale::Level::kSmall);
   const auto model = make_model(GetParam(), scale, 1);
   model->fit(p.X, p.y);
-  const auto batch = model->predict(p.X_test);
-  for (std::size_t i = 0; i < p.X_test.rows(); ++i)
-    EXPECT_DOUBLE_EQ(batch[i], model->predict_one(p.X_test.row(i)));
+  // Row counts around the tree kernel's 8-row lanes and 64-row blocks.
+  for (std::size_t n : {0, 1, 7, 8, 9, 63, 64, 65}) {
+    const Matrix X = contract_rows(p.X, n);
+    const auto batch = model->predict(X);
+    for (std::size_t i = 0; i < n; ++i)
+      EXPECT_EQ(bits(batch[i]), bits(model->predict_one(X.row(i))))
+          << "rows " << n << ", row " << i;
+  }
 }
 
 TEST_P(ModelContractTest, SampleWeightsBiasPredictions) {
@@ -136,6 +170,59 @@ INSTANTIATE_TEST_SUITE_P(
                       ModelFamily::kRidge),
     [](const ::testing::TestParamInfo<ModelFamily>& info) {
       return to_string(info.param);
+    });
+
+// ---- flat tree store against the scalar reference ------------------------
+
+/// (family, LEAF thread count)
+class FlatTreesReferenceTest
+    : public ::testing::TestWithParam<std::tuple<ModelFamily, int>> {};
+
+TEST_P(FlatTreesReferenceTest, MatchesSumOfDecisionTrees) {
+  struct ThreadGuard {
+    ~ThreadGuard() { par::set_threads(0); }
+  } guard;
+  const auto [family, threads] = GetParam();
+  par::set_threads(threads);
+  const LinearProblem p(300);
+  const auto model =
+      make_model(family, Scale::for_level(Scale::Level::kSmall), 3);
+  model->fit(p.X, p.y);
+  const auto* gbdt = dynamic_cast<const Gbdt*>(model.get());
+  const auto* forest = dynamic_cast<const Forest*>(model.get());
+  ASSERT_TRUE(gbdt != nullptr || forest != nullptr);
+  const FlatTrees& flat = gbdt != nullptr ? gbdt->trees() : forest->trees();
+  ASSERT_GT(flat.tree_count(), 1u);
+  std::vector<DecisionTree> trees;
+  for (std::size_t t = 0; t < flat.tree_count(); ++t)
+    trees.push_back(flat.tree(t));
+
+  // 261 rows: several blocks, so the threads split them, plus a tail.
+  const Matrix X = contract_rows(p.X, 261);
+  const auto batch = model->predict(X);
+  for (std::size_t i = 0; i < X.rows(); ++i) {
+    double ref = gbdt != nullptr ? gbdt->base() : 0.0;
+    for (const DecisionTree& tree : trees) {
+      ref += gbdt != nullptr
+                 ? gbdt->config().learning_rate * tree.predict_one(X.row(i))
+                 : tree.predict_one(X.row(i));
+    }
+    if (forest != nullptr) ref /= static_cast<double>(trees.size());
+    EXPECT_EQ(bits(batch[i]), bits(ref)) << "row " << i;
+    EXPECT_EQ(bits(model->predict_one(X.row(i))), bits(ref)) << "row " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    TreeFamilies, FlatTreesReferenceTest,
+    ::testing::Combine(::testing::Values(ModelFamily::kGbdt,
+                                         ModelFamily::kLightGbdt,
+                                         ModelFamily::kRandomForest,
+                                         ModelFamily::kExtraTrees),
+                       ::testing::Values(1, 4)),
+    [](const ::testing::TestParamInfo<std::tuple<ModelFamily, int>>& info) {
+      return to_string(std::get<0>(info.param)) + "_threads" +
+             std::to_string(std::get<1>(info.param));
     });
 
 // ---- family-specific behaviour -------------------------------------------
