@@ -4,7 +4,6 @@
 #include <numeric>
 
 #include "common/metrics.hpp"
-#include "par/parallel.hpp"
 
 namespace leaf::explain {
 
@@ -36,40 +35,31 @@ std::vector<double> permutation_importance(const models::Regressor& model,
   const std::vector<double> base_pred = model.predict(*Xp);
   const double base_err = metrics::nrmse(base_pred, yp, norm_range);
 
-  // One (column, repeat) pair per task; task (c, rep) permutes column c
-  // with the counter-based sub-stream root.substream(c * repeats + rep),
-  // so the sweep is embarrassingly parallel yet bit-identical at any
-  // thread count.  The caller's generator advances exactly once (the
-  // fork), as a stable part of the function's contract.
+  // Task (c, rep) permutes column c with the counter-based sub-stream
+  // root.substream(c * repeats + rep); the caller's generator advances
+  // exactly once (the fork), as a stable part of the function's contract.
+  // Tasks run one after another on this thread, so the caller's model is
+  // never called concurrently and a decorator around it need not be
+  // thread-safe; each prediction splits its rows over the pool instead.
+  // The column under permutation is restored after each task.
   const Rng root = rng.fork(0x1A9F);
   const std::size_t reps = static_cast<std::size_t>(cfg.repeats);
-  const std::size_t n_tasks = k * reps;
-  std::vector<double> deltas(n_tasks);
-  par::parallel_for_chunks(n_tasks, [&](std::size_t begin, std::size_t end) {
-    // Per-chunk scratch: a private copy of the evaluation matrix plus
-    // permutation / prediction buffers, reused across the chunk's tasks
-    // (the column under permutation is restored after each task).
-    Matrix scratch = *Xp;
-    std::vector<double> saved(n);
-    std::vector<double> pred(n);
-    std::vector<std::size_t> perm(n);
-    for (std::size_t task = begin; task < end; ++task) {
-      const std::size_t c = task / reps;
-      Rng task_rng = root.substream(task);
+  Matrix scratch = *Xp;
+  std::vector<double> saved(n);
+  std::vector<double> pred(n);
+  std::vector<std::size_t> perm(n);
+  for (std::size_t c = 0; c < k; ++c) {
+    double acc = 0.0;  // repeats fold in repeat order
+    for (std::size_t rep = 0; rep < reps; ++rep) {
+      Rng task_rng = root.substream(c * reps + rep);
       for (std::size_t r = 0; r < n; ++r) saved[r] = scratch(r, c);
       std::iota(perm.begin(), perm.end(), std::size_t{0});
       task_rng.shuffle(perm);
       for (std::size_t r = 0; r < n; ++r) scratch(r, c) = saved[perm[r]];
       model.predict_into(scratch, pred);
-      deltas[task] = metrics::nrmse(pred, yp, norm_range) - base_err;
+      acc += metrics::nrmse(pred, yp, norm_range) - base_err;
       for (std::size_t r = 0; r < n; ++r) scratch(r, c) = saved[r];
     }
-  });
-
-  // Ordered reduction: repeats fold in repeat order per column.
-  for (std::size_t c = 0; c < k; ++c) {
-    double acc = 0.0;
-    for (std::size_t rep = 0; rep < reps; ++rep) acc += deltas[c * reps + rep];
     scores[c] = acc / static_cast<double>(reps);
   }
   return scores;

@@ -166,8 +166,12 @@ namespace {
 
 /// Below this many node rows the per-feature split scan stays serial: the
 /// chunk dispatch would cost more than the histogram work it distributes.
-/// The cutoff only gates *whether* the pool is used, never the result.
-constexpr std::size_t kParallelNodeRows = 2048;
+/// From about 64 rows a node's scan (16 candidates at small scale) outweighs
+/// a post to a pool thread that is polling, so a small-scale GBDT root
+/// (about 270 rows) and its first two levels use the pool
+/// (BENCH_nested_par.json).  The cutoff only gates *whether* the pool is
+/// used, never the result.
+constexpr std::size_t kParallelNodeRows = 64;
 
 /// SoA histogram accumulators for one candidate feature, sized on demand
 /// and filled by simd::hist_accumulate.
@@ -214,7 +218,9 @@ void DecisionTree::fit(const BinnedData& bd, std::span<const double> y,
   const std::size_t n_features = bd.cols();
   std::vector<int> feature_pool(n_features);
   std::iota(feature_pool.begin(), feature_pool.end(), 0);
-  HistScratch acc;
+  // One histogram scratch per split-scan chunk, for the whole fit; chunk c
+  // always covers the same candidates of a node, whichever thread runs it.
+  std::vector<HistScratch> scratch(static_cast<std::size_t>(par::threads()));
 
   // Per-node SoA gather: node_w[i] / node_wy[i] are the weight and
   // weight*target of the i-th row of the current node range.  Gathered
@@ -333,28 +339,22 @@ void DecisionTree::fit(const BinnedData& bd, std::span<const double> y,
     }
 
     // Histogram + cut search per candidate feature: the per-tree hot loop.
-    // Parallel for big nodes (the top of the tree dominates fit time),
-    // serial below the cutoff where chunk overhead would exceed the work;
-    // both paths produce identical FeatureSplit values.
+    // Chunked over the pool for big nodes, one chunk below the cutoff where
+    // dispatch would exceed the work; any chunk count produces identical
+    // FeatureSplit values.
     cands.assign(nc, FeatureSplit{cfg.min_gain, -1});
-    if (n_node >= kParallelNodeRows && nc >= 2) {
-      par::parallel_for_chunks(nc, [&](std::size_t cb, std::size_t ce) {
-        HistScratch bins;  // per-chunk scratch
-        for (std::size_t fc = cb; fc < ce; ++fc) {
-          cands[fc] = scan_feature(
-              static_cast<std::size_t>(feature_pool[fc]),
-              cfg.random_thresholds ? rand_bits[fc] : 0, p.begin, p.end,
-              sum_w, sum_wy, parent_score, bins);
-        }
-      });
-    } else {
-      for (std::size_t fc = 0; fc < nc; ++fc) {
+    const std::size_t n_chunks =
+        n_node >= kParallelNodeRows ? std::min(nc, scratch.size()) : 1;
+    const auto scan_chunk = [&](std::size_t c) {
+      for (std::size_t fc = nc * c / n_chunks; fc < nc * (c + 1) / n_chunks;
+           ++fc) {
         cands[fc] = scan_feature(static_cast<std::size_t>(feature_pool[fc]),
                                  cfg.random_thresholds ? rand_bits[fc] : 0,
                                  p.begin, p.end, sum_w, sum_wy, parent_score,
-                                 acc);
+                                 scratch[c]);
       }
-    }
+    };
+    par::parallel_for(n_chunks, scan_chunk);
 
     // Ordered reduction in candidate order (strictly-greater keeps the
     // earliest maximum, matching the historical serial scan).

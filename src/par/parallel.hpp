@@ -27,7 +27,7 @@ template <typename F>
 void parallel_for_chunks(std::size_t n, F&& fn) {
   if (n == 0) return;
   const int t = threads();
-  if (t <= 1 || n == 1 || ThreadPool::inside_parallel_region()) {
+  if (t <= 1 || n == 1) {
     fn(std::size_t{0}, n);
     return;
   }

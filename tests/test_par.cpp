@@ -4,9 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <mutex>
+#include <set>
+#include <sstream>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -18,6 +22,7 @@
 #include "models/factory.hpp"
 #include "models/forest.hpp"
 #include "par/parallel.hpp"
+#include "serve/runtime.hpp"
 
 namespace leaf {
 namespace {
@@ -93,16 +98,67 @@ TEST(Par, ExceptionPropagatesAndPoolSurvives) {
   EXPECT_EQ(count.load(), 100);
 }
 
-TEST(Par, NestedRegionsRunInlineWithoutDeadlock) {
+TEST(Par, NestedChunksRunOnMoreThanOneThread) {
   ThreadGuard guard;
-  par::set_threads(4);
-  std::atomic<int> total{0};
-  par::parallel_for(8, [&](std::size_t) {
-    par::parallel_for(8, [&](std::size_t) {
-      total.fetch_add(1, std::memory_order_relaxed);
+  for (int threads : {2, 4}) {
+    par::set_threads(threads);
+    std::mutex mu;
+    std::set<std::thread::id> ran_on;
+    // Outer chunk 0 is long: its nested chunks sleep.  Every other outer
+    // chunk returns at once, so its thread (an idle worker, or the outer
+    // submitter waiting for chunk 0) is free to take nested chunks.
+    par::parallel_for(static_cast<std::size_t>(threads), [&](std::size_t i) {
+      if (i != 0) return;
+      par::parallel_for(8, [&](std::size_t) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        const std::lock_guard<std::mutex> lk(mu);
+        ran_on.insert(std::this_thread::get_id());
+      });
     });
-  });
-  EXPECT_EQ(total.load(), 64);
+    EXPECT_GT(ran_on.size(), 1u) << "threads=" << threads;
+  }
+}
+
+TEST(Par, ThreeNestingLevelsFinishWithoutDeadlock) {
+  ThreadGuard guard;
+  for (int threads : {1, 2, 4}) {
+    par::set_threads(threads);
+    std::atomic<int> total{0};
+    par::parallel_for(5, [&](std::size_t) {
+      par::parallel_for(6, [&](std::size_t) {
+        par::parallel_for(7, [&](std::size_t) {
+          total.fetch_add(1, std::memory_order_relaxed);
+        });
+      });
+    });
+    EXPECT_EQ(total.load(), 5 * 6 * 7) << "threads=" << threads;
+  }
+}
+
+TEST(Par, NestedExceptionReachesNestedSubmitter) {
+  ThreadGuard guard;
+  for (int threads : {2, 4}) {
+    par::set_threads(threads);
+    std::vector<int> caught(4, 0);
+    par::parallel_for(4, [&](std::size_t i) {
+      try {
+        par::parallel_for(16, [&](std::size_t j) {
+          if (j == 3 + i) throw std::runtime_error("nested boom");
+        });
+      } catch (const std::runtime_error&) {
+        caught[i] = 1;
+      }
+    });
+    EXPECT_EQ(caught, std::vector<int>(4, 1)) << "threads=" << threads;
+    // Nothing leaks to the outer submitter, and the pool stays usable.
+    std::atomic<int> count{0};
+    par::parallel_for(4, [&](std::size_t) {
+      par::parallel_for(25, [&](std::size_t) {
+        count.fetch_add(1, std::memory_order_relaxed);
+      });
+    });
+    EXPECT_EQ(count.load(), 100) << "threads=" << threads;
+  }
 }
 
 TEST(Par, ReduceIsBitIdenticalAcrossThreadCounts) {
@@ -260,6 +316,72 @@ TEST(Determinism, RunSchemeIsBitIdenticalAcrossThreadCounts) {
   par::set_threads(4);
   const core::EvalResult parallel = run();
   expect_same_run(serial, parallel);
+}
+
+// Tree fits inside an outer region (a shard's retrain inside the fleet
+// step) share the pool with their siblings: the grower's split scans run
+// as nested jobs on whichever thread is free.
+TEST(Determinism, TreeFitsNestedInAnOuterRegionMatchSerial) {
+  ThreadGuard guard;
+  const SynthProblem p;
+  for (const models::ModelFamily family :
+       {models::ModelFamily::kGbdt, models::ModelFamily::kLightGbdt,
+        models::ModelFamily::kRandomForest,
+        models::ModelFamily::kExtraTrees}) {
+    SCOPED_TRACE(models::to_string(family));
+    const auto fit_and_predict = [&] {
+      const auto model = models::make_model(family, par_scale(), 3);
+      model->fit(p.X, p.y);
+      return model->predict(p.X_test);
+    };
+    par::set_threads(1);
+    const std::vector<double> serial = fit_and_predict();
+    for (int threads : {2, 4}) {
+      par::set_threads(threads);
+      std::vector<std::vector<double>> nested(3);
+      par::parallel_for(nested.size(),
+                        [&](std::size_t i) { nested[i] = fit_and_predict(); });
+      for (const std::vector<double>& v : nested)
+        EXPECT_EQ(v, serial) << "threads=" << threads;
+    }
+  }
+}
+
+// The fleet step nests every shard's fit, explain and validate work inside
+// its per-shard region; results, event streams and the telemetry store
+// must not depend on which thread ran which nested chunk.
+TEST(Determinism, FleetFingerprintsMatchAtOneTwoAndFourThreads) {
+  ThreadGuard guard;
+  const std::vector<serve::ShardSpec> specs = {
+      {data::TargetKpi::kDVol, models::ModelFamily::kGbdt, "LEAF", 0},
+      {data::TargetKpi::kPU, models::ModelFamily::kRandomForest, "LEAF", 0},
+      {data::TargetKpi::kDTP, models::ModelFamily::kExtraTrees, "Triggered", 0}};
+  struct Run {
+    std::vector<core::EvalResult> results;
+    std::string fingerprints;
+  };
+  const auto run = [&] {
+    serve::FleetRuntime fleet(par_ds(), par_scale(), specs);
+    fleet.run_to_end();
+    std::ostringstream os;
+    os << fleet.telemetry().fingerprint() << '\n'
+       << fleet.events_jsonl(false) << fleet.supervision_jsonl(false);
+    return Run{fleet.results(), os.str()};
+  };
+  par::set_threads(1);
+  const Run serial = run();
+  // The LEAF shards mitigated, so explain and validate work was nested.
+  EXPECT_FALSE(serial.results[0].retrain_days.empty());
+  EXPECT_FALSE(serial.results[1].retrain_days.empty());
+  for (int threads : {2, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    par::set_threads(threads);
+    const Run parallel = run();
+    EXPECT_EQ(serial.fingerprints, parallel.fingerprints);
+    ASSERT_EQ(serial.results.size(), parallel.results.size());
+    for (std::size_t i = 0; i < serial.results.size(); ++i)
+      expect_same_run(serial.results[i], parallel.results[i]);
+  }
 }
 
 TEST(Determinism, EvalCacheIsBitIdenticalToRecomputation) {
