@@ -174,7 +174,9 @@ namespace {
 constexpr std::size_t kParallelNodeRows = 64;
 
 /// SoA histogram accumulators for one candidate feature, sized on demand
-/// and filled by simd::hist_accumulate.
+/// and filled by simd::hist_accumulate, which writes every bin (+0.0 where
+/// no node row fell) and returns the set of bins the node touched.  The
+/// cut scans below read only those.
 struct HistScratch {
   std::vector<double> sum_w;
   std::vector<double> sum_wy;
@@ -228,6 +230,8 @@ void DecisionTree::fit(const BinnedData& bd, std::span<const double> y,
   // histogram build, instead of recomputing weight_of(r) * y[r] per
   // feature as the old loop did.
   std::vector<double> node_w, node_wy;
+  // Partition scratch: the right-hand rows of the node being split.
+  std::vector<std::size_t> right_rows(work.size());
 
   // Best cut of one candidate feature within one node; gain <= min_gain
   // means no usable cut.  Pure function of the node range and the
@@ -248,38 +252,42 @@ void DecisionTree::fit(const BinnedData& bd, std::span<const double> y,
     const std::size_t n = end - begin;
     bins.sum_w.resize(static_cast<std::size_t>(nb));
     bins.sum_wy.resize(static_cast<std::size_t>(nb));
-    const simd::HistBounds hb = simd::hist_accumulate(
+    const simd::HistBins hb = simd::hist_accumulate(
         bd.codes_col(f), work.data() + begin, node_w.data(), node_wy.data(),
         n, nb, bins.sum_w.data(), bins.sum_wy.data());
     const int lo_bin = hb.lo_bin, hi_bin = hb.hi_bin;
     if (lo_bin >= hi_bin) return best;  // constant within node
 
+    // Both scans add only touched bins into the running sums.  That is
+    // exact: an untouched bin holds +0.0, and the sums start at +0.0 and
+    // so never become -0.0 under round-to-nearest, where x + 0.0 == x
+    // bitwise.  A cut after an untouched bin thus has the same gain as the
+    // cut before it, which the strict > below never picks.
+    double lw = 0.0, lwy = 0.0;
     if (cfg.random_thresholds) {
       // Extra-Trees: a single uniformly random cut in [lo_bin, hi_bin),
       // taken from the candidate's pre-drawn bits.
       const int b = lo_bin + static_cast<int>(
                                  rand_bits %
                                  static_cast<std::uint64_t>(hi_bin - lo_bin));
-      double lw = 0.0, lwy = 0.0;
-      for (int bb = lo_bin; bb <= b; ++bb) {
+      hb.for_each_below(b + 1, [&](int bb) {
         lw += bins.sum_w[static_cast<std::size_t>(bb)];
         lwy += bins.sum_wy[static_cast<std::size_t>(bb)];
-      }
+      });
       const double rw = sum_w - lw, rwy = sum_wy - lwy;
       if (lw <= 0.0 || rw <= 0.0) return best;
       const double gain = lwy * lwy / lw + rwy * rwy / rw - parent_score;
       if (gain > best.gain) best = {gain, b};
     } else {
-      // Exhaustive scan over cut positions.
-      double lw = 0.0, lwy = 0.0;
-      for (int b = lo_bin; b < hi_bin; ++b) {
+      // Exhaustive scan over the cuts after each touched bin.
+      hb.for_each_below(hi_bin, [&](int b) {
         lw += bins.sum_w[static_cast<std::size_t>(b)];
         lwy += bins.sum_wy[static_cast<std::size_t>(b)];
         const double rw = sum_w - lw, rwy = sum_wy - lwy;
-        if (lw <= 0.0 || rw <= 0.0) continue;
+        if (lw <= 0.0 || rw <= 0.0) return;
         const double gain = lwy * lwy / lw + rwy * rwy / rw - parent_score;
         if (gain > best.gain) best = {gain, b};
-      }
+      });
     }
     return best;
   };
@@ -371,14 +379,22 @@ void DecisionTree::fit(const BinnedData& bd, std::span<const double> y,
 
     if (best_feature < 0) continue;  // no useful split -> leaf
 
-    // Partition `work[p.begin, p.end)` by the chosen split.
+    // Stable partition of `work[p.begin, p.end)` by the chosen split:
+    // left rows compact in place, right rows go through `right_rows` and
+    // follow them, each side in its original order.
     const std::size_t f = static_cast<std::size_t>(best_feature);
-    auto mid_it = std::stable_partition(
-        work.begin() + static_cast<std::ptrdiff_t>(p.begin),
-        work.begin() + static_cast<std::ptrdiff_t>(p.end),
-        [&](std::size_t r) { return bd.bin(r, f) <= best_bin; });
-    const std::size_t mid =
-        static_cast<std::size_t>(mid_it - work.begin());
+    const std::uint8_t* codes = bd.codes_col(f);
+    std::size_t mid = p.begin, n_right = 0;
+    for (std::size_t i = p.begin; i < p.end; ++i) {
+      const std::size_t r = work[i];
+      if (codes[r] <= best_bin) {
+        work[mid++] = r;
+      } else {
+        right_rows[n_right++] = r;
+      }
+    }
+    std::copy_n(right_rows.begin(), n_right,
+                work.begin() + static_cast<std::ptrdiff_t>(mid));
     if (mid == p.begin || mid == p.end) continue;  // degenerate
     if (mid - p.begin < static_cast<std::size_t>(cfg.min_samples_leaf) ||
         p.end - mid < static_cast<std::size_t>(cfg.min_samples_leaf)) {

@@ -28,6 +28,7 @@
 // and the bit-identity property test in tests/test_simd.cpp.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 
@@ -53,19 +54,45 @@ struct ErrorAcc {
   std::uint64_t finite = 0;
 };
 
-/// Lowest / highest bin index touched by a histogram accumulation
-/// (lo > hi means no rows).  Min/max are order-independent, so these are
-/// trivially deterministic.
-struct HistBounds {
+/// The bins one histogram accumulation touched: bit b % 64 of mask[b / 64]
+/// is set when at least one row fell into bin b, and lo_bin / hi_bin are
+/// the lowest and highest set bits (lo > hi means no rows).  A set is
+/// order-independent, so this is trivially deterministic.
+struct HistBins {
+  static constexpr int kMaxBins = 256;  ///< codes are uint8
+  std::uint64_t mask[kMaxBins / 64] = {0, 0, 0, 0};
   int lo_bin = 0;
   int hi_bin = -1;
+
+  bool touched(int b) const { return (mask[b >> 6] >> (b & 63)) & 1; }
+
+  /// Derives lo_bin / hi_bin from the mask once every row is in.
+  void set_bounds() {
+    lo_bin = 0;
+    hi_bin = -1;
+    for (int wd = 0; wd < kMaxBins / 64; ++wd) {
+      if (mask[wd] == 0) continue;
+      if (hi_bin < 0) lo_bin = wd * 64 + std::countr_zero(mask[wd]);
+      hi_bin = wd * 64 + 63 - std::countl_zero(mask[wd]);
+    }
+  }
+
+  /// Calls fn(b) for every touched bin b < end, in ascending order.
+  template <class Fn>
+  void for_each_below(int end, Fn&& fn) const {
+    for (int wd = 0; wd * 64 < end; ++wd) {
+      std::uint64_t m = mask[wd];
+      if (end - wd * 64 < 64) m &= (std::uint64_t{1} << (end - wd * 64)) - 1;
+      for (; m != 0; m &= m - 1) fn(wd * 64 + std::countr_zero(m));
+    }
+  }
 };
 
 /// Below this many rows a histogram accumulates sequentially into a
-/// single lane instead of 8 lane-private histograms: zeroing 8 copies of
-/// the accumulator would dwarf the row work.  The cutoff is part of the
-/// kernel contract — both implementations switch at the same size, so it
-/// can never cause divergence.
+/// single lane instead of 8 lane-private histograms: merging and clearing
+/// 8 copies of the accumulator would dwarf the row work.  The cutoff is
+/// part of the kernel contract — both implementations switch at the same
+/// size, so it can never cause divergence.
 inline constexpr std::size_t kHistLaneCutoff = 64;
 
 namespace scalar {
@@ -85,13 +112,22 @@ void l2_distances_cols(const double* cols, std::size_t rows, const double* z,
                        std::size_t ncols, double* out);
 /// Weighted histogram build for one feature of a tree node: for each of
 /// the n node rows, bin b = codes[rows[i]] accumulates w[i] into sum_w[b]
-/// and wy[i] into sum_wy[b] (SoA accumulators, zeroed here).  Large nodes
-/// use 8 lane-private histograms merged per-bin with reduce8; nodes below
-/// kHistLaneCutoff accumulate sequentially.  Returns the touched bin
-/// range.
-HistBounds hist_accumulate(const std::uint8_t* codes, const std::size_t* rows,
-                           const double* w, const double* wy, std::size_t n,
-                           int num_bins, double* sum_w, double* sum_wy);
+/// and wy[i] into sum_wy[b] (SoA accumulators; all num_bins entries are
+/// written, and a bin no row fell into holds exactly +0.0).  Returns the
+/// set of touched bins, so a caller can visit only those.
+///
+/// Nodes below kHistLaneCutoff rows accumulate sequentially.  Larger nodes
+/// add row i into lane i % 8 of 8 lane-private histograms, in ascending i,
+/// and merge each bin with reduce8.  The lane histograms live in one
+/// thread-local scratch, lane-major, each entry a (w, wy) pair
+/// ([lane][bin][w|wy]): a row is one 2-wide add, and the merge runs the
+/// reduce8 tree on both halves of a pair at once.  The scratch is all-zero
+/// between calls: each call clears the span it dirtied, bins lo..hi of
+/// every lane, as one contiguous run after merging, instead of zeroing
+/// 8 x num_bins pairs on entry.
+HistBins hist_accumulate(const std::uint8_t* codes, const std::size_t* rows,
+                         const double* w, const double* wy, std::size_t n,
+                         int num_bins, double* sum_w, double* sum_wy);
 
 }  // namespace scalar
 
@@ -111,9 +147,9 @@ ErrorAcc squared_error(const double* pred, const double* truth,
                        std::size_t n);
 void l2_distances_cols(const double* cols, std::size_t rows, const double* z,
                        std::size_t ncols, double* out);
-HistBounds hist_accumulate(const std::uint8_t* codes, const std::size_t* rows,
-                           const double* w, const double* wy, std::size_t n,
-                           int num_bins, double* sum_w, double* sum_wy);
+HistBins hist_accumulate(const std::uint8_t* codes, const std::size_t* rows,
+                         const double* w, const double* wy, std::size_t n,
+                         int num_bins, double* sum_w, double* sum_wy);
 
 }  // namespace vector
 

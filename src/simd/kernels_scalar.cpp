@@ -8,7 +8,8 @@
 #include "simd/kernels.hpp"
 
 #include <cmath>
-#include <vector>
+
+#include "simd/hist_accumulate.hpp"
 
 namespace leaf::simd::scalar {
 
@@ -115,58 +116,26 @@ void l2_distances_cols(const double* cols, std::size_t rows, const double* z,
   }
 }
 
-HistBounds hist_accumulate(const std::uint8_t* codes, const std::size_t* rows,
-                           const double* w, const double* wy, std::size_t n,
-                           int num_bins, double* sum_w, double* sum_wy) {
-  const std::size_t nbins = static_cast<std::size_t>(num_bins);
-  for (std::size_t b = 0; b < nbins; ++b) sum_w[b] = sum_wy[b] = 0.0;
-  HistBounds bounds{num_bins, -1};
-  if (n == 0) return bounds;
-
-  auto touch = [&](int b) {
-    if (b < bounds.lo_bin) bounds.lo_bin = b;
-    if (b > bounds.hi_bin) bounds.hi_bin = b;
+HistBins hist_accumulate(const std::uint8_t* codes, const std::size_t* rows,
+                         const double* w, const double* wy, std::size_t n,
+                         int num_bins, double* sum_w, double* sum_wy) {
+  const auto nbins = static_cast<std::size_t>(num_bins);
+  const auto add_pair = [](double* p, double wi, double wyi) {
+    p[0] += wi;
+    p[1] += wyi;
   };
-
-  if (n < kHistLaneCutoff) {
-    // Small nodes: one sequential accumulator; lane-private copies would
-    // cost more to zero than the rows cost to add.
-    for (std::size_t i = 0; i < n; ++i) {
-      const int b = codes[rows[i]];
-      sum_w[b] += w[i];
-      sum_wy[b] += wy[i];
-      touch(b);
+  const auto merge = [nbins](const double* h, std::size_t lo, std::size_t hi,
+                             double* sw, double* swy) {
+    for (std::size_t b = lo; b <= hi; ++b) {
+      sw[b] = detail::merge_bin(h, nbins, b, 0);
+      swy[b] = detail::merge_bin(h, nbins, b, 1);
     }
-    return bounds;
-  }
-
-  // Lane-private sub-histograms, [bin][lane] layout so the per-bin merge
-  // reads 8 contiguous doubles.  Row i accumulates into lane i % 8.
-  thread_local std::vector<double> scratch;
-  scratch.assign(2 * nbins * kLanes, 0.0);
-  double* hw = scratch.data();
-  double* hwy = hw + nbins * kLanes;
-
-  const std::size_t nb = n & ~(kLanes - 1);
-  for (std::size_t i = 0; i < nb; i += kLanes) {
-    for (std::size_t j = 0; j < kLanes; ++j) {
-      const std::size_t b = codes[rows[i + j]];
-      hw[b * kLanes + j] += w[i + j];
-      hwy[b * kLanes + j] += wy[i + j];
-      touch(static_cast<int>(b));
-    }
-  }
-  for (std::size_t i = nb; i < n; ++i) {
-    const std::size_t b = codes[rows[i]];
-    hw[b * kLanes + (i - nb)] += w[i];
-    hwy[b * kLanes + (i - nb)] += wy[i];
-    touch(static_cast<int>(b));
-  }
-  for (int b = bounds.lo_bin; b <= bounds.hi_bin; ++b) {
-    sum_w[b] = reduce8(hw + static_cast<std::size_t>(b) * kLanes);
-    sum_wy[b] = reduce8(hwy + static_cast<std::size_t>(b) * kLanes);
-  }
-  return bounds;
+  };
+  return nbins <= 64
+             ? detail::hist_accumulate<1>(codes, rows, w, wy, n, nbins, sum_w,
+                                          sum_wy, add_pair, merge)
+             : detail::hist_accumulate<4>(codes, rows, w, wy, n, nbins, sum_w,
+                                          sum_wy, add_pair, merge);
 }
 
 }  // namespace leaf::simd::scalar

@@ -17,6 +17,8 @@
 #include <cmath>
 #include <limits>
 
+#include "simd/hist_accumulate.hpp"
+
 #if LEAF_SIMD_ENABLED
 #if defined(__AVX2__) || defined(__SSE2__) || defined(__x86_64__) || \
     defined(_M_X64)
@@ -99,6 +101,26 @@ struct Ops {
 };
 
 #endif
+
+// One (w, wy) histogram pair in a 2-wide register, on every ISA: the
+// unit of hist_accumulate's row pass.
+struct Pair {
+#if defined(LEAF_SIMD_X86)
+  using P = __m128d;
+  static P load(const double* p) { return _mm_loadu_pd(p); }
+  static void store(double* p, P v) { _mm_storeu_pd(p, v); }
+  static P make(double lo, double hi) { return _mm_set_pd(hi, lo); }
+  static P add(P a, P b) { return _mm_add_pd(a, b); }
+#else
+  using P = float64x2_t;
+  static P load(const double* p) { return vld1q_f64(p); }
+  static void store(double* p, P v) { vst1q_f64(p, v); }
+  static P make(double lo, double hi) {
+    return vsetq_lane_f64(hi, vdupq_n_f64(lo), 1);
+  }
+  static P add(P a, P b) { return vaddq_f64(a, b); }
+#endif
+};
 
 constexpr std::size_t kW = Ops::width;
 constexpr std::size_t kRegs = kLanes / kW;
@@ -237,15 +259,44 @@ void l2_distances_cols(const double* cols, std::size_t rows, const double* z,
   }
 }
 
-HistBounds hist_accumulate(const std::uint8_t* codes, const std::size_t* rows,
-                           const double* w, const double* wy, std::size_t n,
-                           int num_bins, double* sum_w, double* sum_wy) {
-  // The histogram is a gather/scatter kernel: the scatter into
-  // lane-private bins has no contiguous-load shape worth intrinsics, so
-  // the vector path runs the scalar implementation (which already uses
-  // the 8-lane layout for cache-friendly merging).
-  return scalar::hist_accumulate(codes, rows, w, wy, n, num_bins, sum_w,
-                                 sum_wy);
+HistBins hist_accumulate(const std::uint8_t* codes, const std::size_t* rows,
+                         const double* w, const double* wy, std::size_t n,
+                         int num_bins, double* sum_w, double* sum_wy) {
+  // A row adds its (w, wy) pair with one 2-wide op.  In the merge, lane j
+  // of kW / 2 adjacent bins' pairs is one register, so reduce8's tree runs
+  // on kW / 2 bins' two sums per op.
+  const auto nbins = static_cast<std::size_t>(num_bins);
+  const auto add_pair = [](double* p, double wi, double wyi) {
+    Pair::store(p, Pair::add(Pair::load(p), Pair::make(wi, wyi)));
+  };
+  const auto merge = [nbins](const double* h, std::size_t lo, std::size_t hi,
+                             double* sw, double* swy) {
+    constexpr std::size_t kBins = kW / 2;
+    std::size_t b = lo;
+    for (; b + kBins <= hi + 1; b += kBins) {
+      V l[kLanes];
+      for (std::size_t j = 0; j < kLanes; ++j)
+        l[j] = Ops::load(h + 2 * (j * nbins + b));
+      alignas(32) double sums[kW];
+      Ops::store(sums, Ops::add(Ops::add(Ops::add(l[0], l[1]),
+                                         Ops::add(l[2], l[3])),
+                                Ops::add(Ops::add(l[4], l[5]),
+                                         Ops::add(l[6], l[7]))));
+      for (std::size_t k = 0; k < kBins; ++k) {
+        sw[b + k] = sums[2 * k];
+        swy[b + k] = sums[2 * k + 1];
+      }
+    }
+    for (; b <= hi; ++b) {
+      sw[b] = detail::merge_bin(h, nbins, b, 0);
+      swy[b] = detail::merge_bin(h, nbins, b, 1);
+    }
+  };
+  return nbins <= 64
+             ? detail::hist_accumulate<1>(codes, rows, w, wy, n, nbins, sum_w,
+                                          sum_wy, add_pair, merge)
+             : detail::hist_accumulate<4>(codes, rows, w, wy, n, nbins, sum_w,
+                                          sum_wy, add_pair, merge);
 }
 
 #else  // !LEAF_SIMD_ENABLED or no recognized ISA: forward to the reference.
@@ -276,9 +327,9 @@ void l2_distances_cols(const double* cols, std::size_t rows, const double* z,
                        std::size_t ncols, double* out) {
   scalar::l2_distances_cols(cols, rows, z, ncols, out);
 }
-HistBounds hist_accumulate(const std::uint8_t* codes, const std::size_t* rows,
-                           const double* w, const double* wy, std::size_t n,
-                           int num_bins, double* sum_w, double* sum_wy) {
+HistBins hist_accumulate(const std::uint8_t* codes, const std::size_t* rows,
+                         const double* w, const double* wy, std::size_t n,
+                         int num_bins, double* sum_w, double* sum_wy) {
   return scalar::hist_accumulate(codes, rows, w, wy, n, num_bins, sum_w,
                                  sum_wy);
 }

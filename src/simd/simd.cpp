@@ -97,9 +97,9 @@ void l2_distances_cols(std::span<const double> cols, std::size_t rows,
   }
 }
 
-HistBounds hist_accumulate(const std::uint8_t* codes, const std::size_t* rows,
-                           const double* w, const double* wy, std::size_t n,
-                           int num_bins, double* sum_w, double* sum_wy) {
+HistBins hist_accumulate(const std::uint8_t* codes, const std::size_t* rows,
+                         const double* w, const double* wy, std::size_t n,
+                         int num_bins, double* sum_w, double* sum_wy) {
   static obs::Counter& calls = kernel_counter("hist_accumulate");
   calls.inc();
   return vector_active()

@@ -50,9 +50,9 @@ ErrorAcc squared_error(std::span<const double> pred,
 /// `cols` (rows x z.size()) to the query z.  out.size() must be >= rows.
 void l2_distances_cols(std::span<const double> cols, std::size_t rows,
                        std::span<const double> z, std::span<double> out);
-HistBounds hist_accumulate(const std::uint8_t* codes, const std::size_t* rows,
-                           const double* w, const double* wy, std::size_t n,
-                           int num_bins, double* sum_w, double* sum_wy);
+HistBins hist_accumulate(const std::uint8_t* codes, const std::size_t* rows,
+                         const double* w, const double* wy, std::size_t n,
+                         int num_bins, double* sum_w, double* sum_wy);
 
 /// Grow-only 64-byte-aligned scratch arena for per-step predict buffers
 /// and kernel workspaces.  acquire(n) hands back an n-double span without

@@ -6,8 +6,12 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstring>
+#include <iterator>
+#include <limits>
 #include <mutex>
 #include <set>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -19,8 +23,10 @@
 #include "core/experiment.hpp"
 #include "data/generator.hpp"
 #include "explain/importance.hpp"
+#include "io/serializer.hpp"
 #include "models/factory.hpp"
 #include "models/forest.hpp"
+#include "models/tree.hpp"
 #include "par/parallel.hpp"
 #include "serve/runtime.hpp"
 
@@ -435,6 +441,121 @@ TEST(Determinism, CompareSchemesIsBitIdenticalAcrossThreadCounts) {
   // exactly zero — by identity, not by luck of averaging.
   EXPECT_EQ(serial[0].delta_pct, 0.0);
   EXPECT_EQ(serial[0].retrains, 0.0);
+}
+
+// --- pinned fits of every tree family --------------------------------------
+//
+// The cross-thread tests compare new code with new code, so a grower change
+// that moved a LightGBDT column sample, a forest bootstrap or an
+// Extra-Trees cut would pass them.  These constants were computed by the
+// grower that scanned every bin of a node's histogram, before it learned to
+// skip the bins a node never touched; every later grower optimization must
+// keep them.
+
+std::uint64_t fnv1a(std::span<const std::uint8_t> bytes,
+                    std::uint64_t h = 0xcbf29ce484222325ULL) {
+  for (std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+std::uint64_t prediction_bits_fnv(const std::vector<double>& pred) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (double v : pred) {
+    std::uint64_t u;
+    std::memcpy(&u, &v, sizeof u);
+    h = fnv1a({reinterpret_cast<const std::uint8_t*>(&u), sizeof u}, h);
+  }
+  return h;
+}
+
+TEST(Determinism, TreeFamilyFitsMatchPinnedSnapshotBytes) {
+  const SynthProblem p;
+  // Weights with zeros: every fifth row carries no weight at all.
+  std::vector<double> zero_w(p.X.rows());
+  for (std::size_t r = 0; r < zero_w.size(); ++r)
+    zero_w[r] = r % 5 == 0 ? 0.0 : 0.5 + 0.25 * static_cast<double>(r % 7);
+  // A constant column (one bin, never split on) and a column with +-inf.
+  Matrix X_odd = p.X;
+  for (std::size_t r = 0; r < X_odd.rows(); ++r) {
+    X_odd(r, 2) = 3.0;
+    if (r % 11 == 0) X_odd(r, 3) = std::numeric_limits<double>::infinity();
+    if (r % 13 == 0) X_odd(r, 3) = -std::numeric_limits<double>::infinity();
+  }
+  struct Case {
+    const char* name;
+    const Matrix* X;
+    std::span<const double> w;
+  };
+  const Case cases[] = {{"unit", &p.X, {}},
+                        {"zero-weights", &p.X, zero_w},
+                        {"const+inf", &X_odd, {}}};
+  const models::ModelFamily families[] = {
+      models::ModelFamily::kGbdt, models::ModelFamily::kLightGbdt,
+      models::ModelFamily::kRandomForest, models::ModelFamily::kExtraTrees};
+  // [family][case], in the order above.
+  const std::uint64_t want[4][3] = {
+      {0x53e0d9785e6ffa34ULL, 0x4e0a9315cc909c57ULL, 0xb81326649bca92a6ULL},
+      {0x1c61399f49ffebc5ULL, 0x984320024cd36bcbULL, 0xa53a47193f381cd0ULL},
+      {0xae030111451577f5ULL, 0x6fb28028b373e762ULL, 0x9de21f09a11fe0b4ULL},
+      {0x42653d66faa20e2bULL, 0x0c0dd6999b508e76ULL, 0xb0d7f3eb65c11414ULL},
+  };
+  for (std::size_t f = 0; f < std::size(families); ++f) {
+    for (std::size_t c = 0; c < std::size(cases); ++c) {
+      SCOPED_TRACE(models::to_string(families[f]) + " " + cases[c].name);
+      const auto model = models::make_model(families[f], par_scale(), 3);
+      model->fit(*cases[c].X, p.y, cases[c].w);
+      io::Serializer out;
+      model->save(out);
+      const std::uint64_t got = fnv1a(out.bytes());
+      EXPECT_EQ(got, want[f][c]) << std::hex << "0x" << got;
+    }
+  }
+}
+
+// One bare tree on 256 bins: node touched-bin sets then cross the 64-bit
+// words of a 256-bin mask (bins 63/64, 127/128) and reach bin 255.
+TEST(Determinism, DecisionTreeOn256BinsMatchesPinnedPredictions) {
+  Rng rng(91);
+  Matrix X(1500, 4);
+  std::vector<double> y(X.rows()), w(X.rows());
+  for (std::size_t r = 0; r < X.rows(); ++r) {
+    for (std::size_t c = 0; c < X.cols(); ++c) X(r, c) = rng.normal();
+    y[r] = std::sin(3.0 * X(r, 0)) + X(r, 1) * X(r, 2) + 0.1 * rng.normal();
+    w[r] = r % 9 == 0 ? 0.0 : 1.0 + rng.uniform();
+  }
+  const models::BinnedData bd(X, 256);
+  for (std::size_t c = 0; c < X.cols(); ++c) ASSERT_EQ(bd.num_bins(c), 256);
+
+  models::TreeConfig exhaustive;
+  exhaustive.max_depth = 12;
+  exhaustive.min_samples_leaf = 2;
+  models::TreeConfig extra = exhaustive;
+  extra.random_thresholds = true;
+  extra.features_per_split = 2;
+  struct Case {
+    const char* name;
+    models::TreeConfig cfg;
+    std::span<const double> w;
+    std::uint64_t want;
+  };
+  const Case cases[] = {
+      {"exhaustive", exhaustive, {}, 0xeaf0d151601ad8ecULL},
+      {"exhaustive weighted", exhaustive, w, 0x2dfc946a5f217289ULL},
+      {"extra-trees weighted", extra, w, 0x1d85a884b8f348d6ULL}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    Rng tree_rng(17);
+    models::DecisionTree tree;
+    tree.fit(bd, y, c.w, {}, c.cfg, tree_rng);
+    std::vector<double> pred(X.rows());
+    for (std::size_t r = 0; r < X.rows(); ++r)
+      pred[r] = tree.predict_one(X.row(r));
+    const std::uint64_t got = prediction_bits_fnv(pred);
+    EXPECT_EQ(got, c.want) << std::hex << "0x" << got;
+  }
 }
 
 }  // namespace

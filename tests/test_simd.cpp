@@ -7,11 +7,14 @@
 // to the documented 8-lane DAG so neither side can drift.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
 #include <numeric>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -150,6 +153,131 @@ TEST(SimdKernels, DistancesColsMatchClassicRowMajorLoop) {
   }
 }
 
+// One histogram call's inputs and both implementations' outputs.
+struct HistCall {
+  std::vector<std::uint8_t> codes;
+  std::vector<std::size_t> rows;
+  std::vector<double> w, wy;
+  int nb = 0;
+
+  // n rows over every other bin of [0, nb) (bin 0 and nb - 1 always
+  // included when n >= 2), gathered through a non-identity row index.
+  HistCall(std::size_t n, int num_bins, Rng& rng) : nb(num_bins) {
+    codes.resize(2 * n + 1);
+    const auto evens = static_cast<std::size_t>(nb + 1) / 2;
+    for (auto& c : codes) {
+      const int b = 2 * static_cast<int>(rng.index(evens));
+      c = static_cast<std::uint8_t>(std::min(b, nb - 1));
+    }
+    rows.resize(n);
+    for (auto& r : rows) r = rng.index(codes.size());
+    if (n >= 2) {
+      codes[rows[0]] = 0;
+      codes[rows[n - 1]] = static_cast<std::uint8_t>(nb - 1);
+    }
+    w.resize(n);
+    wy.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      w[i] = 0.5 + rng.uniform();
+      wy[i] = w[i] * rng.normal();
+    }
+  }
+
+  struct Out {
+    simd::HistBins bins;
+    std::vector<double> sum_w, sum_wy;
+  };
+  template <class Kernel>
+  Out run(Kernel kernel) const {
+    // Garbage in the outputs: the kernel must write every bin.
+    Out o{{},
+          std::vector<double>(static_cast<std::size_t>(nb), -7.0),
+          std::vector<double>(static_cast<std::size_t>(nb), -7.0)};
+    o.bins = kernel(codes.data(), rows.data(), w.data(), wy.data(),
+                    rows.size(), nb, o.sum_w.data(), o.sum_wy.data());
+    return o;
+  }
+};
+
+void expect_same_hist(const HistCall::Out& a, const HistCall::Out& b) {
+  for (int wd = 0; wd < simd::HistBins::kMaxBins / 64; ++wd)
+    EXPECT_EQ(a.bins.mask[wd], b.bins.mask[wd]) << "word " << wd;
+  EXPECT_EQ(a.bins.lo_bin, b.bins.lo_bin);
+  EXPECT_EQ(a.bins.hi_bin, b.bins.hi_bin);
+  ASSERT_EQ(a.sum_w.size(), b.sum_w.size());
+  for (std::size_t bb = 0; bb < a.sum_w.size(); ++bb) {
+    ASSERT_EQ(bits(a.sum_w[bb]), bits(b.sum_w[bb])) << "b=" << bb;
+    ASSERT_EQ(bits(a.sum_wy[bb]), bits(b.sum_wy[bb])) << "b=" << bb;
+  }
+}
+
+TEST(SimdKernels, HistAccumulateReturnsTheTouchedBinSet) {
+  Rng rng(23);
+  for (const int nb : {2, 64, 65, 256}) {
+    for (const std::size_t n :
+         {simd::kHistLaneCutoff - 1, simd::kHistLaneCutoff,
+          simd::kHistLaneCutoff + 1, std::size_t{500}}) {
+      SCOPED_TRACE("nb=" + std::to_string(nb) + " n=" + std::to_string(n));
+      const HistCall call(n, nb, rng);
+      const HistCall::Out s = call.run(simd::scalar::hist_accumulate);
+      const HistCall::Out v = call.run(simd::vector::hist_accumulate);
+      expect_same_hist(s, v);
+
+      // Order-free reference: the set of codes seen.
+      std::vector<bool> seen(simd::HistBins::kMaxBins, false);
+      for (std::size_t r : call.rows) seen[call.codes[r]] = true;
+      int lo = nb, hi = -1;
+      for (int b = 0; b < simd::HistBins::kMaxBins; ++b) {
+        EXPECT_EQ(s.bins.touched(b), seen[static_cast<std::size_t>(b)])
+            << "b=" << b;
+        if (seen[static_cast<std::size_t>(b)]) {
+          lo = std::min(lo, b);
+          hi = std::max(hi, b);
+        } else if (b < nb) {
+          EXPECT_EQ(bits(s.sum_w[static_cast<std::size_t>(b)]), bits(0.0))
+              << "b=" << b;
+          EXPECT_EQ(bits(s.sum_wy[static_cast<std::size_t>(b)]), bits(0.0))
+              << "b=" << b;
+        }
+      }
+      EXPECT_EQ(s.bins.lo_bin, lo);
+      EXPECT_EQ(s.bins.hi_bin, hi);
+
+      // for_each_below visits exactly the set bits under `end`, ascending,
+      // for ends on both sides of every mask word boundary.
+      for (const int end : {0, 1, 63, 64, 65, 127, 128, 129, 255, 256}) {
+        std::vector<int> visited, want;
+        s.bins.for_each_below(end, [&](int b) { visited.push_back(b); });
+        for (int b = 0; b < end; ++b)
+          if (seen[static_cast<std::size_t>(b)]) want.push_back(b);
+        EXPECT_EQ(visited, want) << "end=" << end;
+      }
+    }
+  }
+}
+
+TEST(SimdKernels, HistAccumulateLeavesItsLaneScratchClean) {
+  // A 2-bin call after a wide 256-bin one must see all-zero lanes: compare
+  // it with the same call on a fresh thread, whose scratch is new.
+  Rng rng(29);
+  const HistCall wide(500, 256, rng);
+  const HistCall narrow(500, 2, rng);
+  const auto check = [&](auto kernel) {
+    HistCall::Out alone;
+    std::thread([&] { alone = narrow.run(kernel); }).join();
+    (void)wide.run(kernel);
+    expect_same_hist(narrow.run(kernel), alone);
+  };
+  {
+    SCOPED_TRACE("scalar");
+    check(simd::scalar::hist_accumulate);
+  }
+  {
+    SCOPED_TRACE("vector");
+    check(simd::vector::hist_accumulate);
+  }
+}
+
 TEST(SimdKernels, HistAccumulateMatchesReferenceAcrossCutoff) {
   Rng rng(19);
   const int nb = 11;
@@ -170,10 +298,10 @@ TEST(SimdKernels, HistAccumulateMatchesReferenceAcrossCutoff) {
     }
 
     std::vector<double> sw_s(nb), swy_s(nb), sw_v(nb), swy_v(nb);
-    const simd::HistBounds hs = simd::scalar::hist_accumulate(
+    const simd::HistBins hs = simd::scalar::hist_accumulate(
         codes.data(), rows.data(), w.data(), wy.data(), n, nb, sw_s.data(),
         swy_s.data());
-    const simd::HistBounds hv = simd::vector::hist_accumulate(
+    const simd::HistBins hv = simd::vector::hist_accumulate(
         codes.data(), rows.data(), w.data(), wy.data(), n, nb, sw_v.data(),
         swy_v.data());
     EXPECT_EQ(hs.lo_bin, hv.lo_bin) << "n=" << n;
