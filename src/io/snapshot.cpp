@@ -123,7 +123,7 @@ SnapshotReader::SnapshotReader(std::vector<std::uint8_t> bytes, ReadMode mode)
         reinterpret_cast<const char*>(bytes_.data() +
                                       (bytes_.size() - in.remaining())),
         name_len);
-    for (std::uint32_t k = 0; k < name_len; ++k) in.get_u8();
+    in.skip(name_len);
     if (lenient && in.remaining() < 8 + 4) {
       // Header truncated mid-section: record the section as corrupt so
       // callers know it existed but is unusable.
@@ -153,7 +153,7 @@ SnapshotReader::SnapshotReader(std::vector<std::uint8_t> bytes, ReadMode mode)
       s.valid = false;
       corrupt_.push_back(s.name);
     }
-    for (std::uint64_t k = 0; k < payload_len; ++k) in.get_u8();
+    in.skip(static_cast<std::size_t>(payload_len));
     sections_.push_back(std::move(s));
   }
 }
@@ -162,10 +162,16 @@ SnapshotReader SnapshotReader::from_file(const std::string& path,
                                          ReadMode mode) {
   std::ifstream f(path, std::ios::binary);
   if (!f) throw SnapshotError("cannot open '" + path + "'");
-  std::vector<std::uint8_t> bytes(
-      (std::istreambuf_iterator<char>(f)), std::istreambuf_iterator<char>());
-  if (!f.eof() && f.fail())
-    throw SnapshotError("read of '" + path + "' failed");
+  // Block reads into a buffer reserved at the file's size, instead of a
+  // stream call and a push_back per byte.
+  std::vector<std::uint8_t> bytes;
+  std::error_code ec;
+  const std::uintmax_t size = std::filesystem::file_size(path, ec);
+  if (!ec) bytes.reserve(static_cast<std::size_t>(size));
+  char chunk[1 << 14];
+  while (f.read(chunk, sizeof(chunk)) || f.gcount() > 0)
+    bytes.insert(bytes.end(), chunk, chunk + f.gcount());
+  if (!f.eof()) throw SnapshotError("read of '" + path + "' failed");
   return SnapshotReader(std::move(bytes), mode);
 }
 

@@ -142,6 +142,26 @@ TEST(Snapshot, FileRoundTripIsAtomic) {
   EXPECT_EQ(in.get_u64(), 77u);
 }
 
+TEST(Snapshot, FileReadSpansManyBlocks) {
+  const std::string dir = ::testing::TempDir() + "leaf_io_blocks";
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/t.leafsnap";
+  std::vector<double> big(100003);
+  for (std::size_t i = 0; i < big.size(); ++i)
+    big[i] = static_cast<double>(i) * 0.5 - 7.0;
+  SnapshotWriter w;
+  w.section("big").put_doubles(big);
+  w.section("tail").put_string("end");
+  const std::uint64_t bytes = w.write_file(path);
+  ASSERT_GT(bytes, std::uint64_t{1} << 19);
+  const SnapshotReader r = SnapshotReader::from_file(path);
+  EXPECT_EQ(r.section("big").get_doubles(), big);
+  EXPECT_EQ(r.section("tail").get_string(), "end");
+  EXPECT_THROW(SnapshotReader::from_file(dir + "/missing.leafsnap"),
+               SnapshotError);
+  EXPECT_THROW(SnapshotReader::from_file(dir), SnapshotError);
+}
+
 TEST(Snapshot, TruncatedFileFailsWithClearError) {
   const std::vector<std::uint8_t> bytes = small_snapshot();
   for (const std::size_t keep :
