@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cmath>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "par/parallel.hpp"
@@ -60,7 +61,8 @@ void Forest::fit(const Matrix& X, std::span<const double> y,
   // split randomness) from the counter-based sub-stream root.substream(t),
   // so the ensemble is bit-identical at any LEAF_THREADS setting.
   const std::size_t n_trees = static_cast<std::size_t>(cfg_.num_trees);
-  std::vector<DecisionTree> fitted(n_trees);
+  // Each tree grows into a store of its own, spliced in below in tree order.
+  std::vector<FlatTrees> grown(n_trees);
   par::parallel_for_chunks(n_trees, [&](std::size_t begin, std::size_t end) {
     // One bootstrap buffer per chunk, cleared between trees, so chunk
     // boundaries cannot leak into the output.
@@ -72,16 +74,14 @@ void Forest::fit(const Matrix& X, std::span<const double> y,
         rows.reserve(n);
         for (std::size_t i = 0; i < n; ++i) rows.push_back(tree_rng.index(n));
       }
-      fitted[t].fit(bd, y, w, rows, tree_cfg, tree_rng);
+      grown[t].grow(bd, y, w, rows, tree_cfg, tree_rng);
     }
   });
   std::size_t nodes = 0;
-  for (const DecisionTree& tree : fitted) nodes += tree.node_count();
+  for (const FlatTrees& tree : grown) nodes += tree.node_count();
   trees_.reserve(n_trees, nodes);
-  for (DecisionTree& tree : fitted) {
-    if (tree.trained()) trees_.append(tree);
-    tree = DecisionTree{};  // release as we go, bounding the fit's peak memory
-  }
+  // Each store is freed as it is spliced, bounding the fit's peak memory.
+  for (FlatTrees& tree : grown) trees_.splice(std::move(tree));
   trained_ = trees_.tree_count() > 0;
 }
 
@@ -127,6 +127,11 @@ std::unique_ptr<Forest> Forest::load(io::Deserializer& in) {
   auto model = std::make_unique<Forest>(cfg, display_name);
   model->trained_ = in.get_bool();
   model->trees_.load(in);
+  // Forest::fit is trained exactly when it grew a tree; a trained forest
+  // without one would predict 0/0.
+  if (model->trained_ != (model->trees_.tree_count() > 0))
+    throw io::SnapshotError(
+        "forest trained flag disagrees with its tree count");
   return model;
 }
 

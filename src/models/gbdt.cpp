@@ -73,7 +73,6 @@ void Gbdt::fit(const Matrix& X, std::span<const double> y,
       std::max<std::size_t>(1, static_cast<std::size_t>(
                                    cfg_.row_subsample * static_cast<double>(n)));
 
-  DecisionTree tree;
   for (int t = 0; t < cfg_.num_trees; ++t) {
     for (std::size_t i = 0; i < n; ++i) residual[i] = y[i] - pred[i];
 
@@ -81,9 +80,7 @@ void Gbdt::fit(const Matrix& X, std::span<const double> y,
         subsample < n ? rng.sample_without_replacement(n, subsample)
                       : std::vector<std::size_t>{};
 
-    tree.fit(bd, residual, w, rows, tree_cfg, rng);
-    if (!tree.trained()) break;
-    trees_.append(tree);
+    trees_.grow(bd, residual, w, rows, tree_cfg, rng);
     trees_.add_tree(X, trees_.tree_count() - 1, cfg_.learning_rate, pred);
   }
   trees_.shrink_to_fit();

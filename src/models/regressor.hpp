@@ -21,7 +21,8 @@ namespace leaf::models {
 
 /// Retrain-scoped caches a training loop may install on a model before
 /// fit() and keep alive across successive refits of fresh clones (see
-/// core::run_scheme).  Models that cannot use a given cache ignore it.
+/// core::Evaluation, which owns them).  Models that cannot use a given
+/// cache ignore it.
 struct FitCaches {
   BinEdgeCache bin_edges;  ///< used by the histogram models (GBDT, forests)
 };

@@ -184,13 +184,25 @@ struct HistScratch {
 
 }  // namespace
 
-void DecisionTree::fit(const BinnedData& bd, std::span<const double> y,
-                       std::span<const double> w,
-                       std::span<const std::size_t> rows,
-                       const TreeConfig& cfg, Rng& rng) {
-  nodes_.clear();
+void FlatTrees::grow(const BinnedData& bd, std::span<const double> y,
+                     std::span<const double> w,
+                     std::span<const std::size_t> rows, const TreeConfig& cfg,
+                     Rng& rng) {
   assert(bd.rows() == y.size());
   assert(w.empty() || w.size() == y.size());
+
+  // Appends a leaf in the store's form (slot 0, threshold 0.0, its own
+  // left child, value 0) and returns its index; a split rewrites it.
+  const auto push_leaf = [this] {
+    const auto n = static_cast<std::int32_t>(node_count());
+    slot_.push_back(0);
+    threshold_.push_back(0.0);
+    left_.push_back(n);
+    value_.push_back(0.0);
+    return n;
+  };
+  roots_.push_back(push_leaf());
+  depth_.push_back(0);
 
   std::vector<std::size_t> work;
   if (rows.empty()) {
@@ -199,10 +211,7 @@ void DecisionTree::fit(const BinnedData& bd, std::span<const double> y,
   } else {
     work.assign(rows.begin(), rows.end());
   }
-  if (work.empty()) {
-    nodes_.push_back(Node{.value = 0.0});
-    return;
-  }
+  if (work.empty()) return;  // the root stays a leaf of value 0
 
   const auto weight_of = [&](std::size_t r) {
     return w.empty() ? 1.0 : w[r];
@@ -214,8 +223,7 @@ void DecisionTree::fit(const BinnedData& bd, std::span<const double> y,
     int depth;
   };
 
-  nodes_.push_back(Node{});
-  std::vector<Pending> stack{{0, 0, work.size(), 0}};
+  std::vector<Pending> stack{{roots_.back(), 0, work.size(), 0}};
 
   const std::size_t n_features = bd.cols();
   std::vector<int> feature_pool(n_features);
@@ -298,7 +306,7 @@ void DecisionTree::fit(const BinnedData& bd, std::span<const double> y,
   while (!stack.empty()) {
     const Pending p = stack.back();
     stack.pop_back();
-    Node& node = nodes_[static_cast<std::size_t>(p.node)];
+    const auto node = static_cast<std::size_t>(p.node);
 
     const std::size_t n_node = p.end - p.begin;
     node_w.resize(n_node);
@@ -316,7 +324,7 @@ void DecisionTree::fit(const BinnedData& bd, std::span<const double> y,
       sum_w += node_w[i];
       sum_wy += node_wy[i];
     }
-    node.value = sum_w > 0.0 ? sum_wy / sum_w : 0.0;
+    value_[node] = sum_w > 0.0 ? sum_wy / sum_w : 0.0;
     if (p.depth >= cfg.max_depth ||
         n_node < 2 * static_cast<std::size_t>(cfg.min_samples_leaf) ||
         sum_w <= 0.0) {
@@ -401,48 +409,16 @@ void DecisionTree::fit(const BinnedData& bd, std::span<const double> y,
       continue;
     }
 
-    const std::int32_t left = static_cast<std::int32_t>(nodes_.size());
-    nodes_.push_back(Node{});
-    const std::int32_t right = static_cast<std::int32_t>(nodes_.size());
-    nodes_.push_back(Node{});
-    // `node` reference may be invalidated by push_back; re-index.
-    Node& nd = nodes_[static_cast<std::size_t>(p.node)];
-    nd.feature = best_feature;
-    nd.threshold = bd.threshold(f, best_bin);
-    nd.left = left;
-    nd.right = right;
+    const std::int32_t left = push_leaf();
+    push_leaf();  // the right child, at left + 1
+    slot_[node] = best_feature + 1;
+    threshold_[node] = bd.threshold(f, best_bin);
+    left_[node] = left;
+    width_ = std::max(width_, f + 1);
+    depth_.back() = std::max(depth_.back(), p.depth + 1);
     stack.push_back({left, p.begin, mid, p.depth + 1});
-    stack.push_back({right, mid, p.end, p.depth + 1});
+    stack.push_back({left + 1, mid, p.end, p.depth + 1});
   }
-}
-
-double DecisionTree::predict_one(std::span<const double> x) const {
-  assert(trained());
-  std::size_t i = 0;
-  for (;;) {
-    const Node& n = nodes_[i];
-    if (n.feature < 0) return n.value;
-    const double v = x[static_cast<std::size_t>(n.feature)];
-    i = static_cast<std::size_t>(v <= n.threshold ? n.left : n.right);
-  }
-}
-
-int DecisionTree::depth() const {
-  if (nodes_.empty()) return 0;
-  // Iterative depth computation over the explicit node structure.
-  std::vector<std::pair<std::size_t, int>> stack{{0, 1}};
-  int best = 0;
-  while (!stack.empty()) {
-    auto [i, d] = stack.back();
-    stack.pop_back();
-    best = std::max(best, d);
-    const Node& n = nodes_[i];
-    if (n.feature >= 0) {
-      stack.push_back({static_cast<std::size_t>(n.left), d + 1});
-      stack.push_back({static_cast<std::size_t>(n.right), d + 1});
-    }
-  }
-  return best;
 }
 
 void save_tree_config(io::Serializer& out, const TreeConfig& cfg) {
@@ -482,22 +458,16 @@ void FlatTrees::reserve(std::size_t trees, std::size_t nodes) {
   depth_.reserve(tree_count() + trees);
 }
 
-void FlatTrees::append(const DecisionTree& tree) {
-  assert(tree.trained());
-  const auto root = static_cast<std::int32_t>(node_count());
-  roots_.push_back(root);
-  depth_.push_back(tree.depth() - 1);
-  for (std::size_t i = 0; i < tree.nodes_.size(); ++i) {
-    const DecisionTree::Node& n = tree.nodes_[i];
-    const bool leaf = n.feature < 0;
-    assert(!leaf || n.threshold == 0.0);
-    slot_.push_back(leaf ? 0 : n.feature + 1);
-    threshold_.push_back(n.threshold);
-    left_.push_back(root + (leaf ? static_cast<std::int32_t>(i) : n.left));
-    value_.push_back(n.value);
-    if (!leaf)
-      width_ = std::max(width_, static_cast<std::size_t>(n.feature) + 1);
-  }
+void FlatTrees::splice(FlatTrees other) {
+  const auto shift = static_cast<std::int32_t>(node_count());
+  for (const std::int32_t root : other.roots_) roots_.push_back(root + shift);
+  for (const std::int32_t left : other.left_) left_.push_back(left + shift);
+  depth_.insert(depth_.end(), other.depth_.begin(), other.depth_.end());
+  slot_.insert(slot_.end(), other.slot_.begin(), other.slot_.end());
+  threshold_.insert(threshold_.end(), other.threshold_.begin(),
+                    other.threshold_.end());
+  value_.insert(value_.end(), other.value_.begin(), other.value_.end());
+  width_ = std::max(width_, other.width_);
 }
 
 void FlatTrees::shrink_to_fit() {
@@ -629,35 +599,21 @@ void FlatTrees::add_tree(const Matrix& X, std::size_t t, double scale,
              out.data());
 }
 
-DecisionTree FlatTrees::tree(std::size_t t) const {
-  const auto root = static_cast<std::size_t>(roots_[t]);
-  const std::size_t end =
-      t + 1 < tree_count() ? static_cast<std::size_t>(roots_[t + 1])
-                           : node_count();
-  DecisionTree out;
-  for (std::size_t n = root; n < end; ++n) {
-    DecisionTree::Node node{.threshold = threshold_[n], .value = value_[n]};
-    if (left_[n] != static_cast<std::int32_t>(n)) {
-      node.feature = slot_[n] - 1;
-      node.left = left_[n] - roots_[t];
-      node.right = node.left + 1;
-    }
-    out.nodes_.push_back(node);
-  }
-  return out;
-}
-
 void FlatTrees::save(io::Serializer& out) const {
   out.put_u64(tree_count());
   for (std::size_t t = 0; t < tree_count(); ++t) {
-    const DecisionTree tr = tree(t);
-    out.put_u64(tr.nodes_.size());
-    for (const DecisionTree::Node& n : tr.nodes_) {
-      out.put_i32(n.feature);
-      out.put_f64(n.threshold);
-      out.put_i32(n.left);
-      out.put_i32(n.right);
-      out.put_f64(n.value);
+    const std::int32_t root = roots_[t];
+    const std::size_t end = t + 1 < tree_count()
+                                ? static_cast<std::size_t>(roots_[t + 1])
+                                : node_count();
+    out.put_u64(end - static_cast<std::size_t>(root));
+    for (auto n = static_cast<std::size_t>(root); n < end; ++n) {
+      const bool leaf = left_[n] == static_cast<std::int32_t>(n);
+      out.put_i32(leaf ? -1 : slot_[n] - 1);
+      out.put_f64(threshold_[n]);
+      out.put_i32(leaf ? -1 : left_[n] - root);
+      out.put_i32(leaf ? -1 : left_[n] - root + 1);
+      out.put_f64(value_[n]);
     }
   }
 }
@@ -699,7 +655,7 @@ void FlatTrees::load(io::Deserializer& in) {
       const std::int64_t right = in.get_i32();
       value_[n] = in.get_f64();
       if (feature < 0) {
-        // The one leaf form fit writes; walk8 relies on the 0.0 threshold.
+        // The one leaf form grow writes; walk8 relies on the 0.0 threshold.
         if (feature != -1 || left != -1 || right != -1 ||
             threshold_[n] != 0.0)
           throw io::SnapshotError("decision tree leaf is malformed");

@@ -1,6 +1,7 @@
-// Histogram-based regression tree — the weak learner shared by the GBDT
+// Histogram-based regression trees — the weak learners shared by the GBDT
 // (CatBoost / LightGBM stand-ins) and the bagging ensembles (Random
-// Forest, Extra Trees).
+// Forest, Extra Trees) — grown straight into one node store per ensemble
+// (`FlatTrees`).
 //
 // Features are pre-quantized into at most `max_bins` quantile bins
 // (`BinnedData`), so finding the best split of a node costs
@@ -19,7 +20,8 @@
 
 namespace leaf::models {
 
-/// Retrain-scoped cache of per-column bin edges (see core::run_scheme).
+/// Retrain-scoped cache of per-column bin edges (owned by core::Evaluation,
+/// which attaches it to every model it refits).
 ///
 /// Successive retrains in the walk-forward loop bin training windows that
 /// overlap heavily, yet BinnedData used to re-derive quantile edges from a
@@ -123,58 +125,34 @@ struct TreeConfig {
 void save_tree_config(io::Serializer& out, const TreeConfig& cfg);
 TreeConfig load_tree_config(io::Deserializer& in);
 
-/// A fitted regression tree.  Prediction traverses raw-value thresholds,
-/// so it works on any feature vector, not just binned training rows.
-///
-/// Ensembles keep their trees in a FlatTrees store; a DecisionTree lives
-/// only while it is being grown, and as the scalar reference traversal
-/// the store is tested against.
-class DecisionTree {
- public:
-  /// Fits to (binned) rows given targets and optional weights.  `rows`
-  /// selects the training subset (bootstrap / subsample); empty means all
-  /// rows.  The tree stores *raw* thresholds taken from `bd`.  Children are
-  /// laid out after their parent, the right child right after the left.
-  void fit(const BinnedData& bd, std::span<const double> y,
-           std::span<const double> w, std::span<const std::size_t> rows,
-           const TreeConfig& cfg, Rng& rng);
-
-  double predict_one(std::span<const double> x) const;
-
-  bool trained() const { return !nodes_.empty(); }
-  std::size_t node_count() const { return nodes_.size(); }
-  int depth() const;
-
- private:
-  friend class FlatTrees;
-  struct Node {
-    int feature = -1;  // -1 == leaf
-    double threshold = 0.0;
-    std::int32_t left = -1;
-    std::int32_t right = -1;
-    double value = 0.0;
-  };
-  std::vector<Node> nodes_;
-};
-
-/// The trees of one ensemble (Gbdt, Forest) compiled into a single
+/// The trees of one ensemble (Gbdt, Forest) in a single
 /// structure-of-arrays node store.  Node n splits on feature
 /// slot_[n] - 1 at threshold_[n] and continues at left_[n]
 /// (x <= threshold) or left_[n] + 1 (otherwise, NaN included).  A leaf has
 /// left_[n] == n, slot 0 and threshold 0.0.  Indices are absolute within
-/// the store.
+/// the store; a tree's nodes are contiguous, starting at its root.
 ///
 /// Prediction walks a block of rows tree by tree, eight rows at a time as
 /// independent traversal chains, and adds each tree's leaf value to every
-/// row's sum in tree order, so the sums are bit-identical to looping
-/// DecisionTree::predict_one.
+/// row's sum in tree order, so the sums are bit-identical to summing a
+/// plain per-row walk (x <= threshold ? left : right) over the trees.
 class FlatTrees {
  public:
   void clear();
   /// Sizes the store for `trees` more trees of `nodes` nodes in all.
   void reserve(std::size_t trees, std::size_t nodes);
-  /// Appends a trained tree.
-  void append(const DecisionTree& tree);
+  /// Grows one regression tree on (binned) rows given targets and optional
+  /// weights and appends it.  `rows` selects the training subset
+  /// (bootstrap / subsample); empty means all rows.  The tree stores *raw*
+  /// thresholds taken from `bd`.  A node's children are appended after it,
+  /// the right one right after the left.  The tree always has at least its
+  /// root.
+  void grow(const BinnedData& bd, std::span<const double> y,
+            std::span<const double> w, std::span<const std::size_t> rows,
+            const TreeConfig& cfg, Rng& rng);
+  /// Appends every tree of `other`, in order, shifting its root and child
+  /// indices past this store's nodes.  `other` is freed on return.
+  void splice(FlatTrees other);
   /// Drops spare capacity once the last tree is in.
   void shrink_to_fit();
 
@@ -195,15 +173,13 @@ class FlatTrees {
   void add_tree(const Matrix& X, std::size_t t, double scale,
                 std::span<double> out) const;
 
-  /// Rebuilds tree t as a DecisionTree, the reference traversal.
-  DecisionTree tree(std::size_t t) const;
-
   /// Snapshot support (leaf::io): a tree count, then per tree its node
-  /// count and nodes (feature, threshold, left, right, value; -1s for a
-  /// leaf's feature and children).  `load` requires every split's left
-  /// child to come after it and its right child right after the left, and
-  /// every leaf in the form fit writes (threshold 0.0), so no payload it
-  /// accepts can make a traversal loop.
+  /// count and nodes (feature, threshold, left, right, value; children
+  /// index within the tree, -1s for a leaf's feature and children).
+  /// `load` requires every split's left child to come after it and its
+  /// right child right after the left, and every leaf in the form grow
+  /// writes (threshold 0.0), so no payload it accepts can make a traversal
+  /// loop.  `save` writes back the exact bytes `load` accepted.
   void save(io::Serializer& out) const;
   void load(io::Deserializer& in);
 

@@ -311,6 +311,12 @@ TEST_P(ModelRoundTrip, PredictionsBitIdenticalAfterRoundTrip) {
     const double b = restored->predict_one(p.X_test.row(r));
     EXPECT_EQ(a, b) << "row " << r;  // bit-identical, not approximately
   }
+
+  // save(load(bytes)) == bytes: saving is the exact inverse of loading.
+  Serializer again;
+  models::save_regressor(again, *restored);
+  EXPECT_TRUE(std::equal(out.bytes().begin(), out.bytes().end(),
+                         again.bytes().begin(), again.bytes().end()));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -468,6 +474,43 @@ TEST(ModelIo, TreeLeafWithChildrenRejected) {
             one_tree_gbdt({{0, 0.5, 1, 2, 0.0}, {-1, 0.0, 1, 2, 1.0}, kLeaf2}));
       },
       "leaf");
+}
+
+// A "forest" payload in the layout Forest::save writes, holding `trees`
+// one-leaf trees under the given trained flag.
+std::vector<std::uint8_t> leaf_forest(bool trained, std::size_t trees) {
+  Serializer out;
+  out.put_string("forest");
+  out.put_string("RandomForest");
+  out.put_i32(static_cast<std::int32_t>(trees));  // num_trees
+  out.put_i32(-1);       // features_per_split
+  out.put_i32(8);        // max_depth
+  out.put_i32(3);        // min_samples_leaf
+  out.put_bool(true);    // bootstrap
+  out.put_bool(false);   // random_thresholds
+  out.put_u64(1);        // seed
+  out.put_bool(trained);
+  out.put_u64(trees);
+  for (std::size_t t = 0; t < trees; ++t) {
+    out.put_u64(1);
+    out.put_i32(kLeaf1.feature);
+    out.put_f64(kLeaf1.threshold);
+    out.put_i32(kLeaf1.left);
+    out.put_i32(kLeaf1.right);
+    out.put_f64(kLeaf1.value);
+  }
+  return {out.bytes().begin(), out.bytes().end()};
+}
+
+TEST(ModelIo, ForestTrainedFlagMustMatchTreeCount) {
+  // A trained forest without trees used to load and predict 0/0 = NaN.
+  leaf::testing::expect_snapshot_error(
+      [] { load_bytes(leaf_forest(true, 0)); }, "tree count");
+  leaf::testing::expect_snapshot_error(
+      [] { load_bytes(leaf_forest(false, 2)); }, "tree count");
+  EXPECT_FALSE(load_bytes(leaf_forest(false, 0))->trained());
+  const auto model = load_bytes(leaf_forest(true, 2));
+  EXPECT_EQ(model->predict_one(std::vector<double>{0.5}), 1.0);
 }
 
 TEST(ModelIo, TreeFeatureBeyondInputWidthThrowsOnPredict) {

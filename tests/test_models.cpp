@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <stdexcept>
 #include <tuple>
 
 #include "common/metrics.hpp"
@@ -17,6 +18,7 @@
 #include "models/lstm.hpp"
 #include "models/ridge.hpp"
 #include "par/pool.hpp"
+#include "tree_reference.hpp"
 
 namespace leaf::models {
 namespace {
@@ -193,24 +195,33 @@ TEST_P(FlatTreesReferenceTest, MatchesSumOfDecisionTrees) {
   ASSERT_TRUE(gbdt != nullptr || forest != nullptr);
   const FlatTrees& flat = gbdt != nullptr ? gbdt->trees() : forest->trees();
   ASSERT_GT(flat.tree_count(), 1u);
-  std::vector<DecisionTree> trees;
-  for (std::size_t t = 0; t < flat.tree_count(); ++t)
-    trees.push_back(flat.tree(t));
+  const std::vector<leaf::testing::SavedTree> trees =
+      leaf::testing::saved_trees(flat);
 
   // 261 rows: several blocks, so the threads split them, plus a tail.
   const Matrix X = contract_rows(p.X, 261);
   const auto batch = model->predict(X);
   for (std::size_t i = 0; i < X.rows(); ++i) {
     double ref = gbdt != nullptr ? gbdt->base() : 0.0;
-    for (const DecisionTree& tree : trees) {
-      ref += gbdt != nullptr
-                 ? gbdt->config().learning_rate * tree.predict_one(X.row(i))
-                 : tree.predict_one(X.row(i));
+    for (const leaf::testing::SavedTree& tree : trees) {
+      const double v = leaf::testing::walk(tree, X.row(i));
+      ref += gbdt != nullptr ? gbdt->config().learning_rate * v : v;
     }
     if (forest != nullptr) ref /= static_cast<double>(trees.size());
     EXPECT_EQ(bits(batch[i]), bits(ref)) << "row " << i;
     EXPECT_EQ(bits(model->predict_one(X.row(i))), bits(ref)) << "row " << i;
   }
+
+  // The grown store knows its widest split feature: input one column
+  // narrower is refused instead of read past.
+  std::size_t width = 0;
+  for (const leaf::testing::SavedTree& tree : trees)
+    for (const leaf::testing::SavedNode& n : tree)
+      width = std::max(width, static_cast<std::size_t>(n.feature + 1));
+  ASSERT_GT(width, 0u);
+  const Matrix narrow(3, width - 1);
+  std::vector<double> out(narrow.rows());
+  EXPECT_THROW(model->predict_into(narrow, out), std::invalid_argument);
 }
 
 INSTANTIATE_TEST_SUITE_P(

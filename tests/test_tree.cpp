@@ -1,4 +1,4 @@
-// Unit tests for the histogram decision tree (models/tree.hpp).
+// Unit tests for the histogram decision-tree grower (models/tree.hpp).
 #include "models/tree.hpp"
 
 #include <gtest/gtest.h>
@@ -8,9 +8,15 @@
 #include <numeric>
 
 #include "common/rng.hpp"
+#include "tree_reference.hpp"
 
 namespace leaf::models {
 namespace {
+
+using leaf::testing::grow_tree;
+using leaf::testing::SavedTree;
+using leaf::testing::tree_depth;
+using leaf::testing::walk;
 
 Matrix step_data(std::size_t n) {
   // x in [0,1); y = 1 for x >= 0.5 else 0.
@@ -64,24 +70,22 @@ TEST(DecisionTree, FitsConstantTarget) {
   Matrix x = step_data(64);
   std::vector<double> y(64, 3.5);
   const BinnedData bd(x, 32);
-  DecisionTree tree;
   Rng rng(1);
-  tree.fit(bd, y, {}, {}, TreeConfig{}, rng);
-  ASSERT_TRUE(tree.trained());
-  EXPECT_DOUBLE_EQ(tree.predict_one(x.row(10)), 3.5);
+  const SavedTree tree = grow_tree(bd, y, {}, {}, TreeConfig{}, rng);
+  ASSERT_FALSE(tree.empty());
+  EXPECT_DOUBLE_EQ(walk(tree, x.row(10)), 3.5);
   // A constant target admits no useful split.
-  EXPECT_EQ(tree.node_count(), 1u);
+  EXPECT_EQ(tree.size(), 1u);
 }
 
 TEST(DecisionTree, LearnsStepFunctionExactly) {
   Matrix x = step_data(128);
   const std::vector<double> y = step_targets(x);
   const BinnedData bd(x, 64);
-  DecisionTree tree;
   Rng rng(1);
-  tree.fit(bd, y, {}, {}, TreeConfig{}, rng);
+  const SavedTree tree = grow_tree(bd, y, {}, {}, TreeConfig{}, rng);
   for (std::size_t i = 0; i < x.rows(); ++i)
-    EXPECT_DOUBLE_EQ(tree.predict_one(x.row(i)), y[i]) << "row " << i;
+    EXPECT_DOUBLE_EQ(walk(tree, x.row(i)), y[i]) << "row " << i;
 }
 
 TEST(DecisionTree, RespectsMaxDepth) {
@@ -96,10 +100,9 @@ TEST(DecisionTree, RespectsMaxDepth) {
   TreeConfig cfg;
   cfg.max_depth = 3;
   cfg.min_samples_leaf = 1;
-  DecisionTree tree;
   Rng rng(1);
-  tree.fit(bd, y, {}, {}, cfg, rng);
-  EXPECT_LE(tree.depth(), 4);  // root at depth 1
+  const SavedTree tree = grow_tree(bd, y, {}, {}, cfg, rng);
+  EXPECT_LE(tree_depth(tree), 4);  // root at depth 1
 }
 
 TEST(DecisionTree, RespectsMinSamplesLeaf) {
@@ -108,10 +111,9 @@ TEST(DecisionTree, RespectsMinSamplesLeaf) {
   const BinnedData bd(x, 64);
   TreeConfig cfg;
   cfg.min_samples_leaf = 64;  // can never split
-  DecisionTree tree;
   Rng rng(1);
-  tree.fit(bd, y, {}, {}, cfg, rng);
-  EXPECT_EQ(tree.node_count(), 1u);
+  const SavedTree tree = grow_tree(bd, y, {}, {}, cfg, rng);
+  EXPECT_EQ(tree.size(), 1u);
 }
 
 TEST(DecisionTree, SampleWeightsShiftLeafValues) {
@@ -122,11 +124,10 @@ TEST(DecisionTree, SampleWeightsShiftLeafValues) {
   const BinnedData bd(x, 4);
   TreeConfig cfg;
   cfg.max_depth = 0;  // root only: leaf value = weighted mean
-  DecisionTree tree;
   Rng rng(1);
   const std::vector<double> w = {3.0, 1.0, 3.0, 1.0};
-  tree.fit(bd, y, w, {}, cfg, rng);
-  EXPECT_NEAR(tree.predict_one(x.row(0)), 2.5, 1e-12);
+  const SavedTree tree = grow_tree(bd, y, w, {}, cfg, rng);
+  EXPECT_NEAR(walk(tree, x.row(0)), 2.5, 1e-12);
 }
 
 TEST(DecisionTree, RowSubsetRestrictsTraining) {
@@ -137,11 +138,10 @@ TEST(DecisionTree, RowSubsetRestrictsTraining) {
   const BinnedData bd(x, 64);
   std::vector<std::size_t> rows(50);
   std::iota(rows.begin(), rows.end(), std::size_t{0});
-  DecisionTree tree;
   Rng rng(1);
-  tree.fit(bd, y, {}, rows, TreeConfig{}, rng);
+  const SavedTree tree = grow_tree(bd, y, {}, rows, TreeConfig{}, rng);
   // Trained only on x < 0.5 where y == 0.
-  EXPECT_NEAR(tree.predict_one(x.row(10)), 0.0, 1e-9);
+  EXPECT_NEAR(walk(tree, x.row(10)), 0.0, 1e-9);
 }
 
 TEST(DecisionTree, ExtraTreesModeStillReducesError) {
@@ -150,12 +150,11 @@ TEST(DecisionTree, ExtraTreesModeStillReducesError) {
   const BinnedData bd(x, 64);
   TreeConfig cfg;
   cfg.random_thresholds = true;
-  DecisionTree tree;
   Rng rng(3);
-  tree.fit(bd, y, {}, {}, cfg, rng);
+  const SavedTree tree = grow_tree(bd, y, {}, {}, cfg, rng);
   double sse = 0.0;
   for (std::size_t i = 0; i < x.rows(); ++i) {
-    const double d = tree.predict_one(x.row(i)) - y[i];
+    const double d = walk(tree, x.row(i)) - y[i];
     sse += d * d;
   }
   // Variance of y is 0.25 per sample; the randomized tree should capture
@@ -170,13 +169,12 @@ TEST(DecisionTree, DeterministicGivenSameRng) {
   TreeConfig cfg;
   cfg.features_per_split = 1;
   cfg.random_thresholds = true;
-  DecisionTree t1, t2;
   Rng r1(9), r2(9);
-  t1.fit(bd, y, {}, {}, cfg, r1);
-  t2.fit(bd, y, {}, {}, cfg, r2);
-  EXPECT_EQ(t1.node_count(), t2.node_count());
+  const SavedTree t1 = grow_tree(bd, y, {}, {}, cfg, r1);
+  const SavedTree t2 = grow_tree(bd, y, {}, {}, cfg, r2);
+  EXPECT_EQ(t1.size(), t2.size());
   for (std::size_t i = 0; i < x.rows(); ++i)
-    EXPECT_DOUBLE_EQ(t1.predict_one(x.row(i)), t2.predict_one(x.row(i)));
+    EXPECT_DOUBLE_EQ(walk(t1, x.row(i)), walk(t2, x.row(i)));
 }
 
 TEST(DecisionTree, MultiFeatureInteraction) {
@@ -190,12 +188,11 @@ TEST(DecisionTree, MultiFeatureInteraction) {
     y[i] = (x(i, 0) >= 0.5) != (x(i, 1) >= 0.5) ? 1.0 : 0.0;
   }
   const BinnedData bd(x, 64);
-  DecisionTree tree;
   Rng rng(1);
-  tree.fit(bd, y, {}, {}, TreeConfig{}, rng);
+  const SavedTree tree = grow_tree(bd, y, {}, {}, TreeConfig{}, rng);
   std::size_t correct = 0;
   for (std::size_t i = 0; i < 512; ++i)
-    if (std::abs(tree.predict_one(x.row(i)) - y[i]) < 0.3) ++correct;
+    if (std::abs(walk(tree, x.row(i)) - y[i]) < 0.3) ++correct;
   EXPECT_GT(correct, 480u);
 }
 
