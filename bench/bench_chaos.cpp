@@ -64,23 +64,6 @@ serve::SupervisorConfig with_chaos(const std::string& spec) {
   return sup;
 }
 
-/// FNV-1a over one shard's result series (nrmse bits + retrain/drift days).
-std::size_t fingerprint(const core::EvalResult& r) {
-  std::size_t h = 0xcbf29ce484222325ULL;
-  const auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 0x100000001b3ULL;
-  };
-  for (double v : r.nrmse) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    mix(bits);
-  }
-  for (int d : r.retrain_days) mix(static_cast<std::uint64_t>(d));
-  for (int d : r.drift_days) mix(static_cast<std::uint64_t>(d));
-  return h;
-}
-
 /// Flips one payload bit of the named section inside a LEAFSNAP file on
 /// disk (simulated storage rot; layout per io/snapshot.hpp).
 bool corrupt_section_on_disk(const std::string& path,
@@ -157,14 +140,14 @@ int main(int argc, char** argv) {
   par::set_threads(1);
   serve::FleetRuntime baseline(ds, scale, make_specs());
   const obs::Stopwatch sw_base;
-  baseline.run_to_end();
+  baseline.run_steps(UINT64_MAX);
   std::printf("%-10s %8s %10s %12s %8s %10s\n", "scenario", "threads",
               "seconds", "quarantined", "trips", "fallbacks");
   std::printf("%-10s %8d %10.3f %12d %8d %10d\n", "baseline", 1,
               sw_base.seconds(), 0, 0, 0);
-  std::vector<std::size_t> base_fp;
+  std::vector<std::uint64_t> base_fp;
   for (const core::EvalResult& r : baseline.results())
-    base_fp.push_back(fingerprint(r));
+    base_fp.push_back(bench::result_fingerprint(r));
 
   // ---- isolation: 2 of 8 shards permanently faulted -----------------------
   const std::string isolation_spec = "seed=5,shards=2+5,step-throw=1";
@@ -175,13 +158,13 @@ int main(int argc, char** argv) {
     serve::FleetRuntime fleet(ds, scale, make_specs(), 2024,
                               with_chaos(isolation_spec));
     const obs::Stopwatch sw;
-    fleet.run_to_end();
+    fleet.run_steps(UINT64_MAX);
     const serve::ServeStats st = fleet.stats();
 
     int divergence = 0;
     const std::vector<core::EvalResult> results = fleet.results();
     for (int s : healthy)
-      if (fingerprint(results[s]) != base_fp[s]) ++divergence;
+      if (bench::result_fingerprint(results[s]) != base_fp[s]) ++divergence;
     for (int s : faulted)
       if (st.shards[s].health != serve::ShardHealth::kQuarantined)
         return fail("isolation: targeted shard not quarantined");
@@ -219,7 +202,7 @@ int main(int argc, char** argv) {
     if (victim.snapshot(dir) == 0) return fail("rollback: snapshot failed");
     victim.run_steps(2);
     if (victim.snapshot(dir) == 0) return fail("rollback: snapshot failed");
-    if (!corrupt_section_on_disk(dir + "/fleet-000002.leafsnap", "shard6"))
+    if (!corrupt_section_on_disk(serve::SnapshotStore(dir).path(2), "shard6"))
       return fail("rollback: could not corrupt snapshot");
 
     serve::FleetRuntime revived(ds, scale, make_specs());
@@ -228,11 +211,11 @@ int main(int argc, char** argv) {
     rollback_fallbacks = revived.stats().snapshot_fallbacks;
     if (rollback_fallbacks != 1)
       return fail("rollback: expected exactly one shard fallback");
-    revived.run_to_end();
+    revived.run_steps(UINT64_MAX);
     int divergence = 0;
     const std::vector<core::EvalResult> results = revived.results();
     for (std::size_t s = 0; s < results.size(); ++s)
-      if (fingerprint(results[s]) != base_fp[s]) ++divergence;
+      if (bench::result_fingerprint(results[s]) != base_fp[s]) ++divergence;
     if (divergence != 0)
       return fail("rollback: replay diverged from uninterrupted run");
     std::printf("%-10s %8d %10.3f %12d %8d %10d\n", "rollback", 1,
@@ -250,7 +233,7 @@ int main(int argc, char** argv) {
     par::set_threads(threads);
     serve::FleetRuntime fleet(ds, scale, make_specs(), 2024, storm_sup);
     const obs::Stopwatch sw;
-    fleet.run_to_end();
+    fleet.run_steps(UINT64_MAX);
     const serve::ServeStats st = fleet.stats();
     if (st.total_breaker_trips < 1)
       return fail("storm: breaker never tripped");
@@ -283,7 +266,7 @@ int main(int argc, char** argv) {
     serve::FleetRuntime fleet(ds, scale, make_specs(), 2024, sup);
     const obs::SloWatchdog& dog = *fleet.slo_watchdog();
     const obs::Stopwatch sw;
-    fleet.run_to_end();
+    fleet.run_steps(UINT64_MAX);
     if (dog.state() != obs::SloWatchdog::State::kCritical)
       return fail("watchdog: quarantine burn never went critical");
     for (const obs::Event& e : dog.events().events())

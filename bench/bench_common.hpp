@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <functional>
 #include <string>
@@ -19,6 +20,8 @@
 #include "common/calendar.hpp"
 #include "common/config.hpp"
 #include "common/csv.hpp"
+#include "common/fnv.hpp"
+#include "core/evaluation.hpp"
 #include "obs/metrics.hpp"
 
 namespace leaf::bench {
@@ -105,6 +108,20 @@ inline std::vector<std::string> year_ticks(int first_day, int last_day) {
   for (int y = first_year; y <= last_year; ++y)
     ticks.push_back(std::to_string(y));
   return ticks;
+}
+
+/// FNV-1a word mix over a result's NRMSE bits, retrain days and drift
+/// days, continuing from `h` (so a fleet's results chain into one value).
+inline std::uint64_t result_fingerprint(const core::EvalResult& r,
+                                        std::uint64_t h = kFnvOffset) {
+  for (double v : r.nrmse) {
+    std::uint64_t bits;
+    std::memcpy(&bits, &v, sizeof bits);
+    h = fnv1a_word(h, bits);
+  }
+  for (int d : r.retrain_days) h = fnv1a_word(h, static_cast<std::uint64_t>(d));
+  for (int d : r.drift_days) h = fnv1a_word(h, static_cast<std::uint64_t>(d));
+  return h;
 }
 
 }  // namespace leaf::bench

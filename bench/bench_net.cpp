@@ -75,11 +75,8 @@ Matrix probe_rows(std::size_t rows, std::size_t cols, std::uint64_t seed) {
 
 /// FNV-1a over a batch of encoded response frames.
 std::size_t fingerprint(const std::vector<net::Frame>& frames) {
-  std::size_t h = 0xcbf29ce484222325ULL;
-  const auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 0x100000001b3ULL;
-  };
+  std::uint64_t h = kFnvOffset;
+  const auto mix = [&h](std::uint64_t v) { h = fnv1a_word(h, v); };
   for (const net::Frame& f : frames) {
     mix(static_cast<std::uint64_t>(f.type));
     mix(f.request_id);

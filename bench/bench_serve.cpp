@@ -9,7 +9,6 @@
 // ctest).  Emits BENCH_serve.json next to the CSV dumps.
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <string>
@@ -37,26 +36,6 @@ std::vector<serve::ShardSpec> make_specs(std::size_t n) {
     specs.push_back({data::kAllTargets[i % data::kAllTargets.size()],
                      models::ModelFamily::kGbdt, "Triggered", 0});
   return specs;
-}
-
-/// Fingerprint of a fleet's results for cross-thread-count comparison.
-std::size_t fingerprint(const std::vector<core::EvalResult>& results) {
-  std::size_t h = 0xcbf29ce484222325ULL;
-  const auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 0x100000001b3ULL;
-  };
-  for (const core::EvalResult& r : results) {
-    for (double v : r.nrmse) {
-      std::uint64_t bits;
-      static_assert(sizeof(bits) == sizeof(v));
-      std::memcpy(&bits, &v, sizeof(bits));
-      mix(bits);
-    }
-    for (int d : r.retrain_days) mix(static_cast<std::uint64_t>(d));
-    for (int d : r.drift_days) mix(static_cast<std::uint64_t>(d));
-  }
-  return h;
 }
 
 }  // namespace
@@ -87,16 +66,17 @@ int main() {
               "seconds", "shard-days/s");
   for (std::size_t i = 0; i < std::size(kShardCounts); ++i) {
     const std::size_t n_shards = kShardCounts[i];
-    std::size_t reference_fp = 0;
+    std::uint64_t reference_fp = 0;
     for (int threads : thread_counts) {
       par::set_threads(threads);
       serve::FleetRuntime fleet(ds, scale, make_specs(n_shards), 2024);
       const obs::Stopwatch sw;
-      const std::uint64_t steps = fleet.run_to_end();
+      const std::uint64_t steps = fleet.run_steps(UINT64_MAX);
       const double secs = sw.seconds();
 
-      const std::vector<core::EvalResult> results = fleet.results();
-      const std::size_t fp = fingerprint(results);
+      std::uint64_t fp = kFnvOffset;
+      for (const core::EvalResult& r : fleet.results())
+        fp = bench::result_fingerprint(r, fp);
       if (threads == thread_counts[0]) {
         reference_fp = fp;
         if (scale.level == Scale::Level::kSmall)

@@ -497,7 +497,7 @@ int run_serve(int argc, char** argv) {
                   supervisor.slo.to_string().c_str());
 
   if (resume) {
-    if (!serve::FleetRuntime::has_snapshot(common.snapshot_dir)) {
+    if (serve::SnapshotStore(common.snapshot_dir).generations().empty()) {
       // An empty (or not yet created) snapshot directory is the normal
       // first boot of a service configured to resume — start fresh.
       LEAF_LOG_WARN("no snapshot in %s; starting fresh",
@@ -1135,7 +1135,7 @@ int main(int argc, char** argv) {
     serve::FleetRuntime fleet(
         ds, scale, {{target, family, common.scheme, common.seed}},
         common.seed);
-    fleet.run_to_end();
+    fleet.run_steps(UINT64_MAX);
     const std::uint64_t bytes = fleet.snapshot(common.snapshot_dir);
     std::printf("snapshot:    %s (%llu bytes)\n", common.snapshot_dir.c_str(),
                 static_cast<unsigned long long>(bytes));

@@ -2,23 +2,16 @@
 
 #include <cstring>
 
+#include "common/fnv.hpp"
 #include "obs/metrics.hpp"
 
 namespace leaf::obs {
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t n) {
-  const auto* p = static_cast<const std::uint8_t*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= kFnvPrime;
-  }
-  return h;
-}
+// The standard FNV offset basis with its last digit missing.  Span ids
+// and sampling decisions are pinned, so the hash keeps this seed.
+constexpr std::uint64_t kTraceSeed = 1469598103934665603ULL;
 
 std::uint64_t splitmix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
@@ -72,17 +65,17 @@ TraceId derive_trace_id(std::uint64_t conn, std::uint64_t request_id) {
 
 std::uint64_t derive_span_id(const TraceId& trace, const char* name,
                              std::uint64_t parent, std::uint64_t index) {
-  std::uint64_t h = fnv1a(kFnvOffset, trace.data(), trace.size());
-  h = fnv1a(h, name, std::strlen(name));
+  std::uint64_t h = fnv1a(trace.data(), trace.size(), kTraceSeed);
+  h = fnv1a(name, std::strlen(name), h);
   std::uint8_t tail[16];
   put_u64_le(tail, parent);
   put_u64_le(tail + 8, index);
-  h = fnv1a(h, tail, sizeof tail);
+  h = fnv1a(tail, sizeof tail, h);
   return h == 0 ? 1 : h;
 }
 
 std::uint64_t trace_hash(const TraceId& id) {
-  return fnv1a(kFnvOffset, id.data(), id.size());
+  return fnv1a(id.data(), id.size(), kTraceSeed);
 }
 
 std::size_t SpanCollector::begin(std::string name, int tid) {

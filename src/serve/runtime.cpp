@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
-#include <filesystem>
 #include <iterator>
 #include <limits>
 #include <map>
@@ -22,14 +20,6 @@ namespace leaf::serve {
 
 namespace {
 
-/// Path of snapshot generation `gen`.
-std::string gen_path(const std::string& dir, std::uint64_t gen) {
-  char name[40];
-  std::snprintf(name, sizeof name, "fleet-%06llu.leafsnap",
-                static_cast<unsigned long long>(gen));
-  return (std::filesystem::path(dir) / name).string();
-}
-
 /// Thrown when a snapshot's meta section parses cleanly but describes a
 /// different fleet than this runtime — a configuration error, never
 /// something generation fallback should paper over.
@@ -39,15 +29,6 @@ class FleetMismatch : public io::SnapshotError {
 };
 
 }  // namespace
-
-const char* to_string(ShardHealth h) {
-  switch (h) {
-    case ShardHealth::kHealthy: return "healthy";
-    case ShardHealth::kFaulted: return "faulted";
-    case ShardHealth::kQuarantined: return "quarantined";
-  }
-  return "?";
-}
 
 /// One shard = one (KPI, model family, scheme) pipeline: a core::Evaluation
 /// (the same walk-forward loop core::run_scheme drives, so a shard's
@@ -63,28 +44,25 @@ struct FleetRuntime::Shard {
   std::unique_ptr<models::Regressor> prototype;
   std::unique_ptr<core::MitigationScheme> scheme;
   core::Evaluation eval;  ///< snapshotted
-  // --- supervision state (also snapshotted) -----------------------------
-  bool initialized = false;
-  ShardHealth health = ShardHealth::kHealthy;
-  int consecutive_failures = 0;
-  int total_faults = 0;
-  std::uint64_t backoff_until = 0;  ///< fleet step of the next retry
-  std::string last_error;
-  core::RetrainBreaker breaker;
-  obs::EventLog supervision;  ///< single-writer, like `events`
+  bool initialized = false;  ///< snapshotted, like `supervisor`
+  ShardSupervisor supervisor;
 
   Shard(ShardSpec s, int i, const data::Featurizer& f, double disp,
         const core::EvalConfig& c, const Scale& scale,
-        const core::BreakerConfig& bcfg)
+        const SupervisorConfig& sup)
       : spec(std::move(s)),
         index(i),
         featurizer(&f),
         dispersion(disp),
         cfg(with_shard_events(c, &events, i)),
         prototype(models::make_model(spec.model, scale, cfg.seed)),
-        scheme(make_shard_scheme()),
-        eval(make_eval(*scheme)),
-        breaker(bcfg) {}
+        scheme(core::make_scheme(spec.scheme, dispersion, cfg.seed ^ 0x99)),
+        eval(*featurizer, *prototype, *scheme, cfg,
+             obs::MetricsRegistry::global().span_site("serve.init_fit"),
+             obs::MetricsRegistry::global().span_site("serve.retrain_fit")),
+        supervisor(sup.recovery, sup.breaker,
+                   {obs::EventKind{}, -1, i, data::to_string(spec.kpi),
+                    prototype->name(), scheme->name(), "", 0.0}) {}
 
   static core::EvalConfig with_shard_events(core::EvalConfig c,
                                             obs::EventLog* log, int i) {
@@ -93,77 +71,11 @@ struct FleetRuntime::Shard {
     return c;
   }
 
-  std::unique_ptr<core::MitigationScheme> make_shard_scheme() const {
-    return core::make_scheme(spec.scheme, dispersion, cfg.seed ^ 0x99);
-  }
-
-  core::Evaluation make_eval(core::MitigationScheme& s) const {
-    static obs::SpanSite& init_fit_span =
-        obs::MetricsRegistry::global().span_site("serve.init_fit");
-    static obs::SpanSite& retrain_fit_span =
-        obs::MetricsRegistry::global().span_site("serve.retrain_fit");
-    return core::Evaluation(*featurizer, *prototype, s, cfg, init_fit_span,
-                            retrain_fit_span);
-  }
-
-  void emit_supervision(obs::EventKind kind, int day, std::string detail) {
-    supervision.emit({kind, day, index, data::to_string(spec.kpi),
-                      prototype->name(), scheme->name(), std::move(detail),
-                      0.0});
-  }
-
-  void init() {
-    eval.init();
-    initialized = true;
-  }
-
-  /// One evaluation step.  `storm_retrain` is the chaos retrain-storm
-  /// fault point: force a Triggered-style retrain request this step.
-  /// Every retrain request passes the circuit breaker first.
-  void step(bool storm_retrain) {
-    LEAF_SPAN("serve.step");
-    eval.step([this](int day) { return allow_retrain(day); }, storm_retrain);
-  }
-
-  /// Retrain circuit breaker: a storm of requests inside the sliding
-  /// window trips it OPEN and the shard keeps serving its frozen model
-  /// (counted like the ingest OUTAGE freeze).  Disabled by default.
-  bool allow_retrain(int day) {
-    static obs::Counter& suppressed_ctr = obs::MetricsRegistry::global().counter(
-        "leaf_breaker_suppressed_retrains_total");
-    using BState = core::RetrainBreaker::State;
-    const BState before = breaker.state();
-    const bool allowed = breaker.allow(day);
-    const BState after = breaker.state();
-    if (before == BState::kOpen && after != BState::kOpen)
-      emit_supervision(obs::EventKind::kBreakerHalfOpen, day,
-                       "cooldown over, probe retrain");
-    if (after == BState::kOpen && before != BState::kOpen)
-      emit_supervision(obs::EventKind::kBreakerOpen, day,
-                       "max_retrains=" +
-                           std::to_string(breaker.config().max_retrains) +
-                           ",window_days=" +
-                           std::to_string(breaker.config().window_days) +
-                           ",open_until_day=" +
-                           std::to_string(breaker.open_until()));
-    if (after == BState::kClosed && before == BState::kOpen)
-      emit_supervision(obs::EventKind::kBreakerClose, day,
-                       "probe retrain allowed");
-    if (!allowed) suppressed_ctr.inc();
-    return allowed;
-  }
-
   void save(io::Serializer& out) const {
     // Supervision state leads, so even a shard that never initialized
     // (init threw, quarantined) snapshots cleanly.
     out.put_bool(initialized);
-    out.put_u8(static_cast<std::uint8_t>(health));
-    out.put_i32(consecutive_failures);
-    out.put_i32(total_faults);
-    out.put_u64(backoff_until);
-    out.put_string(last_error);
-    breaker.save_state(out);
-    supervision.save(out);
+    supervisor.save(out);
     if (!initialized) return;
     eval.save(out);
     // The shard's event log rides along, so a resumed run's merged event
@@ -171,65 +83,21 @@ struct FleetRuntime::Shard {
     events.save(out);
   }
 
-  /// Fully parsed shard state, applied only after the whole snapshot
-  /// parses cleanly (no partial restore).
-  struct Restored {
-    bool initialized = false;
-    ShardHealth health = ShardHealth::kHealthy;
-    int consecutive_failures = 0;
-    int total_faults = 0;
-    std::uint64_t backoff_until = 0;
-    std::string last_error;
-    core::RetrainBreaker breaker;
-    obs::EventLog supervision;
-    std::unique_ptr<core::MitigationScheme> scheme;  ///< owned for `eval`
-    std::optional<core::Evaluation> eval;
-    obs::EventLog events;
-  };
-
-  Restored parse(io::Deserializer& in) const {
-    Restored r;
-    r.initialized = in.get_bool();
-    const std::uint8_t health = in.get_u8();
-    if (health > static_cast<std::uint8_t>(ShardHealth::kQuarantined))
-      throw io::SnapshotError("shard: unknown health state " +
-                              std::to_string(static_cast<int>(health)));
-    r.health = static_cast<ShardHealth>(health);
-    r.consecutive_failures = in.get_i32();
-    r.total_faults = in.get_i32();
-    r.backoff_until = in.get_u64();
-    r.last_error = in.get_string();
-    r.breaker = core::RetrainBreaker(breaker.config());
-    r.breaker.load_state(in);
-    r.supervision.load(in);
-    if (!r.initialized) {
-      if (r.health != ShardHealth::kQuarantined)
+  /// Reads what save() wrote into this shard, which restore builds fresh
+  /// so that a snapshot that fails to parse never touches the fleet.
+  void load(io::Deserializer& in) {
+    initialized = in.get_bool();
+    supervisor.load(in);
+    if (!initialized) {
+      if (!supervisor.quarantined())
         throw io::SnapshotError(
             "shard snapshotted uninitialized but not quarantined");
     } else {
-      r.scheme = make_shard_scheme();
-      r.eval.emplace(make_eval(*r.scheme));
-      r.eval->load(in);
-      r.events.load(in);
+      eval.load(in);
+      events.load(in);
     }
     if (!in.exhausted())
       throw io::SnapshotError("trailing bytes after shard state");
-    return r;
-  }
-
-  void apply(Restored&& r) {
-    initialized = r.initialized;
-    health = r.health;
-    consecutive_failures = r.consecutive_failures;
-    total_faults = r.total_faults;
-    backoff_until = r.backoff_until;
-    last_error = std::move(r.last_error);
-    breaker = std::move(r.breaker);
-    supervision = std::move(r.supervision);
-    if (!initialized) return;
-    eval = std::move(*r.eval);  // borrows r.scheme, which moves in next
-    scheme = std::move(r.scheme);
-    events = std::move(r.events);
   }
 };
 
@@ -237,10 +105,9 @@ FleetRuntime::FleetRuntime(const data::CellularDataset& ds, const Scale& scale,
                            std::vector<ShardSpec> specs,
                            std::uint64_t fleet_seed,
                            SupervisorConfig supervisor)
-    : ds_(&ds), scale_(scale), specs_(std::move(specs)),
-      fleet_seed_(fleet_seed), supervisor_(std::move(supervisor)),
-      chaos_(supervisor_.chaos) {
-  if (specs_.empty())
+    : scale_(scale), fleet_seed_(fleet_seed),
+      supervisor_(std::move(supervisor)), chaos_(supervisor_.chaos) {
+  if (specs.empty())
     throw std::invalid_argument("FleetRuntime: at least one shard required");
   if (supervisor_.snapshot_keep < 1)
     throw std::invalid_argument("FleetRuntime: snapshot_keep must be >= 1");
@@ -249,7 +116,7 @@ FleetRuntime::FleetRuntime(const data::CellularDataset& ds, const Scale& scale,
   // One featurizer (and dispersion) per distinct KPI, shared read-only by
   // the shards forecasting it.
   std::map<data::TargetKpi, std::pair<const data::Featurizer*, double>> by_kpi;
-  for (const ShardSpec& spec : specs_) {
+  for (const ShardSpec& spec : specs) {
     if (by_kpi.count(spec.kpi)) continue;
     featurizers_.push_back(std::make_unique<data::Featurizer>(ds, spec.kpi));
     by_kpi[spec.kpi] = {featurizers_.back().get(),
@@ -260,16 +127,16 @@ FleetRuntime::FleetRuntime(const data::CellularDataset& ds, const Scale& scale,
   // substream of the fleet seed — order-independent, so the derivation is
   // identical no matter how shards are scheduled.
   const Rng fleet_rng(fleet_seed_);
-  shards_.reserve(specs_.size());
-  for (std::size_t i = 0; i < specs_.size(); ++i) {
-    const ShardSpec& spec = specs_[i];
+  shards_.reserve(specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const ShardSpec& spec = specs[i];
     std::uint64_t seed = spec.seed;
     if (seed == 0) seed = fleet_rng.substream(i)();
     const auto [featurizer, dispersion] = by_kpi[spec.kpi];
     core::EvalConfig cfg = core::make_eval_config(scale_, seed);
     shards_.push_back(std::make_unique<Shard>(spec, static_cast<int>(i),
                                               *featurizer, dispersion, cfg,
-                                              scale_, supervisor_.breaker));
+                                              scale_, supervisor_));
   }
 }
 
@@ -277,74 +144,30 @@ FleetRuntime::~FleetRuntime() = default;
 
 bool FleetRuntime::done() const {
   for (const auto& s : shards_)
-    if (!s->eval.done() && s->health != ShardHealth::kQuarantined)
+    if (!s->eval.done() && !s->supervisor.quarantined())
       return false;
   return true;
-}
-
-void FleetRuntime::handle_shard_failure(Shard& shard,
-                                        std::uint64_t fleet_step,
-                                        const char* what) {
-  static obs::Counter& faults_ctr =
-      obs::MetricsRegistry::global().counter("leaf_shard_faults_total");
-  static obs::Counter& quarantine_ctr =
-      obs::MetricsRegistry::global().counter("leaf_shard_quarantines_total");
-  ++shard.consecutive_failures;
-  ++shard.total_faults;
-  shard.last_error = what;
-  faults_ctr.inc();
-  const std::string context =
-      "fleet_step=" + std::to_string(fleet_step) +
-      ",failures=" + std::to_string(shard.consecutive_failures) +
-      ",error=" + shard.last_error;
-  if (!shard.initialized ||
-      shard.consecutive_failures > supervisor_.recovery.max_retries) {
-    // Init failures are configuration/data problems a retry cannot fix;
-    // step failures escalate once the retry budget is spent.
-    shard.health = ShardHealth::kQuarantined;
-    quarantine_ctr.inc();
-    shard.emit_supervision(obs::EventKind::kShardQuarantined,
-                           shard.eval.next_day(),
-                           context);
-    LEAF_LOG_ERROR("serve: shard %d quarantined (%s)", shard.index,
-                   context.c_str());
-  } else {
-    shard.health = ShardHealth::kFaulted;
-    const std::uint64_t backoff =
-        static_cast<std::uint64_t>(supervisor_.recovery.backoff_base_steps)
-        << (shard.consecutive_failures - 1);
-    shard.backoff_until = fleet_step + 1 + backoff;
-    shard.emit_supervision(
-        obs::EventKind::kShardFaulted, shard.eval.next_day(),
-        context + ",retry_at_step=" + std::to_string(shard.backoff_until));
-    LEAF_LOG_WARN("serve: shard %d faulted, retry at fleet step %llu (%s)",
-                  shard.index,
-                  static_cast<unsigned long long>(shard.backoff_until),
-                  context.c_str());
-  }
 }
 
 void FleetRuntime::start() {
   if (started_) return;
   started_ = true;
   par::parallel_for(shards_.size(), [&](std::size_t i) {
+    Shard& shard = *shards_[i];
     try {
-      shards_[i]->init();
+      shard.eval.init();
+      shard.initialized = true;
     } catch (const std::exception& e) {
-      handle_shard_failure(*shards_[i], 0, e.what());
+      shard.supervisor.on_failure(0, shard.eval.next_day(), e.what(),
+                                  /*init=*/true);
     }
   });
 }
 
 void FleetRuntime::step_shard(Shard& shard, std::uint64_t fleet_step) {
-  static obs::Counter& recovered_ctr =
-      obs::MetricsRegistry::global().counter("leaf_shard_recoveries_total");
   if (shard.eval.done() || !shard.initialized ||
-      shard.health == ShardHealth::kQuarantined)
+      !shard.supervisor.due(fleet_step))
     return;
-  if (shard.health == ShardHealth::kFaulted &&
-      fleet_step < shard.backoff_until)
-    return;  // waiting out the backoff
   try {
     bool storm = false;
     if (chaos_.enabled()) {
@@ -358,26 +181,21 @@ void FleetRuntime::step_shard(Shard& shard, std::uint64_t fleet_step) {
       storm = chaos_.retrain_storm(shard.index, fleet_step);
     }
     {
+      // Every retrain request, the chaos storm's included, passes the
+      // circuit breaker first.
+      LEAF_SPAN("serve.step");
       const obs::Stopwatch sw;
-      shard.step(storm);
+      shard.eval.step(
+          [&shard](int day) { return shard.supervisor.allow_retrain(day); },
+          storm);
       obs::MetricsRegistry::global()
           .latency("leaf_shard_step_seconds",
                    obs::label("shard", std::to_string(shard.index)))
           .observe(sw.seconds());
     }
-    if (shard.health == ShardHealth::kFaulted) {
-      shard.health = ShardHealth::kHealthy;
-      shard.consecutive_failures = 0;
-      recovered_ctr.inc();
-      shard.emit_supervision(
-          obs::EventKind::kShardRecovered, shard.eval.next_day(),
-          "fleet_step=" + std::to_string(fleet_step) +
-              ",after_failures=" + std::to_string(shard.total_faults));
-      LEAF_LOG_INFO("serve: shard %d recovered at fleet step %llu",
-                    shard.index, static_cast<unsigned long long>(fleet_step));
-    }
+    shard.supervisor.on_success(fleet_step, shard.eval.next_day());
   } catch (const std::exception& e) {
-    handle_shard_failure(shard, fleet_step, e.what());
+    shard.supervisor.on_failure(fleet_step, shard.eval.next_day(), e.what());
   }
 }
 
@@ -468,15 +286,15 @@ void FleetRuntime::sample_telemetry() {
                           static_cast<int>(i), tick, nrmse);
     }
     tsdb_.record("leaf_fleet_shard_health", labels, tick,
-                 static_cast<double>(s.health));
+                 static_cast<double>(s.supervisor.health()));
     tsdb_.record("leaf_fleet_shard_retrains", labels, tick,
                  static_cast<double>(result.retrain_count()));
     tsdb_.record("leaf_fleet_shard_drift_events", labels, tick,
                  static_cast<double>(result.drift_days.size()));
     tsdb_.record("leaf_fleet_shard_days_evaluated", labels, tick,
                  static_cast<double>(result.days.size()));
-    if (s.health == ShardHealth::kQuarantined) ++quarantined;
-    faults += static_cast<double>(s.total_faults);
+    if (s.supervisor.quarantined()) ++quarantined;
+    faults += static_cast<double>(s.supervisor.total_failures());
   }
   const double avg_nrmse = current_avg_nrmse();
   tsdb_.record("leaf_fleet_steps", "", tick,
@@ -505,16 +323,6 @@ void FleetRuntime::sample_telemetry() {
   if (slo_) slo_->observe(sample);
 }
 
-std::uint64_t FleetRuntime::run_to_end() {
-  std::uint64_t n = 0;
-  start();
-  while (!done()) {
-    step();
-    ++n;
-  }
-  return n;
-}
-
 std::uint64_t FleetRuntime::run_steps(std::uint64_t n) {
   std::uint64_t ran = 0;
   start();
@@ -522,42 +330,11 @@ std::uint64_t FleetRuntime::run_steps(std::uint64_t n) {
   return ran;
 }
 
-std::vector<std::uint64_t> FleetRuntime::snapshot_generations(
-    const std::string& dir) {
-  std::vector<std::uint64_t> gens;
-  std::error_code ec;
-  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-    const std::string name = entry.path().filename().string();
-    unsigned long long gen = 0;
-    int consumed = 0;
-    if (std::sscanf(name.c_str(), "fleet-%llu.leafsnap%n", &gen,
-                    &consumed) == 1 &&
-        consumed == static_cast<int>(name.size()) && gen > 0)
-      gens.push_back(gen);
-  }
-  std::sort(gens.begin(), gens.end());
-  return gens;
-}
-
-bool FleetRuntime::has_snapshot(const std::string& dir) {
-  return !snapshot_generations(dir).empty();
-}
-
 std::uint64_t FleetRuntime::snapshot(const std::string& dir) {
   if (!started_)
     throw io::SnapshotError("cannot snapshot before the fleet has started");
   static obs::Counter& failures_ctr =
       obs::MetricsRegistry::global().counter("leaf_snapshot_failures_total");
-  // An unwritable directory is a write failure like any other: logged and
-  // counted below, never fatal to the fleet.
-  std::error_code dir_ec;
-  std::filesystem::create_directories(dir, dir_ec);
-  if (dir_ec) {
-    failures_ctr.inc();
-    LEAF_LOG_ERROR("serve: cannot create snapshot dir '%s': %s", dir.c_str(),
-                   dir_ec.message().c_str());
-    return 0;
-  }
   io::SnapshotWriter writer;
 
   io::Serializer& meta = writer.section("meta");
@@ -582,10 +359,10 @@ std::uint64_t FleetRuntime::snapshot(const std::string& dir) {
   tsdb_.save(ts);
   meta_drift_.save(ts);
 
-  // Generation counter advances even when the write fails: the failed
-  // generation number is burned, like a crashed deployment's would be.
+  // Generation counter advances even when the write fails (an unwritable
+  // directory included): the failed generation number is burned, like a
+  // crashed deployment's would be.
   const std::uint64_t gen = ++snapshot_gen_;
-  const std::string path = gen_path(dir, gen);
 
   std::vector<std::uint8_t> bytes = writer.encode();
   if (chaos_.enabled() && chaos_.corrupt_snapshot(gen)) {
@@ -606,7 +383,9 @@ std::uint64_t FleetRuntime::snapshot(const std::string& dir) {
     std::optional<io::ScopedWriteFault> fault;
     if (chaos_.enabled() && chaos_.partial_write(gen))
       fault.emplace(bytes.size() / 2);
-    written = io::SnapshotWriter::write_bytes(path, bytes);
+    written = SnapshotStore(dir, static_cast<std::size_t>(
+                                     supervisor_.snapshot_keep))
+                  .write(gen, bytes);
   } catch (const io::SnapshotError& e) {
     // A failed snapshot must not take the fleet down: serving continues on
     // the previous generations.
@@ -615,22 +394,10 @@ std::uint64_t FleetRuntime::snapshot(const std::string& dir) {
                    static_cast<unsigned long long>(gen), e.what());
     return 0;
   }
-  const double secs = sw.seconds();
-
-  // Retention: keep the newest snapshot_keep generations.
-  const std::vector<std::uint64_t> gens = snapshot_generations(dir);
-  if (gens.size() > static_cast<std::size_t>(supervisor_.snapshot_keep)) {
-    const std::size_t drop =
-        gens.size() - static_cast<std::size_t>(supervisor_.snapshot_keep);
-    for (std::size_t i = 0; i < drop; ++i) {
-      std::error_code ec;
-      std::filesystem::remove(gen_path(dir, gens[i]), ec);
-    }
-  }
 
   obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
   reg.counter("leaf_snapshots_total").inc();
-  reg.latency("leaf_snapshot_seconds").observe(secs);
+  reg.latency("leaf_snapshot_seconds").observe(sw.seconds());
   reg.gauge("leaf_snapshot_bytes").set(static_cast<double>(written));
   // Operational message: deliberately NOT an event-log entry, or a resumed
   // run's event stream could never match an uninterrupted one.
@@ -642,17 +409,12 @@ std::uint64_t FleetRuntime::snapshot(const std::string& dir) {
 }
 
 void FleetRuntime::restore(const std::string& dir) {
-  const std::vector<std::uint64_t> gens_asc = snapshot_generations(dir);
-  if (gens_asc.empty())
-    throw io::SnapshotError("no snapshot generations in '" + dir + "'");
-
   // Walk generations newest-first.  The newest generation with a valid,
   // matching meta section anchors steps_run; each shard restores from the
   // newest generation whose section parses, falling back per shard.
-  std::vector<std::optional<Shard::Restored>> restored(shards_.size());
-  std::vector<std::uint64_t> restored_gen(shards_.size(), 0);
-  bool meta_ok = false;
-  std::uint64_t anchor_gen = 0;
+  std::vector<std::unique_ptr<Shard>> restored(shards_.size());
+  int fallbacks = 0;
+  std::uint64_t anchor_gen = 0;  // generations are numbered from 1
   std::uint64_t steps_run = 0;
   bool tsdb_ok = false;
   tsdb::Store restored_store(tsdb_.config());
@@ -664,20 +426,10 @@ void FleetRuntime::restore(const std::string& dir) {
     if (first_error.empty()) first_error = what;
   };
 
-  for (auto it = gens_asc.rbegin(); it != gens_asc.rend() && remaining > 0;
-       ++it) {
-    const std::uint64_t gen = *it;
-    std::optional<io::SnapshotReader> reader;
-    try {
-      reader.emplace(io::SnapshotReader::from_file(
-          gen_path(dir, gen), io::SnapshotReader::ReadMode::kLenient));
-    } catch (const io::SnapshotError& e) {
-      note_error(e.what());  // unreadable container (magic/version/short)
-      continue;
-    }
+  const auto visit = [&](std::uint64_t gen, const io::SnapshotReader& reader) {
     std::uint64_t gen_steps = 0;
     try {
-      io::Deserializer meta = reader->section("meta");
+      io::Deserializer meta = reader.section("meta");
       if (meta.get_u64() != fleet_seed_)
         throw FleetMismatch(
             "fleet seed mismatch between snapshot and runtime");
@@ -701,10 +453,9 @@ void FleetRuntime::restore(const std::string& dir) {
       throw;  // a *different* fleet is never something fallback repairs
     } catch (const io::SnapshotError& e) {
       note_error(e.what());  // damaged meta: this generation is unusable
-      continue;
+      return true;
     }
-    if (!meta_ok) {
-      meta_ok = true;
+    if (anchor_gen == 0) {
       anchor_gen = gen;
       steps_run = gen_steps;
       // Telemetry rides with the anchor generation only (mixing store
@@ -712,9 +463,9 @@ void FleetRuntime::restore(const std::string& dir) {
       // produced).  A damaged "tsdb" section is demoted by the lenient
       // reader and restores as an empty store — telemetry loss is never
       // fatal to the fleet.
-      if (reader->has("tsdb")) {
+      if (reader.has("tsdb")) {
         try {
-          io::Deserializer ts = reader->section("tsdb");
+          io::Deserializer ts = reader.section("tsdb");
           restored_tick = ts.get_u64();
           restored_store.load(ts);
           restored_md.load(ts);
@@ -725,38 +476,49 @@ void FleetRuntime::restore(const std::string& dir) {
       }
     }
     for (std::size_t i = 0; i < shards_.size(); ++i) {
-      if (restored[i].has_value()) continue;
+      if (restored[i]) continue;
       try {
-        io::Deserializer in = reader->section("shard" + std::to_string(i));
-        restored[i] = shards_[i]->parse(in);
-        restored_gen[i] = gen;
+        io::Deserializer in = reader.section("shard" + std::to_string(i));
+        const Shard& s = *shards_[i];
+        auto fresh = std::make_unique<Shard>(s.spec, s.index, *s.featurizer,
+                                             s.dispersion, s.cfg, scale_,
+                                             supervisor_);
+        fresh->load(in);
+        if (gen != anchor_gen) {
+          ++fallbacks;
+          fresh->supervisor.emit(obs::EventKind::kSnapshotFallback, -1,
+                                 "gen=" + std::to_string(gen) +
+                                     ",newest=" + std::to_string(anchor_gen));
+        }
+        restored[i] = std::move(fresh);
         --remaining;
       } catch (const io::SnapshotError& e) {
         note_error("shard " + std::to_string(i) + " gen " +
                    std::to_string(gen) + ": " + e.what());
       }
     }
-  }
+    return remaining > 0;
+  };
+  const std::uint64_t newest = SnapshotStore(dir).walk(visit, note_error);
 
-  if (!meta_ok)
+  if (anchor_gen == 0)
     throw io::SnapshotError("no readable snapshot generation in '" + dir +
                             "' (" + first_error + ")");
   if (remaining > 0) {
     std::string missing;
     for (std::size_t i = 0; i < shards_.size(); ++i)
-      if (!restored[i].has_value())
-        missing += (missing.empty() ? "" : ",") + std::to_string(i);
+      if (!restored[i])
+        missing.append(missing.empty() ? "" : ",").append(std::to_string(i));
     throw io::SnapshotError("shard(s) " + missing +
                             " unreadable in every retained generation (" +
                             first_error + ")");
   }
 
   // Only a fully restorable fleet mutates the runtime.
-  for (std::size_t i = 0; i < shards_.size(); ++i)
-    shards_[i]->apply(std::move(*restored[i]));
+  shards_ = std::move(restored);
   steps_run_ = steps_run;
   started_ = true;
-  snapshot_gen_ = gens_asc.back();
+  snapshot_gen_ = newest;
   if (tsdb_ok) {
     tsdb_ = std::move(restored_store);
     meta_drift_ = std::move(restored_md);
@@ -771,24 +533,15 @@ void FleetRuntime::restore(const std::string& dir) {
   // SLO watchdog is process state too and simply keeps its window.
   net_baselines_.clear();
 
-  int fallbacks = 0;
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    if (restored_gen[i] == anchor_gen) continue;
-    ++fallbacks;
-    shards_[i]->emit_supervision(
-        obs::EventKind::kSnapshotFallback, -1,
-        "gen=" + std::to_string(restored_gen[i]) +
-            ",newest=" + std::to_string(anchor_gen));
-    LEAF_LOG_WARN("serve: shard %zu fell back to snapshot gen %llu "
-                  "(newest %llu damaged)",
-                  i, static_cast<unsigned long long>(restored_gen[i]),
-                  static_cast<unsigned long long>(anchor_gen));
-  }
   snapshot_fallbacks_ = fallbacks;
   obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
-  if (fallbacks > 0)
+  if (fallbacks > 0) {
     reg.counter("leaf_snapshot_fallbacks_total")
         .inc(static_cast<std::uint64_t>(fallbacks));
+    LEAF_LOG_WARN("serve: %d shard(s) fell back to older snapshot "
+                  "generations (newest %llu damaged)",
+                  fallbacks, static_cast<unsigned long long>(anchor_gen));
+  }
   reg.counter("leaf_restores_total").inc();
   LEAF_LOG_INFO("serve: restored %zu shards at step %llu from %s (gen %llu)",
                 shards_.size(), static_cast<unsigned long long>(steps_run_),
@@ -821,13 +574,7 @@ ServeStats FleetRuntime::stats() const {
     s.nonfinite_errors = result.degraded.nonfinite_errors;
     s.next_day = shard->eval.next_day();
     s.done = shard->eval.done();
-    s.health = shard->health;
-    s.faults = shard->total_faults;
-    s.consecutive_failures = shard->consecutive_failures;
-    s.backoff_until = shard->backoff_until;
-    s.last_error = shard->last_error;
-    s.breaker_state = shard->breaker.state_name();
-    s.breaker_trips = shard->breaker.trips();
+    shard->supervisor.fill(s);
     s.suppressed_retrains = result.degraded.suppressed_retrains;
     stats.total_retrains += s.retrains;
     stats.total_drift_events += s.drift_events;
@@ -843,29 +590,12 @@ ServeStats FleetRuntime::stats() const {
 
 bool FleetRuntime::shard_ready(std::size_t i) const {
   const Shard& shard = *shards_.at(i);
-  return shard.initialized && shard.health != ShardHealth::kQuarantined &&
+  return shard.initialized && !shard.supervisor.quarantined() &&
          shard.eval.ready();
 }
 
 int FleetRuntime::shard_num_features(std::size_t i) const {
   return shards_.at(i)->featurizer->num_features();
-}
-
-void FleetRuntime::predict_shard(std::size_t i, const Matrix& X,
-                                 std::span<double> out) const {
-  const Shard& shard = *shards_.at(i);
-  if (!shard_ready(i))
-    throw std::runtime_error("serve: shard " + std::to_string(i) +
-                             " is not ready to serve predictions (" +
-                             to_string(shard.health) + ")");
-  if (static_cast<int>(X.cols()) != shard.featurizer->num_features())
-    throw std::invalid_argument(
-        "serve: predict expects " +
-        std::to_string(shard.featurizer->num_features()) +
-        " features, got " + std::to_string(X.cols()));
-  if (out.size() != X.rows())
-    throw std::invalid_argument("serve: predict output size mismatch");
-  shard.eval.predict(X, out);
 }
 
 void FleetRuntime::predict_shard(std::size_t i, const Matrix& X,
@@ -878,7 +608,19 @@ void FleetRuntime::predict_shard(std::size_t i, const Matrix& X,
                               ", \"rows\": " + std::to_string(X.rows()));
   }
   const obs::Stopwatch sw;
-  predict_shard(i, X, out);
+  const Shard& shard = *shards_.at(i);
+  if (!shard_ready(i))
+    throw std::runtime_error("serve: shard " + std::to_string(i) +
+                             " is not ready to serve predictions (" +
+                             to_string(shard.supervisor.health()) + ")");
+  if (static_cast<int>(X.cols()) != shard.featurizer->num_features())
+    throw std::invalid_argument(
+        "serve: predict expects " +
+        std::to_string(shard.featurizer->num_features()) +
+        " features, got " + std::to_string(X.cols()));
+  if (out.size() != X.rows())
+    throw std::invalid_argument("serve: predict output size mismatch");
+  shard.eval.predict(X, out);
   obs::MetricsRegistry::global()
       .latency("leaf_shard_predict_seconds",
                obs::label("shard", std::to_string(i)))
@@ -915,7 +657,7 @@ std::string FleetRuntime::events_jsonl(bool with_timing) const {
 std::vector<obs::Event> FleetRuntime::supervision_events() const {
   std::vector<const obs::EventLog*> logs;
   logs.reserve(shards_.size() + 2);
-  for (const auto& shard : shards_) logs.push_back(&shard->supervision);
+  for (const auto& shard : shards_) logs.push_back(&shard->supervisor.events());
   logs.push_back(&meta_drift_.events());
   if (slo_) logs.push_back(&slo_->events());
   return obs::EventLog::merge(logs);
@@ -930,63 +672,41 @@ std::string FleetRuntime::scrape(bool include_process) const {
   // so they are deterministic across LEAF_THREADS *and* across a
   // SIGKILL + restore cycle (unlike process-global registry counters,
   // which are process-lifetime).
-  std::string out;
-  char buf[160];
-  const auto line = [&](const char* name, const std::string& labels,
-                        long long v) {
-    std::snprintf(buf, sizeof buf, "%s{%s} %lld\n", name, labels.c_str(), v);
-    out += buf;
-  };
   const ServeStats st = stats();
-  struct ShardSeries {
-    const char* name;
-    long long (*get)(const ShardStats&);
+  std::string out;
+  const auto gauge = [&out](const char* name) {
+    out += std::string("# TYPE ") + name + " gauge\n";
   };
-  static constexpr ShardSeries kShardSeries[] = {
-      {"leaf_fleet_shard_steps",
-       [](const ShardStats& s) { return static_cast<long long>(s.steps); }},
-      {"leaf_fleet_shard_days_evaluated",
-       [](const ShardStats& s) { return static_cast<long long>(s.days_evaluated); }},
-      {"leaf_fleet_shard_retrains",
-       [](const ShardStats& s) { return static_cast<long long>(s.retrains); }},
-      {"leaf_fleet_shard_drift_events",
-       [](const ShardStats& s) { return static_cast<long long>(s.drift_events); }},
-      {"leaf_fleet_shard_days_skipped",
-       [](const ShardStats& s) { return static_cast<long long>(s.days_skipped); }},
-      {"leaf_fleet_shard_done",
-       [](const ShardStats& s) { return static_cast<long long>(s.done ? 1 : 0); }},
-      {"leaf_fleet_shard_health",
-       [](const ShardStats& s) { return static_cast<long long>(s.health); }},
-      {"leaf_fleet_shard_faults",
-       [](const ShardStats& s) { return static_cast<long long>(s.faults); }},
-      {"leaf_fleet_shard_suppressed_retrains",
-       [](const ShardStats& s) {
-         return static_cast<long long>(s.suppressed_retrains);
-       }},
-      {"leaf_fleet_shard_breaker_open",
-       [](const ShardStats& s) {
-         return static_cast<long long>(s.breaker_state == "open" ? 1 : 0);
-       }},
-  };
-  for (const ShardSeries& series : kShardSeries) {
-    out += "# TYPE ";
-    out += series.name;
-    out += " gauge\n";
+  const auto per_shard = [&](const char* name, auto get) {
+    gauge(name);
     for (std::size_t i = 0; i < st.shards.size(); ++i) {
       const ShardStats& s = st.shards[i];
-      const std::string labels =
-          obs::label("shard", std::to_string(i)) + "," +
-          obs::label("kpi", s.kpi) + "," + obs::label("model", s.model) +
-          "," + obs::label("scheme", s.scheme);
-      line(series.name, labels, series.get(s));
+      out += std::string(name) + "{" + obs::label("shard", std::to_string(i)) +
+             "," + obs::label("kpi", s.kpi) + "," +
+             obs::label("model", s.model) + "," +
+             obs::label("scheme", s.scheme) + "} " +
+             std::to_string(static_cast<long long>(get(s))) + "\n";
     }
-  }
-  const auto total = [&out](const char* name, long long v) {
-    out += "# TYPE ";
-    out += name;
-    out += " gauge\n";
-    out += name;
-    out += " " + std::to_string(v) + "\n";
+  };
+  using S = const ShardStats&;
+  per_shard("leaf_fleet_shard_steps", [](S s) { return s.steps; });
+  per_shard("leaf_fleet_shard_days_evaluated",
+            [](S s) { return s.days_evaluated; });
+  per_shard("leaf_fleet_shard_retrains", [](S s) { return s.retrains; });
+  per_shard("leaf_fleet_shard_drift_events",
+            [](S s) { return s.drift_events; });
+  per_shard("leaf_fleet_shard_days_skipped",
+            [](S s) { return s.days_skipped; });
+  per_shard("leaf_fleet_shard_done", [](S s) { return s.done; });
+  per_shard("leaf_fleet_shard_health", [](S s) { return s.health; });
+  per_shard("leaf_fleet_shard_faults", [](S s) { return s.faults; });
+  per_shard("leaf_fleet_shard_suppressed_retrains",
+            [](S s) { return s.suppressed_retrains; });
+  per_shard("leaf_fleet_shard_breaker_open",
+            [](S s) { return s.breaker_state == "open"; });
+  const auto total = [&](const char* name, long long v) {
+    gauge(name);
+    out += std::string(name) + " " + std::to_string(v) + "\n";
   };
   total("leaf_fleet_steps", static_cast<long long>(st.total_steps));
   total("leaf_fleet_shards", static_cast<long long>(st.shards.size()));

@@ -14,32 +14,20 @@
 // Shards are stepped concurrently on the leaf::par pool.  Because every
 // mutable object is shard-private and per-shard seeds are derived with
 // Rng::substream (counter-based, order-independent), a fleet run is
-// bit-identical at any thread count.
-//
-// Supervision: a shard whose step throws is caught and marked FAULTED —
-// the exception never reaches the other shards, which keep stepping.  A
-// FAULTED shard is retried with exponential backoff measured in fleet
-// steps (never wall-clock, preserving the determinism contract) and
-// escalates to QUARANTINED once its retry budget is spent; a retry that
-// steps cleanly returns it to HEALTHY.  Because a shard's state is
-// private and fault handling never touches other shards, the healthy
-// subset of a faulted fleet produces byte-identical EvalResults and
-// drift-event streams to the same fleet with no faults at all — the
-// isolation invariant leaf::chaos exists to prove.
+// bit-identical at any thread count.  A step that throws is caught and
+// handed to the shard's ShardSupervisor (serve/supervision.hpp); it never
+// reaches the other shards, so the healthy subset of a faulted fleet
+// produces byte-identical EvalResults and drift-event streams to the same
+// fleet with no faults at all — the isolation invariant leaf::chaos
+// exists to prove.
 //
 // The headline property is *crash-equivalence*: snapshot(dir) at any step
 // boundary captures every bit of mutable shard state (model, detector
 // window, scheme policy state, RNG streams, training set, partial
-// results, bin-edge caches, supervision state); killing the process,
-// constructing an identically configured runtime, and restore(dir)-ing it
-// continues the run to byte-identical EvalResults and an identical
-// retrain timeline.  Snapshots are retained as numbered generations
-// (fleet-NNNNNN.leafsnap, newest `snapshot_keep` kept): restore walks the
-// generations newest-first and falls back per shard to the last known
-// good generation when a section is damaged, instead of failing the
-// fleet.  Restore parses the complete state into temporaries before
-// committing anything, so a corrupt file never leaves a partially
-// restored fleet.
+// results, bin-edge caches, supervision state) as the next generation of
+// a SnapshotStore; killing the process, constructing an identically
+// configured runtime, and restore(dir)-ing it continues the run to
+// byte-identical EvalResults and an identical retrain timeline.
 #pragma once
 
 #include <memory>
@@ -49,18 +37,15 @@
 
 #include "chaos/chaos.hpp"
 #include "common/config.hpp"
-#include "common/rng.hpp"
-#include "core/breaker.hpp"
 #include "core/evaluation.hpp"
 #include "core/experiment.hpp"
 #include "data/dataset.hpp"
 #include "data/features.hpp"
-#include "drift/kswin.hpp"
-#include "io/snapshot.hpp"
 #include "models/factory.hpp"
 #include "obs/events.hpp"
 #include "obs/slo.hpp"
 #include "obs/trace.hpp"
+#include "serve/supervision.hpp"
 #include "tsdb/meta_drift.hpp"
 #include "tsdb/store.hpp"
 
@@ -74,28 +59,6 @@ struct ShardSpec {
   models::ModelFamily model = models::ModelFamily::kGbdt;
   std::string scheme = "LEAF";
   std::uint64_t seed = 0;
-};
-
-/// Shard supervision FSM.  HEALTHY shards step normally; a FAULTED shard
-/// is waiting out its backoff before a retry; a QUARANTINED shard has
-/// spent its retry budget and is permanently skipped (its results so far
-/// remain readable).
-enum class ShardHealth : std::uint8_t {
-  kHealthy = 0,
-  kFaulted = 1,
-  kQuarantined = 2,
-};
-
-const char* to_string(ShardHealth h);
-
-/// Bounded-retry recovery policy for FAULTED shards.  All delays are in
-/// fleet steps, not wall-clock: after the k-th consecutive failure a
-/// shard skips `backoff_base_steps * 2^(k-1)` fleet steps before its
-/// next attempt, and after `max_retries` failed retries (i.e. on
-/// consecutive failure max_retries + 1) it is QUARANTINED.
-struct RecoveryPolicy {
-  int max_retries = 3;
-  int backoff_base_steps = 1;
 };
 
 /// Fleet supervision configuration: recovery, retrain circuit breaking,
@@ -169,7 +132,6 @@ class FleetRuntime {
   /// QUARANTINED (a quarantined shard will never progress again).
   bool done() const;
   std::uint64_t steps_run() const { return steps_run_; }
-  const SupervisorConfig& supervisor() const { return supervisor_; }
 
   /// Advances every unfinished shard by one evaluation step (one stride of
   /// days), in parallel over the leaf::par pool.  Lazily performs the
@@ -178,14 +140,12 @@ class FleetRuntime {
   /// stepping.  Returns false when no shard can progress any further.
   bool step();
 
-  /// Runs to completion; returns the number of step() calls made.
-  std::uint64_t run_to_end();
-
-  /// Runs at most `n` steps; stops early when done.
+  /// Runs at most `n` steps (UINT64_MAX: to completion); stops early when
+  /// done.  Returns the number of step() calls made.
   std::uint64_t run_steps(std::uint64_t n);
 
-  /// Writes the next snapshot generation, <dir>/fleet-NNNNNN.leafsnap
-  /// (versioned, checksummed; see io::SnapshotWriter), then prunes
+  /// Writes the next snapshot generation into SnapshotStore(dir)
+  /// (versioned, checksummed; see io::SnapshotWriter), which prunes
   /// generations beyond supervisor().snapshot_keep.  Valid only at a step
   /// boundary, which is the only time the caller can observe the runtime
   /// anyway.  Returns the file size in bytes, or 0 when the write failed
@@ -195,21 +155,14 @@ class FleetRuntime {
   /// Restores from the snapshot generations in `dir` into this runtime.
   /// The runtime must have been constructed with the same dataset, scale,
   /// specs, and fleet seed; a configuration mismatch throws
-  /// io::SnapshotError *without* mutating this runtime.  Damage in the
-  /// newest generation (CRC mismatch, truncation) triggers per-shard
-  /// fallback to the newest older generation whose section is intact —
-  /// recorded as `snapshot_fallback` supervision events — and only when a
-  /// shard has no readable section in any retained generation does the
-  /// restore fail.
+  /// io::SnapshotError.  Damage in the newest generation (CRC mismatch,
+  /// truncation) triggers per-shard fallback to the newest older
+  /// generation whose section is intact — recorded as `snapshot_fallback`
+  /// supervision events — and only when a shard has no readable section
+  /// in any retained generation does the restore fail.  Everything is
+  /// parsed before anything is committed: a failed restore leaves this
+  /// runtime as it was.
   void restore(const std::string& dir);
-
-  /// True when `dir` holds at least one snapshot generation (readable or
-  /// not) — the "is there anything to resume from?" probe.
-  static bool has_snapshot(const std::string& dir);
-
-  /// Snapshot generation numbers present in `dir`, ascending.
-  static std::vector<std::uint64_t> snapshot_generations(
-      const std::string& dir);
 
   /// Finalized per-shard results (ne_p95 computed).  Call when done(), or
   /// mid-run for results-so-far.
@@ -264,10 +217,6 @@ class FleetRuntime {
   const tsdb::Store& telemetry() const { return tsdb_; }
   tsdb::Store& telemetry() { return tsdb_; }
 
-  /// The meta-drift watchdog over the recording rules (deadline-miss /
-  /// shed / quarantine rates, per-shard NRMSE).
-  const tsdb::MetaDrift& meta_drift() const { return meta_drift_; }
-
   /// Number of recording rules currently in a fired (held) drift state —
   /// the value of the `leaf_telemetry_drift_state` gauge.
   int telemetry_drift_state() const {
@@ -303,25 +252,19 @@ class FleetRuntime {
   /// (out.size() must equal X.rows()).  Throws std::invalid_argument on a
   /// column-count mismatch and std::runtime_error when the shard is not
   /// ready.  Must not race a concurrent step(); the net plane calls it
-  /// only between steps, from the thread driving the server.
-  void predict_shard(std::size_t i, const Matrix& X,
-                     std::span<double> out) const;
-
-  /// Traced variant: opens a "shard-predict" child span in `spans` (when
-  /// non-null) around the model pass and records the per-shard predict
-  /// latency percentile histogram.  The collector is caller-owned and
-  /// shard-private, so this stays safe from the net pump's parallel
-  /// phase.
+  /// only between steps, from the thread driving the server.  Records
+  /// the per-shard predict latency histogram and, when `spans` is set,
+  /// opens a "shard-predict" child span in it around the model pass (the
+  /// collector is caller-owned and shard-private, so this stays safe from
+  /// the net pump's parallel phase).
   void predict_shard(std::size_t i, const Matrix& X, std::span<double> out,
-                     obs::SpanCollector* spans) const;
+                     obs::SpanCollector* spans = nullptr) const;
 
  private:
   struct Shard;
 
   void start();  // initial fits (idempotent)
   void step_shard(Shard& shard, std::uint64_t fleet_step);
-  void handle_shard_failure(Shard& shard, std::uint64_t fleet_step,
-                            const char* what);
   /// Records the per-tick net-plane deltas and their rate rules; returns
   /// them as the tick's SloSample (net fields only).
   obs::SloSample record_net_deltas(std::uint64_t tick);
@@ -329,9 +272,7 @@ class FleetRuntime {
   /// watchdog's nrmse-regression signal); NaN before any shard scored.
   double current_avg_nrmse() const;
 
-  const data::CellularDataset* ds_;
   Scale scale_;
-  std::vector<ShardSpec> specs_;
   std::uint64_t fleet_seed_;
   SupervisorConfig supervisor_;
   chaos::Engine chaos_;

@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "common/fnv.hpp"
+
 namespace leaf::tsdb {
 
 MetaDrift::MetaDrift(MetaDriftConfig cfg) : cfg_(std::move(cfg)) {}
@@ -10,13 +12,8 @@ std::unique_ptr<drift::DriftDetector> MetaDrift::make_detector(
     const std::string& rule) const {
   // Derive the rule's KSWIN seed from its name so every rule draws an
   // independent — but run-to-run stable — sample stream.
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (unsigned char c : rule) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
-  }
   drift::KswinConfig kcfg = cfg_.kswin;
-  kcfg.seed ^= h;
+  kcfg.seed ^= fnv1a(rule.data(), rule.size());
   return std::make_unique<drift::Kswin>(kcfg);
 }
 

@@ -4,6 +4,8 @@
 #include <bit>
 #include <cmath>
 
+#include "common/fnv.hpp"
+
 namespace leaf::tsdb {
 
 const char* to_string(Resolution r) {
@@ -125,23 +127,18 @@ std::vector<std::pair<std::string, std::string>> Store::series_keys() const {
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
+/// FNV-1a over v's bytes, least significant first on every host.
 void fnv(std::uint64_t& h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (i * 8)) & 0xFF;
-    h *= kFnvPrime;
-  }
+  unsigned char le[8];
+  for (int i = 0; i < 8; ++i)
+    le[i] = static_cast<unsigned char>(v >> (i * 8));
+  h = fnv1a(le, sizeof le, h);
 }
 
 void fnv(std::uint64_t& h, double v) { fnv(h, std::bit_cast<std::uint64_t>(v)); }
 
 void fnv(std::uint64_t& h, const std::string& s) {
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= kFnvPrime;
-  }
+  h = fnv1a(s.data(), s.size(), h);
   fnv(h, static_cast<std::uint64_t>(s.size()));
 }
 

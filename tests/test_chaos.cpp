@@ -264,14 +264,14 @@ TEST_F(ChaosFixture, FaultedShardsAreIsolatedAtAnyThreadCount) {
 
   par::set_threads(1);
   serve::FleetRuntime clean(ds, scale, fleet8());
-  clean.run_to_end();
+  clean.run_steps(UINT64_MAX);
 
   serve::FleetRuntime a(ds, scale, fleet8(), 2024, with_chaos(spec));
-  a.run_to_end();
+  a.run_steps(UINT64_MAX);
 
   par::set_threads(4);
   serve::FleetRuntime b(ds, scale, fleet8(), 2024, with_chaos(spec));
-  b.run_to_end();
+  b.run_steps(UINT64_MAX);
 
   for (serve::FleetRuntime* fleet : {&a, &b}) {
     EXPECT_TRUE(fleet->done());
@@ -312,12 +312,12 @@ TEST_F(ChaosFixture, FaultedShardsAreIsolatedAtAnyThreadCount) {
 // to a run that never faulted.
 TEST_F(ChaosFixture, TransientFaultRecoversWithBackoff) {
   serve::FleetRuntime clean(ds, scale, fleet8());
-  clean.run_to_end();
+  clean.run_steps(UINT64_MAX);
 
   serve::FleetRuntime fleet(
       ds, scale, fleet8(), 2024,
       with_chaos("shards=0,step-throw=1,step-throw-before=2"));
-  fleet.run_to_end();
+  fleet.run_steps(UINT64_MAX);
 
   const serve::ServeStats st = fleet.stats();
   EXPECT_EQ(st.shards[0].health, serve::ShardHealth::kHealthy);
@@ -349,7 +349,7 @@ TEST_F(ChaosFixture, RetryBudgetEscalatesToQuarantine) {
   sup.recovery.max_retries = 3;
   sup.recovery.backoff_base_steps = 1;
   serve::FleetRuntime fleet(ds, scale, fleet8(), 2024, sup);
-  fleet.run_to_end();
+  fleet.run_steps(UINT64_MAX);
 
   const serve::ServeStats st = fleet.stats();
   EXPECT_EQ(st.shards[3].health, serve::ShardHealth::kQuarantined);
@@ -370,10 +370,10 @@ TEST_F(ChaosFixture, RetrainStormTripsBreakerDeterministically) {
 
   par::set_threads(1);
   serve::FleetRuntime a(ds, scale, fleet8(), 2024, sup);
-  a.run_to_end();
+  a.run_steps(UINT64_MAX);
   par::set_threads(4);
   serve::FleetRuntime b(ds, scale, fleet8(), 2024, sup);
-  b.run_to_end();
+  b.run_steps(UINT64_MAX);
 
   const serve::ServeStats st = a.stats();
   EXPECT_GE(st.shards[1].breaker_trips, 1);
@@ -401,12 +401,12 @@ TEST_F(ChaosFixture, RetrainStormTripsBreakerDeterministically) {
 // shard-local).
 TEST_F(ChaosFixture, BreakerIsShardLocal) {
   serve::FleetRuntime clean(ds, scale, fleet8());
-  clean.run_to_end();
+  clean.run_steps(UINT64_MAX);
   serve::SupervisorConfig sup = with_chaos("shards=4,retrain-storm=1");
   sup.breaker = core::BreakerConfig{.max_retrains = 2, .window_days = 20,
                                     .cooldown_days = 30};
   serve::FleetRuntime stormed(ds, scale, fleet8(), 2024, sup);
-  stormed.run_to_end();
+  stormed.run_steps(UINT64_MAX);
   for (int s : {0, 1, 2, 3, 5, 6, 7}) {
     SCOPED_TRACE("shard " + std::to_string(s));
     expect_identical(stormed.results()[s], clean.results()[s]);
@@ -424,7 +424,7 @@ TEST_F(ChaosFixture, SnapshotRetentionPrunesOldGenerations) {
     fleet.run_steps(1);
     EXPECT_GT(fleet.snapshot(dir), 0u);
   }
-  EXPECT_EQ(serve::FleetRuntime::snapshot_generations(dir),
+  EXPECT_EQ(serve::SnapshotStore(dir).generations(),
             (std::vector<std::uint64_t>{3, 4}));
   // The newest retained generation restores cleanly.
   serve::FleetRuntime revived(ds, scale, fleet8(), 2024, sup);
@@ -439,7 +439,7 @@ TEST_F(ChaosFixture, SnapshotRetentionPrunesOldGenerations) {
 // final results as an uninterrupted run.
 TEST_F(ChaosFixture, CorruptNewestGenerationFallsBackPerShard) {
   serve::FleetRuntime uninterrupted(ds, scale, fleet8());
-  uninterrupted.run_to_end();
+  uninterrupted.run_steps(UINT64_MAX);
 
   serve::FleetRuntime victim(ds, scale, fleet8());
   victim.run_steps(2);
@@ -463,7 +463,7 @@ TEST_F(ChaosFixture, CorruptNewestGenerationFallsBackPerShard) {
     EXPECT_NE(sup.find("snapshot_fallback"), std::string::npos);
     EXPECT_NE(sup.find("\"shard\": 6"), std::string::npos);
   }
-  revived.run_to_end();
+  revived.run_steps(UINT64_MAX);
   for (std::size_t s = 0; s < 8; ++s) {
     SCOPED_TRACE("shard " + std::to_string(s));
     expect_identical(revived.results()[s], uninterrupted.results()[s]);
@@ -525,7 +525,7 @@ TEST_F(ChaosFixture, PartialSnapshotWriteDoesNotStopTheFleet) {
   const std::string dir = temp_dir("partial");
   fleet.run_steps(1);
   EXPECT_EQ(fleet.snapshot(dir), 0u);  // injected partial write
-  EXPECT_TRUE(serve::FleetRuntime::snapshot_generations(dir).empty());
+  EXPECT_TRUE(serve::SnapshotStore(dir).generations().empty());
   for (const auto& entry : std::filesystem::directory_iterator(dir))
     FAIL() << "litter left behind: " << entry.path();
   // The fleet is still live.

@@ -595,7 +595,7 @@ TEST_F(NetFixture, ServingQueriesPreservesCrashEquivalence) {
   // served or stopped: predictions are pure reads.
   auto uninterrupted = std::make_unique<serve::FleetRuntime>(
       ds, scale, specs(3));
-  uninterrupted->run_to_end();
+  uninterrupted->run_steps(UINT64_MAX);
 
   auto victim = std::make_unique<serve::FleetRuntime>(ds, scale, specs(3));
   {
@@ -619,7 +619,7 @@ TEST_F(NetFixture, ServingQueriesPreservesCrashEquivalence) {
 
   serve::FleetRuntime revived(ds, scale, specs(3));
   revived.restore(dir);
-  revived.run_to_end();
+  revived.run_steps(UINT64_MAX);
 
   const auto want = uninterrupted->results();
   const auto got = revived.results();

@@ -6,7 +6,6 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <cstring>
 #include <iterator>
 #include <limits>
 #include <mutex>
@@ -18,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/fnv.hpp"
 #include "common/rng.hpp"
 #include "core/eval_cache.hpp"
 #include "core/experiment.hpp"
@@ -369,7 +369,7 @@ TEST(Determinism, FleetFingerprintsMatchAtOneTwoAndFourThreads) {
   };
   const auto run = [&] {
     serve::FleetRuntime fleet(par_ds(), par_scale(), specs);
-    fleet.run_to_end();
+    fleet.run_steps(UINT64_MAX);
     std::ostringstream os;
     os << fleet.telemetry().fingerprint() << '\n'
        << fleet.events_jsonl(false) << fleet.supervision_jsonl(false);
@@ -453,25 +453,6 @@ TEST(Determinism, CompareSchemesIsBitIdenticalAcrossThreadCounts) {
 // skip the bins a node never touched; every later grower optimization must
 // keep them.
 
-std::uint64_t fnv1a(std::span<const std::uint8_t> bytes,
-                    std::uint64_t h = 0xcbf29ce484222325ULL) {
-  for (std::uint8_t b : bytes) {
-    h ^= b;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-std::uint64_t prediction_bits_fnv(const std::vector<double>& pred) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (double v : pred) {
-    std::uint64_t u;
-    std::memcpy(&u, &v, sizeof u);
-    h = fnv1a({reinterpret_cast<const std::uint8_t*>(&u), sizeof u}, h);
-  }
-  return h;
-}
-
 TEST(Determinism, TreeFamilyFitsMatchPinnedSnapshotBytes) {
   const SynthProblem p;
   // Weights with zeros: every fifth row carries no weight at all.
@@ -510,7 +491,8 @@ TEST(Determinism, TreeFamilyFitsMatchPinnedSnapshotBytes) {
       model->fit(*cases[c].X, p.y, cases[c].w);
       io::Serializer out;
       model->save(out);
-      const std::uint64_t got = fnv1a(out.bytes());
+      const std::span<const std::uint8_t> bytes = out.bytes();
+      const std::uint64_t got = fnv1a(bytes.data(), bytes.size());
       EXPECT_EQ(got, want[f][c]) << std::hex << "0x" << got;
     }
   }
@@ -554,7 +536,7 @@ TEST(Determinism, DecisionTreeOn256BinsMatchesPinnedPredictions) {
     std::vector<double> pred(X.rows());
     for (std::size_t r = 0; r < X.rows(); ++r)
       pred[r] = leaf::testing::walk(tree, X.row(r));
-    const std::uint64_t got = prediction_bits_fnv(pred);
+    const std::uint64_t got = fnv1a(pred.data(), pred.size() * sizeof(double));
     EXPECT_EQ(got, c.want) << std::hex << "0x" << got;
   }
 }

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fnv.hpp"
 #include "core/evaluation.hpp"
 #include "core/experiment.hpp"
 #include "data/generator.hpp"
@@ -60,16 +61,6 @@ void expect_identical(const std::vector<core::EvalResult>& a,
   for (std::size_t i = 0; i < a.size(); ++i) expect_identical(a[i], b[i]);
 }
 
-/// FNV-1a over a byte string.
-std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (std::uint8_t b : bytes) {
-    h ^= b;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 // A single-shard fleet must reproduce core::run_scheme bit-for-bit: same
 // seed derivations, same per-step semantics, same drift-event stream —
 // for every mitigation scheme family, with a tree and a linear model.
@@ -96,7 +87,7 @@ TEST_F(ServeFixture, SingleShardMatchesRunScheme) {
           core::run_scheme(fz, *prototype, *scheme, cfg);
 
       FleetRuntime fleet(ds, scale, {{kpi, family, scheme_name, seed}});
-      fleet.run_to_end();
+      fleet.run_steps(UINT64_MAX);
       const std::vector<core::EvalResult> got = fleet.results();
       ASSERT_EQ(got.size(), 1u);
       expect_identical(got[0], want);
@@ -126,7 +117,8 @@ TEST_F(ServeFixture, SnapshotBytesMatchGolden) {
   ASSERT_GT(fleet.snapshot(dir), 0u);
   const std::vector<std::uint8_t> bytes =
       leaf::testing::read_raw(dir + "/fleet-000001.leafsnap");
-  EXPECT_EQ(fnv1a(bytes), 0x50b28b89bf7a5fd7ULL) << std::hex << fnv1a(bytes);
+  const std::uint64_t got = fnv1a(bytes.data(), bytes.size());
+  EXPECT_EQ(got, 0x50b28b89bf7a5fd7ULL) << std::hex << got;
 }
 
 // Same fleet, different thread counts → byte-identical results.
@@ -135,11 +127,11 @@ TEST_F(ServeFixture, ResultsIdenticalAtAnyThreadCount) {
 
   par::set_threads(1);
   FleetRuntime a(ds, scale, small_fleet());
-  a.run_to_end();
+  a.run_steps(UINT64_MAX);
 
   par::set_threads(4);
   FleetRuntime b(ds, scale, small_fleet());
-  b.run_to_end();
+  b.run_steps(UINT64_MAX);
 
   expect_identical(a.results(), b.results());
 }
@@ -153,7 +145,7 @@ TEST_F(ServeFixture, CrashEquivalence) {
     par::set_threads(threads);
 
     FleetRuntime uninterrupted(ds, scale, small_fleet());
-    uninterrupted.run_to_end();
+    uninterrupted.run_steps(UINT64_MAX);
 
     FleetRuntime victim(ds, scale, small_fleet());
     victim.run_steps(3);
@@ -166,7 +158,7 @@ TEST_F(ServeFixture, CrashEquivalence) {
     FleetRuntime revived(ds, scale, small_fleet());
     revived.restore(dir);
     EXPECT_EQ(revived.steps_run(), 3u);
-    revived.run_to_end();
+    revived.run_steps(UINT64_MAX);
 
     SCOPED_TRACE("threads=" + std::to_string(threads));
     expect_identical(revived.results(), uninterrupted.results());
@@ -182,7 +174,7 @@ TEST_F(ServeFixture, CrashEquivalence) {
 // Snapshotting at the very end and restoring must also round-trip.
 TEST_F(ServeFixture, SnapshotAtCompletionRoundTrips) {
   FleetRuntime a(ds, scale, small_fleet());
-  a.run_to_end();
+  a.run_steps(UINT64_MAX);
   const std::string dir = temp_dir("final");
   a.snapshot(dir);
 
@@ -222,15 +214,51 @@ TEST_F(ServeFixture, RestoreRejectsMismatchedFleet) {
 
   // A failed restore must not have corrupted the target runtime: it can
   // still run to completion and match a clean run.
-  other.run_to_end();
+  other.run_steps(UINT64_MAX);
   FleetRuntime clean(ds, scale, swapped);
-  clean.run_to_end();
+  clean.run_steps(UINT64_MAX);
   expect_identical(other.results(), clean.results());
 }
 
 TEST_F(ServeFixture, RestoreRejectsMissingFile) {
   FleetRuntime fleet(ds, scale, small_fleet());
   EXPECT_THROW(fleet.restore(temp_dir("empty_dir")), io::SnapshotError);
+}
+
+// Stray files whose names merely resemble a generation (a hand copy named
+// fleet--1.leafsnap, a signed or unpadded number) are not generations:
+// they must not become the restore's generation counter, so the next
+// snapshot is gen 3 and a later resume lands on the newest written step.
+TEST_F(ServeFixture, StraySnapshotFilesDoNotDerailResume) {
+  const std::vector<ShardSpec> one = {
+      {data::TargetKpi::kDVol, models::ModelFamily::kRidge, "Triggered", 0}};
+  const std::string dir = temp_dir("stray");
+  std::filesystem::remove_all(dir);
+  FleetRuntime fleet(ds, scale, one);
+  fleet.run_steps(2);
+  ASSERT_GT(fleet.snapshot(dir), 0u);  // gen 1 at step 2
+  fleet.run_steps(2);
+  ASSERT_GT(fleet.snapshot(dir), 0u);  // gen 2 at step 4
+  for (const char* stray :
+       {"fleet--1.leafsnap", "fleet-+2.leafsnap", "fleet- 3.leafsnap",
+        "fleet-1.leafsnap", "fleet-0000009.leafsnap",
+        "fleet-99999999999999999999999.leafsnap"})
+    std::filesystem::copy_file(dir + "/fleet-000001.leafsnap",
+                               dir + "/" + stray);
+
+  FleetRuntime resumed(ds, scale, one);
+  resumed.restore(dir);
+  ASSERT_EQ(resumed.steps_run(), 4u);
+  resumed.run_steps(2);
+  ASSERT_EQ(resumed.steps_run(), 6u);
+  ASSERT_GT(resumed.snapshot(dir), 0u);
+  EXPECT_TRUE(std::filesystem::exists(dir + "/fleet-000003.leafsnap"));
+  EXPECT_EQ(SnapshotStore(dir).generations(),
+            (std::vector<std::uint64_t>{1, 2, 3}));
+
+  FleetRuntime again(ds, scale, one);
+  again.restore(dir);
+  EXPECT_EQ(again.steps_run(), 6u);
 }
 
 TEST_F(ServeFixture, StatsTrackProgress) {
@@ -246,7 +274,7 @@ TEST_F(ServeFixture, StatsTrackProgress) {
     EXPECT_FALSE(s.scheme.empty());
   }
 
-  fleet.run_to_end();
+  fleet.run_steps(UINT64_MAX);
   const ServeStats final_stats = fleet.stats();
   EXPECT_EQ(final_stats.shards_done, 3u);
   int evaluated = 0;
@@ -268,11 +296,11 @@ TEST_F(ServeFixture, EventStreamIdenticalAtAnyThreadCount) {
 
   par::set_threads(1);
   FleetRuntime a(ds, scale, small_fleet());
-  a.run_to_end();
+  a.run_steps(UINT64_MAX);
 
   par::set_threads(4);
   FleetRuntime b(ds, scale, small_fleet());
-  b.run_to_end();
+  b.run_steps(UINT64_MAX);
 
   const std::string ja = a.events_jsonl(/*with_timing=*/false);
   EXPECT_FALSE(ja.empty());
@@ -289,7 +317,7 @@ TEST_F(ServeFixture, EventStreamIdenticalAtAnyThreadCount) {
 TEST_F(ServeFixture, EventStreamSurvivesSnapshotRestore) {
   if (!obs::kCompiledIn) GTEST_SKIP() << "built with -DLEAF_OBS=OFF";
   FleetRuntime uninterrupted(ds, scale, small_fleet());
-  uninterrupted.run_to_end();
+  uninterrupted.run_steps(UINT64_MAX);
 
   FleetRuntime victim(ds, scale, small_fleet());
   victim.run_steps(3);
@@ -299,7 +327,7 @@ TEST_F(ServeFixture, EventStreamSurvivesSnapshotRestore) {
 
   FleetRuntime revived(ds, scale, small_fleet());
   revived.restore(dir);
-  revived.run_to_end();
+  revived.run_steps(UINT64_MAX);
 
   EXPECT_EQ(revived.events_jsonl(/*with_timing=*/false),
             uninterrupted.events_jsonl(/*with_timing=*/false));
@@ -312,7 +340,7 @@ TEST_F(ServeFixture, EventStreamSurvivesSnapshotRestore) {
 TEST_F(ServeFixture, MergedEventsCarryShardContext) {
   if (!obs::kCompiledIn) GTEST_SKIP() << "built with -DLEAF_OBS=OFF";
   FleetRuntime fleet(ds, scale, small_fleet());
-  fleet.run_to_end();
+  fleet.run_steps(UINT64_MAX);
   const std::vector<obs::Event> events = fleet.merged_events();
   ASSERT_FALSE(events.empty());
   int prev_day = -1, prev_shard = -1;
@@ -360,16 +388,16 @@ TEST_F(ServeFixture, FleetSeedDrivesDerivedShardSeeds) {
       {data::TargetKpi::kDVol, models::ModelFamily::kRidge, "Triggered", 0}};
 
   FleetRuntime a(ds, scale, specs, 1);
-  a.run_to_end();
+  a.run_steps(UINT64_MAX);
   FleetRuntime b(ds, scale, specs, 2);
-  b.run_to_end();
+  b.run_steps(UINT64_MAX);
   // Seeds differ → detector RNG streams differ.  (NRMSE values may agree
   // early on; the full series should not be identical in lockstep.)
   const auto ra = a.results()[0], rb = b.results()[0];
   EXPECT_EQ(ra.days, rb.days);
 
   FleetRuntime c(ds, scale, specs, 1);
-  c.run_to_end();
+  c.run_steps(UINT64_MAX);
   expect_identical(c.results(), a.results());
 }
 

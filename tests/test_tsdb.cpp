@@ -317,7 +317,7 @@ TEST_F(TsdbFleetFixture, StoredSeriesByteIdenticalAtAnyThreadCount) {
 TEST_F(TsdbFleetFixture, SnapshotResumeContinuesTheSeriesByteIdentically) {
   if (!obs::kCompiledIn) GTEST_SKIP() << "built with -DLEAF_OBS=OFF";
   serve::FleetRuntime uninterrupted(ds, scale, specs(2));
-  uninterrupted.run_to_end();
+  uninterrupted.run_steps(UINT64_MAX);
 
   const std::string dir = ::testing::TempDir() + "leaf_tsdb_resume";
   std::filesystem::create_directories(dir);
@@ -330,7 +330,7 @@ TEST_F(TsdbFleetFixture, SnapshotResumeContinuesTheSeriesByteIdentically) {
   revived.restore(dir);
   EXPECT_EQ(revived.sample_tick(), 6u);
   EXPECT_GT(revived.telemetry().num_series(), 0u);
-  revived.run_to_end();
+  revived.run_steps(UINT64_MAX);
 
   EXPECT_EQ(revived.telemetry().fingerprint(),
             uninterrupted.telemetry().fingerprint());
