@@ -695,13 +695,13 @@ int run_query(int argc, char** argv) {
     std::fprintf(stderr, "--shard must be >= 0, --rows >= 1\n");
     return 2;
   }
-  std::uint8_t resolution_code = 0;
+  tsdb::Resolution tier = tsdb::Resolution::kRaw;
   if (resolution == "raw" || resolution == "0") {
-    resolution_code = 0;
+    tier = tsdb::Resolution::kRaw;
   } else if (resolution == "10") {
-    resolution_code = 1;
+    tier = tsdb::Resolution::kTenStep;
   } else if (resolution == "100") {
-    resolution_code = 2;
+    tier = tsdb::Resolution::kHundredStep;
   } else {
     std::fprintf(stderr, "--resolution must be raw, 10, or 100\n");
     return 2;
@@ -764,27 +764,24 @@ int run_query(int argc, char** argv) {
 
     if (do_series) {
       net::SeriesRequest req;
-      req.name = series_name;
-      req.labels_contains = series_labels;
-      req.start_step = from_step;
-      req.end_step = to_step;
-      req.resolution = resolution_code;
-      req.max_series = max_series;
+      req.query.name = series_name;
+      req.query.labels_contains = series_labels;
+      req.query.start_step = from_step;
+      req.query.end_step = to_step;
+      req.query.resolution = tier;
+      req.query.max_series = max_series;
       const auto body = checked_call<net::SeriesResponse>(
           client,
           net::make_frame(net::MsgType::kQuerySeries, request_id++, req));
       std::printf("%zu series (store at step %llu)%s\n", body.series.size(),
                   static_cast<unsigned long long>(body.last_step),
                   body.truncated ? ", truncated" : "");
-      for (const net::SeriesPoints& sp : body.series) {
+      for (const tsdb::SeriesData& sp : body.series) {
         std::printf("%s{%s} %s: %zu point(s)\n", sp.name.c_str(),
-                    sp.labels.c_str(),
-                    sp.resolution == 0   ? "raw"
-                    : sp.resolution == 1 ? "10-step"
-                                         : "100-step",
+                    sp.labels.c_str(), tsdb::to_string(sp.resolution),
                     sp.steps.size());
         for (std::size_t i = 0; i < sp.steps.size(); ++i) {
-          if (sp.resolution == 0)
+          if (sp.resolution == tsdb::Resolution::kRaw)
             std::printf("  %8llu  %.6g\n",
                         static_cast<unsigned long long>(sp.steps[i]),
                         sp.values[i]);
@@ -924,8 +921,8 @@ int run_top(int argc, char** argv) {
               .body;
 
       net::SeriesRequest sreq;
-      sreq.name = "leaf_rule_*";
-      sreq.max_series = 8;
+      sreq.query.name = "leaf_rule_*";
+      sreq.query.max_series = 8;
       const net::Frame series_resp = net::call(
           client,
           net::make_frame(net::MsgType::kQuerySeries, request_id++, sreq));
@@ -1010,7 +1007,7 @@ int run_top(int argc, char** argv) {
       if (!series.series.empty()) {
         std::printf("telemetry (raw tail, store at step %llu):\n",
                     static_cast<unsigned long long>(series.last_step));
-        for (const net::SeriesPoints& sp : series.series) {
+        for (const tsdb::SeriesData& sp : series.series) {
           std::vector<double> tail = sp.values;
           if (tail.size() > 32)
             tail.erase(tail.begin(),

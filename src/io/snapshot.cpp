@@ -198,13 +198,6 @@ Deserializer SnapshotReader::section(const std::string& name) const {
       std::span<const std::uint8_t>(bytes_.data() + s->offset, s->length));
 }
 
-std::uint64_t SnapshotReader::section_bytes(const std::string& name) const {
-  const Section* s = find(name);
-  if (s == nullptr || !s->valid)
-    throw SnapshotError("missing section '" + name + "'");
-  return s->length;
-}
-
 std::pair<std::size_t, std::size_t> SnapshotReader::payload_range(
     const std::string& name) const {
   const Section* s = find(name);

@@ -112,14 +112,12 @@ class SnapshotReader {
   /// Deserializer over a verified section payload; throws if absent or
   /// corrupt.
   Deserializer section(const std::string& name) const;
-  std::uint64_t section_bytes(const std::string& name) const;
   /// {offset, length} of the named section's payload within the container
   /// bytes, whether or not its checksum verified ({0, 0} when a truncated
   /// header cut it off) — the seam for corrupting one section of encoded
   /// bytes.  Throws if absent.
   std::pair<std::size_t, std::size_t> payload_range(
       const std::string& name) const;
-  std::uint64_t total_bytes() const { return bytes_.size(); }
 
   /// Names of sections whose payloads failed validation (lenient mode;
   /// always empty for a strict reader, which would have thrown).

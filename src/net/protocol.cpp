@@ -256,30 +256,14 @@ StatusResponse StatusResponse::decode(io::Deserializer& in) {
   return resp;
 }
 
-void SeriesRequest::encode(io::Serializer& out) const {
-  out.put_string(name);
-  out.put_string(labels_contains);
-  out.put_u64(start_step);
-  out.put_u64(end_step);
-  out.put_u8(resolution);
-  out.put_u32(max_series);
-}
-
-SeriesRequest SeriesRequest::decode(io::Deserializer& in) {
-  SeriesRequest req;
-  req.name = in.get_string();
-  req.labels_contains = in.get_string();
-  req.start_step = in.get_u64();
-  req.end_step = in.get_u64();
-  req.resolution = in.get_u8();
-  if (req.resolution > 2)
-    throw io::SnapshotError("unknown series resolution " +
-                            std::to_string(req.resolution));
-  req.max_series = in.get_u32();
-  return req;
-}
-
 namespace {
+
+tsdb::Resolution get_resolution(io::Deserializer& in) {
+  const std::uint8_t r = in.get_u8();
+  if (r > static_cast<std::uint8_t>(tsdb::Resolution::kHundredStep))
+    throw io::SnapshotError("unknown series resolution " + std::to_string(r));
+  return static_cast<tsdb::Resolution>(r);
+}
 
 void put_u64s(io::Serializer& out, const std::vector<std::uint64_t>& v) {
   out.put_u64(v.size());
@@ -294,27 +278,22 @@ std::vector<std::uint64_t> get_u64s(io::Deserializer& in) {
   return v;
 }
 
-}  // namespace
-
-void SeriesPoints::encode(io::Serializer& out) const {
-  out.put_string(name);
-  out.put_string(labels);
-  out.put_u8(resolution);
-  put_u64s(out, steps);
-  out.put_doubles(values);
-  out.put_doubles(min);
-  out.put_doubles(max);
-  put_u64s(out, counts);
+void put_series(io::Serializer& out, const tsdb::SeriesData& s) {
+  out.put_string(s.name);
+  out.put_string(s.labels);
+  out.put_u8(static_cast<std::uint8_t>(s.resolution));
+  put_u64s(out, s.steps);
+  out.put_doubles(s.values);
+  out.put_doubles(s.min);
+  out.put_doubles(s.max);
+  put_u64s(out, s.counts);
 }
 
-SeriesPoints SeriesPoints::decode(io::Deserializer& in) {
-  SeriesPoints s;
+tsdb::SeriesData get_series(io::Deserializer& in) {
+  tsdb::SeriesData s;
   s.name = in.get_string();
   s.labels = in.get_string();
-  s.resolution = in.get_u8();
-  if (s.resolution > 2)
-    throw io::SnapshotError("unknown series resolution " +
-                            std::to_string(s.resolution));
+  s.resolution = get_resolution(in);
   s.steps = get_u64s(in);
   s.values = in.get_doubles();
   s.min = in.get_doubles();
@@ -322,17 +301,42 @@ SeriesPoints SeriesPoints::decode(io::Deserializer& in) {
   s.counts = get_u64s(in);
   if (s.values.size() != s.steps.size())
     throw io::SnapshotError("series step/value count mismatch");
-  const std::size_t agg = s.resolution == 0 ? 0 : s.steps.size();
+  const std::size_t agg =
+      s.resolution == tsdb::Resolution::kRaw ? 0 : s.steps.size();
   if (s.min.size() != agg || s.max.size() != agg || s.counts.size() != agg)
     throw io::SnapshotError("series aggregate vector count mismatch");
   return s;
+}
+
+}  // namespace
+
+void SeriesRequest::encode(io::Serializer& out) const {
+  out.put_string(query.name);
+  out.put_string(query.labels_contains);
+  out.put_u64(query.start_step);
+  out.put_u64(query.end_step);
+  out.put_u8(static_cast<std::uint8_t>(query.resolution));
+  // Saturate: a cap past the u32 field must still read as "too many".
+  out.put_u32(static_cast<std::uint32_t>(
+      std::min<std::size_t>(query.max_series, ~std::uint32_t{0})));
+}
+
+SeriesRequest SeriesRequest::decode(io::Deserializer& in) {
+  SeriesRequest req;
+  req.query.name = in.get_string();
+  req.query.labels_contains = in.get_string();
+  req.query.start_step = in.get_u64();
+  req.query.end_step = in.get_u64();
+  req.query.resolution = get_resolution(in);
+  req.query.max_series = in.get_u32();
+  return req;
 }
 
 void SeriesResponse::encode(io::Serializer& out) const {
   out.put_u64(last_step);
   out.put_bool(truncated);
   out.put_u32(static_cast<std::uint32_t>(series.size()));
-  for (const SeriesPoints& s : series) s.encode(out);
+  for (const tsdb::SeriesData& s : series) put_series(out, s);
 }
 
 SeriesResponse SeriesResponse::decode(io::Deserializer& in) {
@@ -343,8 +347,7 @@ SeriesResponse SeriesResponse::decode(io::Deserializer& in) {
   if (n > kMaxMatrixDim)
     throw io::SnapshotError("series count out of range");
   resp.series.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i)
-    resp.series.push_back(SeriesPoints::decode(in));
+  for (std::uint32_t i = 0; i < n; ++i) resp.series.push_back(get_series(in));
   return resp;
 }
 

@@ -42,6 +42,7 @@
 #include "common/matrix.hpp"
 #include "io/serializer.hpp"
 #include "obs/trace.hpp"
+#include "tsdb/store.hpp"
 
 namespace leaf::net {
 
@@ -214,50 +215,24 @@ struct StatusResponse {
   static StatusResponse decode(io::Deserializer& in);
 };
 
-/// kQuerySeries body: a telemetry-store range query.  `name` is an exact
-/// series name or a trailing-'*' prefix matcher; `labels_contains` is a
-/// substring filter on the canonical label string ("" = all).  Steps are
-/// logical (fleet-step / sample-tick indices), `end_step` inclusive.
-/// `resolution` is a tsdb::Resolution value (0 raw, 1 ten-step, 2
-/// hundred-step); anything else is a malformed body.  `max_series` caps
-/// the response; the server enforces its own ceiling on top (kOversized).
+/// kQuerySeries body: a telemetry-store range query (tsdb::Store::Query:
+/// name matcher, label substring, inclusive logical step range, tier and
+/// series cap).  On the wire the resolution is one byte and anything but
+/// 0, 1, 2 is a malformed body; `max_series` travels as a saturated u32,
+/// and the server enforces its own ceiling on top (kOversized).
 struct SeriesRequest {
-  std::string name;
-  std::string labels_contains;
-  std::uint64_t start_step = 0;
-  std::uint64_t end_step = ~0ULL;
-  std::uint8_t resolution = 0;
-  std::uint32_t max_series = 16;
+  tsdb::Store::Query query;
 
   void encode(io::Serializer& out) const;
   static SeriesRequest decode(io::Deserializer& in);
 };
 
-/// One series of a kQuerySeriesOk response.  At resolution 0 only
-/// `steps`/`values` are populated; at the downsampled tiers `values`
-/// holds bucket means and `min`/`max`/`counts` the rest of each bucket
-/// (all five vectors then share a length).
-struct SeriesPoints {
-  std::string name;
-  std::string labels;
-  std::uint8_t resolution = 0;
-  std::vector<std::uint64_t> steps;
-  std::vector<double> values;
-  std::vector<double> min;
-  std::vector<double> max;
-  std::vector<std::uint64_t> counts;
-
-  bool operator==(const SeriesPoints&) const = default;
-
-  void encode(io::Serializer& out) const;
-  static SeriesPoints decode(io::Deserializer& in);
-};
-
-/// kQuerySeriesOk body.
+/// kQuerySeriesOk body: the store's query result.  The decoder checks
+/// each series' vector lengths against its tier (tsdb::SeriesData).
 struct SeriesResponse {
   std::uint64_t last_step = 0;  ///< newest sample step in the store
   bool truncated = false;       ///< more series matched than returned
-  std::vector<SeriesPoints> series;
+  std::vector<tsdb::SeriesData> series;
 
   void encode(io::Serializer& out) const;
   static SeriesResponse decode(io::Deserializer& in);
@@ -272,13 +247,16 @@ struct ErrorResponse {
   static ErrorResponse decode(io::Deserializer& in);
 };
 
-/// Convenience: encodes `body` into a frame of the given type.
+/// Convenience: encodes `body` into a frame of the given type, carrying
+/// `trace` (a response echoes its request's).
 template <typename Body>
-Frame make_frame(MsgType type, std::uint64_t request_id, const Body& body) {
+Frame make_frame(MsgType type, std::uint64_t request_id, const Body& body,
+                 const obs::TraceId& trace = {}) {
   io::Serializer s;
   body.encode(s);
   return Frame{type, request_id,
-               std::vector<std::uint8_t>(s.bytes().begin(), s.bytes().end())};
+               std::vector<std::uint8_t>(s.bytes().begin(), s.bytes().end()),
+               trace};
 }
 
 /// Decodes a frame payload as `Body`, converting serializer bounds errors

@@ -15,13 +15,6 @@ obs::Counter& counter(const char* name, const std::string& labels = "") {
   return obs::MetricsRegistry::global().counter(name, labels);
 }
 
-/// Exact-percentile RPC latency, one series per request type.  The name
-/// carries `_seconds`, so the whole family is wall-clock-masked.
-obs::LatencyHistogram& rpc_latency(MsgType type) {
-  return obs::MetricsRegistry::global().latency(
-      "leaf_rpc_latency_seconds", obs::label("type", to_string(type)));
-}
-
 }  // namespace
 
 std::uint64_t WallClock::now_ms() const {
@@ -42,7 +35,7 @@ ServerCore::ServerCore(serve::FleetRuntime& fleet, NetConfig cfg,
 }
 
 void ServerCore::open(ConnId conn) {
-  conns_.emplace(conn, Conn(cfg_.max_frame_bytes));
+  conns_.emplace(conn, cfg_.max_frame_bytes);
   counter("leaf_net_connections_total").inc();
 }
 
@@ -64,28 +57,28 @@ std::size_t ServerCore::queued() const {
   return n;
 }
 
-void ServerCore::respond(ConnId conn, const Frame& frame,
-                         ResponseSink& sink) {
+void ServerCore::transmit(ConnId conn, MsgType type,
+                          std::vector<std::uint8_t> bytes, ResponseSink& sink) {
   ++requests_served_;
-  counter("leaf_net_responses_total", obs::label("type", to_string(frame.type)))
+  counter("leaf_net_responses_total", obs::label("type", to_string(type)))
       .inc();
-  std::vector<std::uint8_t> bytes = encode_frame(frame);
   counter("leaf_net_bytes_tx_total").inc(bytes.size());
   sink.send(conn, std::move(bytes));
 }
 
-void ServerCore::respond_error(ConnId conn, std::uint64_t request_id,
-                               ErrorCode code, const std::string& message,
-                               ResponseSink& sink,
-                               const obs::TraceId* trace) {
+void ServerCore::respond_error(ConnId conn, ErrorCode code,
+                               const std::string& message,
+                               ResponseSink& sink) {
   counter("leaf_net_errors_total", obs::label("code", to_string(code))).inc();
-  Frame frame =
-      make_frame(MsgType::kError, request_id, ErrorResponse{code, message});
-  if (trace != nullptr) frame.trace = *trace;
-  respond(conn, frame, sink);
+  transmit(conn, MsgType::kError,
+           encode_frame(make_frame(MsgType::kError, 0,
+                                   ErrorResponse{code, message})),
+           sink);
 }
 
-void ServerCore::init_pending(Pending& p, ConnId conn, const Frame& frame) {
+ServerCore::Pending ServerCore::begin_request(ConnId conn,
+                                              const Frame& frame) {
+  Pending p;
   p.conn = conn;
   p.request_id = frame.request_id;
   p.type = frame.type;
@@ -103,26 +96,53 @@ void ServerCore::init_pending(Pending& p, ConnId conn, const Frame& frame) {
                                ", \"type\": \"" + to_string(frame.type) +
                                "\"");
   }
+  return p;
 }
 
-void ServerCore::finish_error(Pending& p, ErrorCode code,
-                              const std::string& message,
-                              ResponseSink& sink) {
-  std::size_t respond_span = 0;
-  if (p.traced) respond_span = p.spans.begin("respond");
-  respond_error(p.conn, p.request_id, code, message, sink, &p.trace);
+template <typename Body>
+Body ServerCore::decode(Pending& p, const Frame& frame) {
+  if (!p.traced) return decode_body<Body>(frame);
+  const std::size_t span = p.spans.begin("decode");
+  try {
+    Body body = decode_body<Body>(frame);
+    p.spans.end(span);
+    return body;
+  } catch (const ProtocolError&) {
+    p.spans.end(span);  // a bad body is still answered through finish()
+    throw;
+  }
+}
+
+void ServerCore::finish(Pending& p, MsgType type,
+                        std::vector<std::uint8_t> bytes, ResponseSink& sink) {
+  const std::size_t respond_span = p.traced ? p.spans.begin("respond") : 0;
+  transmit(p.conn, type, std::move(bytes), sink);
   if (p.traced) {
     p.spans.end(respond_span);
     p.spans.end(0);  // the root "request" span
     flush_trace(p);
   }
-  rpc_latency(p.type).observe(obs::monotonic_seconds() - p.arrival_s);
+  // Exact-percentile latency, one series per request type; the `_seconds`
+  // name masks the family out of the determinism checks.
+  obs::MetricsRegistry::global()
+      .latency("leaf_rpc_latency_seconds",
+               obs::label("type", to_string(p.type)))
+      .observe(obs::monotonic_seconds() - p.arrival_s);
+}
+
+void ServerCore::finish_error(Pending& p, ErrorCode code,
+                              const std::string& message,
+                              ResponseSink& sink) {
+  counter("leaf_net_errors_total", obs::label("code", to_string(code))).inc();
+  finish(p, MsgType::kError,
+         encode_frame(make_frame(MsgType::kError, p.request_id,
+                                 ErrorResponse{code, message}, p.trace)),
+         sink);
 }
 
 void ServerCore::flush_trace(Pending& p) {
-  if (!p.traced || tracer_ == nullptr) return;
+  if (tracer_ == nullptr) return;  // detached while the request queued
   std::vector<obs::TraceSpan>& spans = p.spans.mutable_spans();
-  if (spans.empty()) return;
   // Span 0 is the "request" root; children hang off it, except
   // "shard-predict", which nests under its batch span.  Ids are pure
   // functions of (trace, name, parent, index) — identical at any
@@ -153,18 +173,15 @@ void ServerCore::ingest(ConnId conn, std::span<const std::uint8_t> bytes,
   if (it == conns_.end()) return;  // already dropped
   counter("leaf_net_bytes_rx_total").inc(bytes.size());
   try {
-    it->second.decoder.feed(bytes);
-    while (true) {
-      std::optional<Frame> frame = it->second.decoder.next();
-      if (!frame.has_value()) break;
+    it->second.feed(bytes);
+    while (std::optional<Frame> frame = it->second.next())
       handle_frame(conn, *frame, sink);
-    }
   } catch (const ProtocolError& e) {
     // Framing damage: the byte stream cannot be resynchronized.  Tell the
     // peer what happened (best-effort) and kill exactly this connection —
     // the fleet and every other connection keep serving.
     counter("leaf_net_malformed_frames_total").inc();
-    respond_error(conn, 0, e.code(), e.what(), sink);
+    respond_error(conn, e.code(), e.what(), sink);
     close(conn);
     sink.drop(conn, e.what());
     LEAF_LOG_WARN("net: dropping connection %llu: %s",
@@ -181,107 +198,49 @@ void ServerCore::handle_frame(ConnId conn, const Frame& frame,
                         std::string("response-typed frame '") +
                             to_string(frame.type) +
                             "' on a server connection");
+  Pending p = begin_request(conn, frame);
   try {
     switch (frame.type) {
       case MsgType::kPredict:
       case MsgType::kBatchPredict:
-        admit_predict(conn, frame, sink);
+        admit_predict(p, frame, sink);
         return;
       case MsgType::kScrapeMetrics: {
-        Pending p;
-        init_pending(p, conn, frame);
-        std::size_t decode_span = 0;
-        if (p.traced) decode_span = p.spans.begin("decode");
-        const ScrapeRequest req = decode_body<ScrapeRequest>(frame);
-        if (p.traced) p.spans.end(decode_span);
-        Frame resp =
-            make_frame(MsgType::kScrapeOk, frame.request_id,
-                       ScrapeResponse{scrape_output(fleet_, req.json)});
-        resp.trace = p.trace;
-        std::size_t respond_span = 0;
-        if (p.traced) respond_span = p.spans.begin("respond");
-        respond(conn, resp, sink);
-        if (p.traced) {
-          p.spans.end(respond_span);
-          p.spans.end(0);
-          flush_trace(p);
-        }
-        rpc_latency(p.type).observe(obs::monotonic_seconds() - p.arrival_s);
+        const ScrapeResponse body{
+            scrape_output(fleet_, decode<ScrapeRequest>(p, frame).json)};
+        finish(p, MsgType::kScrapeOk,
+               encode_frame(make_frame(MsgType::kScrapeOk, p.request_id, body,
+                                       p.trace)),
+               sink);
         return;
       }
-      case MsgType::kFleetStatus: {
+      case MsgType::kFleetStatus:
         if (!frame.payload.empty())
           throw ProtocolError(ErrorCode::kMalformed,
                               "fleet_status carries no body",
                               /*fatal=*/false);
-        Pending p;
-        init_pending(p, conn, frame);
-        Frame resp =
-            make_frame(MsgType::kStatusOk, frame.request_id, status());
-        resp.trace = p.trace;
-        std::size_t respond_span = 0;
-        if (p.traced) respond_span = p.spans.begin("respond");
-        respond(conn, resp, sink);
-        if (p.traced) {
-          p.spans.end(respond_span);
-          p.spans.end(0);
-          flush_trace(p);
-        }
-        rpc_latency(p.type).observe(obs::monotonic_seconds() - p.arrival_s);
+        finish(p, MsgType::kStatusOk,
+               encode_frame(make_frame(MsgType::kStatusOk, p.request_id,
+                                       status(), p.trace)),
+               sink);
         return;
-      }
       case MsgType::kQuerySeries: {
-        Pending p;
-        init_pending(p, conn, frame);
-        std::size_t decode_span = 0;
-        if (p.traced) decode_span = p.spans.begin("decode");
-        const SeriesRequest req = decode_body<SeriesRequest>(frame);
-        if (p.traced) p.spans.end(decode_span);
-        if (req.max_series > cfg_.max_query_series)
+        const auto req = decode<SeriesRequest>(p, frame);
+        if (req.query.max_series > cfg_.max_query_series)
           throw ProtocolError(
               ErrorCode::kOversized,
-              "query_series asks for " + std::to_string(req.max_series) +
+              "query_series asks for " + std::to_string(req.query.max_series) +
                   " series; the server caps responses at " +
                   std::to_string(cfg_.max_query_series),
               /*fatal=*/false);
-        tsdb::Store::Query q;
-        q.name = req.name;
-        q.labels_contains = req.labels_contains;
-        q.start_step = req.start_step;
-        q.end_step = req.end_step;
-        q.resolution = static_cast<tsdb::Resolution>(req.resolution);
-        q.max_series = req.max_series;
-        const tsdb::Store& store =
-            static_cast<const serve::FleetRuntime&>(*fleet_).telemetry();
-        tsdb::Store::QueryResult result = store.query(q);
-        SeriesResponse body;
-        body.last_step = store.last_step();
-        body.truncated = result.truncated;
-        body.series.reserve(result.series.size());
-        for (tsdb::SeriesData& sd : result.series) {
-          SeriesPoints pts;
-          pts.name = std::move(sd.name);
-          pts.labels = std::move(sd.labels);
-          pts.resolution = static_cast<std::uint8_t>(sd.resolution);
-          pts.steps = std::move(sd.steps);
-          pts.values = std::move(sd.values);
-          pts.min = std::move(sd.min);
-          pts.max = std::move(sd.max);
-          pts.counts = std::move(sd.counts);
-          body.series.push_back(std::move(pts));
-        }
-        Frame resp =
-            make_frame(MsgType::kQuerySeriesOk, frame.request_id, body);
-        resp.trace = p.trace;
-        std::size_t respond_span = 0;
-        if (p.traced) respond_span = p.spans.begin("respond");
-        respond(conn, resp, sink);
-        if (p.traced) {
-          p.spans.end(respond_span);
-          p.spans.end(0);
-          flush_trace(p);
-        }
-        rpc_latency(p.type).observe(obs::monotonic_seconds() - p.arrival_s);
+        const tsdb::Store& store = std::as_const(*fleet_).telemetry();
+        tsdb::Store::QueryResult result = store.query(req.query);
+        const SeriesResponse body{store.last_step(), result.truncated,
+                                  std::move(result.series)};
+        finish(p, MsgType::kQuerySeriesOk,
+               encode_frame(make_frame(MsgType::kQuerySeriesOk, p.request_id,
+                                       body, p.trace)),
+               sink);
         return;
       }
       default:
@@ -292,19 +251,13 @@ void ServerCore::handle_frame(ConnId conn, const Frame& frame,
     // Per-message problem (bad body, trailing bytes): answer it and keep
     // the connection — the stream itself is still framed correctly.
     counter("leaf_net_malformed_frames_total").inc();
-    respond_error(conn, frame.request_id, e.code(), e.what(), sink,
-                  &frame.trace);
+    finish_error(p, e.code(), e.what(), sink);
   }
 }
 
-void ServerCore::admit_predict(ConnId conn, const Frame& frame,
+void ServerCore::admit_predict(Pending& p, const Frame& frame,
                                ResponseSink& sink) {
-  Pending p;
-  init_pending(p, conn, frame);
-  std::size_t decode_span = 0;
-  if (p.traced) decode_span = p.spans.begin("decode");
-  PredictRequest req = decode_body<PredictRequest>(frame);
-  if (p.traced) p.spans.end(decode_span);
+  PredictRequest req = decode<PredictRequest>(p, frame);
   if (frame.type == MsgType::kPredict && req.rows.rows() != 1)
     throw ProtocolError(ErrorCode::kMalformed,
                         "predict carries exactly one row (use batch_predict)",
@@ -320,41 +273,33 @@ void ServerCore::admit_predict(ConnId conn, const Frame& frame,
     if (p.traced) p.spans.end(admission_span);
     finish_error(p, code, message, sink);
   };
-  if (req.shard >= fleet_->num_shards()) {
-    reject(ErrorCode::kBadShard, "shard " + std::to_string(req.shard) +
-                                     " outside the fleet of " +
-                                     std::to_string(fleet_->num_shards()));
-    return;
-  }
+  if (req.shard >= fleet_->num_shards())
+    return reject(ErrorCode::kBadShard,
+                  "shard " + std::to_string(req.shard) +
+                      " outside the fleet of " +
+                      std::to_string(fleet_->num_shards()));
   if (req.rows.rows() == 0 ||
-      req.rows.rows() > static_cast<std::size_t>(cfg_.max_batch_rows)) {
-    reject(ErrorCode::kOversized, "batch of " +
-                                      std::to_string(req.rows.rows()) +
-                                      " rows outside [1, " +
-                                      std::to_string(cfg_.max_batch_rows) +
-                                      "]");
-    return;
-  }
-  if (!fleet_->shard_ready(req.shard)) {
-    reject(ErrorCode::kUnavailable, "shard " + std::to_string(req.shard) +
-                                        " cannot serve predictions");
-    return;
-  }
+      req.rows.rows() > static_cast<std::size_t>(cfg_.max_batch_rows))
+    return reject(ErrorCode::kOversized,
+                  "batch of " + std::to_string(req.rows.rows()) +
+                      " rows outside [1, " +
+                      std::to_string(cfg_.max_batch_rows) + "]");
+  if (!fleet_->shard_ready(req.shard))
+    return reject(ErrorCode::kUnavailable, "shard " +
+                                               std::to_string(req.shard) +
+                                               " cannot serve predictions");
   const int want_cols = fleet_->shard_num_features(req.shard);
-  if (static_cast<int>(req.rows.cols()) != want_cols) {
-    reject(ErrorCode::kMalformed,
-           "shard " + std::to_string(req.shard) + " expects " +
-               std::to_string(want_cols) + " features, got " +
-               std::to_string(req.rows.cols()));
-    return;
-  }
+  if (static_cast<int>(req.rows.cols()) != want_cols)
+    return reject(ErrorCode::kMalformed,
+                  "shard " + std::to_string(req.shard) + " expects " +
+                      std::to_string(want_cols) + " features, got " +
+                      std::to_string(req.rows.cols()));
   std::deque<Pending>& queue = shard_queues_[req.shard];
   if (queue.size() >= static_cast<std::size_t>(cfg_.queue_depth)) {
     counter("leaf_net_retries_total").inc();
-    reject(ErrorCode::kRetry,
-           "shard " + std::to_string(req.shard) + " queue full (depth " +
-               std::to_string(cfg_.queue_depth) + ")");
-    return;
+    return reject(ErrorCode::kRetry,
+                  "shard " + std::to_string(req.shard) + " queue full (depth " +
+                      std::to_string(cfg_.queue_depth) + ")");
   }
   if (p.traced) p.spans.end(admission_span);
   p.rows = std::move(req.rows);
@@ -445,9 +390,8 @@ std::size_t ServerCore::pump(ResponseSink& sink) {
             out.begin() + static_cast<std::ptrdiff_t>(offset),
             out.begin() + static_cast<std::ptrdiff_t>(offset + p.rows.rows()));
         offset += p.rows.rows();
-        Frame frame = make_frame(MsgType::kPredictOk, p.request_id, resp);
-        frame.trace = p.trace;
-        batch.responses.push_back(encode_frame(frame));
+        batch.responses.push_back(encode_frame(
+            make_frame(MsgType::kPredictOk, p.request_id, resp, p.trace)));
       }
     } catch (const std::exception& e) {
       batch.error = e.what();
@@ -471,25 +415,11 @@ std::size_t ServerCore::pump(ResponseSink& sink) {
       if (p.traced)  // graft the shard's batch spans into this request
         for (const obs::TraceSpan& s : batch.spans.spans())
           p.spans.mutable_spans().push_back(s);
-      if (!batch.error.empty()) {
+      if (!batch.error.empty())
         finish_error(p, ErrorCode::kInternal,
                      "shard predict failed: " + batch.error, sink);
-      } else {
-        std::size_t respond_span = 0;
-        if (p.traced) respond_span = p.spans.begin("respond");
-        ++requests_served_;
-        counter("leaf_net_responses_total",
-                obs::label("type", to_string(MsgType::kPredictOk)))
-            .inc();
-        counter("leaf_net_bytes_tx_total").inc(batch.responses[i].size());
-        sink.send(p.conn, std::move(batch.responses[i]));
-        if (p.traced) {
-          p.spans.end(respond_span);
-          p.spans.end(0);
-          flush_trace(p);
-        }
-        rpc_latency(p.type).observe(obs::monotonic_seconds() - p.arrival_s);
-      }
+      else
+        finish(p, MsgType::kPredictOk, std::move(batch.responses[i]), sink);
       ++answered;
     }
   }

@@ -42,14 +42,20 @@
 // responses and identical non-wall-clock `leaf_net_*` telemetry at any
 // LEAF_THREADS setting.
 //
+// Every request that reaches a handler is answered through one path:
+// success, admission refusal, shed and malformed body alike get one
+// "respond" span, one leaf_rpc_latency_seconds{type} sample, and echo the
+// request's trace id — off the wire (LNET v2) or derived from
+// (connection, request id).  Only framing damage, which kills the
+// connection, is answered outside a request.
+//
 // Tracing: with set_tracer() attached, every sampled request carries a
 // span tree — request → decode / admission / batch / shard-predict /
-// respond — into the tracer's Chrome trace-event file.  Trace ids come
-// off the wire (LNET v2) or are derived from (connection, request id);
-// span ids are assigned, and spans flushed, only from the serial phases
-// in deterministic response order, so span topology and counts are a
-// pure function of the request schedule.  Only the Chrome "ts"/"dur"
-// keys read the wall clock.  Responses echo the request's trace id.
+// respond — into the tracer's Chrome trace-event file.  Span ids are
+// assigned, and spans flushed, only from the serial phases in
+// deterministic response order, so span topology and counts are a pure
+// function of the request schedule.  Only the Chrome "ts"/"dur" keys read
+// the wall clock.
 #pragma once
 
 #include <cstdint>
@@ -156,7 +162,6 @@ class ServerCore {
   /// The tracer must outlive the core; it is only written from the
   /// serial ingest/pump phases.
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
-  obs::Tracer* tracer() const { return tracer_; }
 
  private:
   struct Pending {
@@ -173,24 +178,28 @@ class ServerCore {
     double arrival_s = 0.0;         ///< for the latency percentile series
     obs::SpanCollector spans;       ///< request/decode/admission/respond
   };
-  struct Conn {
-    FrameDecoder decoder;
-    explicit Conn(std::size_t max_frame_bytes) : decoder(max_frame_bytes) {}
-  };
 
   void handle_frame(ConnId conn, const Frame& frame, ResponseSink& sink);
-  void admit_predict(ConnId conn, const Frame& frame, ResponseSink& sink);
-  void respond(ConnId conn, const Frame& frame, ResponseSink& sink);
-  void respond_error(ConnId conn, std::uint64_t request_id, ErrorCode code,
-                     const std::string& message, ResponseSink& sink,
-                     const obs::TraceId* trace = nullptr);
-  /// Fills a Pending's trace context from the request frame and —
-  /// when the request is sampled — opens its root "request" span.
-  void init_pending(Pending& p, ConnId conn, const Frame& frame);
-  /// Answers a Pending with a typed error, closing and flushing its span
-  /// tree and recording the per-type latency percentile.
+  /// A request's Pending: trace context and, when sampled, the root
+  /// "request" span.  Made before anything can throw a non-fatal error.
+  Pending begin_request(ConnId conn, const Frame& frame);
+  /// Decodes the request body inside a "decode" span.
+  template <typename Body>
+  Body decode(Pending& p, const Frame& frame);
+  void admit_predict(Pending& p, const Frame& frame, ResponseSink& sink);
+  /// The one answer path: sends `bytes` (an encoded `type` frame) in a
+  /// "respond" span, flushes the span tree, records the latency sample.
+  void finish(Pending& p, MsgType type, std::vector<std::uint8_t> bytes,
+              ResponseSink& sink);
+  /// finish() with a typed kError body.
   void finish_error(Pending& p, ErrorCode code, const std::string& message,
                     ResponseSink& sink);
+  /// Answers framing damage, which has no request to attach to.
+  void respond_error(ConnId conn, ErrorCode code, const std::string& message,
+                     ResponseSink& sink);
+  /// Counts and hands one encoded response to the sink.
+  void transmit(ConnId conn, MsgType type, std::vector<std::uint8_t> bytes,
+                ResponseSink& sink);
   /// Assigns deterministic span ids to a sampled Pending's collected
   /// spans and writes them to the tracer.  Serial phases only.
   void flush_trace(Pending& p);
@@ -199,7 +208,7 @@ class ServerCore {
   NetConfig cfg_;
   const Clock* clock_;
   WallClock wall_clock_;
-  std::map<ConnId, Conn> conns_;
+  std::map<ConnId, FrameDecoder> conns_;
   std::vector<std::deque<Pending>> shard_queues_;  ///< one per shard
   std::vector<simd::AlignedBuffer> shard_scratch_; ///< predict output arenas
   std::uint64_t next_seq_ = 0;

@@ -1,9 +1,9 @@
-// parallel_for / parallel_map / parallel_reduce over the leaf::par pool.
+// parallel_for_chunks / parallel_for / parallel_map over the leaf::par pool.
 //
 // All helpers share the determinism contract of pool.hpp: iteration space
-// is split into at most threads() contiguous chunks, per-index results are
-// written to per-index slots, and reductions fold in index order — so the
-// output is bit-identical at any LEAF_THREADS setting.  Callers that need
+// is split into at most threads() contiguous chunks and per-index results
+// are written to per-index slots, so the output is bit-identical at any
+// LEAF_THREADS setting.  Callers that need
 // randomness per task must derive it from the task index
 // (Rng::substream(i)), never from a shared generator.
 #pragma once
@@ -12,7 +12,6 @@
 #include <cstddef>
 #include <functional>
 #include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "par/pool.hpp"
@@ -54,18 +53,6 @@ auto parallel_map(std::size_t n, F&& fn) {
   std::vector<T> out(n);
   parallel_for(n, [&](std::size_t i) { out[i] = fn(i); });
   return out;
-}
-
-/// Ordered reduction: maps every index in parallel, then folds
-/// combine(acc, value_i) serially in index order.  The fold order is a
-/// pure function of n — never of the thread count — which keeps floating
-/// point reductions bit-identical across LEAF_THREADS settings.
-template <typename T, typename M, typename C>
-T parallel_reduce(std::size_t n, T init, M&& map_fn, C&& combine) {
-  auto values = parallel_map(n, std::forward<M>(map_fn));
-  T acc = std::move(init);
-  for (auto& v : values) acc = combine(std::move(acc), std::move(v));
-  return acc;
 }
 
 }  // namespace leaf::par

@@ -118,13 +118,6 @@ Store::QueryResult Store::query(const Query& q) const {
   return out;
 }
 
-std::vector<std::pair<std::string, std::string>> Store::series_keys() const {
-  std::vector<std::pair<std::string, std::string>> out;
-  out.reserve(series_.size());
-  for (const auto& [key, s] : series_) out.push_back(key);
-  return out;
-}
-
 namespace {
 
 /// FNV-1a over v's bytes, least significant first on every host.

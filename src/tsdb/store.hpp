@@ -88,6 +88,8 @@ struct SeriesData {
   std::vector<double> min;
   std::vector<double> max;
   std::vector<std::uint64_t> counts;
+
+  bool operator==(const SeriesData&) const = default;
 };
 
 class Store {
@@ -129,9 +131,6 @@ class Store {
   };
 
   QueryResult query(const Query& q) const;
-
-  /// All stored series keys, lexicographic — the `top` discovery surface.
-  std::vector<std::pair<std::string, std::string>> series_keys() const;
 
   /// FNV-1a over every deterministic, non-`_seconds` series: names,
   /// labels, raw samples, and both aggregate tiers, in lexicographic

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "chaos/chaos.hpp"
+#include "common/fnv.hpp"
 #include "common/rng.hpp"
 #include "data/generator.hpp"
 #include "net/loopback.hpp"
@@ -693,40 +694,90 @@ TEST_F(NetFixture, FuzzLiteMutatedFramesNeverKillTheFleet) {
 
 TEST(NetProtocol, SeriesBodiesRoundTrip) {
   SeriesRequest req;
-  req.name = "leaf_fleet_*";
-  req.labels_contains = "shard=\"1\"";
-  req.start_step = 7;
-  req.end_step = 93;
-  req.resolution = 1;
-  req.max_series = 5;
-  const auto req_back =
-      decode_body<SeriesRequest>(make_frame(MsgType::kQuerySeries, 9, req));
-  EXPECT_EQ(req_back.name, req.name);
-  EXPECT_EQ(req_back.labels_contains, req.labels_contains);
-  EXPECT_EQ(req_back.start_step, req.start_step);
-  EXPECT_EQ(req_back.end_step, req.end_step);
-  EXPECT_EQ(req_back.resolution, req.resolution);
-  EXPECT_EQ(req_back.max_series, req.max_series);
+  req.query.name = "leaf_fleet_*";
+  req.query.labels_contains = "shard=\"1\"";
+  req.query.start_step = 7;
+  req.query.end_step = 93;
+  req.query.resolution = tsdb::Resolution::kTenStep;
+  req.query.max_series = 5;
+  const tsdb::Store::Query back =
+      decode_body<SeriesRequest>(make_frame(MsgType::kQuerySeries, 9, req))
+          .query;
+  EXPECT_EQ(back.name, req.query.name);
+  EXPECT_EQ(back.labels_contains, req.query.labels_contains);
+  EXPECT_EQ(back.start_step, req.query.start_step);
+  EXPECT_EQ(back.end_step, req.query.end_step);
+  EXPECT_EQ(back.resolution, req.query.resolution);
+  EXPECT_EQ(back.max_series, req.query.max_series);
+  // A cap wider than the u32 field saturates instead of wrapping small.
+  req.query.max_series = (std::size_t{1} << 32) + 1;
+  EXPECT_EQ(
+      decode_body<SeriesRequest>(make_frame(MsgType::kQuerySeries, 9, req))
+          .query.max_series,
+      0xFFFFFFFFu);
 
   SeriesResponse resp;
   resp.last_step = 93;
   resp.truncated = true;
-  SeriesPoints pts;
-  pts.name = "leaf_fleet_steps";
-  pts.labels = "{shard=\"1\"}";
-  pts.resolution = 1;
-  pts.steps = {10, 20};
-  pts.values = {4.5, 14.5};
-  pts.min = {0.0, 10.0};
-  pts.max = {9.0, 19.0};
-  pts.counts = {10, 10};
-  resp.series.push_back(pts);
+  tsdb::SeriesData sd;
+  sd.name = "leaf_fleet_steps";
+  sd.labels = "{shard=\"1\"}";
+  sd.resolution = tsdb::Resolution::kTenStep;
+  sd.steps = {10, 20};
+  sd.values = {4.5, 14.5};
+  sd.min = {0.0, 10.0};
+  sd.max = {9.0, 19.0};
+  sd.counts = {10, 10};
+  resp.series.push_back(sd);
   const auto resp_back = decode_body<SeriesResponse>(
       make_frame(MsgType::kQuerySeriesOk, 9, resp));
   EXPECT_EQ(resp_back.last_step, resp.last_step);
   EXPECT_TRUE(resp_back.truncated);
   ASSERT_EQ(resp_back.series.size(), 1u);
-  EXPECT_EQ(resp_back.series[0], pts);
+  EXPECT_EQ(resp_back.series[0], sd);
+}
+
+TEST(NetProtocol, SeriesFramesKeepTheirWireBytes) {
+  // FNV-1a goldens of an encoded query and a query result holding one raw
+  // and one 10-step series.  The bodies are the tsdb types written field
+  // by field; a change to either struct must not move a wire byte.
+  SeriesRequest req;
+  req.query.name = "leaf_fleet_*";
+  req.query.labels_contains = "shard=\"1\"";
+  req.query.start_step = 7;
+  req.query.end_step = 93;
+  req.query.resolution = tsdb::Resolution::kTenStep;
+  req.query.max_series = 5;
+  Frame query = make_frame(MsgType::kQuerySeries, 9, req);
+  query.trace = obs::derive_trace_id(3, 9);
+  query.parent_span = 0x1234;
+  const std::vector<std::uint8_t> q = encode_frame(query);
+  EXPECT_EQ(q.size(), 107u);
+  EXPECT_EQ(fnv1a(q.data(), q.size()), 0x4194fd1e0ad52d3fULL);
+
+  SeriesResponse resp;
+  resp.last_step = 93;
+  resp.truncated = true;
+  tsdb::SeriesData raw;
+  raw.name = "leaf_fleet_steps";
+  raw.steps = {91, 92, 93};
+  raw.values = {91.0, 92.0, 93.0};
+  resp.series.push_back(raw);
+  tsdb::SeriesData agg;
+  agg.name = "leaf_fleet_shard_nrmse";
+  agg.labels = "{shard=\"1\"}";
+  agg.resolution = tsdb::Resolution::kTenStep;
+  agg.steps = {80, 90};
+  agg.values = {0.25, 0.5};
+  agg.min = {0.125, -0.5};
+  agg.max = {0.375, 1.5};
+  agg.counts = {10, 4};
+  resp.series.push_back(agg);
+  Frame result = make_frame(MsgType::kQuerySeriesOk, 9, resp);
+  result.trace = query.trace;
+  const std::vector<std::uint8_t> r = encode_frame(result);
+  EXPECT_EQ(r.size(), 353u);
+  EXPECT_EQ(fnv1a(r.data(), r.size()), 0xd1eee2521dedd91aULL);
 }
 
 TEST(NetProtocol, SeriesRequestBadResolutionIsMalformedNotFatal) {
@@ -759,7 +810,7 @@ TEST_F(NetFixture, LoopbackQuerySeriesAnsweredInline) {
 
   // Exact-name raw query: one point per fleet step sampled so far.
   SeriesRequest req;
-  req.name = "leaf_fleet_steps";
+  req.query.name = "leaf_fleet_steps";
   conn.send(make_frame(MsgType::kQuerySeries, 1, req));
   const std::optional<Frame> resp = conn.receive();  // no pump needed
   ASSERT_TRUE(resp.has_value());
@@ -773,8 +824,8 @@ TEST_F(NetFixture, LoopbackQuerySeriesAnsweredInline) {
 
   // Prefix matcher fans out to the per-shard series too.
   SeriesRequest pre;
-  pre.name = "leaf_fleet_*";
-  pre.max_series = 32;
+  pre.query.name = "leaf_fleet_*";
+  pre.query.max_series = 32;
   conn.send(make_frame(MsgType::kQuerySeries, 2, pre));
   const SeriesResponse fan = decode_body<SeriesResponse>(*conn.receive());
   EXPECT_GT(fan.series.size(), 1u);
@@ -790,8 +841,8 @@ TEST_F(NetFixture, QuerySeriesOverCapIsOversizedAndConnectionSurvives) {
   LoopbackConnection& conn = loop.connect();
 
   SeriesRequest req;
-  req.name = "leaf_*";
-  req.max_series = 65;  // server ceiling is 64
+  req.query.name = "leaf_*";
+  req.query.max_series = 65;  // server ceiling is 64
   conn.send(make_frame(MsgType::kQuerySeries, 1, req));
   const std::optional<Frame> resp = conn.receive();
   ASSERT_TRUE(resp.has_value());
@@ -800,7 +851,7 @@ TEST_F(NetFixture, QuerySeriesOverCapIsOversizedAndConnectionSurvives) {
 
   // Typed refusal, not a dropped connection.
   EXPECT_TRUE(conn.alive());
-  req.max_series = 8;
+  req.query.max_series = 8;
   conn.send(make_frame(MsgType::kQuerySeries, 2, req));
   EXPECT_EQ(conn.receive()->type, MsgType::kQuerySeriesOk);
 }
@@ -811,8 +862,8 @@ TEST_F(NetFixture, FuzzLiteMutatedQuerySeriesFramesNeverKillTheFleet) {
   auto fleet = ready_fleet(2);
   Loopback loop(*fleet);
   SeriesRequest req;
-  req.name = "leaf_*";
-  req.max_series = 8;
+  req.query.name = "leaf_*";
+  req.query.max_series = 8;
   const std::vector<std::uint8_t> valid =
       encode_frame(make_frame(MsgType::kQuerySeries, 321, req));
 

@@ -168,21 +168,6 @@ TEST(Par, NestedExceptionReachesNestedSubmitter) {
   }
 }
 
-TEST(Par, ReduceIsBitIdenticalAcrossThreadCounts) {
-  ThreadGuard guard;
-  const auto run = [] {
-    return par::parallel_reduce(
-        10000, 0.0,
-        [](std::size_t i) { return std::sin(static_cast<double>(i)) * 1e-3; },
-        [](double acc, double v) { return acc + v; });
-  };
-  par::set_threads(1);
-  const double serial = run();
-  par::set_threads(4);
-  const double parallel = run();
-  EXPECT_EQ(serial, parallel);
-}
-
 // --- counter-based sub-streams --------------------------------------------
 
 TEST(Substream, DoesNotAdvanceTheParent) {

@@ -325,6 +325,55 @@ TEST_F(TraceNetFixture, ResponsesEchoTheRequestsTraceId) {
   EXPECT_EQ(resp2->trace, obs::derive_trace_id(conn.id(), 10));
 }
 
+TEST_F(TraceNetFixture, MalformedRequestsAreAnsweredLikeAnyOther) {
+  // A well-framed request with a bad body is still a request: its kError
+  // answer echoes the derived trace id, and it gets the same span pair and
+  // latency sample as a request that succeeds.
+  auto fleet = ready_fleet(1);
+  net::Loopback loop(*fleet);
+  const std::string path = ::testing::TempDir() + "leaf_trace_malformed.json";
+  obs::Tracer tracer(path, /*sample_every=*/1);
+  ASSERT_TRUE(tracer.ok()) << tracer.error();
+  loop.core().set_tracer(&tracer);
+  net::LoopbackConnection& conn = loop.connect();
+
+  net::Frame scrape = net::make_frame(net::MsgType::kScrapeMetrics, 21,
+                                      net::ScrapeRequest{false});
+  scrape.payload.push_back(0);  // trailing byte after the body
+  net::PredictRequest two_rows;
+  two_rows.rows = probe_rows(2, 3, 5);
+  const net::Frame predict =
+      net::make_frame(net::MsgType::kPredict, 22, two_rows);
+  const net::Frame status{net::MsgType::kFleetStatus, 23, {0}};
+
+  for (const net::Frame& req : {scrape, predict, status}) {
+    obs::LatencyHistogram& latency = obs::MetricsRegistry::global().latency(
+        "leaf_rpc_latency_seconds",
+        obs::label("type", net::to_string(req.type)));
+    const std::uint64_t before = latency.count();
+    conn.send(req);
+    const auto resp = conn.receive();
+    ASSERT_TRUE(resp.has_value()) << net::to_string(req.type);
+    EXPECT_EQ(resp->type, net::MsgType::kError);
+    EXPECT_EQ(net::decode_body<net::ErrorResponse>(*resp).code,
+              net::ErrorCode::kMalformed);
+    EXPECT_EQ(resp->trace, obs::derive_trace_id(conn.id(), req.request_id));
+    if (obs::kCompiledIn) {
+      EXPECT_EQ(latency.count(), before + 1);
+    }
+  }
+  EXPECT_TRUE(conn.alive());
+  loop.core().set_tracer(nullptr);
+  tracer.close();
+
+  std::ifstream in(path);
+  std::stringstream buf;
+  buf << in.rdbuf();
+  EXPECT_EQ(count_occurrences(buf.str(), "\"name\": \"request\""), 3);
+  EXPECT_EQ(count_occurrences(buf.str(), "\"name\": \"respond\""), 3);
+  std::remove(path.c_str());
+}
+
 // --- exact latency percentiles ----------------------------------------------
 
 TEST(LatencyHistogram, QuantilesMatchExactSortedQuantilesWithinOnePercent) {
