@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark): throughput of the building blocks —
-// dataset synthesis, model fit/predict, drift-detector updates, and the
-// explainer's LEA pass.  Not a paper artifact; used to budget the
+// dataset synthesis, model fit/predict, drift-detector updates, the
+// explainer's LEA pass, and the snapshot byte paths (CRC-32, encode and
+// parse of a fleet snapshot).  Not a paper artifact; used to budget the
 // experiment benches and catch performance regressions.
 //
 // After the google-benchmark suite, main() runs a LEAF_THREADS scaling
@@ -20,8 +21,10 @@
 
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <functional>
+#include <iterator>
 #include <limits>
 #include <numeric>
 #include <string_view>
@@ -41,9 +44,13 @@
 #include "drift/kswin.hpp"
 #include "explain/importance.hpp"
 #include "explain/lea.hpp"
+#include "io/serializer.hpp"
+#include "io/snapshot.hpp"
 #include "models/factory.hpp"
 #include "models/forest.hpp"
 #include "par/pool.hpp"
+#include "serve/runtime.hpp"
+#include "serve/supervision.hpp"
 #include "simd/kernels.hpp"
 #include "simd/simd.hpp"
 
@@ -184,6 +191,69 @@ void BM_PermutationImportance(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PermutationImportance)->Unit(benchmark::kMillisecond);
+
+// --- snapshot byte paths ---------------------------------------------------
+
+void BM_Crc32(benchmark::State& state) {
+  std::vector<std::uint8_t> buf(1 << 20);
+  Rng rng(5);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng() >> 56);
+  for (auto _ : state) benchmark::DoNotOptimize(io::crc32(buf));
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(buf.size()));
+}
+BENCHMARK(BM_Crc32);
+
+/// The sections of a 6-shard LEAF fleet's snapshot after 20 steps, loaded
+/// back into a writer.
+const io::SnapshotWriter& fleet_snapshot_writer() {
+  static const io::SnapshotWriter writer = [] {
+    const Scale scale = Scale::for_level(Scale::Level::kSmall);
+    const data::CellularDataset ds = data::generate_fixed_dataset(scale, 42);
+    std::vector<serve::ShardSpec> specs;
+    std::vector<std::string> names = {"meta"};
+    for (std::size_t i = 0; i < 6; ++i) {
+      specs.push_back({data::kAllTargets[i], models::ModelFamily::kGbdt,
+                       "LEAF", 0});
+      names.push_back("shard" + std::to_string(i));
+    }
+    names.push_back("tsdb");
+    serve::FleetRuntime fleet(ds, scale, specs, 42);
+    fleet.run_steps(20);
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() / "leaf_bench_micro_snapshot";
+    std::filesystem::remove_all(dir);
+    fleet.snapshot(dir.string());
+    std::ifstream f(serve::SnapshotStore(dir.string()).path(1),
+                    std::ios::binary);
+    const std::vector<std::uint8_t> bytes(std::istreambuf_iterator<char>(f),
+                                          {});
+    std::filesystem::remove_all(dir);
+    const io::SnapshotReader reader(bytes);
+    io::SnapshotWriter w;
+    for (const std::string& name : names) {
+      const auto [offset, length] = reader.payload_range(name);
+      w.section(name).put_raw(
+          std::span<const std::uint8_t>(bytes).subspan(offset, length));
+    }
+    return w;
+  }();
+  return writer;
+}
+
+void BM_SnapshotEncodeParse(benchmark::State& state) {
+  const io::SnapshotWriter& writer = fleet_snapshot_writer();
+  std::size_t size = 0;
+  for (auto _ : state) {
+    std::vector<std::uint8_t> bytes = writer.encode();
+    size = bytes.size();
+    const io::SnapshotReader reader(std::move(bytes));
+    benchmark::DoNotOptimize(reader.has("meta"));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(size));
+}
+BENCHMARK(BM_SnapshotEncodeParse)->Unit(benchmark::kMicrosecond);
 
 // --- LEAF_THREADS scaling sweep -------------------------------------------
 

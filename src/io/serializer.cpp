@@ -2,22 +2,47 @@
 
 #include <array>
 #include <bit>
+#include <cstring>
 
 namespace leaf::io {
 
+namespace {
+
+// Slicing-by-8 tables: kCrc[0] is the classic bytewise table; kCrc[k][b]
+// is the CRC of byte b followed by k zero bytes, so eight table lookups
+// advance the CRC by eight input bytes at once.
+constexpr std::array<std::array<std::uint32_t, 256>, 8> make_crc_tables() {
+  std::array<std::array<std::uint32_t, 256>, 8> t{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    t[0][i] = c;
+  }
+  for (std::size_t k = 1; k < 8; ++k)
+    for (std::size_t i = 0; i < 256; ++i)
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+  return t;
+}
+
+constexpr auto kCrc = make_crc_tables();
+
+}  // namespace
+
 std::uint32_t crc32(std::span<const std::uint8_t> bytes) {
-  static const std::array<std::uint32_t, 256> table = [] {
-    std::array<std::uint32_t, 256> t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k)
-        c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      t[i] = c;
-    }
-    return t;
-  }();
   std::uint32_t crc = 0xFFFFFFFFu;
-  for (std::uint8_t b : bytes) crc = table[(crc ^ b) & 0xFFu] ^ (crc >> 8);
+  const std::uint8_t* p = bytes.data();
+  std::size_t n = bytes.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    std::uint32_t lo, hi;
+    std::memcpy(&lo, p, 4);
+    std::memcpy(&hi, p + 4, 4);
+    lo ^= crc;
+    crc = kCrc[7][lo & 0xFFu] ^ kCrc[6][(lo >> 8) & 0xFFu] ^
+          kCrc[5][(lo >> 16) & 0xFFu] ^ kCrc[4][lo >> 24] ^
+          kCrc[3][hi & 0xFFu] ^ kCrc[2][(hi >> 8) & 0xFFu] ^
+          kCrc[1][(hi >> 16) & 0xFFu] ^ kCrc[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) crc = kCrc[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
   return crc ^ 0xFFFFFFFFu;
 }
 
@@ -36,18 +61,31 @@ void Serializer::put_string(const std::string& s) {
   buf_.insert(buf_.end(), s.begin(), s.end());
 }
 
+void Serializer::append(const void* data, std::size_t n) {
+  const auto* p = static_cast<const std::uint8_t*>(data);
+  buf_.insert(buf_.end(), p, p + n);
+}
+
+void Serializer::put_f64s(std::span<const double> v) {
+  append(v.data(), v.size_bytes());
+}
+
+void Serializer::put_i32s(std::span<const std::int32_t> v) {
+  append(v.data(), v.size_bytes());
+}
+
 void Serializer::put_doubles(std::span<const double> v) {
   put_u64(v.size());
-  for (double x : v) put_f64(x);
+  put_f64s(v);
 }
 
 void Serializer::put_ints(std::span<const int> v) {
   put_u64(v.size());
-  for (int x : v) put_i32(x);
+  put_i32s(v);
 }
 
 void Serializer::put_raw(std::span<const std::uint8_t> bytes) {
-  buf_.insert(buf_.end(), bytes.begin(), bytes.end());
+  append(bytes.data(), bytes.size());
 }
 
 void Deserializer::need(std::size_t n) const {
@@ -101,24 +139,37 @@ std::string Deserializer::get_string() {
   return s;
 }
 
+void Deserializer::copy_out(void* data, std::size_t n) {
+  need(n);
+  if (n == 0) return;  // memcpy must not see a null data()
+  std::memcpy(data, buf_.data() + pos_, n);
+  pos_ += n;
+}
+
+void Deserializer::get_f64s(std::span<double> out) {
+  copy_out(out.data(), out.size_bytes());
+}
+
+void Deserializer::get_i32s(std::span<std::int32_t> out) {
+  copy_out(out.data(), out.size_bytes());
+}
+
 std::vector<double> Deserializer::get_doubles() {
-  const std::uint64_t n = get_count(8);
-  std::vector<double> v(static_cast<std::size_t>(n));
-  for (auto& x : v) x = get_f64();
+  std::vector<double> v(static_cast<std::size_t>(get_count(8)));
+  get_f64s(v);
   return v;
 }
 
 std::vector<int> Deserializer::get_ints() {
-  const std::uint64_t n = get_count(4);
-  std::vector<int> v(static_cast<std::size_t>(n));
-  for (auto& x : v) x = get_i32();
+  std::vector<int> v(static_cast<std::size_t>(get_count(4)));
+  get_i32s(v);
   return v;
 }
 
 void write(Serializer& out, const Matrix& m) {
   out.put_u64(m.rows());
   out.put_u64(m.cols());
-  for (double v : m.flat()) out.put_f64(v);
+  out.put_f64s(m.flat());
 }
 
 Matrix read_matrix(Deserializer& in) {
@@ -128,7 +179,7 @@ Matrix read_matrix(Deserializer& in) {
     throw SnapshotError("corrupt matrix dimensions " + std::to_string(rows) +
                         "x" + std::to_string(cols));
   Matrix m(static_cast<std::size_t>(rows), static_cast<std::size_t>(cols));
-  for (double& v : m.flat()) v = in.get_f64();
+  in.get_f64s(m.flat());
   return m;
 }
 

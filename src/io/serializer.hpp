@@ -8,15 +8,24 @@
 // round-trip bit-exactly — a requirement for the crash-equivalence
 // guarantee of leaf::serve.
 //
+// Whole arrays of f64/i32 (put_f64s/get_f64s, put_i32s/get_i32s, and the
+// counted put_doubles/put_ints and Matrix helpers built on them) move as
+// one memcpy of the native bytes.  That is the wire format only on a
+// little-endian host, which the static_assert below requires; there is
+// no byte-swapping path.  crc32 is slicing-by-8 (eight table lookups per
+// eight input bytes) and gives the same values as the bytewise table.
+//
 // Note the naming: `models::Persistence` is the scaled-last-value
 // *baseline forecaster* from the paper, not a storage layer.  Everything
 // about saving and restoring state lives here under `leaf::io`.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/matrix.hpp"
@@ -24,6 +33,10 @@
 #include "data/features.hpp"
 
 namespace leaf::io {
+
+static_assert(std::endian::native == std::endian::little,
+              "the snapshot and wire formats are little-endian; the array "
+              "codec copies native bytes");
 
 /// Raised on any malformed snapshot input: truncation, checksum or magic
 /// mismatch, unsupported format version, unknown factory key, or a value
@@ -51,11 +64,21 @@ class Serializer {
   void put_f64(double v);
   void put_bool(bool v) { put_u8(v ? 1 : 0); }
   void put_string(const std::string& s);
+  /// The elements only, no count (the reader must know it).
+  void put_f64s(std::span<const double> v);
+  void put_i32s(std::span<const std::int32_t> v);
+  /// A u64 count, then the elements.
   void put_doubles(std::span<const double> v);
   void put_ints(std::span<const int> v);
   void put_raw(std::span<const std::uint8_t> bytes);
 
+  void reserve(std::size_t n) { buf_.reserve(n); }
+  /// Moves the buffer out, leaving this serializer empty.
+  std::vector<std::uint8_t> take() { return std::move(buf_); }
+
  private:
+  void append(const void* data, std::size_t n);
+
   std::vector<std::uint8_t> buf_;
 };
 
@@ -74,6 +97,9 @@ class Deserializer {
   double get_f64();
   bool get_bool();
   std::string get_string();
+  /// Fills `out` with out.size() elements (throws when fewer remain).
+  void get_f64s(std::span<double> out);
+  void get_i32s(std::span<std::int32_t> out);
   std::vector<double> get_doubles();
   std::vector<int> get_ints();
 
@@ -90,6 +116,7 @@ class Deserializer {
 
  private:
   void need(std::size_t n) const;
+  void copy_out(void* data, std::size_t n);
 
   std::span<const std::uint8_t> buf_;
   std::size_t pos_ = 0;

@@ -38,21 +38,25 @@ Serializer& SnapshotWriter::section(const std::string& name) {
 }
 
 std::vector<std::uint8_t> SnapshotWriter::encode() const {
-  Serializer head;
-  head.put_raw(std::span<const std::uint8_t>(
+  // Size the buffer exactly, so each section's bytes are copied once.
+  std::size_t total = sizeof(kMagic) + 4 + 4;
+  for (const auto& [name, body] : sections_)
+    total += 4 + name.size() + 8 + 4 + body.size();
+  Serializer out;
+  out.reserve(total);
+  out.put_raw(std::span<const std::uint8_t>(
       reinterpret_cast<const std::uint8_t*>(kMagic), sizeof(kMagic)));
-  head.put_u32(kFormatVersion);
-  head.put_u32(static_cast<std::uint32_t>(sections_.size()));
+  out.put_u32(kFormatVersion);
+  out.put_u32(static_cast<std::uint32_t>(sections_.size()));
   for (const auto& [name, body] : sections_) {
-    head.put_u32(static_cast<std::uint32_t>(name.size()));
-    head.put_raw(std::span<const std::uint8_t>(
+    out.put_u32(static_cast<std::uint32_t>(name.size()));
+    out.put_raw(std::span<const std::uint8_t>(
         reinterpret_cast<const std::uint8_t*>(name.data()), name.size()));
-    head.put_u64(body.size());
-    head.put_u32(crc32(body.bytes()));
-    head.put_raw(body.bytes());
+    out.put_u64(body.size());
+    out.put_u32(crc32(body.bytes()));
+    out.put_raw(body.bytes());
   }
-  const auto bytes = head.bytes();
-  return {bytes.begin(), bytes.end()};
+  return out.take();
 }
 
 std::uint64_t SnapshotWriter::write_file(const std::string& path) const {
@@ -160,18 +164,16 @@ SnapshotReader::SnapshotReader(std::vector<std::uint8_t> bytes, ReadMode mode)
 
 SnapshotReader SnapshotReader::from_file(const std::string& path,
                                          ReadMode mode) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f) throw SnapshotError("cannot open '" + path + "'");
-  // Block reads into a buffer reserved at the file's size, instead of a
-  // stream call and a push_back per byte.
-  std::vector<std::uint8_t> bytes;
+  // One read into a buffer of the file's size.
   std::error_code ec;
   const std::uintmax_t size = std::filesystem::file_size(path, ec);
-  if (!ec) bytes.reserve(static_cast<std::size_t>(size));
-  char chunk[1 << 14];
-  while (f.read(chunk, sizeof(chunk)) || f.gcount() > 0)
-    bytes.insert(bytes.end(), chunk, chunk + f.gcount());
-  if (!f.eof()) throw SnapshotError("read of '" + path + "' failed");
+  std::ifstream f(path, std::ios::binary);
+  if (ec || !f) throw SnapshotError("cannot open '" + path + "'");
+  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
+  f.read(reinterpret_cast<char*>(bytes.data()),
+         static_cast<std::streamsize>(bytes.size()));
+  if (static_cast<std::uintmax_t>(f.gcount()) != size)
+    throw SnapshotError("read of '" + path + "' failed");
   return SnapshotReader(std::move(bytes), mode);
 }
 

@@ -43,12 +43,20 @@ void ServerCore::close(ConnId conn) {
   if (conns_.erase(conn) == 0) return;
   counter("leaf_net_disconnects_total").inc();
   // The peer is gone: answering its queued requests would write to a dead
-  // socket, so discard them.
+  // socket, so discard them, and count them so requests still add up to
+  // responses plus discards.
+  std::size_t discarded = 0;
   for (auto& queue : shard_queues_) {
     const auto is_dead = [conn](const Pending& p) { return p.conn == conn; };
-    queue.erase(std::remove_if(queue.begin(), queue.end(), is_dead),
-                queue.end());
+    const auto dead = std::remove_if(queue.begin(), queue.end(), is_dead);
+    discarded += static_cast<std::size_t>(queue.end() - dead);
+    queue.erase(dead, queue.end());
   }
+  if (discarded == 0) return;
+  counter("leaf_net_discards_total").inc(discarded);
+  obs::MetricsRegistry::global()
+      .gauge("leaf_net_queue_depth")
+      .set(static_cast<double>(queued()));
 }
 
 std::size_t ServerCore::queued() const {

@@ -134,7 +134,8 @@ class ServerCore {
   const NetConfig& config() const { return cfg_; }
 
   /// Registers / forgets a connection.  close() discards its queued
-  /// requests (the peer is gone; answering would write to a dead socket).
+  /// requests (the peer is gone; answering would write to a dead socket)
+  /// and counts them in leaf_net_discards_total.
   void open(ConnId conn);
   void close(ConnId conn);
   bool is_open(ConnId conn) const { return conns_.count(conn) != 0; }

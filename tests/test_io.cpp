@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -58,28 +59,75 @@ TEST(Serializer, RoundTripsPrimitives) {
   EXPECT_TRUE(in.exhausted());
 }
 
+std::uint64_t bits_of(double v) { return std::bit_cast<std::uint64_t>(v); }
+
 TEST(Serializer, DoublesRoundTripBitExactly) {
-  const double specials[] = {0.0, -0.0, std::numeric_limits<double>::infinity(),
-                             -std::numeric_limits<double>::infinity(),
-                             std::numeric_limits<double>::quiet_NaN(),
-                             std::numeric_limits<double>::denorm_min()};
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> specials = {
+      0.0,
+      -0.0,
+      inf,
+      -inf,
+      std::numeric_limits<double>::quiet_NaN(),
+      std::bit_cast<double>(0x7FF0000000000001ULL),  // signalling NaN
+      std::bit_cast<double>(0xFFF8DEADBEEF1234ULL),  // negative NaN, payload
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::bit_cast<double>(0x000FFFFFFFFFFFFFULL),  // largest denormal
+  };
+  Matrix m(2, specials.size() / 2);
+  std::copy(specials.begin(), specials.end(), m.flat().begin());
+
   Serializer out;
   for (double v : specials) out.put_f64(v);
+  out.put_doubles(specials);
+  write(out, m);
   Deserializer in(out.bytes());
-  for (double v : specials) {
-    const double got = in.get_f64();
-    std::uint64_t want_bits, got_bits;
-    std::memcpy(&want_bits, &v, 8);
-    std::memcpy(&got_bits, &got, 8);
-    EXPECT_EQ(got_bits, want_bits);
+  for (double v : specials) EXPECT_EQ(bits_of(in.get_f64()), bits_of(v));
+  const std::vector<double> array = in.get_doubles();
+  const Matrix matrix = read_matrix(in);
+  EXPECT_TRUE(in.exhausted());
+  ASSERT_EQ(array.size(), specials.size());
+  ASSERT_EQ(matrix.rows(), 2u);
+  ASSERT_EQ(matrix.cols(), specials.size() / 2);
+  for (std::size_t i = 0; i < specials.size(); ++i) {
+    EXPECT_EQ(bits_of(array[i]), bits_of(specials[i])) << i;
+    EXPECT_EQ(bits_of(matrix.flat()[i]), bits_of(specials[i])) << i;
   }
+  // The array codec writes the same bytes as one put_f64 per element.
+  const auto bytes = out.bytes();
+  const std::size_t n = specials.size() * 8;
+  EXPECT_TRUE(std::equal(bytes.begin(), bytes.begin() + n,
+                         bytes.begin() + n + 8));
+  EXPECT_TRUE(std::equal(bytes.begin(), bytes.begin() + n,
+                         bytes.begin() + 2 * n + 8 + 16));
 }
 
 TEST(Serializer, TruncatedReadThrows) {
-  Serializer out;
-  out.put_u64(12345);
-  Deserializer in(out.bytes().subspan(0, 4));
+  Serializer scalar;
+  scalar.put_u64(12345);
+  Deserializer in(scalar.bytes().subspan(0, 4));
   EXPECT_THROW(in.get_u64(), SnapshotError);
+
+  // Every proper prefix of a counted array or a matrix fails cleanly.
+  Matrix m(3, 2);
+  for (std::size_t i = 0; i < m.flat().size(); ++i) m.flat()[i] = 0.5 * i;
+  Serializer doubles, ints, matrix;
+  doubles.put_doubles(std::vector<double>{1.0, -2.0, 3.5});
+  ints.put_ints(std::vector<int>{7, -8, 9, 10});
+  write(matrix, m);
+  const auto cut_everywhere = [](const Serializer& s, const auto& read) {
+    for (std::size_t len = 0; len < s.size(); ++len) {
+      Deserializer cut(s.bytes().subspan(0, len));
+      EXPECT_THROW(read(cut), SnapshotError) << "prefix of " << len << " bytes";
+    }
+    Deserializer whole(s.bytes());
+    EXPECT_NO_THROW(read(whole));
+    EXPECT_TRUE(whole.exhausted());
+  };
+  cut_everywhere(doubles, [](Deserializer& d) { d.get_doubles(); });
+  cut_everywhere(ints, [](Deserializer& d) { d.get_ints(); });
+  cut_everywhere(matrix, [](Deserializer& d) { read_matrix(d); });
 }
 
 TEST(Serializer, CorruptCountThrowsInsteadOfAllocating) {
@@ -99,6 +147,42 @@ TEST(Serializer, RngRoundTripResumesStream) {
   read_rng(in, restored);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(restored(), rng());
   EXPECT_DOUBLE_EQ(restored.normal(), rng.normal());
+}
+
+// ---- CRC-32 ----------------------------------------------------------------
+
+/// The bytewise table CRC-32 that crc32's slicing-by-8 must reproduce.
+std::uint32_t crc32_bytewise(std::span<const std::uint8_t> bytes) {
+  std::uint32_t table[256];
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    table[i] = c;
+  }
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (std::uint8_t b : bytes) crc = table[(crc ^ b) & 0xFFu] ^ (crc >> 8);
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, MatchesCheckValueAndBytewiseReference) {
+  const char* check = "123456789";
+  EXPECT_EQ(crc32(std::span<const std::uint8_t>(
+                reinterpret_cast<const std::uint8_t*>(check), 9)),
+            0xCBF43926u);
+
+  std::vector<std::uint8_t> buf(1 << 20);
+  Rng rng(2209);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng() >> 56);
+  // Every length 0..64 at every alignment exercises the 8-byte body and
+  // the bytewise tail in all their combinations.
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 64; ++len) {
+      const auto part = std::span<const std::uint8_t>(buf).subspan(offset, len);
+      EXPECT_EQ(crc32(part), crc32_bytewise(part))
+          << "offset " << offset << ", length " << len;
+    }
+  }
+  EXPECT_EQ(crc32(buf), crc32_bytewise(buf));
 }
 
 // ---- container -----------------------------------------------------------

@@ -513,6 +513,41 @@ TEST_F(NetFixture, FramingDamageKillsOnlyThatConnection) {
   EXPECT_TRUE(fleet->step());  // fleet keeps stepping
 }
 
+TEST_F(NetFixture, CloseCountsDiscardedPredicts) {
+  auto fleet = ready_fleet(1);
+  Loopback loop(*fleet);
+  LoopbackConnection& conn = loop.connect();
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
+  reg.reset_values();
+
+  conn.send(make_frame(MsgType::kPredict, 1,
+                       PredictRequest{0, 0,
+                                      probe_rows(1, fleet->shard_num_features(0),
+                                                 1)}));
+  EXPECT_EQ(loop.core().queued(), 1u);
+  conn.close();
+  if (obs::kCompiledIn)
+    EXPECT_EQ(reg.gauge("leaf_net_queue_depth").value(), 0.0);
+  EXPECT_EQ(loop.pump(), 0u);
+  EXPECT_EQ(loop.core().queued(), 0u);
+
+  // Every predict request is either answered or counted as discarded.
+  if (obs::kCompiledIn) {
+    const std::uint64_t requests =
+        reg.counter("leaf_net_requests_total", obs::label("type", "predict"))
+            .value();
+    const std::uint64_t answered =
+        reg.counter("leaf_net_responses_total",
+                    obs::label("type", "predict_ok"))
+            .value();
+    const std::uint64_t discards = reg.counter_sum("leaf_net_discards_total");
+    EXPECT_EQ(requests, 1u);
+    EXPECT_EQ(discards, 1u);
+    EXPECT_EQ(requests, answered + discards);
+    EXPECT_EQ(reg.gauge("leaf_net_queue_depth").value(), 0.0);
+  }
+}
+
 TEST_F(NetFixture, ResponseTypedFrameOnServerIsFatal) {
   auto fleet = ready_fleet(1);
   Loopback loop(*fleet);
