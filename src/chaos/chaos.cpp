@@ -1,8 +1,11 @@
 #include "chaos/chaos.hpp"
 
 #include <algorithm>
+#include <climits>
 #include <cstdlib>
 #include <sstream>
+
+#include "common/spec.hpp"
 
 namespace leaf::chaos {
 
@@ -23,33 +26,15 @@ enum Point : std::uint64_t {
   kTsdbGap = 10,
 };
 
+/// Longest accepted slow-ms stall (one minute).
+constexpr std::uint64_t kMaxSlowMs = 60000;
+
 double parse_probability(const std::string& key, const std::string& value) {
-  std::size_t used = 0;
-  double p = 0.0;
-  try {
-    p = std::stod(value, &used);
-  } catch (const std::exception&) {
-    used = 0;
-  }
-  if (used != value.size() || p < 0.0 || p > 1.0)
-    throw std::invalid_argument("chaos: '" + key + "' needs a probability in "
-                                "[0, 1], got '" + value + "'");
-  return p;
+  return spec::real_in("chaos", key, value, 0.0, 1.0);
 }
 
 std::uint64_t parse_u64(const std::string& key, const std::string& value) {
-  std::size_t used = 0;
-  std::uint64_t v = 0;
-  try {
-    v = std::stoull(value, &used);
-  } catch (const std::exception&) {
-    used = 0;
-  }
-  if (used != value.size())
-    throw std::invalid_argument("chaos: '" + key +
-                                "' needs a non-negative integer, got '" +
-                                value + "'");
-  return v;
+  return spec::uint_in("chaos", key, value, 0, UINT64_MAX);
 }
 
 std::vector<int> parse_shards(const std::string& value) {
@@ -60,7 +45,8 @@ std::vector<int> parse_shards(const std::string& value) {
     const std::size_t end = plus == std::string::npos ? value.size() : plus;
     if (end > start) {
       const std::string tok = value.substr(start, end - start);
-      out.push_back(static_cast<int>(parse_u64("shards", tok)));
+      out.push_back(
+          static_cast<int>(spec::uint_in("chaos", "shards", tok, 0, INT_MAX)));
     }
     if (plus == std::string::npos) break;
     start = plus + 1;
@@ -81,47 +67,34 @@ bool ChaosConfig::any() const {
          tsdb_gap > 0.0;
 }
 
-ChaosConfig ChaosConfig::parse(const std::string& spec) {
+ChaosConfig ChaosConfig::parse(const std::string& text) {
   ChaosConfig cfg;
-  std::size_t start = 0;
-  while (start <= spec.size()) {
-    const std::size_t comma = spec.find(',', start);
-    const std::size_t end = comma == std::string::npos ? spec.size() : comma;
-    if (end > start) {
-      const std::string item = spec.substr(start, end - start);
-      const std::size_t eq = item.find('=');
-      if (eq == std::string::npos || eq == 0 || eq + 1 == item.size())
-        throw std::invalid_argument("chaos: expected key=value, got '" + item +
-                                    "'");
-      const std::string key = item.substr(0, eq);
-      const std::string value = item.substr(eq + 1);
-      if (key == "seed") cfg.seed = parse_u64(key, value);
-      else if (key == "shards") cfg.shards = parse_shards(value);
-      else if (key == "step-throw") cfg.step_throw = parse_probability(key, value);
-      else if (key == "step-throw-before")
-        cfg.step_throw_before = parse_u64(key, value);
-      else if (key == "retrain-storm")
-        cfg.retrain_storm = parse_probability(key, value);
-      else if (key == "slow") cfg.slow = parse_probability(key, value);
-      else if (key == "slow-ms")
-        cfg.slow_ms = static_cast<int>(parse_u64(key, value));
-      else if (key == "snapshot-corrupt")
-        cfg.snapshot_corrupt = parse_probability(key, value);
-      else if (key == "snapshot-partial")
-        cfg.snapshot_partial = parse_probability(key, value);
-      else if (key == "net-truncate")
-        cfg.net_truncate = parse_probability(key, value);
-      else if (key == "net-garbage")
-        cfg.net_garbage = parse_probability(key, value);
-      else if (key == "deadline-storm")
-        cfg.deadline_storm = parse_probability(key, value);
-      else if (key == "tsdb-gap")
-        cfg.tsdb_gap = parse_probability(key, value);
-      else
-        throw std::invalid_argument("chaos: unknown fault point '" + key + "'");
-    }
-    if (comma == std::string::npos) break;
-    start = comma + 1;
+  for (const auto& [key, value] : spec::split(text, "chaos")) {
+    if (key == "seed") cfg.seed = parse_u64(key, value);
+    else if (key == "shards") cfg.shards = parse_shards(value);
+    else if (key == "step-throw") cfg.step_throw = parse_probability(key, value);
+    else if (key == "step-throw-before")
+      cfg.step_throw_before = parse_u64(key, value);
+    else if (key == "retrain-storm")
+      cfg.retrain_storm = parse_probability(key, value);
+    else if (key == "slow") cfg.slow = parse_probability(key, value);
+    else if (key == "slow-ms")
+      cfg.slow_ms = static_cast<int>(
+          spec::uint_in("chaos", key, value, 0, kMaxSlowMs));
+    else if (key == "snapshot-corrupt")
+      cfg.snapshot_corrupt = parse_probability(key, value);
+    else if (key == "snapshot-partial")
+      cfg.snapshot_partial = parse_probability(key, value);
+    else if (key == "net-truncate")
+      cfg.net_truncate = parse_probability(key, value);
+    else if (key == "net-garbage")
+      cfg.net_garbage = parse_probability(key, value);
+    else if (key == "deadline-storm")
+      cfg.deadline_storm = parse_probability(key, value);
+    else if (key == "tsdb-gap")
+      cfg.tsdb_gap = parse_probability(key, value);
+    else
+      throw std::invalid_argument("chaos: unknown fault point '" + key + "'");
   }
   return cfg;
 }

@@ -22,7 +22,8 @@
 //   step-throw-before=N    only throw while fleet_step < N (default: always)
 //   retrain-storm=P        P(force a retrain request) per shard fleet step
 //   slow=P                 P(stall a shard step) per shard fleet step
-//   slow-ms=N              stall duration in milliseconds (default 2)
+//   slow-ms=N              stall duration in milliseconds (default 2,
+//                          at most 60000)
 //   snapshot-corrupt=P     P(flip a bit in one target shard's section) per
 //                          written snapshot generation
 //   snapshot-partial=P     P(the snapshot write fails midway) per generation
@@ -76,7 +77,8 @@ struct ChaosConfig {
   bool any() const;
 
   /// Parses a spec string (see file header).  Throws std::invalid_argument
-  /// on unknown keys, malformed numbers, or probabilities outside [0, 1].
+  /// on unknown keys, malformed or signed integers, non-finite numbers, or
+  /// values out of range (probabilities outside [0, 1]).
   static ChaosConfig parse(const std::string& spec);
 
   /// Reads LEAF_CHAOS from the environment; disabled config when unset or

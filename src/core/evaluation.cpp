@@ -9,7 +9,6 @@
 #include "common/calendar.hpp"
 #include "common/metrics.hpp"
 #include "common/stats.hpp"
-#include "core/eval_cache.hpp"
 #include "io/snapshot.hpp"
 #include "models/factory.hpp"
 
@@ -100,9 +99,7 @@ void Evaluation::init() {
 
   // Initial model: trained on the `train_window` days ending at the
   // anchor.
-  train_ = cfg_.cache != nullptr
-               ? cfg_.cache->window(anchor - cfg_.train_window + 1, anchor)
-               : featurizer_->window(anchor - cfg_.train_window + 1, anchor);
+  train_ = featurizer_->window(anchor - cfg_.train_window + 1, anchor);
   if (train_.empty()) {
     throw std::runtime_error(
         "evaluation: training window [" +
@@ -151,14 +148,8 @@ void Evaluation::step(const RetrainGate& gate, bool force_retrain) {
                        result_.scheme, std::move(detail), seconds});
   };
 
-  const data::SupervisedSet* test_p;
-  if (cfg_.cache != nullptr) {
-    test_p = &cfg_.cache->at_target_day(day);
-  } else {
-    test_local_ = featurizer_->at_target_day(day);
-    test_p = &test_local_;
-  }
-  const data::SupervisedSet& test = *test_p;
+  test_local_ = featurizer_->at_target_day(day);
+  const data::SupervisedSet& test = test_local_;
   if (static_cast<int>(test.size()) < cfg_.min_samples_per_day) {
     ++result_.degraded.days_skipped;
     ctr.skipped.inc();
@@ -230,7 +221,6 @@ void Evaluation::step(const RetrainGate& gate, bool force_retrain) {
                     .train_window = cfg_.train_window,
                     .rng = &rng_,
                     .prototype = prototype_,
-                    .cache = cfg_.cache,
                     .events = cfg_.events,
                     .shard = cfg_.obs_shard};
   // Wall-clock on the trigger→fit→swap path (scheme decision + refit);
@@ -242,7 +232,8 @@ void Evaluation::step(const RetrainGate& gate, bool force_retrain) {
       scheme_->take_replacement_model();
   if (force_retrain && replacement == nullptr &&
       (!new_train.has_value() || new_train->empty())) {
-    data::SupervisedSet forced = latest_labeled_window(ctx, cfg_.train_window);
+    data::SupervisedSet forced =
+        latest_labeled_window(*featurizer_, day, cfg_.train_window);
     if (!forced.empty()) new_train = std::move(forced);
   }
 

@@ -73,12 +73,6 @@ struct EvalConfig {
   /// every error it normalizes.
   double norm_range_override = 0.0;
 
-  // --- performance (leaf::par / caching integration) ----------------------
-  /// Optional slice memo shared across runs of the same Featurizer (see
-  /// core/eval_cache.hpp).  Bit-identical to recomputation; null = off.
-  /// Must outlive the run and must have been built over `featurizer`.
-  EvalCache* cache = nullptr;
-
   // --- observability (leaf::obs integration) ------------------------------
   /// Optional structured drift-event sink: every detector firing, retrain,
   /// LEAF retrain rejection, OUTAGE freeze, and suppressed non-finite
@@ -212,7 +206,7 @@ class Evaluation {
   double norm_range_ = 0.0;
   bool done_ = false;
   std::uint64_t steps_ = 0;
-  // Scratch, never snapshotted: the uncached test slice and the reusable
+  // Scratch, never snapshotted: the day's test slice and the reusable
   // aligned prediction buffer (sized by the high-water test-slice size).
   data::SupervisedSet test_local_;
   simd::AlignedBuffer pred_;

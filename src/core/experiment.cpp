@@ -5,7 +5,6 @@
 
 #include "common/stats.hpp"
 #include "core/baselines.hpp"
-#include "core/eval_cache.hpp"
 #include "par/parallel.hpp"
 
 namespace leaf::core {
@@ -77,11 +76,6 @@ std::vector<SchemeOutcome> compare_schemes(
   std::vector<SchemeOutcome> outcomes(specs.size());
   for (std::size_t s = 0; s < specs.size(); ++s) outcomes[s].scheme = specs[s];
 
-  // All runs walk the same dataset, so they share one slice memo: every
-  // per-day test slice is computed once for the whole grid instead of
-  // once per (seed, scheme) run.
-  EvalCache cache(featurizer);
-
   // One read-only prototype + config per seed, shared by every run of
   // that seed (run_scheme only ever clones the prototype).
   const std::size_t n_seeds = seeds.size();
@@ -90,7 +84,6 @@ std::vector<SchemeOutcome> compare_schemes(
   for (std::size_t i = 0; i < n_seeds; ++i) {
     prototypes[i] = models::make_model(family, scale, seeds[i]);
     cfgs[i] = make_eval_config(scale, seeds[i]);
-    cfgs[i].cache = &cache;
   }
 
   // Phase 1: the per-seed Static baselines (every ΔNRMSE̅ needs its

@@ -40,7 +40,7 @@ std::optional<data::SupervisedSet> LeafScheme::on_step(
   LEAF_SPAN("leaf.mitigate");
 
   const data::SupervisedSet latest =
-      latest_labeled_window(ctx, ctx.train_window);
+      latest_labeled_window(ctx.featurizer, ctx.eval_day, ctx.train_window);
   if (latest.empty() || ctx.current_train.empty()) return std::nullopt;
 
   // --- Explain: rank features by sensitivity on the drifting samples,
@@ -66,22 +66,26 @@ std::optional<data::SupervisedSet> LeafScheme::on_step(
   if (last_groups_.empty()) {
     // No feature carries signal (can happen on tiny windows): fall back to
     // plain triggered behaviour rather than skipping mitigation.
-    return latest_labeled_window(ctx, ctx.train_window);
+    return latest;
   }
+
+  // E_L per group: the deployed model's local error distribution over
+  // quantile bins of the group's representative feature, measured on the
+  // latest drifting samples.  Neither the model nor `latest` changes
+  // between rounds, so each group's E_L is computed once.
+  std::vector<explain::LeaResult> leas;
+  leas.reserve(last_groups_.size());
+  for (const auto& group : last_groups_)
+    leas.push_back(explain::compute_lea(ctx.model, latest,
+                                        group.representative, cfg_.lea_bins,
+                                        ctx.featurizer.norm_range()));
 
   // Diagnostic: error contrast of the top group (how localized the error
   // is over the representative feature's bins).  Recorded for the case
   // study / benches; homogeneous drift legitimately produces flat
   // profiles, so this is not used as a retrain gate.
   {
-    const int rep = last_groups_.front().representative;
-    const std::span<const double> fv =
-        latest.X.col_view(static_cast<std::size_t>(rep));
-    const std::vector<double> edges =
-        explain::lea_bin_edges(fv, cfg_.lea_bins);
-    const explain::LeaResult el = explain::compute_lea(
-        ctx.model, latest, rep, cfg_.lea_bins, ctx.featurizer.norm_range(),
-        edges);
+    const explain::LeaResult& el = leas.front();
     double max_err = 0.0, sum_we = 0.0;
     std::size_t total = 0;
     for (std::size_t b = 0; b < el.error.size(); ++b) {
@@ -98,16 +102,15 @@ std::optional<data::SupervisedSet> LeafScheme::on_step(
   // Over-sampling pool: the collected dataset, truncated to the recent
   // pool_window days (always contains the latest drifting samples).
   const data::SupervisedSet pool =
-      latest_labeled_window(ctx, cfg_.pool_window);
+      latest_labeled_window(ctx.featurizer, ctx.eval_day, cfg_.pool_window);
 
   // --- Mitigate: iterate forgetting + over-sampling per feature group,
   // each round rebuilding from the previous round's restructured set.
   data::SupervisedSet train = ctx.current_train;
-  for (const auto& group : last_groups_) {
-    Rng round_rng = rng_.fork(static_cast<std::uint64_t>(
-        ctx.eval_day * 131 + group.representative));
-    train =
-        restructure(ctx, train, latest, pool, group.representative, round_rng);
+  for (const explain::LeaResult& el : leas) {
+    Rng round_rng =
+        rng_.fork(static_cast<std::uint64_t>(ctx.eval_day * 131 + el.feature));
+    train = restructure(ctx, train, latest, pool, el, round_rng);
   }
 
   // --- Validate: fit a candidate on the restructured set and require it
@@ -158,19 +161,10 @@ data::SupervisedSet LeafScheme::restructure(const SchemeContext& ctx,
                                             const data::SupervisedSet& train,
                                             const data::SupervisedSet& latest,
                                             const data::SupervisedSet& pool,
-                                            int representative,
+                                            const explain::LeaResult& el,
                                             Rng& rng) const {
-  const double norm_range = ctx.featurizer.norm_range();
-
-  // E_L: the model's local error distribution over quantile bins of the
-  // representative feature, measured on the latest drifting samples.
-  const std::span<const double> latest_fv =
-      latest.X.col_view(static_cast<std::size_t>(representative));
-  const std::vector<double> edges =
-      explain::lea_bin_edges(latest_fv, cfg_.lea_bins);
-  const explain::LeaResult el = explain::compute_lea(
-      ctx.model, latest, representative, cfg_.lea_bins, norm_range, edges);
-
+  const auto representative = static_cast<std::size_t>(el.feature);
+  const std::vector<double>& edges = el.edges;
   const double max_err =
       el.error.empty() ? 0.0
                        : *std::max_element(el.error.begin(), el.error.end());
@@ -187,8 +181,7 @@ data::SupervisedSet LeafScheme::restructure(const SchemeContext& ctx,
   // transient spikes can't evict the whole history.
   const double strength =
       high_dispersion ? cfg_.forget_strength_high : cfg_.forget_strength_low;
-  const std::span<const double> train_fv =
-      train.X.col_view(static_cast<std::size_t>(representative));
+  const std::span<const double> train_fv = train.X.col_view(representative);
   std::vector<std::size_t> kept;
   kept.reserve(train.size());
   for (std::size_t i = 0; i < train.size(); ++i) {
@@ -223,7 +216,7 @@ data::SupervisedSet LeafScheme::restructure(const SchemeContext& ctx,
       high_dispersion ? (pool.empty() ? latest : pool) : latest;
   if (refill > 0 && !source.empty()) {
     const std::span<const double> source_fv =
-        source.X.col_view(static_cast<std::size_t>(representative));
+        source.X.col_view(representative);
     std::vector<double> weights(source.size());
     for (std::size_t i = 0; i < source.size(); ++i) {
       const std::size_t b = explain::lea_bin_of(source_fv[i], edges);

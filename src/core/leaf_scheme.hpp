@@ -28,6 +28,7 @@
 
 #include "core/scheme.hpp"
 #include "explain/grouping.hpp"
+#include "explain/lea.hpp"
 
 namespace leaf::core {
 
@@ -128,14 +129,16 @@ class LeafScheme final : public MitigationScheme {
 
  private:
   /// One round of forgetting + over-sampling against a representative
-  /// feature.  `latest` defines the error distribution E_L; `pool` is the
-  /// collected data that over-sampling draws from.  Returns the
-  /// restructured training set (same size as `train`).
+  /// feature.  `el` is the error distribution E_L of `latest` over the
+  /// bins of that feature (`el.feature`); `pool` is the collected data
+  /// that over-sampling draws from.  Returns the restructured training
+  /// set (same size as `train`).
   data::SupervisedSet restructure(const SchemeContext& ctx,
                                   const data::SupervisedSet& train,
                                   const data::SupervisedSet& latest,
                                   const data::SupervisedSet& pool,
-                                  int representative, Rng& rng) const;
+                                  const explain::LeaResult& el,
+                                  Rng& rng) const;
 
   LeafConfig cfg_;
   double dispersion_;

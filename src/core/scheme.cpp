@@ -1,22 +1,11 @@
 #include "core/scheme.hpp"
 
-#include "core/eval_cache.hpp"
-
 namespace leaf::core {
 
 data::SupervisedSet latest_labeled_window(const data::Featurizer& featurizer,
                                           int eval_day, int window) {
   const int last_feature_day = eval_day - featurizer.horizon();
   return featurizer.window(last_feature_day - window + 1, last_feature_day);
-}
-
-data::SupervisedSet latest_labeled_window(const SchemeContext& ctx,
-                                          int window) {
-  const int last_feature_day = ctx.eval_day - ctx.featurizer.horizon();
-  const int first_feature_day = last_feature_day - window + 1;
-  if (ctx.cache != nullptr)
-    return ctx.cache->window(first_feature_day, last_feature_day);
-  return ctx.featurizer.window(first_feature_day, last_feature_day);
 }
 
 void MitigationScheme::save_state(io::Serializer& out) const {
@@ -38,7 +27,8 @@ std::optional<data::SupervisedSet> PeriodicScheme::on_step(
   if (last_retrain_day_ < 0) last_retrain_day_ = ctx.eval_day;  // clock start
   if (ctx.eval_day - last_retrain_day_ < period_) return std::nullopt;
   last_retrain_day_ = ctx.eval_day;
-  return latest_labeled_window(ctx, ctx.train_window);
+  return latest_labeled_window(ctx.featurizer, ctx.eval_day,
+                               ctx.train_window);
 }
 
 std::string PeriodicScheme::name() const {
@@ -61,7 +51,8 @@ void PeriodicScheme::load_state(io::Deserializer& in) {
 std::optional<data::SupervisedSet> TriggeredScheme::on_step(
     const SchemeContext& ctx) {
   if (!ctx.drift) return std::nullopt;
-  return latest_labeled_window(ctx, ctx.train_window);
+  return latest_labeled_window(ctx.featurizer, ctx.eval_day,
+                               ctx.train_window);
 }
 
 }  // namespace leaf::core

@@ -31,8 +31,6 @@ class EventLog;
 
 namespace leaf::core {
 
-class EvalCache;
-
 /// Everything a scheme may inspect when deciding whether / how to retrain.
 struct SchemeContext {
   const data::Featurizer& featurizer;
@@ -47,9 +45,6 @@ struct SchemeContext {
   /// validate a candidate training set before proposing it (LEAF) fit a
   /// clone of this.  May be null for policies that don't validate.
   const models::Regressor* prototype = nullptr;
-  /// Optional slice memo shared across runs (see core/eval_cache.hpp);
-  /// schemes route window materialization through it when present.
-  EvalCache* cache = nullptr;
   /// Optional drift-event sink (leaf::obs) for scheme-level decisions —
   /// LEAF emits a `retrain_rejected` event when candidate validation
   /// vetoes a retrain.  Single-writer; may be null.
@@ -133,10 +128,5 @@ class TriggeredScheme final : public MitigationScheme {
 /// drifting samples").
 data::SupervisedSet latest_labeled_window(const data::Featurizer& featurizer,
                                           int eval_day, int window);
-
-/// Same, but served from ctx.cache when one is attached (bit-identical to
-/// the uncached path; the Featurizer is a pure function of the day range).
-data::SupervisedSet latest_labeled_window(const SchemeContext& ctx,
-                                          int window);
 
 }  // namespace leaf::core

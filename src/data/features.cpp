@@ -129,26 +129,7 @@ SupervisedSet Featurizer::window(int first_feature_day,
 }
 
 SupervisedSet Featurizer::at_target_day(int day) const {
-  SupervisedSet out;
-  out.X = Matrix(0, static_cast<std::size_t>(num_features()));
-  const int d = day - horizon_;
-  if (d < 0 || day >= ds_->num_days()) return out;
-  std::vector<double> row(static_cast<std::size_t>(num_features()));
-  const auto feature_enbs = ds_->enb_indices_on_day(d);
-  const auto target_enbs = ds_->enb_indices_on_day(day);
-  for (std::size_t i = 0; i < feature_enbs.size(); ++i) {
-    const int e = feature_enbs[i];
-    const int trow = find_enb_row(target_enbs, e);
-    if (trow < 0) continue;
-    fill_row(d, static_cast<int>(i), e, row);
-    out.X.append_row(row);
-    out.y.push_back(static_cast<double>(
-        ds_->log_on_day(day, trow)[static_cast<std::size_t>(target_col_)]));
-    out.feature_day.push_back(d);
-    out.target_day.push_back(day);
-    out.enb.push_back(e);
-  }
-  return out;
+  return window(day - horizon_, day - horizon_);
 }
 
 void Standardizer::fit(const Matrix& X) {

@@ -56,7 +56,8 @@ class Featurizer {
   SupervisedSet window(int first_feature_day, int last_feature_day) const;
 
   /// Pairs whose *target* day is exactly `day` — the per-date test sets
-  /// of §3.2 ("we test these models on data subsets split by date").
+  /// of §3.2 ("we test these models on data subsets split by date"):
+  /// window(day - horizon, day - horizon).
   SupervisedSet at_target_day(int day) const;
 
   /// max - min of the target over the full dataset: the NRMSE normalizer

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <stdexcept>
 
+#include "common/spec.hpp"
 #include "obs/metrics.hpp"
 
 namespace leaf::obs {
@@ -12,31 +13,11 @@ namespace {
 
 double parse_rate(const std::string& key, const std::string& value,
                   double max_value) {
-  std::size_t used = 0;
-  double p = 0.0;
-  try {
-    p = std::stod(value, &used);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("slo: malformed value for '" + key + "'");
-  }
-  if (used != value.size() || !std::isfinite(p) || p < 0.0 || p > max_value)
-    throw std::invalid_argument("slo: value for '" + key +
-                                "' outside [0, " + std::to_string(max_value) +
-                                "]");
-  return p;
+  return spec::real_in("slo", key, value, 0.0, max_value);
 }
 
 int parse_int(const std::string& key, const std::string& value, int min_value) {
-  std::size_t used = 0;
-  long n = 0;
-  try {
-    n = std::stol(value, &used);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("slo: malformed value for '" + key + "'");
-  }
-  if (used != value.size() || n < min_value || n > 1000000)
-    throw std::invalid_argument("slo: value for '" + key + "' out of range");
-  return static_cast<int>(n);
+  return static_cast<int>(spec::uint_in("slo", key, value, min_value, 1000000));
 }
 
 std::string fmt(double v) {
@@ -53,21 +34,9 @@ bool SloSpec::any() const {
          telemetry_drift != kDisabled;
 }
 
-SloSpec SloSpec::parse(const std::string& spec) {
+SloSpec SloSpec::parse(const std::string& text) {
   SloSpec out;
-  std::size_t pos = 0;
-  while (pos < spec.size()) {
-    std::size_t comma = spec.find(',', pos);
-    if (comma == std::string::npos) comma = spec.size();
-    const std::string item = spec.substr(pos, comma - pos);
-    pos = comma + 1;
-    if (item.empty()) continue;
-    const std::size_t eq = item.find('=');
-    if (eq == std::string::npos)
-      throw std::invalid_argument("slo: expected key=value, got '" + item +
-                                  "'");
-    const std::string key = item.substr(0, eq);
-    const std::string value = item.substr(eq + 1);
+  for (const auto& [key, value] : spec::split(text, "slo")) {
     if (key == "window") {
       out.window = parse_int(key, value, 1);
     } else if (key == "deadline-miss") {

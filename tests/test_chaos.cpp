@@ -64,6 +64,13 @@ TEST(ChaosConfig, RejectsMalformedSpecs) {
   EXPECT_THROW(chaos::ChaosConfig::parse("step-throw"),
                std::invalid_argument);
   EXPECT_THROW(chaos::ChaosConfig::parse("shards="), std::invalid_argument);
+  // Non-finite probabilities, signed integers and integers out of range.
+  for (const char* bad :
+       {"step-throw=nan", "step-throw=inf", "seed=-1", "seed=+1", "shards=-1",
+        "shards=0+-2", "shards=2147483648", "step-throw-before=-3",
+        "slow-ms=-5", "slow-ms=3000000000", "seed=18446744073709551616",
+        "seed= 1"})
+    EXPECT_THROW(chaos::ChaosConfig::parse(bad), std::invalid_argument) << bad;
 }
 
 TEST(ChaosConfig, ReadsEnvironment) {

@@ -5,7 +5,6 @@
 
 #include "common/calendar.hpp"
 #include "common/metrics.hpp"
-#include "core/eval_cache.hpp"
 #include "core/experiment.hpp"
 #include "data/generator.hpp"
 #include "models/factory.hpp"
@@ -337,76 +336,6 @@ TEST(Experiment, CompareSchemesAveragesOverSeeds) {
   // Periodic scheme retrained.
   EXPECT_GT(outcomes[1].retrains, 0.0);
   EXPECT_GT(outcomes[0].static_nrmse, 0.0);
-}
-
-// --- EvalCache byte-bounded memoization -------------------------------------
-
-bool same_set(const data::SupervisedSet& a, const data::SupervisedSet& b) {
-  if (a.size() != b.size() || a.X.rows() != b.X.rows() ||
-      a.X.cols() != b.X.cols())
-    return false;
-  for (std::size_t r = 0; r < a.X.rows(); ++r)
-    for (std::size_t c = 0; c < a.X.cols(); ++c)
-      if (a.X(r, c) != b.X(r, c)) return false;
-  return a.y == b.y && a.feature_day == b.feature_day &&
-         a.target_day == b.target_day && a.enb == b.enb;
-}
-
-TEST(EvalCache, MemoizedSlicesMatchFeaturizer) {
-  EvalCache cache(featurizer());
-  const int day = 600;
-  const data::SupervisedSet& got = cache.at_target_day(day);
-  EXPECT_TRUE(same_set(got, featurizer().at_target_day(day)));
-  EXPECT_EQ(cache.misses(), 1u);
-  EXPECT_EQ(cache.hits(), 0u);
-
-  // Second request hits and returns the same object.
-  const data::SupervisedSet& again = cache.at_target_day(day);
-  EXPECT_EQ(&again, &got);
-  EXPECT_EQ(cache.hits(), 1u);
-
-  const data::SupervisedSet& win = cache.window(400, 413);
-  EXPECT_TRUE(same_set(win, featurizer().window(400, 413)));
-  EXPECT_EQ(&cache.window(400, 413), &win);
-}
-
-TEST(EvalCache, ByteBudgetBoundsMemoryNotCorrectness) {
-  // A budget big enough for roughly one slice: everything past it must be
-  // served pass-through (computed, correct, but not memoized).
-  const data::SupervisedSet probe = featurizer().at_target_day(600);
-  const std::size_t one_slice =
-      probe.X.rows() * probe.X.cols() * sizeof(double) +
-      probe.size() * (sizeof(double) + 3 * sizeof(int));
-  EvalCache cache(featurizer(), one_slice + one_slice / 2);
-
-  for (int day = 600; day < 640; day += 4) {
-    const data::SupervisedSet& got = cache.at_target_day(day);
-    EXPECT_TRUE(same_set(got, featurizer().at_target_day(day)))
-        << "day " << day;
-  }
-  // The byte ledger never exceeds the budget even though we requested far
-  // more data than fits.
-  EXPECT_LE(cache.bytes(), one_slice + one_slice / 2);
-  EXPECT_GT(cache.bytes(), 0u);
-
-  // Overflow slices were not memoized: re-requesting the last day misses
-  // again, while the first (memoized) day still hits.
-  const std::size_t misses_before = cache.misses();
-  cache.at_target_day(636);
-  EXPECT_EQ(cache.misses(), misses_before + 1);
-  const std::size_t hits_before = cache.hits();
-  cache.at_target_day(600);
-  EXPECT_EQ(cache.hits(), hits_before + 1);
-}
-
-TEST(EvalCache, ZeroBudgetStillServesCorrectSlices) {
-  EvalCache cache(featurizer(), 0);
-  for (int day = 600; day < 616; day += 4) {
-    EXPECT_TRUE(same_set(cache.at_target_day(day),
-                         featurizer().at_target_day(day)));
-  }
-  EXPECT_EQ(cache.bytes(), 0u);
-  EXPECT_EQ(cache.hits(), 0u);  // nothing memoized, nothing to hit
 }
 
 }  // namespace

@@ -555,15 +555,21 @@ TEST(ObsLog, ThresholdGatesLevels) {
   set_log_level(prev);
 }
 
-// --- determinism: run_scheme event stream vs LEAF_THREADS -------------------
+// --- determinism: logical telemetry vs LEAF_THREADS -------------------------
 
-TEST(ObsDeterminism, RunSchemeEventsIdenticalAcrossThreadCounts) {
-  if (!kCompiledIn) GTEST_SKIP() << "built with -DLEAF_OBS=OFF";
+/// A dataset and model size small enough to run twice per test.
+Scale tiny_scale() {
   Scale scale = Scale::for_level(Scale::Level::kSmall);
   scale.fixed_enbs = 6;
   scale.num_kpis = 16;
   scale.gbdt_trees = 15;
   scale.eval_stride_days = 4;
+  return scale;
+}
+
+TEST(ObsDeterminism, RunSchemeEventsIdenticalAcrossThreadCounts) {
+  if (!kCompiledIn) GTEST_SKIP() << "built with -DLEAF_OBS=OFF";
+  const Scale scale = tiny_scale();
   const data::CellularDataset ds = data::generate_fixed_dataset(scale, 42);
   const data::Featurizer featurizer(ds, data::TargetKpi::kDVol);
 
@@ -586,6 +592,42 @@ TEST(ObsDeterminism, RunSchemeEventsIdenticalAcrossThreadCounts) {
   // The masked event stream is a pure function of the logical execution.
   EXPECT_FALSE(jsonl_t1.empty());
   EXPECT_EQ(jsonl_t1, jsonl_t4);
+}
+
+/// The global scrape without its wall-clock lines (every series whose name
+/// holds `_seconds`): the part the determinism contract covers.
+std::string logical_scrape() {
+  std::istringstream in(MetricsRegistry::global().scrape());
+  std::string out, line;
+  while (std::getline(in, line))
+    if (line.find("_seconds") == std::string::npos) out += line + '\n';
+  return out;
+}
+
+// A compare_schemes grid runs its seed x scheme cells concurrently on the
+// shared pool and registry; every logical series must still come out the
+// same as on one thread.
+TEST(ObsDeterminism, CompareSchemesScrapeIdenticalAcrossThreadCounts) {
+  if (!kCompiledIn) GTEST_SKIP() << "built with -DLEAF_OBS=OFF";
+  const Scale scale = tiny_scale();
+  const data::CellularDataset ds = data::generate_fixed_dataset(scale, 42);
+  const std::vector<std::string> specs = {"Static", "Triggered", "LEAF",
+                                          "Naive30"};
+  const std::uint64_t seeds[] = {11, 22};
+
+  const auto scrape_with_threads = [&](int threads) {
+    par::set_threads(threads);
+    MetricsRegistry::global().reset_values();
+    core::compare_schemes(ds, data::TargetKpi::kDVol,
+                          models::ModelFamily::kGbdt, scale, specs, seeds);
+    return logical_scrape();
+  };
+
+  const std::string scrape_t1 = scrape_with_threads(1);
+  const std::string scrape_t4 = scrape_with_threads(4);
+  par::set_threads(0);
+  EXPECT_NE(scrape_t1.find("leaf_retrains_total"), std::string::npos);
+  EXPECT_EQ(scrape_t1, scrape_t4);
 }
 
 }  // namespace

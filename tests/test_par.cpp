@@ -19,7 +19,6 @@
 
 #include "common/fnv.hpp"
 #include "common/rng.hpp"
-#include "core/eval_cache.hpp"
 #include "core/experiment.hpp"
 #include "data/generator.hpp"
 #include "explain/importance.hpp"
@@ -374,31 +373,6 @@ TEST(Determinism, FleetFingerprintsMatchAtOneTwoAndFourThreads) {
     for (std::size_t i = 0; i < serial.results.size(); ++i)
       expect_same_run(serial.results[i], parallel.results[i]);
   }
-}
-
-TEST(Determinism, EvalCacheIsBitIdenticalToRecomputation) {
-  ThreadGuard guard;
-  par::set_threads(4);
-  const data::Featurizer f(par_ds(), data::TargetKpi::kDVol);
-  const auto run = [&](core::EvalCache* cache) {
-    const auto model =
-        models::make_model(models::ModelFamily::kGbdt, par_scale(), 1);
-    core::TriggeredScheme scheme;
-    core::EvalConfig cfg = core::make_eval_config(par_scale());
-    cfg.cache = cache;
-    return core::run_scheme(f, *model, scheme, cfg);
-  };
-  const core::EvalResult uncached = run(nullptr);
-  core::EvalCache cache(f);
-  const core::EvalResult cached = run(&cache);
-  expect_same_run(uncached, cached);
-  EXPECT_GT(cache.misses(), 0u);
-  // A second pass through the same run is served from the cache.
-  const std::size_t misses_after_first = cache.misses();
-  const core::EvalResult again = run(&cache);
-  expect_same_run(cached, again);
-  EXPECT_EQ(cache.misses(), misses_after_first);
-  EXPECT_GT(cache.hits(), 0u);
 }
 
 TEST(Determinism, CompareSchemesIsBitIdenticalAcrossThreadCounts) {

@@ -462,6 +462,8 @@ TEST(SloSpec, ParsesRoundTripsAndRejectsGarbage) {
   EXPECT_THROW(obs::SloSpec::parse("bogus=1"), std::invalid_argument);
   EXPECT_THROW(obs::SloSpec::parse("window=0"), std::invalid_argument);
   EXPECT_THROW(obs::SloSpec::parse("window"), std::invalid_argument);
+  EXPECT_THROW(obs::SloSpec::parse("window=+2"), std::invalid_argument);
+  EXPECT_THROW(obs::SloSpec::parse("warn=nan"), std::invalid_argument);
 }
 
 TEST(SloWatchdog, EscalatesImmediatelyAndRecoversWithHysteresis) {
