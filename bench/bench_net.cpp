@@ -459,7 +459,7 @@ int main(int argc, char** argv) {
         const int cols = slo_fleet.shard_num_features(shard);
         // During the storm most requests carry a 5 ms budget that expires
         // while queued; quiet rounds have no deadline at all.
-        const std::uint64_t deadline =
+        const std::uint32_t deadline =
             stormy && storm.deadline_storm(static_cast<std::uint64_t>(c),
                                            static_cast<std::uint64_t>(round))
                 ? 5

@@ -951,7 +951,10 @@ int run_top(int argc, char** argv) {
       if (iterations != 1)
         std::printf("\x1b[2J\x1b[H");  // clear + home between refreshes
       std::string refresh = std::to_string(iter + 1);
-      if (iterations > 0) refresh += "/" + std::to_string(iterations);
+      if (iterations > 0) {
+        refresh += '/';
+        refresh += std::to_string(iterations);
+      }
       std::printf("leaf top — %s  refresh %s  interval %dms\n",
                   connect_addr.c_str(), refresh.c_str(), interval_ms);
       std::printf("fleet: step %llu, %zu shard(s) (%zu ready, %zu done)",

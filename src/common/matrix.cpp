@@ -16,16 +16,6 @@ void Matrix::append_row(std::span<const double> values) {
   assert(values.size() == cols_);
   data_.insert(data_.end(), values.begin(), values.end());
   ++rows_;
-  mirror_valid_ = false;
-}
-
-void Matrix::build_mirror() const {
-  mirror_.resize(rows_ * cols_);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    const double* src = data_.data() + r * cols_;
-    for (std::size_t c = 0; c < cols_; ++c) mirror_[c * rows_ + r] = src[c];
-  }
-  mirror_valid_ = true;
 }
 
 Matrix Matrix::gather_rows(std::span<const std::size_t> indices) const {

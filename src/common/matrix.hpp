@@ -24,7 +24,6 @@ class Matrix {
 
   double& operator()(std::size_t r, std::size_t c) {
     assert(r < rows_ && c < cols_);
-    mirror_valid_ = false;
     return data_[r * cols_ + c];
   }
   double operator()(std::size_t r, std::size_t c) const {
@@ -35,7 +34,6 @@ class Matrix {
   /// Contiguous view of one row.
   std::span<double> row(std::size_t r) {
     assert(r < rows_);
-    mirror_valid_ = false;
     return {data_.data() + r * cols_, cols_};
   }
   std::span<const double> row(std::size_t r) const {
@@ -44,36 +42,10 @@ class Matrix {
   }
 
   /// Copy of one column (columns are strided in the row-major storage, so
-  /// no span over `data_` is possible).  Prefer col_view() in loops.
+  /// no span over `data_` is possible).
   std::vector<double> col(std::size_t c) const;
 
-  /// Contiguous view of one column, served from a lazily built
-  /// column-major mirror of the matrix.  The first call after any
-  /// mutation rebuilds the mirror (O(rows*cols)); later calls are free.
-  /// Handing out writable access (non-const operator(), row(), flat())
-  /// invalidates the mirror even if nothing is written.
-  ///
-  /// NOT thread-safe while invalid: trigger the rebuild from serial code
-  /// (e.g. right after fit/load) before reading col_view from leaf::par
-  /// workers.  Views are invalidated by the next mutation or rebuild.
-  std::span<const double> col_view(std::size_t c) const {
-    assert(c < cols_);
-    if (!mirror_valid_) build_mirror();
-    return {mirror_.data() + c * rows_, rows_};
-  }
-
-  /// The whole column-major mirror (cols blocks of `rows` doubles) —
-  /// the layout simd::l2_distances_cols consumes.  Same laziness and
-  /// thread-safety caveats as col_view().
-  std::span<const double> col_major() const {
-    if (!mirror_valid_) build_mirror();
-    return mirror_;
-  }
-
-  std::span<double> flat() {
-    mirror_valid_ = false;
-    return data_;
-  }
+  std::span<double> flat() { return data_; }
   std::span<const double> flat() const { return data_; }
 
   /// Appends a row; the first appended row fixes the column count for an
@@ -89,16 +61,9 @@ class Matrix {
   Matrix multiply(const Matrix& other) const;
 
  private:
-  void build_mirror() const;
-
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   std::vector<double> data_;
-  // Lazily built column-major copy of data_ (see col_view).  Mutable so
-  // const readers can materialize it; the validity flag is a plain bool
-  // because rebuilds must happen in serial contexts anyway.
-  mutable std::vector<double> mirror_;
-  mutable bool mirror_valid_ = false;
 };
 
 }  // namespace leaf

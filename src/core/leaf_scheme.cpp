@@ -181,7 +181,7 @@ data::SupervisedSet LeafScheme::restructure(const SchemeContext& ctx,
   // transient spikes can't evict the whole history.
   const double strength =
       high_dispersion ? cfg_.forget_strength_high : cfg_.forget_strength_low;
-  const std::span<const double> train_fv = train.X.col_view(representative);
+  const std::vector<double> train_fv = train.X.col(representative);
   std::vector<std::size_t> kept;
   kept.reserve(train.size());
   for (std::size_t i = 0; i < train.size(); ++i) {
@@ -215,8 +215,7 @@ data::SupervisedSet LeafScheme::restructure(const SchemeContext& ctx,
   const data::SupervisedSet& source =
       high_dispersion ? (pool.empty() ? latest : pool) : latest;
   if (refill > 0 && !source.empty()) {
-    const std::span<const double> source_fv =
-        source.X.col_view(representative);
+    const std::vector<double> source_fv = source.X.col(representative);
     std::vector<double> weights(source.size());
     for (std::size_t i = 0; i < source.size(); ++i) {
       const std::size_t b = explain::lea_bin_of(source_fv[i], edges);

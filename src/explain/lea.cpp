@@ -71,8 +71,7 @@ LeaResult compute_lea(std::span<const double> pred,
 LeaResult compute_lea(const models::Regressor& model,
                       const data::SupervisedSet& set, int feature, int bins,
                       double norm_range, std::span<const double> edges) {
-  const std::span<const double> fv =
-      set.X.col_view(static_cast<std::size_t>(feature));
+  const std::vector<double> fv = set.X.col(static_cast<std::size_t>(feature));
   std::vector<double> own_edges;
   if (edges.empty()) {
     own_edges = lea_bin_edges(fv, bins);
@@ -131,7 +130,7 @@ LeaPlot build_leaplot(
   // Shared x-axis: quantile edges over the union of all subsets.
   std::vector<double> all_values;
   for (const auto& [name, set] : subsets) {
-    const auto col = set->X.col_view(static_cast<std::size_t>(feature));
+    const auto col = set->X.col(static_cast<std::size_t>(feature));
     all_values.insert(all_values.end(), col.begin(), col.end());
   }
   out.edges = lea_bin_edges(all_values, bins);
@@ -180,8 +179,7 @@ LeaGram build_leagram(const models::Regressor& model,
   out.feature = feature;
   out.feature_name = feature_name;
 
-  const std::span<const double> fv =
-      test.X.col_view(static_cast<std::size_t>(feature));
+  const std::vector<double> fv = test.X.col(static_cast<std::size_t>(feature));
   out.edges = lea_bin_edges(fv, bins);
   const std::size_t nb = out.edges.size() + 1;
 

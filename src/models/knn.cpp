@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "obs/metrics.hpp"
 #include "simd/simd.hpp"
@@ -20,22 +22,22 @@ void Knn::fit(const Matrix& X, std::span<const double> y,
   trained_ = false;
   if (!check_fit_args(X, y, w)) return;
   scaler_.fit(X);
-  train_ = scaler_.transform(X);
+  train_cols_ = scaler_.transform(X).transposed();
   y_.assign(y.begin(), y.end());
   if (w.empty()) {
     w_.assign(y.size(), 1.0);
   } else {
     w_.assign(w.begin(), w.end());
   }
-  // Materialize the column-major mirror now, while we are in sequential
-  // code: predict_one reads it from parallel per-row prediction, where a
-  // lazy rebuild would race.
-  train_.col_major();
   trained_ = true;
 }
 
 double Knn::predict_one(std::span<const double> x) const {
   assert(trained_);
+  if (x.size() != train_cols_.rows())
+    throw std::invalid_argument(
+        "knn query has " + std::to_string(x.size()) + " features, trained on " +
+        std::to_string(train_cols_.rows()));
   // Per-query scratch is thread_local: predict_one runs on the leaf::par
   // pool (one query per row), and per-call vector churn dominated small
   // queries.
@@ -45,13 +47,14 @@ double Knn::predict_one(std::span<const double> x) const {
   z.resize(x.size());
   scaler_.transform_row(x, z);
 
-  const std::size_t n = train_.rows();
+  const std::size_t n = train_cols_.cols();
   const std::size_t k = std::min<std::size_t>(static_cast<std::size_t>(cfg_.k), n);
+  if (k == 0) return 0.0;  // no neighbours to average
 
-  // All query->train distances in one kernel over the column-major mirror
-  // (built at fit/load), instead of a strided pass per training row.
+  // All query->train distances in one kernel over the transposed training
+  // set, instead of a strided pass per training row.
   dist2.resize(n);
-  simd::l2_distances_cols(train_.col_major(), n, z, dist2);
+  simd::l2_distances_cols(train_cols_.flat(), n, z, dist2);
 
   // Partial selection of the k smallest distances.
   d.resize(n);
@@ -79,7 +82,7 @@ void Knn::save(io::Serializer& out) const {
   out.put_f64(cfg_.min_distance);
   out.put_bool(trained_);
   io::write(out, scaler_);
-  io::write(out, train_);
+  io::write(out, train_cols_.transposed());
   out.put_doubles(y_);
   out.put_doubles(w_);
 }
@@ -91,13 +94,16 @@ std::unique_ptr<Knn> Knn::load(io::Deserializer& in) {
   auto model = std::make_unique<Knn>(cfg);
   model->trained_ = in.get_bool();
   io::read_standardizer(in, model->scaler_);
-  model->train_ = io::read_matrix(in);
+  const Matrix train = io::read_matrix(in);
   model->y_ = in.get_doubles();
   model->w_ = in.get_doubles();
-  if (model->y_.size() != model->train_.rows() ||
-      model->w_.size() != model->train_.rows())
+  if (model->y_.size() != train.rows() || model->w_.size() != train.rows())
     throw io::SnapshotError("knn training arrays have inconsistent sizes");
-  model->train_.col_major();  // predict reads the mirror from pool threads
+  // predict_one checks the query against the training width and then
+  // standardizes it with the scaler, so the two widths must agree.
+  if (train.cols() != model->scaler_.mean().size())
+    throw io::SnapshotError("knn training width differs from its standardizer");
+  model->train_cols_ = train.transposed();
   return model;
 }
 

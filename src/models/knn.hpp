@@ -38,7 +38,10 @@ class Knn final : public Regressor {
   KnnConfig cfg_;
   bool trained_ = false;
   data::Standardizer scaler_;
-  Matrix train_;  // standardized
+  /// Standardized training set, transposed: row f holds feature f of every
+  /// training sample — the column-major layout simd::l2_distances_cols
+  /// scans.  Snapshots store it untransposed.
+  Matrix train_cols_;
   std::vector<double> y_;
   std::vector<double> w_;
 };

@@ -35,13 +35,12 @@ BinnedData::BinnedData(const Matrix& X, int max_bins, BinEdgeCache* cache)
     cache->max_bins_ = max_bins;
   }
 
+  // One O(rows*cols) transpose for the whole binning, so each column below
+  // is a contiguous row of Xt instead of a strided gather.
+  const Matrix Xt = X.transposed();
   std::vector<std::size_t> occupancy;
   for (std::size_t c = 0; c < cols_; ++c) {
-    // Contiguous column from the lazily built column-major mirror — one
-    // O(rows*cols) transpose for the whole binning instead of a strided
-    // gather per column.  BinnedData is built from sequential code (tree
-    // fits), which is where the lazy rebuild is allowed to happen.
-    const std::span<const double> col = X.col_view(c);
+    const std::span<const double> col = Xt.row(c);
     double lo = col[0], hi = col[0];
     for (double v : col) {
       lo = std::min(lo, v);

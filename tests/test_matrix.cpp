@@ -115,62 +115,5 @@ TEST(Matrix, EmptyMatrix) {
   EXPECT_EQ(m.rows(), 0u);
 }
 
-TEST(Matrix, ColViewMatchesColCopy) {
-  Matrix m(3, 2);
-  m(0, 0) = 1.0;
-  m(0, 1) = 2.0;
-  m(1, 0) = 3.0;
-  m(1, 1) = 4.0;
-  m(2, 0) = 5.0;
-  m(2, 1) = 6.0;
-  for (std::size_t c = 0; c < m.cols(); ++c) {
-    const std::vector<double> copy = m.col(c);
-    const std::span<const double> view = m.col_view(c);
-    ASSERT_EQ(view.size(), copy.size());
-    for (std::size_t r = 0; r < view.size(); ++r)
-      EXPECT_DOUBLE_EQ(view[r], copy[r]);
-  }
-}
-
-TEST(Matrix, ColMajorIsTheTranspose) {
-  Matrix m(2, 3);
-  for (std::size_t r = 0; r < 2; ++r)
-    for (std::size_t c = 0; c < 3; ++c) m(r, c) = 10.0 * double(r) + double(c);
-  const std::span<const double> cm = m.col_major();
-  ASSERT_EQ(cm.size(), 6u);
-  for (std::size_t r = 0; r < 2; ++r)
-    for (std::size_t c = 0; c < 3; ++c)
-      EXPECT_DOUBLE_EQ(cm[c * m.rows() + r], m(r, c));
-}
-
-TEST(Matrix, ColViewInvalidatedByMutation) {
-  Matrix m(2, 2);
-  m(0, 0) = 1.0;
-  m(1, 0) = 2.0;
-  EXPECT_DOUBLE_EQ(m.col_view(0)[1], 2.0);
-  // Element write through the non-const accessor.
-  m(1, 0) = 7.0;
-  EXPECT_DOUBLE_EQ(m.col_view(0)[1], 7.0);
-  // Write through the mutable row span.
-  m.row(1)[0] = 8.0;
-  EXPECT_DOUBLE_EQ(m.col_view(0)[1], 8.0);
-  // Write through flat().
-  m.flat()[2] = 9.0;
-  EXPECT_DOUBLE_EQ(m.col_view(0)[1], 9.0);
-}
-
-TEST(Matrix, ColViewInvalidatedByAppendRow) {
-  Matrix m(1, 2);
-  m(0, 0) = 1.0;
-  m(0, 1) = 2.0;
-  EXPECT_EQ(m.col_view(1).size(), 1u);
-  const double row[] = {3.0, 4.0};
-  m.append_row(row);
-  const std::span<const double> v = m.col_view(1);
-  ASSERT_EQ(v.size(), 2u);
-  EXPECT_DOUBLE_EQ(v[0], 2.0);
-  EXPECT_DOUBLE_EQ(v[1], 4.0);
-}
-
 }  // namespace
 }  // namespace leaf

@@ -1,11 +1,12 @@
-// Byte-mutation fuzz of serialized tree-ensemble payloads ("gbdt",
-// "forest").  Payloads go straight to models::load_regressor, below the
+// Byte-mutation fuzz of serialized model payloads ("gbdt", "forest",
+// "knn").  Payloads go straight to models::load_regressor, below the
 // snapshot container's CRC, so every corruption reaches the decoders.
 // Each trial must either throw io::SnapshotError or yield a model whose
-// predict_into on a fixed matrix returns (or, for a split feature beyond
-// the matrix's width, throws std::invalid_argument).  Under ASan/UBSan
-// this also checks that no accepted payload reads out of bounds, and a
-// payload that could make traversal loop would hang the test.
+// predict_into on a fixed matrix returns (or, for a model that reads
+// features beyond the matrix's width, throws std::invalid_argument).
+// Under ASan/UBSan this also checks that no accepted payload reads out of
+// bounds, and a payload that could make traversal loop would hang the
+// test.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -19,6 +20,7 @@
 #include "models/factory.hpp"
 #include "models/forest.hpp"
 #include "models/gbdt.hpp"
+#include "models/knn.hpp"
 
 namespace leaf::models {
 namespace {
@@ -129,6 +131,57 @@ TEST(ModelPayloadFuzz, MutatedForestPayloadsThrowOrPredict) {
   const FuzzOutcome o = fuzz(model, 0xF0E5);
   EXPECT_GT(o.rejected, 0);
   EXPECT_GT(o.predicted, 0);
+}
+
+TEST(ModelPayloadFuzz, MutatedKnnPayloadsThrowOrPredict) {
+  const Problem p;
+  Knn model(KnnConfig{.k = 3});
+  model.fit(p.X, p.y);
+  const FuzzOutcome o = fuzz(model, 0x4B99);
+  EXPECT_GT(o.rejected, 0);
+  EXPECT_GT(o.predicted, 0);
+}
+
+/// A hand-built "knn" payload: `rows` training rows of `cols` features, a
+/// standardizer of `scaler_width`, and the given k and trained flag.
+std::vector<std::uint8_t> knn_payload(int k, bool trained,
+                                      std::size_t scaler_width,
+                                      std::size_t rows, std::size_t cols) {
+  data::Standardizer scaler;
+  scaler.restore(std::vector<double>(scaler_width, 0.0),
+                 std::vector<double>(scaler_width, 1.0));
+  io::Serializer out;
+  out.put_string("knn");
+  out.put_i32(k);
+  out.put_f64(1e-9);
+  out.put_bool(trained);
+  io::write(out, scaler);
+  io::write(out, Matrix(rows, cols, 1.0));
+  out.put_doubles(std::vector<double>(rows, 1.0));
+  out.put_doubles(std::vector<double>(rows, 1.0));
+  return {out.bytes().begin(), out.bytes().end()};
+}
+
+// A trained KNN whose training matrix is narrower than its standardizer:
+// predict would read 8-wide standardized queries against 2-wide rows.
+TEST(ModelPayloadFuzz, KnnTrainingNarrowerThanStandardizerIsRejected) {
+  for (const std::size_t width : {std::size_t{2}, std::size_t{0}}) {
+    const std::vector<std::uint8_t> bytes = knn_payload(2, true, 8, 3, width);
+    io::Deserializer in(bytes);
+    EXPECT_THROW(load_regressor(in), io::SnapshotError) << width;
+  }
+}
+
+// No training rows behind an untrained flag, or k = 0: nothing to average,
+// so predict answers 0 instead of selecting among no neighbours.
+TEST(ModelPayloadFuzz, KnnWithoutNeighboursPredictsZero) {
+  const std::vector<double> query(4, 0.5);
+  for (const auto& bytes :
+       {knn_payload(2, false, 4, 0, 4), knn_payload(0, true, 4, 3, 4)}) {
+    io::Deserializer in(bytes);
+    const std::unique_ptr<Regressor> model = load_regressor(in);
+    EXPECT_EQ(model->predict_one(query), 0.0);
+  }
 }
 
 }  // namespace

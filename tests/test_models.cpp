@@ -308,6 +308,16 @@ TEST(Knn, InverseDistanceWeighting) {
   EXPECT_GT(pred, 0.0);
 }
 
+TEST(Knn, RefusesQueriesOfAnotherWidth) {
+  const Matrix x(4, 3, 1.0);
+  const std::vector<double> y(4, 2.0);
+  Knn knn;
+  knn.fit(x, y);
+  const std::vector<double> narrow(2, 0.0), wide(4, 0.0);
+  EXPECT_THROW(knn.predict_one(narrow), std::invalid_argument);
+  EXPECT_THROW(knn.predict_one(wide), std::invalid_argument);
+}
+
 TEST(Ridge, RecoversCoefficientsWithSmallLambda) {
   const LinearProblem p(2000, 0.01);
   RidgeConfig cfg;

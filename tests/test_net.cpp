@@ -526,8 +526,9 @@ TEST_F(NetFixture, CloseCountsDiscardedPredicts) {
                                                  1)}));
   EXPECT_EQ(loop.core().queued(), 1u);
   conn.close();
-  if (obs::kCompiledIn)
+  if (obs::kCompiledIn) {
     EXPECT_EQ(reg.gauge("leaf_net_queue_depth").value(), 0.0);
+  }
   EXPECT_EQ(loop.pump(), 0u);
   EXPECT_EQ(loop.core().queued(), 0u);
 

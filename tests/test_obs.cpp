@@ -264,7 +264,9 @@ TEST(ObsRegistry, PrometheusScrapeCompliesWithTheTextFormat) {
       EXPECT_TRUE(std::isalnum(static_cast<unsigned char>(ch)) || ch == '_' ||
                   ch == ':')
           << line;
-    if (brace != std::string::npos) EXPECT_EQ(series.back(), '}') << line;
+    if (brace != std::string::npos) {
+      EXPECT_EQ(series.back(), '}') << line;
+    }
 
     // Summary discipline: the four quantiles in ascending order with
     // non-decreasing values, then _sum, then a _count closing the run.

@@ -25,6 +25,7 @@
 #include "io/serializer.hpp"
 #include "models/factory.hpp"
 #include "models/forest.hpp"
+#include "models/knn.hpp"
 #include "models/tree.hpp"
 #include "par/parallel.hpp"
 #include "serve/runtime.hpp"
@@ -243,6 +244,20 @@ TEST(Determinism, PredictIntoMatchesPredict) {
   std::vector<double> b(p.X_test.rows());
   f.predict_into(p.X_test, b);
   EXPECT_EQ(a, b);
+
+  // A KNN restored from a snapshot, predicted on 4 pool threads from its
+  // first call on, matches its serial predictions.
+  models::Knn fitted;
+  fitted.fit(p.X, p.y);
+  io::Serializer out;
+  fitted.save(out);
+  io::Deserializer in(out.bytes());
+  const std::unique_ptr<models::Knn> knn = models::Knn::load(in);
+  std::vector<double> parallel(p.X_test.rows());
+  knn->predict_into(p.X_test, parallel);
+  par::set_threads(1);
+  EXPECT_EQ(knn->predict(p.X_test), parallel);
+  EXPECT_EQ(fitted.predict(p.X_test), parallel);
 }
 
 TEST(Determinism, PermutationImportanceIsBitIdenticalAcrossThreadCounts) {
@@ -412,7 +427,7 @@ TEST(Determinism, CompareSchemesIsBitIdenticalAcrossThreadCounts) {
 // skip the bins a node never touched; every later grower optimization must
 // keep them.
 
-TEST(Determinism, TreeFamilyFitsMatchPinnedSnapshotBytes) {
+TEST(Determinism, FamilyFitsMatchPinnedSnapshotBytes) {
   const SynthProblem p;
   // Weights with zeros: every fifth row carries no weight at all.
   std::vector<double> zero_w(p.X.rows());
@@ -435,13 +450,17 @@ TEST(Determinism, TreeFamilyFitsMatchPinnedSnapshotBytes) {
                         {"const+inf", &X_odd, {}}};
   const models::ModelFamily families[] = {
       models::ModelFamily::kGbdt, models::ModelFamily::kLightGbdt,
-      models::ModelFamily::kRandomForest, models::ModelFamily::kExtraTrees};
-  // [family][case], in the order above.
-  const std::uint64_t want[4][3] = {
+      models::ModelFamily::kRandomForest, models::ModelFamily::kExtraTrees,
+      models::ModelFamily::kKnn};
+  // [family][case], in the order above.  KNN's const+inf bytes hold the
+  // standardizer moments of +inf and -inf rows, i.e. the default NaN, whose
+  // sign bit is x86-64's (0xfff8...); AArch64's default NaN is positive.
+  const std::uint64_t want[5][3] = {
       {0x53e0d9785e6ffa34ULL, 0x4e0a9315cc909c57ULL, 0xb81326649bca92a6ULL},
       {0x1c61399f49ffebc5ULL, 0x984320024cd36bcbULL, 0xa53a47193f381cd0ULL},
       {0xae030111451577f5ULL, 0x6fb28028b373e762ULL, 0x9de21f09a11fe0b4ULL},
       {0x42653d66faa20e2bULL, 0x0c0dd6999b508e76ULL, 0xb0d7f3eb65c11414ULL},
+      {0x8f2b7aca81a1f294ULL, 0xaaf71e3f71e4cd90ULL, 0x36764d33f0d9064dULL},
   };
   for (std::size_t f = 0; f < std::size(families); ++f) {
     for (std::size_t c = 0; c < std::size(cases); ++c) {

@@ -362,7 +362,9 @@ TEST(SimdDispatch, KillSwitchRoutesToScalarWithIdenticalResults) {
 
   // The whole point: flipping the switch is invisible in results.
   EXPECT_BITS_EQ(on_dot, off_dot);
-  if (simd::compiled_in()) EXPECT_TRUE(on_says_vector);
+  if (simd::compiled_in()) {
+    EXPECT_TRUE(on_says_vector);
+  }
 }
 
 TEST(SimdDispatch, CountsKernelCalls) {
