@@ -83,8 +83,7 @@ Evaluation::Evaluation(const data::Featurizer& featurizer,
       observer_(observer),
       sink_(sink),
       fit_caches_(std::make_unique<models::FitCaches>()),
-      detector_(cfg.detector),
-      rng_(cfg.seed) {}
+      detector_(cfg.detector) {}
 
 void Evaluation::init() {
   result_ = EvalResult{};
@@ -122,7 +121,6 @@ void Evaluation::init() {
 
   scheme_->reset();
   detector_ = drift::Kswin(cfg_.detector);
-  rng_ = Rng(cfg_.seed);
   abs_ne_samples_.clear();
   // First forecastable day: the anchor's forecasts land at
   // anchor + horizon; evaluation starts there.
@@ -219,7 +217,6 @@ void Evaluation::step(const RetrainGate& gate, bool force_retrain) {
                     .nrmse = err,
                     .drift = drift,
                     .train_window = cfg_.train_window,
-                    .rng = &rng_,
                     .prototype = prototype_,
                     .events = cfg_.events,
                     .shard = cfg_.obs_shard};
@@ -284,7 +281,6 @@ EvalResult Evaluation::finalized_result() const {
 }
 
 void Evaluation::save(io::Serializer& out) const {
-  io::write(out, rng_);
   detector_.save_state(out);
   scheme_->save_state(out);
   models::save_regressor(out, *model_);
@@ -310,7 +306,6 @@ void Evaluation::save(io::Serializer& out) const {
 }
 
 void Evaluation::load(io::Deserializer& in) {
-  io::read_rng(in, rng_);
   detector_.load_state(in);
   scheme_->reset();
   scheme_->load_state(in);

@@ -24,7 +24,6 @@
 #include <string>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "core/scheme.hpp"
 #include "data/features.hpp"
 #include "drift/kswin.hpp"
@@ -152,7 +151,7 @@ class Evaluation {
              const PredictionSink& sink = {});
 
   /// Fits the initial model on the `train_window` days ending at the
-  /// anchor and resets the scheme, detector, RNG and results.  Throws
+  /// anchor and resets the scheme, detector and results.  Throws
   /// std::runtime_error when that window holds no supervised pairs.
   void init();
 
@@ -177,7 +176,7 @@ class Evaluation {
     model_->predict_into(X, out);
   }
 
-  /// Snapshot hooks: the complete run state (RNG, detector, scheme, model,
+  /// Snapshot hooks: the complete run state (detector, scheme, model,
   /// bin-edge cache, training set, cursor, partial results).  load()
   /// validates what it reads and throws io::SnapshotError on damage.
   void save(io::Serializer& out) const;
@@ -197,7 +196,6 @@ class Evaluation {
   std::unique_ptr<models::FitCaches> fit_caches_;
   std::unique_ptr<models::Regressor> model_;
   drift::Kswin detector_;
-  Rng rng_;
   data::SupervisedSet train_;
   EvalResult result_;
   std::vector<double> abs_ne_samples_;

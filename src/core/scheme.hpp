@@ -21,7 +21,6 @@
 #include <optional>
 #include <string>
 
-#include "common/rng.hpp"
 #include "data/features.hpp"
 #include "models/regressor.hpp"
 
@@ -40,7 +39,6 @@ struct SchemeContext {
   double nrmse = 0.0;     ///< NRMSE at this step
   bool drift = false;     ///< detector fired at this step
   int train_window = 14;  ///< length (days) of a standard training window
-  Rng* rng = nullptr;
   /// Untrained prototype of the deployed model family; schemes that
   /// validate a candidate training set before proposing it (LEAF) fit a
   /// clone of this.  May be null for policies that don't validate.

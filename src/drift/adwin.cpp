@@ -147,64 +147,4 @@ void Adwin::reset() {
   since_check_ = 0;
 }
 
-std::unique_ptr<DriftDetector> Adwin::clone_fresh() const {
-  return std::make_unique<Adwin>(cfg_);
-}
-
-void Adwin::save_state(io::Serializer& out) const {
-  out.put_f64(cfg_.delta);
-  out.put_i32(cfg_.max_buckets);
-  out.put_i32(cfg_.min_window);
-  out.put_i32(cfg_.check_period);
-  out.put_u64(rows_.size());
-  for (const auto& row : rows_) {
-    out.put_u64(row.size());
-    for (const Bucket& b : row) {
-      out.put_f64(b.sum);
-      out.put_f64(b.var);
-      out.put_u64(b.count);
-    }
-  }
-  out.put_u64(total_count_);
-  out.put_f64(total_sum_);
-  out.put_f64(total_var_);
-  out.put_i32(since_check_);
-}
-
-void Adwin::load_state(io::Deserializer& in) {
-  AdwinConfig saved;
-  saved.delta = in.get_f64();
-  saved.max_buckets = in.get_i32();
-  saved.min_window = in.get_i32();
-  saved.check_period = in.get_i32();
-  if (saved.delta != cfg_.delta || saved.max_buckets != cfg_.max_buckets ||
-      saved.min_window != cfg_.min_window ||
-      saved.check_period != cfg_.check_period)
-    throw io::SnapshotError(
-        "ADWIN configuration mismatch between snapshot and detector");
-  const std::size_t num_rows = in.get_count(8);  // row-size word per row
-  std::deque<std::deque<Bucket>> rows;
-  for (std::size_t r = 0; r < num_rows; ++r) {
-    const std::size_t row_size = in.get_count(8 + 8 + 8);
-    std::deque<Bucket> row;
-    for (std::size_t i = 0; i < row_size; ++i) {
-      Bucket b;
-      b.sum = in.get_f64();
-      b.var = in.get_f64();
-      b.count = in.get_u64();
-      row.push_back(b);
-    }
-    rows.push_back(std::move(row));
-  }
-  const std::uint64_t total_count = in.get_u64();
-  const double total_sum = in.get_f64();
-  const double total_var = in.get_f64();
-  const int since_check = in.get_i32();
-  rows_ = std::move(rows);
-  total_count_ = total_count;
-  total_sum_ = total_sum;
-  total_var_ = total_var;
-  since_check_ = since_check;
-}
-
 }  // namespace leaf::drift

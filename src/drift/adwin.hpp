@@ -28,13 +28,9 @@ class Adwin final : public DriftDetector {
   bool update(double value) override;
   void reset() override;
   std::string name() const override { return "ADWIN"; }
-  std::unique_ptr<DriftDetector> clone_fresh() const override;
 
   std::size_t window_length() const { return total_count_; }
   double window_mean() const;
-
-  void save_state(io::Serializer& out) const override;
-  void load_state(io::Deserializer& in) override;
 
  private:
   struct Bucket {

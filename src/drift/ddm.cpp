@@ -48,48 +48,6 @@ void Ddm::reset() {
   warning_ = false;
 }
 
-std::unique_ptr<DriftDetector> Ddm::clone_fresh() const {
-  return std::make_unique<Ddm>(cfg_);
-}
-
-void Ddm::save_state(io::Serializer& out) const {
-  out.put_i32(cfg_.min_samples);
-  out.put_f64(cfg_.warn_level);
-  out.put_f64(cfg_.drift_level);
-  out.put_f64(cfg_.binarize_alpha);
-  out.put_f64(cfg_.binarize_k);
-  binarizer_.save(out);
-  out.put_u64(n_);
-  out.put_f64(p_);
-  out.put_f64(s_);
-  out.put_f64(p_min_);
-  out.put_f64(s_min_);
-  out.put_bool(warning_);
-}
-
-void Ddm::load_state(io::Deserializer& in) {
-  DdmConfig saved;
-  saved.min_samples = in.get_i32();
-  saved.warn_level = in.get_f64();
-  saved.drift_level = in.get_f64();
-  saved.binarize_alpha = in.get_f64();
-  saved.binarize_k = in.get_f64();
-  if (saved.min_samples != cfg_.min_samples ||
-      saved.warn_level != cfg_.warn_level ||
-      saved.drift_level != cfg_.drift_level ||
-      saved.binarize_alpha != cfg_.binarize_alpha ||
-      saved.binarize_k != cfg_.binarize_k)
-    throw io::SnapshotError(
-        "DDM configuration mismatch between snapshot and detector");
-  binarizer_.load(in);
-  n_ = in.get_u64();
-  p_ = in.get_f64();
-  s_ = in.get_f64();
-  p_min_ = in.get_f64();
-  s_min_ = in.get_f64();
-  warning_ = in.get_bool();
-}
-
 // --- EDDM ------------------------------------------------------------
 
 Eddm::Eddm(EddmConfig cfg)
@@ -144,10 +102,6 @@ void Eddm::reset() {
   dist_mean_ = 0.0;
   dist_m2_ = 0.0;
   best_score_ = 0.0;
-}
-
-std::unique_ptr<DriftDetector> Eddm::clone_fresh() const {
-  return std::make_unique<Eddm>(cfg_);
 }
 
 // --- HDDM-A ----------------------------------------------------------
@@ -214,10 +168,6 @@ void HddmA::reset() {
   hi_ = -std::numeric_limits<double>::infinity();
 }
 
-std::unique_ptr<DriftDetector> HddmA::clone_fresh() const {
-  return std::make_unique<HddmA>(cfg_);
-}
-
 // --- Page–Hinkley -----------------------------------------------------
 
 PageHinkley::PageHinkley(PageHinkleyConfig cfg) : cfg_(cfg) {}
@@ -246,10 +196,6 @@ void PageHinkley::reset() {
   mean_ = 0.0;
   cum_ = 0.0;
   cum_min_ = 0.0;
-}
-
-std::unique_ptr<DriftDetector> PageHinkley::clone_fresh() const {
-  return std::make_unique<PageHinkley>(cfg_);
 }
 
 }  // namespace leaf::drift

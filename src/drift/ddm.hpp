@@ -34,11 +34,7 @@ class Ddm final : public DriftDetector {
   bool update(double value) override;
   void reset() override;
   std::string name() const override { return "DDM"; }
-  std::unique_ptr<DriftDetector> clone_fresh() const override;
   bool in_warning_zone() const { return warning_; }
-
-  void save_state(io::Serializer& out) const override;
-  void load_state(io::Deserializer& in) override;
 
  private:
   DdmConfig cfg_;
@@ -67,7 +63,6 @@ class Eddm final : public DriftDetector {
   bool update(double value) override;
   void reset() override;
   std::string name() const override { return "EDDM"; }
-  std::unique_ptr<DriftDetector> clone_fresh() const override;
 
  private:
   EddmConfig cfg_;
@@ -93,7 +88,6 @@ class HddmA final : public DriftDetector {
   bool update(double value) override;
   void reset() override;
   std::string name() const override { return "HDDM-A"; }
-  std::unique_ptr<DriftDetector> clone_fresh() const override;
 
  private:
   double hoeffding_bound(std::uint64_t n) const;
@@ -125,7 +119,6 @@ class PageHinkley final : public DriftDetector {
   bool update(double value) override;
   void reset() override;
   std::string name() const override { return "PageHinkley"; }
-  std::unique_ptr<DriftDetector> clone_fresh() const override;
 
  private:
   PageHinkleyConfig cfg_;

@@ -36,32 +36,4 @@ void EwmaBinarizer::reset() {
   var_ = 0.0;
 }
 
-void DriftDetector::save_state(io::Serializer& out) const {
-  (void)out;
-  throw io::SnapshotError("detector '" + name() +
-                          "' does not support snapshots");
-}
-
-void DriftDetector::load_state(io::Deserializer& in) {
-  (void)in;
-  throw io::SnapshotError("detector '" + name() +
-                          "' does not support snapshots");
-}
-
-void EwmaBinarizer::save(io::Serializer& out) const {
-  out.put_f64(alpha_);
-  out.put_f64(k_);
-  out.put_bool(primed_);
-  out.put_f64(mean_);
-  out.put_f64(var_);
-}
-
-void EwmaBinarizer::load(io::Deserializer& in) {
-  alpha_ = in.get_f64();
-  k_ = in.get_f64();
-  primed_ = in.get_bool();
-  mean_ = in.get_f64();
-  var_ = in.get_f64();
-}
-
 }  // namespace leaf::drift

@@ -9,12 +9,10 @@
 // comparison bench.
 #pragma once
 
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
-#include "io/serializer.hpp"
 #include "obs/metrics.hpp"
 
 namespace leaf::drift {
@@ -47,17 +45,6 @@ class DriftDetector {
   virtual void reset() = 0;
 
   virtual std::string name() const = 0;
-
-  /// Fresh detector with identical configuration.
-  virtual std::unique_ptr<DriftDetector> clone_fresh() const = 0;
-
-  /// Snapshot hooks (leaf::io).  `save_state` serializes configuration and
-  /// full mutable state; `load_state` restores it into an already
-  /// constructed detector and throws io::SnapshotError when the saved
-  /// configuration does not match this detector's.  Defaults throw —
-  /// detectors without an implementation fail snapshots loudly.
-  virtual void save_state(io::Serializer& out) const;
-  virtual void load_state(io::Deserializer& in);
 };
 
 /// Runs a detector over a whole series; returns the flagged indices.
@@ -73,9 +60,6 @@ class EwmaBinarizer {
   explicit EwmaBinarizer(double alpha = 0.05, double k = 2.0);
   bool push(double value);
   void reset();
-
-  void save(io::Serializer& out) const;
-  void load(io::Deserializer& in);
 
  private:
   double alpha_;

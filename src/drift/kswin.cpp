@@ -54,10 +54,6 @@ void Kswin::reset() {
   rng_ = Rng(cfg_.seed);
 }
 
-std::unique_ptr<DriftDetector> Kswin::clone_fresh() const {
-  return std::make_unique<Kswin>(cfg_);
-}
-
 void Kswin::save_state(io::Serializer& out) const {
   out.put_i32(cfg_.window_size);
   out.put_i32(cfg_.stat_size);

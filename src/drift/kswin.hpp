@@ -13,6 +13,7 @@
 
 #include "common/rng.hpp"
 #include "drift/detector.hpp"
+#include "io/serializer.hpp"
 
 namespace leaf::drift {
 
@@ -33,14 +34,16 @@ class Kswin final : public DriftDetector {
   bool update(double value) override;
   void reset() override;
   std::string name() const override { return "KSWIN"; }
-  std::unique_ptr<DriftDetector> clone_fresh() const override;
 
   std::size_t window_fill() const { return window_.size(); }
   /// p-value of the most recent test (1.0 before the window first fills).
   double last_p_value() const { return last_p_; }
 
-  void save_state(io::Serializer& out) const override;
-  void load_state(io::Deserializer& in) override;
+  /// Snapshot hooks (leaf::io): configuration and full mutable state,
+  /// sampling RNG included.  load_state restores into a detector built
+  /// with the same configuration and throws io::SnapshotError otherwise.
+  void save_state(io::Serializer& out) const;
+  void load_state(io::Deserializer& in);
 
  private:
   KswinConfig cfg_;

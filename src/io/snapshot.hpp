@@ -46,8 +46,10 @@ inline constexpr char kMagic[8] = {'L', 'E', 'A', 'F', 'S', 'N', 'A', 'P'};
 // v3: serve shard sections carry supervision state (health FSM, fault
 // counters, retrain circuit breaker, supervision event log).
 // v4: fleet snapshots carry a "tsdb" section (telemetry store + meta-
-// drift detector state).  The reader accepts exactly kFormatVersion.
-inline constexpr std::uint32_t kFormatVersion = 4;
+// drift detector state).
+// v5: shard sections drop the evaluation RNG, which no scheme drew from.
+// The reader accepts exactly kFormatVersion.
+inline constexpr std::uint32_t kFormatVersion = 5;
 
 /// Test/chaos seam: while alive, the next SnapshotWriter::write_file
 /// call fails after writing `after_bytes` bytes of the temporary file,

@@ -5,7 +5,8 @@
 // sub-models trained on consecutive data chunks vote with weights derived
 // from their accuracy on the newest chunk.  Members are shared so the
 // ensemble can be cheaply rebuilt every chunk without re-fitting old
-// members.
+// members.  There is no snapshot codec: AUE2 itself refuses snapshots, so
+// no fleet snapshot can hold an ensemble.
 #pragma once
 
 #include <memory>
@@ -33,12 +34,6 @@ class WeightedEnsemble final : public Regressor {
   std::unique_ptr<Regressor> clone_untrained() const override;
   std::string name() const override { return "WeightedEnsemble"; }
   bool trained() const override { return !members_.empty(); }
-
-  /// Members are saved recursively through the factory registry, so every
-  /// member must itself support snapshots.
-  std::string serial_key() const override { return "ensemble"; }
-  void save(io::Serializer& out) const override;
-  static std::unique_ptr<WeightedEnsemble> load(io::Deserializer& in);
 
  private:
   std::vector<std::shared_ptr<const Regressor>> members_;

@@ -1,11 +1,9 @@
 #include "models/factory.hpp"
 
-#include "models/ensemble.hpp"
 #include "models/forest.hpp"
 #include "models/gbdt.hpp"
 #include "models/knn.hpp"
 #include "models/lstm.hpp"
-#include "models/persistence.hpp"
 #include "models/ridge.hpp"
 
 namespace leaf::models {
@@ -97,8 +95,6 @@ std::unique_ptr<Regressor> load_regressor(io::Deserializer& in) {
   if (key == "knn") return Knn::load(in);
   if (key == "lstm") return Lstm::load(in);
   if (key == "ridge") return Ridge::load(in);
-  if (key == "persistence") return Persistence::load(in);
-  if (key == "ensemble") return WeightedEnsemble::load(in);
   throw io::SnapshotError("unknown model factory key '" + key + "'");
 }
 

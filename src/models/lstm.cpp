@@ -4,6 +4,8 @@
 #include <cassert>
 #include <cmath>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
 #include "common/rng.hpp"
 #include "common/stats.hpp"
@@ -262,6 +264,10 @@ void Lstm::fit(const Matrix& X, std::span<const double> y,
 
 double Lstm::predict_one(std::span<const double> x) const {
   assert(trained_);
+  if (x.size() != scaler_.mean().size())
+    throw std::invalid_argument(
+        "lstm query has " + std::to_string(x.size()) +
+        " features, trained on " + std::to_string(scaler_.mean().size()));
   std::vector<double> z(x.size());
   scaler_.transform_row(x, z);
   return forward(z, nullptr) * y_std_ + y_mean_;
@@ -313,12 +319,25 @@ std::unique_ptr<Lstm> Lstm::load(io::Deserializer& in) {
   model->b_ = in.get_doubles();
   model->wo_ = in.get_doubles();
   model->bo_ = in.get_f64();
+  // fit() of a clone steps through batches of cfg.batch rows.
+  if (cfg.hidden < 1 || cfg.chunk < 1 || cfg.batch < 1)
+    throw io::SnapshotError("lstm hidden, chunk or batch size is not positive");
+  // An untrained model has no parameters to restore.
+  if (!model->trained_) return std::make_unique<Lstm>(cfg);
+  // forward() dots each Wx row with a chunk-wide input slice and scans
+  // ceil(width / chunk) of them, so every shape follows from the config
+  // and the standardizer width.
   const auto h = static_cast<std::size_t>(cfg.hidden);
-  if (model->trained_ &&
-      (model->wx_.rows() != 4 * h || model->wh_.rows() != 4 * h ||
-       model->wh_.cols() != h || model->b_.size() != 4 * h ||
-       model->wo_.size() != h))
+  const auto chunk = static_cast<std::size_t>(cfg.chunk);
+  const std::size_t width = model->scaler_.mean().size();
+  if (model->wx_.rows() != 4 * h || model->wx_.cols() != chunk ||
+      model->wh_.rows() != 4 * h || model->wh_.cols() != h ||
+      model->b_.size() != 4 * h || model->wo_.size() != h)
     throw io::SnapshotError("lstm parameter shapes inconsistent with config");
+  if (static_cast<std::size_t>(model->timesteps_) !=
+      (width + chunk - 1) / chunk)
+    throw io::SnapshotError(
+        "lstm timestep count inconsistent with its standardizer width");
   return model;
 }
 

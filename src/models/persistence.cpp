@@ -41,19 +41,4 @@ std::unique_ptr<Regressor> Persistence::clone_untrained() const {
   return std::make_unique<Persistence>(target_column_);
 }
 
-void Persistence::save(io::Serializer& out) const {
-  out.put_i32(target_column_);
-  out.put_bool(trained_);
-  out.put_f64(ratio_);
-  out.put_f64(fallback_);
-}
-
-std::unique_ptr<Persistence> Persistence::load(io::Deserializer& in) {
-  auto model = std::make_unique<Persistence>(in.get_i32());
-  model->trained_ = in.get_bool();
-  model->ratio_ = in.get_f64();
-  model->fallback_ = in.get_f64();
-  return model;
-}
-
 }  // namespace leaf::models

@@ -1,10 +1,11 @@
 // Persistence (scaled last-value) forecaster.
 //
-// Naming note: "persistence" here is the forecasting-literature term for
+// Naming note: persistence here is the forecasting-literature term for
 // the carry-the-last-value-forward baseline — it has nothing to do with
 // saving state to disk.  Model/detector/scheme *persistence* in the
 // storage sense lives in `leaf::io` (src/io/snapshot.hpp); this class is
-// just another Regressor.
+// just another Regressor, and one without a snapshot codec, since no
+// fleet shard runs it.
 //
 // The trivial baseline every forecasting study should be measured against:
 // predict the target 180 days ahead as the target's *current* value times
@@ -34,10 +35,6 @@ class Persistence final : public Regressor {
   bool trained() const override { return trained_; }
 
   double ratio() const { return ratio_; }
-
-  std::string serial_key() const override { return "persistence"; }
-  void save(io::Serializer& out) const override;
-  static std::unique_ptr<Persistence> load(io::Deserializer& in);
 
  private:
   int target_column_;

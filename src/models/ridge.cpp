@@ -2,6 +2,8 @@
 
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "obs/metrics.hpp"
 #include "simd/simd.hpp"
@@ -97,6 +99,10 @@ void Ridge::fit(const Matrix& X, std::span<const double> y,
 
 double Ridge::predict_one(std::span<const double> x) const {
   assert(trained_);
+  if (x.size() != beta_.size())
+    throw std::invalid_argument(
+        "ridge query has " + std::to_string(x.size()) +
+        " features, trained on " + std::to_string(beta_.size()));
   std::vector<double> z(x.size());
   scaler_.transform_row(x, z);
   return intercept_ + simd::dot(beta_, z);
@@ -122,6 +128,11 @@ std::unique_ptr<Ridge> Ridge::load(io::Deserializer& in) {
   io::read_standardizer(in, model->scaler_);
   model->beta_ = in.get_doubles();
   model->intercept_ = in.get_f64();
+  // predict_one checks the query against the coefficient count and then
+  // standardizes it with the scaler, so the two widths must agree.
+  if (model->beta_.size() != model->scaler_.mean().size())
+    throw io::SnapshotError(
+        "ridge coefficient count differs from its standardizer width");
   return model;
 }
 

@@ -351,7 +351,7 @@ std::uint64_t FleetRuntime::snapshot(const std::string& dir) {
   for (std::size_t i = 0; i < shards_.size(); ++i)
     shards_[i]->save(writer.section("shard" + std::to_string(i)));
 
-  // v4: the telemetry store + meta-drift detector state ride along, so a
+  // The telemetry store + meta-drift detector state ride along, so a
   // resumed run's stored series and detection trajectory continue
   // byte-identically.
   io::Serializer& ts = writer.section("tsdb");

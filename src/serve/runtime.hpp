@@ -5,7 +5,7 @@
 // family, mitigation scheme) pipeline over a shared dataset — the
 // deployment shape of §5: many concurrently maintained forecasting models
 // walking the same telemetry stream.  Each shard owns a core::Evaluation
-// — its own model, KSWIN detector, scheme, and RNG — and steps it once
+// — its own model, KSWIN detector and scheme — and steps it once
 // per fleet step.  That is the very loop core::run_scheme drives, so a
 // single-shard fleet reproduces run_scheme bit-for-bit; serving adds only
 // the retrain circuit breaker (a retrain gate) and the chaos retrain

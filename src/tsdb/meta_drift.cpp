@@ -8,13 +8,12 @@ namespace leaf::tsdb {
 
 MetaDrift::MetaDrift(MetaDriftConfig cfg) : cfg_(std::move(cfg)) {}
 
-std::unique_ptr<drift::DriftDetector> MetaDrift::make_detector(
-    const std::string& rule) const {
+drift::Kswin MetaDrift::make_detector(const std::string& rule) const {
   // Derive the rule's KSWIN seed from its name so every rule draws an
   // independent — but run-to-run stable — sample stream.
   drift::KswinConfig kcfg = cfg_.kswin;
   kcfg.seed ^= fnv1a(rule.data(), rule.size());
-  return std::make_unique<drift::Kswin>(kcfg);
+  return drift::Kswin(kcfg);
 }
 
 bool MetaDrift::observe(const std::string& rule, int shard,
@@ -22,13 +21,11 @@ bool MetaDrift::observe(const std::string& rule, int shard,
   if (!std::isfinite(value)) return false;
   auto it = rules_.find(rule);
   if (it == rules_.end()) {
-    Rule r;
-    r.shard = shard;
-    r.detector = make_detector(rule);
+    Rule r{.shard = shard, .detector = make_detector(rule)};
     it = rules_.emplace(rule, std::move(r)).first;
   }
   Rule& r = it->second;
-  if (!r.detector->update(value)) return false;
+  if (!r.detector.update(value)) return false;
   r.fired_at = tick;
   r.ever_fired = true;
   ++firings_;
@@ -36,7 +33,7 @@ bool MetaDrift::observe(const std::string& rule, int shard,
   e.kind = obs::EventKind::kTelemetryDrift;
   e.shard = shard;
   e.detail = "rule=" + rule + ",tick=" + std::to_string(tick) +
-             ",detector=" + r.detector->name();
+             ",detector=" + r.detector.name();
   events_.emit(std::move(e));
   return true;
 }
@@ -56,7 +53,7 @@ void MetaDrift::save(io::Serializer& out) const {
     out.put_i32(r.shard);
     out.put_u64(r.fired_at);
     out.put_bool(r.ever_fired);
-    r.detector->save_state(out);
+    r.detector.save_state(out);
   }
   events_.save(out);
 }
@@ -73,7 +70,7 @@ void MetaDrift::load(io::Deserializer& in) {
     r.fired_at = in.get_u64();
     r.ever_fired = in.get_bool();
     r.detector = make_detector(name);
-    r.detector->load_state(in);
+    r.detector.load_state(in);
     rules.emplace(std::move(name), std::move(r));
   }
   obs::EventLog events;

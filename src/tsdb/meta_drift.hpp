@@ -25,11 +25,9 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "drift/detector.hpp"
 #include "drift/kswin.hpp"
 #include "io/serializer.hpp"
 #include "obs/events.hpp"
@@ -82,13 +80,12 @@ class MetaDrift {
  private:
   struct Rule {
     int shard = -1;
-    std::unique_ptr<drift::DriftDetector> detector;
+    drift::Kswin detector;
     std::uint64_t fired_at = 0;
     bool ever_fired = false;
   };
 
-  std::unique_ptr<drift::DriftDetector> make_detector(
-      const std::string& rule) const;
+  drift::Kswin make_detector(const std::string& rule) const;
 
   MetaDriftConfig cfg_;
   std::map<std::string, Rule> rules_;

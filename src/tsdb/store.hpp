@@ -16,7 +16,7 @@
 // logical-step order, every ring buffer, every aggregate bucket, and the
 // store's serialized form are pure functions of the execution —
 // bit-identical at any LEAF_THREADS and across SIGKILL + --resume (the
-// store snapshots alongside shard state in the LEAFSNAP v4 container).
+// store snapshots alongside shard state in the LEAFSNAP container).
 //
 // Series carry a `deterministic` flag: fleet-state-derived series
 // (NRMSE, health, quarantine counts) are deterministic and participate
@@ -138,7 +138,7 @@ class Store {
   /// counts and across SIGKILL + --resume.
   std::uint64_t fingerprint() const;
 
-  /// Snapshot support (LEAFSNAP v4 "tsdb" section).
+  /// Snapshot support (the LEAFSNAP "tsdb" section).
   void save(io::Serializer& out) const;
   void load(io::Deserializer& in);
 

@@ -129,7 +129,6 @@ TEST(PairedLearners, QuietWithoutPrototype) {
       models::make_model(models::ModelFamily::kRidge, tiny_scale(), 1);
   const data::SupervisedSet train = f.window(170, 183);
   model->fit(train.X, train.y);
-  Rng rng(1);
   core::SchemeContext ctx{.featurizer = f,
                           .model = *model,
                           .current_train = train,
@@ -137,7 +136,6 @@ TEST(PairedLearners, QuietWithoutPrototype) {
                           .nrmse = 0.1,
                           .drift = false,
                           .train_window = 14,
-                          .rng = &rng,
                           .prototype = nullptr};
   EXPECT_FALSE(scheme.on_step(ctx).has_value());
 }

@@ -124,15 +124,13 @@ TEST(LeafScheme, PreservesTrainingSetSize) {
   const data::SupervisedSet train = featurizer().window(anchor - 13, anchor);
   model->fit(train.X, train.y);
 
-  Rng rng(1);
   SchemeContext ctx{.featurizer = featurizer(),
                     .model = *model,
                     .current_train = train,
                     .eval_day = 900,
                     .nrmse = 0.2,
                     .drift = true,
-                    .train_window = 14,
-                    .rng = &rng};
+                    .train_window = 14};
   const auto new_train = scheme.on_step(ctx);
   ASSERT_TRUE(new_train.has_value());
   EXPECT_EQ(new_train->size(), train.size());
@@ -147,15 +145,13 @@ TEST(LeafScheme, NoDriftNoAction) {
       models::make_model(models::ModelFamily::kRidge, tiny_scale(), 1);
   const data::SupervisedSet train = featurizer().window(170, 181);
   model->fit(train.X, train.y);
-  Rng rng(1);
   SchemeContext ctx{.featurizer = featurizer(),
                     .model = *model,
                     .current_train = train,
                     .eval_day = 900,
                     .nrmse = 0.2,
                     .drift = false,
-                    .train_window = 14,
-                    .rng = &rng};
+                    .train_window = 14};
   EXPECT_FALSE(scheme.on_step(ctx).has_value());
 }
 
@@ -168,15 +164,13 @@ TEST(LeafScheme, MitigationInjectsFreshSamples) {
   const int anchor = cal::anchor_2018_07_01();
   const data::SupervisedSet train = featurizer().window(anchor - 13, anchor);
   model->fit(train.X, train.y);
-  Rng rng(1);
   SchemeContext ctx{.featurizer = featurizer(),
                     .model = *model,
                     .current_train = train,
                     .eval_day = 1100,
                     .nrmse = 0.3,
                     .drift = true,
-                    .train_window = 14,
-                    .rng = &rng};
+                    .train_window = 14};
   const auto new_train = scheme.on_step(ctx);
   ASSERT_TRUE(new_train.has_value());
   std::size_t fresh = 0;

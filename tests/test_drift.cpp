@@ -44,16 +44,6 @@ std::vector<std::unique_ptr<DriftDetector>> all_detectors() {
 
 // --- generic detector contract -------------------------------------------
 
-TEST(Detectors, CloneFreshProducesSameBehaviour) {
-  const auto stream = shifted_stream(400, 200, 0.3);
-  for (auto& det : all_detectors()) {
-    auto clone = det->clone_fresh();
-    const auto a = detect_all(*det, stream);
-    const auto b = detect_all(*clone, stream);
-    EXPECT_EQ(a, b) << det->name();
-  }
-}
-
 TEST(Detectors, ResetRestoresInitialState) {
   const auto stream = shifted_stream(400, 200, 0.3);
   for (auto& det : all_detectors()) {

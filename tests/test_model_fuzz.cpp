@@ -1,14 +1,16 @@
 // Byte-mutation fuzz of serialized model payloads ("gbdt", "forest",
-// "knn").  Payloads go straight to models::load_regressor, below the
-// snapshot container's CRC, so every corruption reaches the decoders.
-// Each trial must either throw io::SnapshotError or yield a model whose
-// predict_into on a fixed matrix returns (or, for a model that reads
-// features beyond the matrix's width, throws std::invalid_argument).
+// "knn", "ridge", "lstm": every model decoder).  Payloads go straight to
+// models::load_regressor, below the snapshot container's CRC, so every
+// corruption reaches the decoders.  Each trial must either throw
+// io::SnapshotError or yield a model whose predict_into on a fixed matrix
+// returns (or, for a model that reads features beyond the matrix's width
+// or was trained on another width, throws std::invalid_argument).
 // Under ASan/UBSan this also checks that no accepted payload reads out of
 // bounds, and a payload that could make traversal loop would hang the
 // test.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -21,6 +23,8 @@
 #include "models/forest.hpp"
 #include "models/gbdt.hpp"
 #include "models/knn.hpp"
+#include "models/lstm.hpp"
+#include "models/ridge.hpp"
 
 namespace leaf::models {
 namespace {
@@ -140,6 +144,91 @@ TEST(ModelPayloadFuzz, MutatedKnnPayloadsThrowOrPredict) {
   const FuzzOutcome o = fuzz(model, 0x4B99);
   EXPECT_GT(o.rejected, 0);
   EXPECT_GT(o.predicted, 0);
+}
+
+TEST(ModelPayloadFuzz, MutatedRidgePayloadsThrowOrPredict) {
+  const Problem p;
+  Ridge model;
+  model.fit(p.X, p.y);
+  const FuzzOutcome o = fuzz(model, 0x21D6);
+  EXPECT_GT(o.rejected, 0);
+  EXPECT_GT(o.predicted, 0);
+}
+
+TEST(ModelPayloadFuzz, MutatedLstmPayloadsThrowOrPredict) {
+  const Problem p;
+  Lstm model(LstmConfig{.hidden = 4, .epochs = 2});
+  model.fit(p.X, p.y);
+  const FuzzOutcome o = fuzz(model, 0x157A);
+  EXPECT_GT(o.rejected, 0);
+  EXPECT_GT(o.predicted, 0);
+}
+
+/// Byte offsets in a serialized "lstm" payload: the key (u64 length and
+/// four characters), then hidden, chunk, epochs, batch (i32), learning
+/// rate, clip (f64), seed (u64), the trained flag and timesteps.
+constexpr std::size_t kLstmKey = 8 + 4, kChunkAt = kLstmKey + 4,
+                      kBatchAt = kLstmKey + 3 * 4,
+                      kTrainedAt = kLstmKey + 4 * 4 + 2 * 8 + 8,
+                      kTimestepsAt = kTrainedAt + 1;
+
+/// The fitted 5-feature, H=4 LSTM payload with the int32 at `offset`
+/// overwritten by `value`.
+std::vector<std::uint8_t> lstm_payload_with(std::size_t offset,
+                                            std::int32_t value) {
+  const Problem p;
+  Lstm model(LstmConfig{.hidden = 4, .epochs = 2});
+  model.fit(p.X, p.y);
+  io::Serializer out;
+  save_regressor(out, model);
+  std::vector<std::uint8_t> bytes(out.bytes().begin(), out.bytes().end());
+  std::memcpy(bytes.data() + offset, &value, sizeof value);
+  return bytes;
+}
+
+// chunk = 1 or 7 would dot each 16-wide Wx row with a 1- or 7-wide input
+// slice (7 still gives the saved single timestep for 5 features);
+// timesteps = 2^20 would scan a million steps per prediction; batch = 0
+// would make a refit of the model's clone loop forever.
+TEST(ModelPayloadFuzz, InconsistentLstmPayloadsAreRejected) {
+  for (const auto& bytes :
+       {lstm_payload_with(kChunkAt, 1), lstm_payload_with(kChunkAt, 7),
+        lstm_payload_with(kTimestepsAt, 1 << 20),
+        lstm_payload_with(kBatchAt, 0)}) {
+    io::Deserializer in(bytes);
+    EXPECT_THROW(load_regressor(in), io::SnapshotError);
+  }
+}
+
+// An untrained payload restores as a fresh model of its configuration:
+// the weights it carries are dropped unread, whatever their shapes.
+TEST(ModelPayloadFuzz, UntrainedLstmPayloadRestoresWithoutWeights) {
+  std::vector<std::uint8_t> bytes = lstm_payload_with(kChunkAt, 7);
+  bytes[kTrainedAt] = 0;
+  io::Deserializer in(bytes);
+  const std::unique_ptr<Regressor> model = load_regressor(in);
+  EXPECT_FALSE(model->trained());
+  io::Serializer restored, fresh;
+  save_regressor(restored, *model);
+  save_regressor(fresh,
+                 Lstm(LstmConfig{.hidden = 4, .chunk = 7, .epochs = 2}));
+  EXPECT_TRUE(std::ranges::equal(restored.bytes(), fresh.bytes()));
+}
+
+// 64 coefficients behind a 5-wide standardizer: predict would dot 64
+// coefficients with a 5-wide standardized row.
+TEST(ModelPayloadFuzz, RidgeCoefficientsWiderThanStandardizerAreRejected) {
+  data::Standardizer scaler;
+  scaler.restore(std::vector<double>(5, 0.0), std::vector<double>(5, 1.0));
+  io::Serializer out;
+  out.put_string("ridge");
+  out.put_f64(1.0);
+  out.put_bool(true);
+  io::write(out, scaler);
+  out.put_doubles(std::vector<double>(64, 0.5));
+  out.put_f64(0.0);
+  io::Deserializer in(out.bytes());
+  EXPECT_THROW(load_regressor(in), io::SnapshotError);
 }
 
 /// A hand-built "knn" payload: `rows` training rows of `cols` features, a

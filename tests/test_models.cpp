@@ -364,6 +364,16 @@ TEST(CholeskySolve, RejectsIndefinite) {
   EXPECT_FALSE(cholesky_solve(a, b));
 }
 
+TEST(Ridge, RefusesQueriesOfAnotherWidth) {
+  const LinearProblem p(50, 0.05);
+  Ridge model;
+  model.fit(p.X, p.y);
+  const std::vector<double> narrow(p.X.cols() - 1, 0.0),
+      wide(p.X.cols() + 1, 0.0);
+  EXPECT_THROW(model.predict_one(narrow), std::invalid_argument);
+  EXPECT_THROW(model.predict_one(wide), std::invalid_argument);
+}
+
 TEST(Lstm, ConvergesOnLinearProblem) {
   const LinearProblem p(300, 0.05);
   LstmConfig cfg;
@@ -388,6 +398,16 @@ TEST(Lstm, MoreEpochsLowerTrainingLoss) {
   a.fit(p.X, p.y);
   b.fit(p.X, p.y);
   EXPECT_LT(b.final_train_mse(), a.final_train_mse());
+}
+
+TEST(Lstm, RefusesQueriesOfAnotherWidth) {
+  const LinearProblem p(50, 0.05);
+  Lstm model(LstmConfig{.hidden = 4, .epochs = 2});
+  model.fit(p.X, p.y);
+  const std::vector<double> narrow(p.X.cols() - 1, 0.0),
+      wide(p.X.cols() + 1, 0.0);
+  EXPECT_THROW(model.predict_one(narrow), std::invalid_argument);
+  EXPECT_THROW(model.predict_one(wide), std::invalid_argument);
 }
 
 TEST(Factory, NamesRoundTrip) {
