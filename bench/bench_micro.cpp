@@ -8,7 +8,10 @@
 // sweep (threads ∈ {1,2,4,8} × {forest fit, GBDT fit, permutation
 // importance, full run_scheme}) and writes the measured wall times and
 // speedups to $LEAF_BENCH_OUT/BENCH_parallel.json.  The sweep fails if the
-// run_scheme span sites did not record into the metrics section.
+// run_scheme span sites did not record into the metrics section.  Last, a
+// LEAF-shaped permutation importance call (BM_LeafImportance's case) is
+// checked for every tree family against the default column sweep, bit for
+// bit, and its re-walked (tree, row) pairs are counted.
 //
 // With --kernels the gbench suite and the thread sweep are skipped and a
 // leaf::simd micro-suite runs instead: each kernel is timed through its
@@ -20,6 +23,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -37,6 +41,7 @@
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "core/experiment.hpp"
+#include "core/leaf_scheme.hpp"
 #include "core/scheme.hpp"
 #include "data/generator.hpp"
 #include "drift/adwin.hpp"
@@ -48,6 +53,7 @@
 #include "io/snapshot.hpp"
 #include "models/factory.hpp"
 #include "models/forest.hpp"
+#include "models/gbdt.hpp"
 #include "par/pool.hpp"
 #include "serve/runtime.hpp"
 #include "serve/supervision.hpp"
@@ -191,6 +197,149 @@ void BM_PermutationImportance(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PermutationImportance)->Unit(benchmark::kMillisecond);
+
+// --- LEAF-shaped permutation importance -----------------------------------
+
+/// One LEAF mitigation's importance call at small scale: a model fit on the
+/// DVol task's initial 14-day training window, scored on the latest
+/// labeled 14-day window before day 1100 (336 rows x 72 columns), 2
+/// repeats over the KPI columns, as LeafScheme configures it.
+struct LeafImportanceCase {
+  data::SupervisedSet train;
+  data::SupervisedSet latest;
+  double norm_range = 0.0;
+  explain::ImportanceConfig cfg;
+
+  static const LeafImportanceCase& get() {
+    static const LeafImportanceCase c = [] {
+      const Scale scale = Scale::for_level(Scale::Level::kSmall);
+      const data::CellularDataset ds = data::generate_fixed_dataset(scale, 42);
+      const data::Featurizer featurizer(ds, data::TargetKpi::kDVol);
+      const int anchor = cal::anchor_2018_07_01();
+      LeafImportanceCase out;
+      out.train = featurizer.window(anchor - 13, anchor);
+      out.latest = core::latest_labeled_window(featurizer, 1100, 14);
+      out.norm_range = featurizer.norm_range();
+      const core::LeafConfig leaf;
+      out.cfg.repeats = leaf.importance_repeats;
+      out.cfg.max_rows = leaf.importance_max_rows;
+      out.cfg.scored_columns =
+          static_cast<std::size_t>(featurizer.num_kpi_features());
+      return out;
+    }();
+    return c;
+  }
+
+  std::unique_ptr<models::Regressor> fit(models::ModelFamily family) const {
+    auto model =
+        models::make_model(family, Scale::for_level(Scale::Level::kSmall), 1);
+    model->fit(train.X, train.y);
+    return model;
+  }
+
+  std::vector<double> scores(const models::Regressor& model) const {
+    Rng rng(9);
+    return explain::permutation_importance(model, latest.X, latest.y,
+                                           norm_range, rng, cfg);
+  }
+};
+
+/// Forwards predictions to a fitted model but keeps Regressor's default
+/// column sweep, so importance runs the model-agnostic path.
+class DefaultSweepModel final : public models::Regressor {
+ public:
+  explicit DefaultSweepModel(const models::Regressor& inner)
+      : inner_(inner) {}
+  void fit(const Matrix&, std::span<const double>,
+           std::span<const double>) override {
+    std::abort();  // predicts only
+  }
+  double predict_one(std::span<const double> x) const override {
+    return inner_.predict_one(x);
+  }
+  void predict_into(const Matrix& X, std::span<double> out) const override {
+    inner_.predict_into(X, out);
+  }
+  std::unique_ptr<models::Regressor> clone_untrained() const override {
+    return inner_.clone_untrained();
+  }
+  std::string name() const override { return inner_.name(); }
+  bool trained() const override { return inner_.trained(); }
+
+ private:
+  const models::Regressor& inner_;
+};
+
+/// range(0): model family; range(1): 1 for the model's own column sweep,
+/// 0 for the default one.
+void BM_LeafImportance(benchmark::State& state) {
+  const LeafImportanceCase& c = LeafImportanceCase::get();
+  const auto family = static_cast<models::ModelFamily>(state.range(0));
+  const auto model = c.fit(family);
+  const DefaultSweepModel fallback(*model);
+  const models::Regressor* scored =
+      state.range(1) != 0 ? model.get() : &fallback;
+  for (auto _ : state) benchmark::DoNotOptimize(c.scores(*scored));
+  state.SetLabel(models::to_string(family) +
+                 (state.range(1) != 0 ? " own sweep" : " default sweep"));
+}
+BENCHMARK(BM_LeafImportance)
+    ->ArgsProduct({{static_cast<int>(models::ModelFamily::kGbdt),
+                    static_cast<int>(models::ModelFamily::kRandomForest),
+                    static_cast<int>(models::ModelFamily::kExtraTrees)},
+                   {0, 1}})
+    ->Unit(benchmark::kMillisecond);
+
+/// (tree, row) pairs the GBDT importance call of LeafImportanceCase
+/// re-walks, summed over its 64 columns x 2 repeats.
+constexpr std::uint64_t kGoldenLeafRewalks = 88968;
+
+/// Checks the LEAF-shaped importance call of every tree family: its
+/// scores must match the default sweep's bit for bit.  Prints the share of
+/// (tree, row) pairs each call re-walks; with --smoke the GBDT count is
+/// pinned.
+void check_leaf_importance(bool smoke) {
+  const LeafImportanceCase& c = LeafImportanceCase::get();
+  std::printf("\nLEAF-shaped importance (%zu rows x %zu columns, %zu scored, "
+              "%d repeats)\n",
+              c.latest.X.rows(), c.latest.X.cols(), c.cfg.scored_columns,
+              c.cfg.repeats);
+  std::printf("%-14s %10s %12s %8s\n", "family", "re-walked", "pair-calls",
+              "share");
+  for (const models::ModelFamily family :
+       {models::ModelFamily::kGbdt, models::ModelFamily::kRandomForest,
+        models::ModelFamily::kExtraTrees}) {
+    const auto model = c.fit(family);
+    if (c.scores(*model) != c.scores(DefaultSweepModel(*model))) {
+      std::fprintf(stderr,
+                   "FATAL: %s importance differs from the default sweep\n",
+                   models::to_string(family).c_str());
+      std::exit(1);
+    }
+    const auto sweep = model->column_sweep(c.latest.X);
+    const auto& trees = dynamic_cast<const models::TreeSweep&>(*sweep);
+    std::uint64_t rewalks = 0;
+    for (std::size_t col = 0; col < c.cfg.scored_columns; ++col)
+      rewalks += trees.rewalks(col);
+    rewalks *= static_cast<std::uint64_t>(c.cfg.repeats);
+    const double calls = static_cast<double>(c.cfg.scored_columns) *
+                         static_cast<double>(c.cfg.repeats);
+    const auto* gbdt = dynamic_cast<const models::Gbdt*>(model.get());
+    const double pairs =
+        static_cast<double>(c.latest.X.rows()) *
+        static_cast<double>(
+            gbdt != nullptr
+                ? gbdt->tree_count()
+                : dynamic_cast<const models::Forest&>(*model).tree_count());
+    std::printf("%-14s %10llu %12.0f %7.2f%%\n",
+                models::to_string(family).c_str(),
+                static_cast<unsigned long long>(rewalks), pairs * calls,
+                100.0 * static_cast<double>(rewalks) / (pairs * calls));
+    if (smoke && family == models::ModelFamily::kGbdt)
+      bench::require_golden("leaf importance rewalks", rewalks,
+                            kGoldenLeafRewalks);
+  }
+}
 
 // --- snapshot byte paths ---------------------------------------------------
 
@@ -645,5 +794,6 @@ int main(int argc, char** argv) {
   if (!smoke) benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   run_thread_sweep(smoke);
+  check_leaf_importance(smoke);
   return 0;
 }

@@ -27,6 +27,7 @@ LeafScheme::LeafScheme(LeafConfig cfg, double target_dispersion)
 void LeafScheme::reset() {
   rng_ = Rng(cfg_.seed);
   last_groups_.clear();
+  last_contrast_ = 0.0;
 }
 
 std::string LeafScheme::name() const {
@@ -45,19 +46,19 @@ std::optional<data::SupervisedSet> LeafScheme::on_step(
 
   // --- Explain: rank features by sensitivity on the drifting samples,
   // then group correlated features and keep the top representatives.
+  // Drift explanations are given in terms of KPIs (the paper's feature
+  // groups are all KPI columns): temporal/area encodings score 0 and never
+  // represent a group, since resampling on e.g. day-of-week bins would be
+  // meaningless.
   explain::ImportanceConfig imp_cfg;
   imp_cfg.max_rows = cfg_.importance_max_rows;
   imp_cfg.repeats = cfg_.importance_repeats;
+  imp_cfg.scored_columns =
+      static_cast<std::size_t>(ctx.featurizer.num_kpi_features());
   Rng imp_rng = rng_.fork(static_cast<std::uint64_t>(ctx.eval_day));
-  std::vector<double> importance = explain::permutation_importance(
+  const std::vector<double> importance = explain::permutation_importance(
       ctx.model, latest.X, latest.y, ctx.featurizer.norm_range(), imp_rng,
       imp_cfg);
-  // Drift explanations are given in terms of KPIs (the paper's feature
-  // groups are all KPI columns): temporal/area encodings never represent
-  // a group, and resampling on e.g. day-of-week bins would be meaningless.
-  for (std::size_t c = static_cast<std::size_t>(ctx.featurizer.num_kpi_features());
-       c < importance.size(); ++c)
-    importance[c] = 0.0;
 
   explain::GroupingConfig grp_cfg;
   grp_cfg.corr_threshold = cfg_.corr_threshold;

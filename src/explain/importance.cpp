@@ -32,33 +32,31 @@ std::vector<double> permutation_importance(const models::Regressor& model,
   }
   const std::size_t n = Xp->rows();
 
-  const std::vector<double> base_pred = model.predict(*Xp);
-  const double base_err = metrics::nrmse(base_pred, yp, norm_range);
+  const std::unique_ptr<models::ColumnSweep> sweep = model.column_sweep(*Xp);
+  const double base_err = metrics::nrmse(sweep->base(), yp, norm_range);
 
   // Task (c, rep) permutes column c with the counter-based sub-stream
-  // root.substream(c * repeats + rep); the caller's generator advances
+  // root.substream(c * repeats + rep), so a column's score does not depend
+  // on how many columns are scored; the caller's generator advances
   // exactly once (the fork), as a stable part of the function's contract.
   // Tasks run one after another on this thread, so the caller's model is
   // never called concurrently and a decorator around it need not be
-  // thread-safe; each prediction splits its rows over the pool instead.
-  // The column under permutation is restored after each task.
+  // thread-safe.
   const Rng root = rng.fork(0x1A9F);
   const std::size_t reps = static_cast<std::size_t>(cfg.repeats);
-  Matrix scratch = *Xp;
-  std::vector<double> saved(n);
+  std::vector<double> permuted(n);
   std::vector<double> pred(n);
   std::vector<std::size_t> perm(n);
-  for (std::size_t c = 0; c < k; ++c) {
+  const std::size_t scored = std::min(cfg.scored_columns, k);
+  for (std::size_t c = 0; c < scored; ++c) {
     double acc = 0.0;  // repeats fold in repeat order
     for (std::size_t rep = 0; rep < reps; ++rep) {
       Rng task_rng = root.substream(c * reps + rep);
-      for (std::size_t r = 0; r < n; ++r) saved[r] = scratch(r, c);
       std::iota(perm.begin(), perm.end(), std::size_t{0});
       task_rng.shuffle(perm);
-      for (std::size_t r = 0; r < n; ++r) scratch(r, c) = saved[perm[r]];
-      model.predict_into(scratch, pred);
+      for (std::size_t r = 0; r < n; ++r) permuted[r] = (*Xp)(perm[r], c);
+      sweep->predict(c, permuted, pred);
       acc += metrics::nrmse(pred, yp, norm_range) - base_err;
-      for (std::size_t r = 0; r < n; ++r) scratch(r, c) = saved[r];
     }
     scores[c] = acc / static_cast<double>(reps);
   }

@@ -97,6 +97,11 @@ void Forest::predict_into(const Matrix& X, std::span<double> out) const {
   for (double& v : out) v /= n;
 }
 
+std::unique_ptr<ColumnSweep> Forest::column_sweep(const Matrix& X) const {
+  return std::make_unique<TreeSweep>(
+      trees_, X, 0.0, 1.0, static_cast<double>(trees_.tree_count()));
+}
+
 std::unique_ptr<Regressor> Forest::clone_untrained() const {
   return std::make_unique<Forest>(cfg_, name_);
 }

@@ -34,6 +34,7 @@ class Forest final : public Regressor {
            std::span<const double> w = {}) override;
   double predict_one(std::span<const double> x) const override;
   void predict_into(const Matrix& X, std::span<double> out) const override;
+  std::unique_ptr<ColumnSweep> column_sweep(const Matrix& X) const override;
   std::unique_ptr<Regressor> clone_untrained() const override;
   std::string name() const override { return name_; }
   bool trained() const override { return trained_; }

@@ -96,6 +96,11 @@ void Gbdt::predict_into(const Matrix& X, std::span<double> out) const {
   trees_.predict_into(X, base_, cfg_.learning_rate, out);
 }
 
+std::unique_ptr<ColumnSweep> Gbdt::column_sweep(const Matrix& X) const {
+  return std::make_unique<TreeSweep>(trees_, X, base_, cfg_.learning_rate,
+                                     1.0);
+}
+
 std::unique_ptr<Regressor> Gbdt::clone_untrained() const {
   return std::make_unique<Gbdt>(cfg_, name_);
 }

@@ -30,6 +30,38 @@ std::vector<double> Regressor::predict(const Matrix& X) const {
   return out;
 }
 
+namespace {
+
+/// The model-agnostic sweep: one full predict_into per call, on a copy of
+/// X whose column c holds the call's values until the call returns.
+class CopySweep final : public ColumnSweep {
+ public:
+  CopySweep(const Regressor& model, const Matrix& X)
+      : model_(model), X_(X), scratch_(X), base_(model.predict(X)) {}
+
+  std::span<const double> base() const override { return base_; }
+
+  void predict(std::size_t c, std::span<const double> values,
+               std::span<double> out) override {
+    assert(c < X_.cols() && values.size() == X_.rows());
+    for (std::size_t r = 0; r < X_.rows(); ++r) scratch_(r, c) = values[r];
+    model_.predict_into(scratch_, out);
+    for (std::size_t r = 0; r < X_.rows(); ++r) scratch_(r, c) = X_(r, c);
+  }
+
+ private:
+  const Regressor& model_;
+  const Matrix& X_;
+  Matrix scratch_;
+  std::vector<double> base_;
+};
+
+}  // namespace
+
+std::unique_ptr<ColumnSweep> Regressor::column_sweep(const Matrix& X) const {
+  return std::make_unique<CopySweep>(*this, X);
+}
+
 std::string Regressor::serial_key() const {
   throw io::SnapshotError("model '" + name() + "' does not support snapshots");
 }

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/matrix.hpp"
+#include "models/column_sweep.hpp"
 #include "models/tree.hpp"
 
 namespace leaf::models {
@@ -49,6 +50,13 @@ class Regressor {
 
   /// Batch prediction; allocates and delegates to predict_into.
   std::vector<double> predict(const Matrix& X) const;
+
+  /// A sweep over the columns of X (see ColumnSweep); X and this model
+  /// must outlive it.  The default predicts X once for base(), and
+  /// answers each call by writing the values into its own copy of X,
+  /// calling predict_into on the copy and restoring the column.  Tree
+  /// ensembles override it to re-walk only the paths that test the column.
+  virtual std::unique_ptr<ColumnSweep> column_sweep(const Matrix& X) const;
 
   /// Installs retrain-scoped caches (may be null to detach).  The pointee
   /// must outlive every subsequent fit().  Default: ignored.  Cloning via

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
@@ -520,15 +521,19 @@ void walk1(const std::int32_t* slot, const double* threshold,
 
 }  // namespace
 
-void FlatTrees::accumulate(const double* data, std::size_t cols,
-                           std::size_t rows, std::size_t tree_begin,
-                           std::size_t tree_end, double scale,
-                           double* out) const {
+void FlatTrees::check_width(std::size_t cols) const {
   if (cols < width_) {
     throw std::invalid_argument(
         "tree ensemble reads feature " + std::to_string(width_ - 1) +
         " but the input has " + std::to_string(cols) + " columns");
   }
+}
+
+void FlatTrees::accumulate(const double* data, std::size_t cols,
+                           std::size_t rows, std::size_t tree_begin,
+                           std::size_t tree_end, double scale,
+                           double* out) const {
+  check_width(cols);
   // Tree-major within a block: each tree walks every row of the block
   // before the next tree starts, and row r's sum still gains its trees in
   // tree order.
@@ -596,6 +601,149 @@ void FlatTrees::add_tree(const Matrix& X, std::size_t t, double scale,
   assert(out.size() == X.rows() && t < tree_count());
   accumulate(X.flat().data(), X.cols(), X.rows(), t, t + 1, scale,
              out.data());
+}
+
+TreeSweep::TreeSweep(const FlatTrees& trees, const Matrix& X, double base,
+                     double scale, double divisor)
+    : trees_(trees),
+      base_(base),
+      scale_(scale),
+      divisor_(divisor),
+      stride_(X.cols() + 1),
+      paths_(X.cols()) {
+  trees.check_width(X.cols());
+  const std::size_t rows = X.rows();
+  const std::size_t n_trees = trees.tree_count();
+  if (rows > UINT32_MAX)
+    throw std::length_error("column sweep: more than 2^32 rows");
+  const std::int32_t* slot = trees.slot_.data();
+  const double* threshold = trees.threshold_.data();
+  const std::int32_t* left = trees.left_.data();
+
+  xs_.assign(rows * stride_, 0.0);
+  for (std::size_t r = 0; r < rows; ++r) {
+    const std::span<const double> x = X.row(r);
+    std::copy(x.begin(), x.end(), xs_.begin() + r * stride_ + 1);
+  }
+  // Tree order lists each tree's nodes after its root, every child after
+  // its parent.
+  node_tree_.resize(trees.node_count());
+  node_steps_.resize(trees.node_count());
+  for (std::size_t t = 0; t < n_trees; ++t) {
+    const auto begin = static_cast<std::size_t>(trees.roots_[t]);
+    const std::size_t end = t + 1 < n_trees
+                                ? static_cast<std::size_t>(trees.roots_[t + 1])
+                                : trees.node_count();
+    node_steps_[begin] = trees.depth_[t];
+    for (std::size_t n = begin; n < end; ++n) {
+      node_tree_[n] = static_cast<std::uint32_t>(t);
+      const auto child = static_cast<std::size_t>(left[n]);
+      if (child == n) continue;
+      node_steps_[child] = node_steps_[n] - 1;
+      node_steps_[child + 1] = node_steps_[n] - 1;
+    }
+  }
+
+  leaf_.resize(rows * n_trees);
+  // seen[f] is the last pair listed under column f, so a pair is listed
+  // once per column it tests, at the first node on its path that does.
+  std::vector<std::size_t> seen(X.cols(), SIZE_MAX);
+  for (std::size_t r = 0; r < rows; ++r) {
+    const double* x = xs_.data() + r * stride_;
+    for (std::size_t t = 0; t < n_trees; ++t) {
+      const std::size_t pair = r * n_trees + t;
+      std::int32_t n = trees.roots_[t];
+      for (std::int32_t child = left[n]; child != n; child = left[n]) {
+        const auto s = static_cast<std::size_t>(slot[n]);
+        if (seen[s - 1] != pair) {
+          seen[s - 1] = pair;
+          paths_[s - 1].push_back({static_cast<std::uint32_t>(r), n});
+        }
+        n = child + static_cast<std::int32_t>(!(x[s] <= threshold[n]));
+      }
+      leaf_[pair] = n;
+    }
+  }
+  cur_ = leaf_;
+  base_pred_.resize(rows);
+  std::vector<std::uint32_t> all(rows);
+  std::iota(all.begin(), all.end(), std::uint32_t{0});
+  sum_rows(all, base_pred_);
+}
+
+void TreeSweep::sum_rows(std::span<const std::uint32_t> rows,
+                         std::span<double> out) const {
+  // Four rows at a time as independent sums; each still adds its trees in
+  // tree order.  A short last group repeats its first row.
+  constexpr std::size_t kRows = 4;
+  const std::size_t n_trees = trees_.tree_count();
+  const double* value = trees_.value_.data();
+  for (std::size_t i = 0; i < rows.size(); i += kRows) {
+    const std::size_t m = std::min(kRows, rows.size() - i);
+    const std::int32_t* leaf[kRows];
+    double acc[kRows];
+    for (std::size_t k = 0; k < kRows; ++k) {
+      leaf[k] = cur_.data() + std::size_t{rows[i + (k < m ? k : 0)]} * n_trees;
+      acc[k] = base_;
+    }
+    for (std::size_t t = 0; t < n_trees; ++t)
+      for (std::size_t k = 0; k < kRows; ++k)
+        acc[k] += scale_ * value[leaf[k][t]];
+    for (std::size_t k = 0; k < m; ++k)
+      out[rows[i + k]] = acc[k] / divisor_;  // exact when divisor_ is 1
+  }
+}
+
+void TreeSweep::predict(std::size_t c, std::span<const double> values,
+                        std::span<double> out) {
+  assert(c < paths_.size() && values.size() * stride_ == xs_.size() &&
+         out.size() == values.size());
+  const std::int32_t* slot = trees_.slot_.data();
+  const double* threshold = trees_.threshold_.data();
+  const std::int32_t* left = trees_.left_.data();
+  const std::size_t n_trees = trees_.tree_count();
+  const auto c_slot = static_cast<std::int32_t>(c + 1);
+  const std::vector<PathEntry>& entries = paths_[c];
+  changed_.clear();
+  rows_.clear();
+  // kLanes pairs at a time as independent branch-free chains (as walk8),
+  // each for as many steps as the deepest one needs; a short last group
+  // repeats its first pair.
+  for (std::size_t i = 0; i < entries.size(); i += kLanes) {
+    const std::size_t m = std::min(kLanes, entries.size() - i);
+    std::int32_t at[kLanes];
+    const double* x[kLanes];
+    double v[kLanes];
+    std::int32_t steps = 0;
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      const PathEntry& e = entries[i + (l < m ? l : 0)];
+      at[l] = e.node;
+      x[l] = xs_.data() + std::size_t{e.row} * stride_;
+      v[l] = values[e.row];
+      steps = std::max(steps, node_steps_[static_cast<std::size_t>(e.node)]);
+    }
+    for (std::int32_t d = 0; d < steps; ++d) {
+      for (std::size_t l = 0; l < kLanes; ++l) {
+        const std::int32_t n = at[l];
+        const double xv = slot[n] == c_slot ? v[l] : x[l][slot[n]];
+        at[l] = left[n] + static_cast<std::int32_t>(!(xv <= threshold[n]));
+      }
+    }
+    for (std::size_t l = 0; l < m; ++l) {
+      const PathEntry& e = entries[i + l];
+      const std::size_t pair =
+          std::size_t{e.row} * n_trees +
+          node_tree_[static_cast<std::size_t>(e.node)];
+      if (at[l] == cur_[pair]) continue;
+      cur_[pair] = at[l];
+      changed_.push_back(pair);
+      // Entries ascend by row, so a row repeats only back to back.
+      if (rows_.empty() || rows_.back() != e.row) rows_.push_back(e.row);
+    }
+  }
+  std::copy(base_pred_.begin(), base_pred_.end(), out.begin());
+  sum_rows(rows_, out);
+  for (const std::size_t pair : changed_) cur_[pair] = leaf_[pair];
 }
 
 void FlatTrees::save(io::Serializer& out) const {

@@ -17,6 +17,7 @@
 #include "common/matrix.hpp"
 #include "common/rng.hpp"
 #include "io/serializer.hpp"
+#include "models/column_sweep.hpp"
 
 namespace leaf::models {
 
@@ -184,6 +185,11 @@ class FlatTrees {
   void load(io::Deserializer& in);
 
  private:
+  friend class TreeSweep;
+
+  /// Throws std::invalid_argument when rows of `cols` values are too
+  /// narrow for the split features.
+  void check_width(std::size_t cols) const;
   /// out[r] += scale * t(row r) for t in [tree_begin, tree_end), over
   /// `rows` row-major rows of `cols` values.
   void accumulate(const double* data, std::size_t cols, std::size_t rows,
@@ -199,6 +205,62 @@ class FlatTrees {
   /// Largest split feature + 1 (0 when no tree splits): narrower inputs
   /// are rejected with std::invalid_argument.
   std::size_t width_ = 0;
+};
+
+/// The ColumnSweep of a tree ensemble whose prediction is
+/// (base + scale*t0(x) + scale*t1(x) + ...) / divisor: a Gbdt (divisor 1)
+/// or a Forest (base 0, scale 1, divisor = tree count).
+///
+/// Construction copies X and walks each (tree, row) pair of it once.  It
+/// keeps the leaf, and for each column the pairs whose path tests that
+/// column, with the first node that tests it.  A call for column c
+/// re-walks only c's pairs, from that node.  A row with a changed leaf is
+/// re-summed over its trees in tree order with the expression
+/// predict_into uses, so its bits are the same; every other row copies
+/// its base prediction.  Memory is O(rows * (columns + trees * depth)).
+/// The trees must outlive the sweep; X need not.
+class TreeSweep final : public ColumnSweep {
+ public:
+  TreeSweep(const FlatTrees& trees, const Matrix& X, double base,
+            double scale, double divisor);
+
+  std::span<const double> base() const override { return base_pred_; }
+  void predict(std::size_t c, std::span<const double> values,
+               std::span<double> out) override;
+
+  /// The (tree, row) pairs a call for column c re-walks.
+  std::size_t rewalks(std::size_t c) const { return paths_[c].size(); }
+
+ private:
+  /// A (tree, row) pair whose path first tests some column at `node` (the
+  /// node gives the tree).
+  struct PathEntry {
+    std::uint32_t row;
+    std::int32_t node;
+  };
+
+  /// out[r] = (base + scale * the sum of r's leaves in cur_, in tree
+  /// order) / divisor for each listed row r.
+  void sum_rows(std::span<const std::uint32_t> rows,
+                std::span<double> out) const;
+
+  const FlatTrees& trees_;
+  double base_, scale_, divisor_;
+  /// X's rows with a 0.0 in front: a node of slot s reads
+  /// xs_[row * stride_ + s], and a leaf (slot 0) reads 0.0, as in walk8.
+  std::size_t stride_;
+  std::vector<double> xs_;
+  std::vector<std::uint32_t> node_tree_;  ///< per node: its tree
+  /// Per node: steps from it that end on its leaf (its tree's depth less
+  /// its own; a leaf steps to itself).
+  std::vector<std::int32_t> node_steps_;
+  std::vector<std::vector<PathEntry>> paths_;  ///< per column, by row
+  /// Leaf of pair (t, r) at [r * trees + t]: X's leaves, and X's leaves
+  /// with the current call's changes.
+  std::vector<std::int32_t> leaf_, cur_;
+  std::vector<std::size_t> changed_;  ///< pairs the current call moved
+  std::vector<std::uint32_t> rows_;   ///< their rows, ascending
+  std::vector<double> base_pred_;
 };
 
 }  // namespace leaf::models

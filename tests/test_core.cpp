@@ -2,11 +2,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "common/calendar.hpp"
 #include "common/metrics.hpp"
 #include "core/experiment.hpp"
 #include "data/generator.hpp"
+#include "io/serializer.hpp"
 #include "models/factory.hpp"
 
 namespace leaf::core {
@@ -180,6 +183,37 @@ TEST(LeafScheme, MitigationInjectsFreshSamples) {
   EXPECT_FALSE(scheme.last_groups().empty());
   EXPECT_GE(scheme.last_contrast(), 0.0);
   EXPECT_LE(scheme.last_contrast(), 1.0);
+}
+
+// reset() returns a scheme to its constructed state, so a reused scheme
+// snapshots the same bytes as a fresh one (the last drift event's groups
+// and contrast included).
+TEST(LeafScheme, ResetSchemeSavesTheBytesOfAFreshOne) {
+  LeafConfig lc;
+  LeafScheme scheme(lc, 0.5);
+  const auto model =
+      models::make_model(models::ModelFamily::kGbdt, tiny_scale(), 1);
+  const int anchor = cal::anchor_2018_07_01();
+  const data::SupervisedSet train = featurizer().window(anchor - 13, anchor);
+  model->fit(train.X, train.y);
+  SchemeContext ctx{.featurizer = featurizer(),
+                    .model = *model,
+                    .current_train = train,
+                    .eval_day = 1100,
+                    .nrmse = 0.3,
+                    .drift = true,
+                    .train_window = 14};
+  ASSERT_TRUE(scheme.on_step(ctx).has_value());
+  ASSERT_NE(scheme.last_contrast(), 0.0);
+
+  scheme.reset();
+  io::Serializer reused, fresh;
+  scheme.save_state(reused);
+  LeafScheme(lc, 0.5).save_state(fresh);
+  const auto bytes = [](const io::Serializer& out) {
+    return std::vector<std::uint8_t>(out.bytes().begin(), out.bytes().end());
+  };
+  EXPECT_EQ(bytes(reused), bytes(fresh));
 }
 
 TEST(LeafScheme, NameEncodesGroupCount) {

@@ -2,14 +2,21 @@
 // correlation grouping, and LEA / LEAplot / LEAgram.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <tuple>
 
 #include "common/rng.hpp"
 #include "explain/grouping.hpp"
 #include "explain/importance.hpp"
 #include "explain/lea.hpp"
+#include "models/factory.hpp"
 #include "models/gbdt.hpp"
 #include "models/ridge.hpp"
+#include "par/pool.hpp"
+#include "simd/simd.hpp"
 
 namespace leaf::explain {
 namespace {
@@ -69,6 +76,98 @@ TEST(Importance, EmptyInputSafe) {
   const auto scores = permutation_importance(model, empty, {}, 1.0, rng);
   EXPECT_EQ(scores, (std::vector<double>{0.0, 0.0}));
 }
+
+/// Forwards predictions to a fitted model but keeps Regressor's default
+/// column sweep: the model-agnostic reference path.
+class DefaultSweep final : public models::Regressor {
+ public:
+  explicit DefaultSweep(const models::Regressor& inner) : inner_(inner) {}
+  void fit(const Matrix&, std::span<const double>,
+           std::span<const double>) override {
+    ADD_FAILURE() << "DefaultSweep only predicts";
+  }
+  double predict_one(std::span<const double> x) const override {
+    return inner_.predict_one(x);
+  }
+  void predict_into(const Matrix& X, std::span<double> out) const override {
+    inner_.predict_into(X, out);
+  }
+  std::unique_ptr<models::Regressor> clone_untrained() const override {
+    return inner_.clone_untrained();
+  }
+  std::string name() const override { return inner_.name(); }
+  bool trained() const override { return inner_.trained(); }
+
+ private:
+  const models::Regressor& inner_;
+};
+
+/// (family, LEAF thread count, vector kernels active)
+class TreeImportanceTest
+    : public ::testing::TestWithParam<
+          std::tuple<models::ModelFamily, int, bool>> {};
+
+// Tree ensembles score through their own column sweep; the scores, and
+// the caller's generator, must match the default sweep's bit for bit,
+// including on rows holding NaN or +-inf in some column.
+TEST_P(TreeImportanceTest, MatchesDefaultSweepBitForBit) {
+  struct Restore {
+    bool simd = simd::vector_active();
+    ~Restore() {
+      par::set_threads(0);
+      simd::set_vector_active(simd);
+    }
+  } restore;
+  const auto [family, threads, vector_on] = GetParam();
+  par::set_threads(threads);
+  simd::set_vector_active(vector_on);
+  const CorrelatedProblem p(300);
+  const auto model =
+      models::make_model(family, Scale::for_level(Scale::Level::kSmall), 4);
+  model->fit(p.X, p.y);
+  Matrix X = p.X;
+  const double specials[] = {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity()};
+  for (std::size_t r = 2; r < X.rows(); r += 7)
+    X(r, r % X.cols()) = specials[r % 3];
+
+  ImportanceConfig cfg;
+  cfg.repeats = 2;
+  cfg.max_rows = 200;  // subsampled, as LEAF's windows can be
+  Rng rng_tree(8), rng_ref(8);
+  const std::vector<double> got =
+      permutation_importance(*model, X, p.y, 1.0, rng_tree, cfg);
+  const std::vector<double> want =
+      permutation_importance(DefaultSweep(*model), X, p.y, 1.0, rng_ref, cfg);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t c = 0; c < got.size(); ++c)
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got[c]),
+              std::bit_cast<std::uint64_t>(want[c]))
+        << "column " << c;
+  EXPECT_EQ(rng_tree(), rng_ref());
+
+  // Scoring a prefix of the columns keeps each scored column's bits.
+  cfg.scored_columns = 2;
+  Rng rng_prefix(8);
+  const std::vector<double> prefix =
+      permutation_importance(*model, X, p.y, 1.0, rng_prefix, cfg);
+  EXPECT_EQ(prefix, (std::vector<double>{got[0], got[1], 0.0}));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    TreeFamilies, TreeImportanceTest,
+    ::testing::Combine(::testing::Values(models::ModelFamily::kGbdt,
+                                         models::ModelFamily::kLightGbdt,
+                                         models::ModelFamily::kRandomForest,
+                                         models::ModelFamily::kExtraTrees),
+                       ::testing::Values(1, 4), ::testing::Bool()),
+    [](const ::testing::TestParamInfo<
+        std::tuple<models::ModelFamily, int, bool>>& info) {
+      return models::to_string(std::get<0>(info.param)) + "_threads" +
+             std::to_string(std::get<1>(info.param)) +
+             (std::get<2>(info.param) ? "_simd" : "_scalar");
+    });
 
 TEST(Grouping, CorrelatedFeaturesShareAGroup) {
   const CorrelatedProblem p;

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
 #include <tuple>
 
@@ -18,6 +19,7 @@
 #include "models/lstm.hpp"
 #include "models/ridge.hpp"
 #include "par/pool.hpp"
+#include "simd/simd.hpp"
 #include "tree_reference.hpp"
 
 namespace leaf::models {
@@ -234,6 +236,102 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<std::tuple<ModelFamily, int>>& info) {
       return to_string(std::get<0>(info.param)) + "_threads" +
              std::to_string(std::get<1>(info.param));
+    });
+
+// ---- tree column sweeps against the default sweep -----------------------
+
+/// (family, LEAF thread count, vector kernels active)
+class ColumnSweepTest
+    : public ::testing::TestWithParam<std::tuple<ModelFamily, int, bool>> {};
+
+TEST_P(ColumnSweepTest, MatchesDefaultSweepBitForBit) {
+  struct Restore {
+    bool simd = simd::vector_active();
+    ~Restore() {
+      par::set_threads(0);
+      simd::set_vector_active(simd);
+    }
+  } restore;
+  const auto [family, threads, vector_on] = GetParam();
+  par::set_threads(threads);
+  simd::set_vector_active(vector_on);
+  const LinearProblem p(300);
+  const auto model =
+      make_model(family, Scale::for_level(Scale::Level::kSmall), 3);
+  model->fit(p.X, p.y);
+  const auto* gbdt = dynamic_cast<const Gbdt*>(model.get());
+  const auto* forest = dynamic_cast<const Forest*>(model.get());
+  ASSERT_TRUE(gbdt != nullptr || forest != nullptr);
+  const std::vector<leaf::testing::SavedTree> trees =
+      leaf::testing::saved_trees(gbdt != nullptr ? gbdt->trees()
+                                                 : forest->trees());
+
+  // Training rows carry every split threshold; the NaN/+-inf rows of
+  // contract_rows put specials in the columns that are not swept.
+  const Matrix X = contract_rows(p.X, 261);
+  const auto sweep = model->column_sweep(X);
+  const auto ref = model->Regressor::column_sweep(X);
+  ASSERT_NE(dynamic_cast<const TreeSweep*>(sweep.get()), nullptr);
+  ASSERT_EQ(sweep->base().size(), X.rows());
+  for (std::size_t r = 0; r < X.rows(); ++r)
+    EXPECT_EQ(bits(sweep->base()[r]), bits(ref->base()[r])) << "row " << r;
+
+  const double specials[] = {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity()};
+  Rng rng(17);
+  std::vector<double> got(X.rows()), want(X.rows()), first(X.rows());
+  std::vector<double> first_values;
+  for (std::size_t c = 0; c < X.cols(); ++c) {
+    // Values exactly on, and one ulp above, each threshold on column c.
+    std::vector<double> on_threshold;
+    for (const leaf::testing::SavedTree& tree : trees)
+      for (const leaf::testing::SavedNode& n : tree)
+        if (n.feature == static_cast<std::int32_t>(c)) {
+          on_threshold.push_back(n.threshold);
+          on_threshold.push_back(std::nextafter(
+              n.threshold, std::numeric_limits<double>::infinity()));
+        }
+    ASSERT_FALSE(on_threshold.empty()) << "column " << c;
+    std::vector<std::size_t> perm(X.rows());
+    std::iota(perm.begin(), perm.end(), std::size_t{0});
+    rng.shuffle(perm);
+    std::vector<double> permuted(X.rows()), mixed(X.rows());
+    for (std::size_t r = 0; r < X.rows(); ++r) {
+      permuted[r] = X(perm[r], c);
+      mixed[r] = r % 4 == 3 ? specials[r / 4 % 3]
+                            : on_threshold[r % on_threshold.size()];
+    }
+    for (const std::vector<double>* values : {&permuted, &mixed}) {
+      sweep->predict(c, *values, got);
+      ref->predict(c, *values, want);
+      for (std::size_t r = 0; r < X.rows(); ++r)
+        EXPECT_EQ(bits(got[r]), bits(want[r])) << "column " << c << ", row "
+                                               << r;
+    }
+    // A call leaves no trace on the next one.
+    if (c == 0) {
+      first_values = permuted;
+      sweep->predict(0, first_values, first);
+    } else {
+      sweep->predict(0, first_values, got);
+      EXPECT_EQ(got, first) << "after column " << c;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    TreeFamilies, ColumnSweepTest,
+    ::testing::Combine(::testing::Values(ModelFamily::kGbdt,
+                                         ModelFamily::kLightGbdt,
+                                         ModelFamily::kRandomForest,
+                                         ModelFamily::kExtraTrees),
+                       ::testing::Values(1, 4), ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<ModelFamily, int, bool>>&
+           info) {
+      return to_string(std::get<0>(info.param)) + "_threads" +
+             std::to_string(std::get<1>(info.param)) +
+             (std::get<2>(info.param) ? "_simd" : "_scalar");
     });
 
 // ---- family-specific behaviour -------------------------------------------

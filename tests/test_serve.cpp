@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/fnv.hpp"
@@ -61,42 +62,52 @@ void expect_identical(const std::vector<core::EvalResult>& a,
   for (std::size_t i = 0; i < a.size(); ++i) expect_identical(a[i], b[i]);
 }
 
+/// (scheme, model family)
+class ServeSchemeTest
+    : public ServeFixture,
+      public ::testing::WithParamInterface<
+          std::tuple<std::string, models::ModelFamily>> {};
+
 // A single-shard fleet must reproduce core::run_scheme bit-for-bit: same
 // seed derivations, same per-step semantics, same drift-event stream —
 // for every mitigation scheme family, with a tree and a linear model.
-TEST_F(ServeFixture, SingleShardMatchesRunScheme) {
+TEST_P(ServeSchemeTest, SingleShardMatchesRunScheme) {
   const std::uint64_t seed = 11;
   const data::TargetKpi kpi = data::TargetKpi::kDVol;
   const data::Featurizer fz(ds, kpi);
   const double dispersion = core::kpi_dispersion(ds, kpi);
+  const auto [scheme_name, family] = GetParam();
 
-  for (const char* scheme_name :
-       {"Static", "Triggered", "Naive30", "LEAF", "PairedLearners", "AUE2"}) {
-    for (models::ModelFamily family :
-         {models::ModelFamily::kGbdt, models::ModelFamily::kRidge}) {
-      SCOPED_TRACE(std::string(scheme_name) + " x " +
-                   models::to_string(family));
-      obs::EventLog events;
-      core::EvalConfig cfg = core::make_eval_config(scale, seed);
-      cfg.events = &events;
-      cfg.obs_shard = 0;
-      const auto prototype = models::make_model(family, scale, cfg.seed);
-      const auto scheme =
-          core::make_scheme(scheme_name, dispersion, cfg.seed ^ 0x99);
-      const core::EvalResult want =
-          core::run_scheme(fz, *prototype, *scheme, cfg);
+  obs::EventLog events;
+  core::EvalConfig cfg = core::make_eval_config(scale, seed);
+  cfg.events = &events;
+  cfg.obs_shard = 0;
+  const auto prototype = models::make_model(family, scale, cfg.seed);
+  const auto scheme =
+      core::make_scheme(scheme_name, dispersion, cfg.seed ^ 0x99);
+  const core::EvalResult want = core::run_scheme(fz, *prototype, *scheme, cfg);
 
-      FleetRuntime fleet(ds, scale, {{kpi, family, scheme_name, seed}});
-      fleet.run_steps(UINT64_MAX);
-      const std::vector<core::EvalResult> got = fleet.results();
-      ASSERT_EQ(got.size(), 1u);
-      expect_identical(got[0], want);
-      EXPECT_EQ(got[0].retrain_count(), want.retrain_count());
-      EXPECT_EQ(fleet.events_jsonl(/*with_timing=*/false),
-                events.to_jsonl(/*with_timing=*/false));
-    }
-  }
+  FleetRuntime fleet(ds, scale, {{kpi, family, scheme_name, seed}});
+  fleet.run_steps(UINT64_MAX);
+  const std::vector<core::EvalResult> got = fleet.results();
+  ASSERT_EQ(got.size(), 1u);
+  expect_identical(got[0], want);
+  EXPECT_EQ(got[0].retrain_count(), want.retrain_count());
+  EXPECT_EQ(fleet.events_jsonl(/*with_timing=*/false),
+            events.to_jsonl(/*with_timing=*/false));
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    SchemesAndFamilies, ServeSchemeTest,
+    ::testing::Combine(::testing::Values("Static", "Triggered", "Naive30",
+                                         "LEAF", "PairedLearners", "AUE2"),
+                       ::testing::Values(models::ModelFamily::kGbdt,
+                                         models::ModelFamily::kRidge)),
+    [](const ::testing::TestParamInfo<
+        std::tuple<std::string, models::ModelFamily>>& info) {
+      return std::get<0>(info.param) + "_" +
+             models::to_string(std::get<1>(info.param));
+    });
 
 // Snapshot format golden: with obs runtime-disabled (no wall-clock in the
 // event logs) a fixed fleet after a fixed number of steps snapshots to
