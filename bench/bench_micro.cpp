@@ -5,9 +5,10 @@
 // experiment benches and catch performance regressions.
 //
 // After the google-benchmark suite, main() runs a LEAF_THREADS scaling
-// sweep (threads ∈ {1,2,4,8} × {forest fit, GBDT fit, permutation
-// importance, full run_scheme}) and writes the measured wall times and
-// speedups to $LEAF_BENCH_OUT/BENCH_parallel.json.  The sweep fails if the
+// sweep (threads ∈ {1,2,4,8} × {forest fit, GBDT fit, the LEAF-shaped GBDT
+// fit inside an open region, permutation importance, full run_scheme}) and
+// writes the measured wall times and speedups, with a host descriptor, to
+// $LEAF_BENCH_OUT/BENCH_parallel.json.  The sweep fails if the
 // run_scheme span sites did not record into the metrics section.  Last, a
 // LEAF-shaped permutation importance call (BM_LeafImportance's case) is
 // checked for every tree family against the default column sweep, bit for
@@ -54,6 +55,7 @@
 #include "models/factory.hpp"
 #include "models/forest.hpp"
 #include "models/gbdt.hpp"
+#include "par/parallel.hpp"
 #include "par/pool.hpp"
 #include "serve/runtime.hpp"
 #include "serve/supervision.hpp"
@@ -406,6 +408,36 @@ BENCHMARK(BM_SnapshotEncodeParse)->Unit(benchmark::kMicrosecond);
 
 // --- LEAF_THREADS scaling sweep -------------------------------------------
 
+/// The host and build the sweep ran on: CPU model (first "model name" of
+/// /proc/cpuinfo, "unknown" elsewhere), compiler, build type and the
+/// active SIMD dispatch.
+std::string host_json() {
+  std::string cpu = "unknown";
+  std::ifstream in("/proc/cpuinfo");
+  for (std::string line; std::getline(in, line);) {
+    const std::size_t colon = line.find(':');
+    if (line.rfind("model name", 0) == 0 && colon != std::string::npos) {
+      cpu = line.substr(colon + 2);
+      break;
+    }
+  }
+#ifdef NDEBUG
+  const char* build = "optimized, NDEBUG";
+#else
+  const char* build = "assertions on";
+#endif
+#if defined(__clang__)
+  const char* compiler_family = "Clang ";
+#elif defined(__GNUC__)
+  const char* compiler_family = "GNU ";
+#else
+  const char* compiler_family = "";
+#endif
+  return std::string("{\"cpu_model\": \"") + cpu + "\", \"compiler\": \"" +
+         compiler_family + __VERSION__ + "\", \"build\": \"" + build +
+         "\", \"simd_isa\": \"" + simd::active_isa() + "\"}";
+}
+
 struct SweepWorkload {
   const char* name;
   std::function<void()> body;
@@ -414,6 +446,9 @@ struct SweepWorkload {
 void run_thread_sweep(bool smoke) {
   const auto& p = Problem::get();
   const Scale scale = Scale::for_level(Scale::Level::kSmall);
+
+  // Built here, so no timed rep generates its dataset.
+  const LeafImportanceCase& leaf_case = LeafImportanceCase::get();
 
   // A fitted model for the importance workload (fit once, score per rep).
   const auto imp_model =
@@ -443,6 +478,17 @@ void run_thread_sweep(bool smoke) {
              models::make_model(models::ModelFamily::kGbdt, scale, 1);
          m->fit(p.X, p.y);
          benchmark::DoNotOptimize(m->trained());
+       }},
+      // One shard's refit as a fleet step runs it: the LEAF-shaped fit
+      // (336 x 72) in the first chunk of an open two-chunk region, so the
+      // other threads poll for its nested jobs instead of parking.
+      {"gbdt_fit_in_region",
+       [&] {
+         par::parallel_for(2, [&](std::size_t i) {
+           if (i == 0)
+             benchmark::DoNotOptimize(
+                 leaf_case.fit(models::ModelFamily::kGbdt));
+         });
        }},
       {"permutation_importance",
        [&] {
@@ -477,7 +523,9 @@ void run_thread_sweep(bool smoke) {
 
   std::ofstream json(bench::out_dir() + "/BENCH_parallel.json");
   json << "{\n  \"hardware_concurrency\": "
-       << std::thread::hardware_concurrency() << ",\n  \"workloads\": [\n";
+       << std::thread::hardware_concurrency() << ",\n  \"host\": "
+       << host_json() << ",\n  \"reps\": " << reps
+       << ",\n  \"workloads\": [\n";
   bool first_wl = true;
   for (const auto& wl : workloads) {
     double serial_ms = 0.0;

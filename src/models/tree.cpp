@@ -39,8 +39,12 @@ BinnedData::BinnedData(const Matrix& X, int max_bins, BinEdgeCache* cache)
   // One O(rows*cols) transpose for the whole binning, so each column below
   // is a contiguous row of Xt instead of a strided gather.
   const Matrix Xt = X.transposed();
-  std::vector<std::size_t> occupancy;
-  for (std::size_t c = 0; c < cols_; ++c) {
+  // How the cache served each column; tallied after the loop.
+  enum class Outcome : std::uint8_t { kUncached, kReused, kExtended, kRebuilt };
+  std::vector<Outcome> outcome(cols_, Outcome::kUncached);
+  // Columns are independent: column c writes only its own codes, edges,
+  // bin count, cache state and outcome, so they bin in parallel.
+  par::parallel_for(cols_, [&](std::size_t c) {
     const std::span<const double> col = Xt.row(c);
     double lo = col[0], hi = col[0];
     for (double v : col) {
@@ -55,6 +59,7 @@ BinnedData::BinnedData(const Matrix& X, int max_bins, BinEdgeCache* cache)
     // Assigns codes (bin = count of edges strictly below value) for the
     // current `edges` and returns the occupancy imbalance: the largest
     // bin's share of rows over the ideal uniform share (>= 1).
+    std::vector<std::size_t> occupancy;
     const auto assign_codes = [&]() -> double {
       const std::size_t nb = edges.size() + 1;
       occupancy.assign(nb, 0);
@@ -76,17 +81,11 @@ BinnedData::BinnedData(const Matrix& X, int max_bins, BinEdgeCache* cache)
       return assign_codes() <= 2.0 * st->imbalance;
     };
 
-    bool built = false;
     if (st != nullptr && st->valid && lo >= st->lo && hi <= st->hi) {
       // Previous edges still cover the column's range: reuse, skipping
       // the per-column sort entirely.
       edges = st->edges;
-      if (still_balanced()) {
-        ++cache->reused_;
-        static obs::Counter& ctr = binedge_ctr("reused");
-        ctr.inc();
-        built = true;
-      }
+      if (still_balanced()) outcome[c] = Outcome::kReused;
     } else if (st != nullptr && st->valid && lo >= st->lo && hi > st->hi &&
                static_cast<int>(st->edges.size()) < max_bins - 1) {
       // Range grew upward (the common case for sliding training windows):
@@ -115,14 +114,11 @@ BinnedData::BinnedData(const Matrix& X, int max_bins, BinEdgeCache* cache)
         if (still_balanced()) {
           st->edges = edges;
           st->hi = hi;
-          ++cache->extended_;
-          static obs::Counter& ctr = binedge_ctr("extended");
-          ctr.inc();
-          built = true;
+          outcome[c] = Outcome::kExtended;
         }
       }
     }
-    if (!built) {
+    if (outcome[c] == Outcome::kUncached) {
       // Fresh derivation: candidate edges from quantiles; deduplicate to
       // handle ties / constant columns.
       std::vector<double> sorted(col.begin(), col.end());
@@ -145,12 +141,34 @@ BinnedData::BinnedData(const Matrix& X, int max_bins, BinEdgeCache* cache)
         st->hi = hi;
         st->imbalance = imbalance;  // staleness is judged against this
         st->valid = true;
-        ++cache->rebuilt_;
-        static obs::Counter& ctr = binedge_ctr("rebuilt");
-        ctr.inc();
+        outcome[c] = Outcome::kRebuilt;
       }
     }
     bin_count_[c] = static_cast<int>(edges.size()) + 1;
+  });
+
+  if (cache == nullptr) return;
+  std::size_t reused = 0, extended = 0, rebuilt = 0;
+  for (const Outcome o : outcome) {
+    reused += o == Outcome::kReused;
+    extended += o == Outcome::kExtended;
+    rebuilt += o == Outcome::kRebuilt;
+  }
+  cache->reused_ += reused;
+  cache->extended_ += extended;
+  cache->rebuilt_ += rebuilt;
+  // An outcome's series is registered at its first occurrence.
+  if (reused > 0) {
+    static obs::Counter& ctr = binedge_ctr("reused");
+    ctr.inc(reused);
+  }
+  if (extended > 0) {
+    static obs::Counter& ctr = binedge_ctr("extended");
+    ctr.inc(extended);
+  }
+  if (rebuilt > 0) {
+    static obs::Counter& ctr = binedge_ctr("rebuilt");
+    ctr.inc(rebuilt);
   }
 }
 
@@ -164,23 +182,29 @@ double BinnedData::threshold(std::size_t col, int b) const {
 
 namespace {
 
-/// Below this many node rows the per-feature split scan stays serial: the
-/// chunk dispatch would cost more than the histogram work it distributes.
-/// From about 64 rows a node's scan (16 candidates at small scale) outweighs
-/// a post to a pool thread that is polling, so a small-scale GBDT root
-/// (about 270 rows) and its first two levels use the pool
-/// (BENCH_nested_par.json).  The cutoff only gates *whether* the pool is
-/// used, never the result.
+/// Below this many rows a batch's split scans stay serial: the dispatch
+/// would cost more than the histogram work it distributes.  From about 64
+/// rows a batch's scans (16 candidates at small scale for one node, every
+/// column for each node of a level) outweigh a post to a pool thread that
+/// is polling (BENCH_nested_par.json).  The cutoff only gates *whether*
+/// the pool is used, never the result.
 constexpr std::size_t kParallelNodeRows = 64;
 
 /// SoA histogram accumulators for one candidate feature, sized on demand
 /// and filled by simd::hist_accumulate, which writes every bin (+0.0 where
 /// no node row fell) and returns the set of bins the node touched.  The
-/// cut scans below read only those.
+/// cut scans below read only those.  One per thread, for the thread's
+/// life: a scan unit never yields mid-scan, so no two units share one, and
+/// a thread that claims units of several regions keeps its scratch warm.
 struct HistScratch {
   std::vector<double> sum_w;
   std::vector<double> sum_wy;
 };
+
+HistScratch& thread_scratch() {
+  thread_local HistScratch scratch;
+  return scratch;
+}
 
 }  // namespace
 
@@ -217,34 +241,53 @@ void FlatTrees::grow(const BinnedData& bd, std::span<const double> y,
     return w.empty() ? 1.0 : w[r];
   };
 
-  struct Pending {
-    std::int32_t node;
-    std::size_t begin, end;  // range in `work`
-    int depth;
-  };
-
-  std::vector<Pending> stack{{roots_.back(), 0, work.size(), 0}};
-
   const std::size_t n_features = bd.cols();
   std::vector<int> feature_pool(n_features);
   std::iota(feature_pool.begin(), feature_pool.end(), 0);
-  // One histogram scratch per split-scan chunk, for the whole fit; chunk c
-  // always covers the same candidates of a node, whichever thread runs it.
-  std::vector<HistScratch> scratch(static_cast<std::size_t>(par::threads()));
+  const std::size_t nc =
+      cfg.features_per_split > 0
+          ? std::min(static_cast<std::size_t>(cfg.features_per_split),
+                     n_features)
+          : n_features;
 
-  // Per-node SoA gather: node_w[i] / node_wy[i] are the weight and
-  // weight*target of the i-th row of the current node range.  Gathered
-  // once per node and shared (read-only) by every candidate feature's
-  // histogram build, instead of recomputing weight_of(r) * y[r] per
-  // feature as the old loop did.
-  std::vector<double> node_w, node_wy;
-  // Partition scratch: the right-hand rows of the node being split.
+  // Nodes are searched in batches.  When the split search draws no
+  // randomness (every column a candidate, exhaustive cuts: the catboost-
+  // like GBDT), a batch is every pending node, so each tree level is one
+  // pool region over (node, candidate) units.  Otherwise a batch is the
+  // next node in depth-first pop order (right child first), so candidate
+  // and cut draws keep their sequence.  Either way a node's rows are the
+  // same: the partition below is stable within the node's own range of
+  // `work`, so processing order cannot reorder them.
+  const bool level_batches = nc == n_features && !cfg.random_thresholds;
+
+  // A node's search outcome, numbered in processing order.  A split's
+  // children are the decisions at `left` and `left + 1`.
+  struct Decision {
+    double value = 0.0;
+    int feature = -1;  // -1: leaf
+    int bin = -1;
+    std::uint32_t left = 0;
+  };
+  std::vector<Decision> decisions(1);
+
+  struct Pending {
+    std::uint32_t decision;
+    std::size_t begin, end;  // range in `work`
+    int depth;
+  };
+  std::vector<Pending> pending{{0, 0, work.size(), 0}}, batch;
+
+  // Per-row SoA gather aligned with `work`: gw[i] / gwy[i] are the weight
+  // and weight*target of row work[i], filled for a node's range when it
+  // is searched and shared (read-only) by every candidate's histogram.
+  std::vector<double> gw(work.size()), gwy(work.size());
+  // Partition scratch: a node's right-hand rows, at its own range.
   std::vector<std::size_t> right_rows(work.size());
 
   // Best cut of one candidate feature within one node; gain <= min_gain
   // means no usable cut.  Pure function of the node range and the
-  // pre-drawn random bits, so candidates can be scanned in any order / on
-  // any thread with identical results.
+  // pre-drawn random bits, so units can be scanned in any order / on any
+  // thread with identical results.
   struct FeatureSplit {
     double gain;
     int bin;
@@ -252,17 +295,17 @@ void FlatTrees::grow(const BinnedData& bd, std::span<const double> y,
   const auto scan_feature = [&](std::size_t f, std::uint64_t rand_bits,
                                 std::size_t begin, std::size_t end,
                                 double sum_w, double sum_wy,
-                                double parent_score,
-                                HistScratch& bins) -> FeatureSplit {
+                                double parent_score) -> FeatureSplit {
     FeatureSplit best{cfg.min_gain, -1};
     const int nb = bd.num_bins(f);
     if (nb < 2) return best;
-    const std::size_t n = end - begin;
+    HistScratch& bins = thread_scratch();
     bins.sum_w.resize(static_cast<std::size_t>(nb));
     bins.sum_wy.resize(static_cast<std::size_t>(nb));
     const simd::HistBins hb = simd::hist_accumulate(
-        bd.codes_col(f), work.data() + begin, node_w.data(), node_wy.data(),
-        n, nb, bins.sum_w.data(), bins.sum_wy.data());
+        bd.codes_col(f), work.data() + begin, gw.data() + begin,
+        gwy.data() + begin, end - begin, nb, bins.sum_w.data(),
+        bins.sum_wy.data());
     const int lo_bin = hb.lo_bin, hi_bin = hb.hi_bin;
     if (lo_bin >= hi_bin) return best;  // constant within node
 
@@ -300,124 +343,156 @@ void FlatTrees::grow(const BinnedData& bd, std::span<const double> y,
     return best;
   };
 
-  std::vector<std::uint64_t> rand_bits;
-  std::vector<FeatureSplit> cands;
+  // The batch's nodes that may split, with their totals.
+  struct Open {
+    Pending at;
+    double sum_w, sum_wy, parent_score;
+  };
+  std::vector<Open> open;
+  std::vector<std::uint64_t> rand_bits;  // [node of `open` * nc + candidate]
+  std::vector<FeatureSplit> cands;       // same layout
 
-  while (!stack.empty()) {
-    const Pending p = stack.back();
-    stack.pop_back();
-    const auto node = static_cast<std::size_t>(p.node);
-
-    const std::size_t n_node = p.end - p.begin;
-    node_w.resize(n_node);
-    node_wy.resize(n_node);
-    for (std::size_t i = 0; i < n_node; ++i) {
-      const std::size_t r = work[p.begin + i];
-      node_w[i] = weight_of(r);
-      node_wy[i] = node_w[i] * y[r];
-    }
-    // Node totals stay a sequential reduction on purpose: they feed leaf
-    // values and split gains directly, and reassociating this sum (e.g.
-    // through the lane-tree simd::sum) measurably perturbs grown trees.
-    double sum_w = 0.0, sum_wy = 0.0;
-    for (std::size_t i = 0; i < n_node; ++i) {
-      sum_w += node_w[i];
-      sum_wy += node_wy[i];
-    }
-    value_[node] = sum_w > 0.0 ? sum_wy / sum_w : 0.0;
-    if (p.depth >= cfg.max_depth ||
-        n_node < 2 * static_cast<std::size_t>(cfg.min_samples_leaf) ||
-        sum_w <= 0.0) {
-      continue;  // leaf
+  while (!pending.empty()) {
+    if (level_batches) {
+      batch.swap(pending);
+      pending.clear();
+    } else {
+      batch.assign(1, pending.back());
+      pending.pop_back();
     }
 
-    // Candidate features for this split.
-    int n_candidates = cfg.features_per_split > 0
-                           ? std::min<int>(cfg.features_per_split,
-                                           static_cast<int>(n_features))
-                           : static_cast<int>(n_features);
-    if (n_candidates < static_cast<int>(n_features)) {
-      // Partial Fisher–Yates over the shared pool.
-      for (int i = 0; i < n_candidates; ++i) {
-        const std::size_t j =
-            static_cast<std::size_t>(i) + rng.index(n_features - static_cast<std::size_t>(i));
-        std::swap(feature_pool[static_cast<std::size_t>(i)], feature_pool[j]);
+    open.clear();
+    rand_bits.clear();
+    std::size_t open_rows = 0;
+    for (const Pending& p : batch) {
+      // Node totals stay a sequential reduction on purpose: they feed
+      // leaf values and split gains directly, and reassociating this sum
+      // (e.g. through the lane-tree simd::sum) measurably perturbs grown
+      // trees.
+      double sum_w = 0.0, sum_wy = 0.0;
+      for (std::size_t i = p.begin; i < p.end; ++i) {
+        const std::size_t r = work[i];
+        gw[i] = weight_of(r);
+        gwy[i] = gw[i] * y[r];
+        sum_w += gw[i];
+        sum_wy += gwy[i];
       }
-    }
-    const std::size_t nc = static_cast<std::size_t>(n_candidates);
-    const double parent_score = sum_wy * sum_wy / sum_w;
-
-    // Extra-Trees cut randomness is pre-drawn per candidate, in candidate
-    // order, so the scan below touches no shared generator state.
-    if (cfg.random_thresholds) {
-      rand_bits.resize(nc);
-      for (auto& rb : rand_bits) rb = rng();
-    }
-
-    // Histogram + cut search per candidate feature: the per-tree hot loop.
-    // Chunked over the pool for big nodes, one chunk below the cutoff where
-    // dispatch would exceed the work; any chunk count produces identical
-    // FeatureSplit values.
-    cands.assign(nc, FeatureSplit{cfg.min_gain, -1});
-    const std::size_t n_chunks =
-        n_node >= kParallelNodeRows ? std::min(nc, scratch.size()) : 1;
-    const auto scan_chunk = [&](std::size_t c) {
-      for (std::size_t fc = nc * c / n_chunks; fc < nc * (c + 1) / n_chunks;
-           ++fc) {
-        cands[fc] = scan_feature(static_cast<std::size_t>(feature_pool[fc]),
-                                 cfg.random_thresholds ? rand_bits[fc] : 0,
-                                 p.begin, p.end, sum_w, sum_wy, parent_score,
-                                 scratch[c]);
+      const std::size_t n_node = p.end - p.begin;
+      decisions[p.decision].value = sum_w > 0.0 ? sum_wy / sum_w : 0.0;
+      if (p.depth >= cfg.max_depth ||
+          n_node < 2 * static_cast<std::size_t>(cfg.min_samples_leaf) ||
+          sum_w <= 0.0) {
+        continue;  // leaf
       }
+      if (nc < n_features) {
+        // Candidate features: partial Fisher–Yates over the shared pool.
+        for (std::size_t i = 0; i < nc; ++i)
+          std::swap(feature_pool[i],
+                    feature_pool[i + rng.index(n_features - i)]);
+      }
+      // Extra-Trees cut randomness is pre-drawn per candidate, in
+      // candidate order, so the scans touch no shared generator state.
+      if (cfg.random_thresholds)
+        for (std::size_t fc = 0; fc < nc; ++fc) rand_bits.push_back(rng());
+      open.push_back({p, sum_w, sum_wy, sum_wy * sum_wy / sum_w});
+      open_rows += n_node;
+    }
+    if (open.empty()) continue;
+
+    // Histogram + cut search per (node, candidate) unit: the per-tree hot
+    // loop.  Units run candidate-major, so the pool's contiguous chunks
+    // each cover about the same number of rows.
+    const std::size_t n_open = open.size();
+    cands.resize(n_open * nc);
+    const auto scan_unit = [&](std::size_t u) {
+      const std::size_t fc = u / n_open, k = u % n_open;
+      const Open& o = open[k];
+      cands[k * nc + fc] = scan_feature(
+          static_cast<std::size_t>(feature_pool[fc]),
+          cfg.random_thresholds ? rand_bits[k * nc + fc] : 0, o.at.begin,
+          o.at.end, o.sum_w, o.sum_wy, o.parent_score);
     };
-    par::parallel_for(n_chunks, scan_chunk);
-
-    // Ordered reduction in candidate order (strictly-greater keeps the
-    // earliest maximum, matching the historical serial scan).
-    double best_gain = cfg.min_gain;
-    int best_feature = -1;
-    int best_bin = -1;
-    for (std::size_t fc = 0; fc < nc; ++fc) {
-      if (cands[fc].gain > best_gain) {
-        best_gain = cands[fc].gain;
-        best_feature = feature_pool[fc];
-        best_bin = cands[fc].bin;
-      }
+    if (open_rows >= kParallelNodeRows) {
+      par::parallel_for(cands.size(), scan_unit);
+    } else {
+      for (std::size_t u = 0; u < cands.size(); ++u) scan_unit(u);
     }
 
-    if (best_feature < 0) continue;  // no useful split -> leaf
-
-    // Stable partition of `work[p.begin, p.end)` by the chosen split:
-    // left rows compact in place, right rows go through `right_rows` and
-    // follow them, each side in its original order.
-    const std::size_t f = static_cast<std::size_t>(best_feature);
-    const std::uint8_t* codes = bd.codes_col(f);
-    std::size_t mid = p.begin, n_right = 0;
-    for (std::size_t i = p.begin; i < p.end; ++i) {
-      const std::size_t r = work[i];
-      if (codes[r] <= best_bin) {
-        work[mid++] = r;
-      } else {
-        right_rows[n_right++] = r;
+    for (std::size_t k = 0; k < n_open; ++k) {
+      const Pending& p = open[k].at;
+      // Ordered reduction in candidate order (strictly-greater keeps the
+      // earliest maximum).
+      double best_gain = cfg.min_gain;
+      int best_feature = -1;
+      int best_bin = -1;
+      for (std::size_t fc = 0; fc < nc; ++fc) {
+        const FeatureSplit& c = cands[k * nc + fc];
+        if (c.gain > best_gain) {
+          best_gain = c.gain;
+          best_feature = feature_pool[fc];
+          best_bin = c.bin;
+        }
       }
-    }
-    std::copy_n(right_rows.begin(), n_right,
+      if (best_feature < 0) continue;  // no useful split -> leaf
+
+      // Stable partition of `work[p.begin, p.end)` by the chosen split:
+      // left rows compact in place, right rows go through `right_rows`
+      // and follow them, each side in its original order.
+      const std::uint8_t* codes =
+          bd.codes_col(static_cast<std::size_t>(best_feature));
+      std::size_t mid = p.begin, right = p.begin;
+      for (std::size_t i = p.begin; i < p.end; ++i) {
+        const std::size_t r = work[i];
+        if (codes[r] <= best_bin) {
+          work[mid++] = r;
+        } else {
+          right_rows[right++] = r;
+        }
+      }
+      std::copy(right_rows.begin() + static_cast<std::ptrdiff_t>(p.begin),
+                right_rows.begin() + static_cast<std::ptrdiff_t>(right),
                 work.begin() + static_cast<std::ptrdiff_t>(mid));
-    if (mid == p.begin || mid == p.end) continue;  // degenerate
-    if (mid - p.begin < static_cast<std::size_t>(cfg.min_samples_leaf) ||
-        p.end - mid < static_cast<std::size_t>(cfg.min_samples_leaf)) {
-      continue;
-    }
+      if (mid == p.begin || mid == p.end) continue;  // degenerate
+      if (mid - p.begin < static_cast<std::size_t>(cfg.min_samples_leaf) ||
+          p.end - mid < static_cast<std::size_t>(cfg.min_samples_leaf)) {
+        continue;
+      }
 
+      width_ = std::max(width_, static_cast<std::size_t>(best_feature) + 1);
+      depth_.back() = std::max(depth_.back(), p.depth + 1);
+      const auto left = static_cast<std::uint32_t>(decisions.size());
+      decisions[p.decision].feature = best_feature;
+      decisions[p.decision].bin = best_bin;
+      decisions[p.decision].left = left;
+      decisions.resize(decisions.size() + 2);
+      pending.push_back({left, p.begin, mid, p.depth + 1});
+      pending.push_back({left + 1, mid, p.end, p.depth + 1});
+    }
+  }
+
+  // Number the nodes by replaying the decisions in depth-first pop order
+  // (right child first): a split appends its two children when it is
+  // popped.  The store's indices, and so its `save` bytes, depend only on
+  // the decisions, never on the order they were reached in.
+  struct Placed {
+    std::uint32_t decision;
+    std::int32_t node;
+  };
+  std::vector<Placed> stack{{0, roots_.back()}};
+  while (!stack.empty()) {
+    const Placed at = stack.back();
+    stack.pop_back();
+    const Decision& d = decisions[at.decision];
+    const auto node = static_cast<std::size_t>(at.node);
+    value_[node] = d.value;
+    if (d.feature < 0) continue;
     const std::int32_t left = push_leaf();
     push_leaf();  // the right child, at left + 1
-    slot_[node] = best_feature + 1;
-    threshold_[node] = bd.threshold(f, best_bin);
+    slot_[node] = d.feature + 1;
+    threshold_[node] = bd.threshold(static_cast<std::size_t>(d.feature), d.bin);
     left_[node] = left;
-    width_ = std::max(width_, f + 1);
-    depth_.back() = std::max(depth_.back(), p.depth + 1);
-    stack.push_back({left, p.begin, mid, p.depth + 1});
-    stack.push_back({left + 1, mid, p.end, p.depth + 1});
+    stack.push_back({d.left, left});
+    stack.push_back({d.left + 1, left + 1});
   }
 }
 
@@ -609,8 +684,7 @@ TreeSweep::TreeSweep(const FlatTrees& trees, const Matrix& X, double base,
       base_(base),
       scale_(scale),
       divisor_(divisor),
-      stride_(X.cols() + 1),
-      paths_(X.cols()) {
+      stride_(X.cols() + 1) {
   trees.check_width(X.cols());
   const std::size_t rows = X.rows();
   const std::size_t n_trees = trees.tree_count();
@@ -626,14 +700,20 @@ TreeSweep::TreeSweep(const FlatTrees& trees, const Matrix& X, double base,
     std::copy(x.begin(), x.end(), xs_.begin() + r * stride_ + 1);
   }
   // Tree order lists each tree's nodes after its root, every child after
-  // its parent.
-  node_tree_.resize(trees.node_count());
-  node_steps_.resize(trees.node_count());
+  // its parent.  A pair is listed under each column its path tests, at the
+  // first node on the path that does; whether a node is that first test
+  // is a property of the node alone (no ancestor tests its column), so
+  // first_col[n] holds n's column then, and -1 otherwise.
+  const std::size_t cols = X.cols();
+  const std::size_t n_nodes = trees.node_count();
+  node_tree_.resize(n_nodes);
+  node_steps_.resize(n_nodes);
+  std::vector<std::int32_t> parent(n_nodes, -1), first_col(n_nodes, -1);
   for (std::size_t t = 0; t < n_trees; ++t) {
     const auto begin = static_cast<std::size_t>(trees.roots_[t]);
     const std::size_t end = t + 1 < n_trees
                                 ? static_cast<std::size_t>(trees.roots_[t + 1])
-                                : trees.node_count();
+                                : n_nodes;
     node_steps_[begin] = trees.depth_[t];
     for (std::size_t n = begin; n < end; ++n) {
       node_tree_[n] = static_cast<std::uint32_t>(t);
@@ -641,27 +721,51 @@ TreeSweep::TreeSweep(const FlatTrees& trees, const Matrix& X, double base,
       if (child == n) continue;
       node_steps_[child] = node_steps_[n] - 1;
       node_steps_[child + 1] = node_steps_[n] - 1;
+      parent[child] = parent[child + 1] = static_cast<std::int32_t>(n);
+      std::int32_t a = parent[n];
+      while (a >= 0 && slot[a] != slot[n])
+        a = parent[static_cast<std::size_t>(a)];
+      if (a < 0) first_col[n] = slot[n] - 1;
     }
   }
 
+  // One walk down finds every pair's leaf.  A column's entry count is the
+  // number of pairs passing its first-test nodes, summed up from the
+  // leaves (children follow parents, so a reverse pass adds each node
+  // into its parent after all of its own children).
   leaf_.resize(rows * n_trees);
-  // seen[f] is the last pair listed under column f, so a pair is listed
-  // once per column it tests, at the first node on its path that does.
-  std::vector<std::size_t> seen(X.cols(), SIZE_MAX);
+  std::vector<std::size_t> visits(n_nodes, 0);
   for (std::size_t r = 0; r < rows; ++r) {
     const double* x = xs_.data() + r * stride_;
     for (std::size_t t = 0; t < n_trees; ++t) {
-      const std::size_t pair = r * n_trees + t;
       std::int32_t n = trees.roots_[t];
-      for (std::int32_t child = left[n]; child != n; child = left[n]) {
-        const auto s = static_cast<std::size_t>(slot[n]);
-        if (seen[s - 1] != pair) {
-          seen[s - 1] = pair;
-          paths_[s - 1].push_back({static_cast<std::uint32_t>(r), n});
-        }
-        n = child + static_cast<std::int32_t>(!(x[s] <= threshold[n]));
-      }
-      leaf_[pair] = n;
+      for (std::int32_t child = left[n]; child != n; child = left[n])
+        n = child + static_cast<std::int32_t>(!(x[slot[n]] <= threshold[n]));
+      leaf_[r * n_trees + t] = n;
+      ++visits[static_cast<std::size_t>(n)];
+    }
+  }
+  path_begin_.assign(cols + 1, 0);
+  for (std::size_t n = n_nodes; n-- > 0;) {
+    if (parent[n] >= 0)
+      visits[static_cast<std::size_t>(parent[n])] += visits[n];
+    if (first_col[n] >= 0)
+      path_begin_[static_cast<std::size_t>(first_col[n]) + 1] += visits[n];
+  }
+  for (std::size_t c = 0; c < cols; ++c) path_begin_[c + 1] += path_begin_[c];
+
+  // The lists, column after column (CSR): each pair, in pair order, climbs
+  // from its leaf and appends itself to the list of every first-test node
+  // it passes.  A pair adds at most one entry to a column, so each list
+  // comes out in pair order (by row).
+  paths_.resize(path_begin_.back());
+  std::vector<std::size_t> fill(path_begin_.begin(), path_begin_.end() - 1);
+  for (std::size_t pair = 0; pair < leaf_.size(); ++pair) {
+    const auto r = static_cast<std::uint32_t>(pair / n_trees);
+    for (std::int32_t n = parent[static_cast<std::size_t>(leaf_[pair])]; n >= 0;
+         n = parent[static_cast<std::size_t>(n)]) {
+      const std::int32_t c = first_col[static_cast<std::size_t>(n)];
+      if (c >= 0) paths_[fill[static_cast<std::size_t>(c)]++] = {r, n};
     }
   }
   cur_ = leaf_;
@@ -696,14 +800,15 @@ void TreeSweep::sum_rows(std::span<const std::uint32_t> rows,
 
 void TreeSweep::predict(std::size_t c, std::span<const double> values,
                         std::span<double> out) {
-  assert(c < paths_.size() && values.size() * stride_ == xs_.size() &&
+  assert(c + 1 < path_begin_.size() &&
+         values.size() * stride_ == xs_.size() &&
          out.size() == values.size());
   const std::int32_t* slot = trees_.slot_.data();
   const double* threshold = trees_.threshold_.data();
   const std::int32_t* left = trees_.left_.data();
   const std::size_t n_trees = trees_.tree_count();
   const auto c_slot = static_cast<std::int32_t>(c + 1);
-  const std::vector<PathEntry>& entries = paths_[c];
+  const std::span<const PathEntry> entries = column_paths(c);
   changed_.clear();
   rows_.clear();
   // kLanes pairs at a time as independent branch-free chains (as walk8),

@@ -47,6 +47,12 @@ namespace leaf::models {
 /// sequence of matrices binned through it — but not bit-identical to
 /// uncached edges; it is a retrain-speed/bin-optimality trade, which is
 /// why it's opt-in per training loop rather than global.
+///
+/// Thread safety: a binning writes each column's state from the pool
+/// thread that bins that column, and adds the reuse/extend/rebuild
+/// tallies on the constructing thread afterwards, so the state and
+/// tallies are the same at any thread count.  Two binnings must not use
+/// one cache at the same time.
 class BinEdgeCache {
  public:
   void clear() { cols_.clear(); }
@@ -80,9 +86,11 @@ class BinEdgeCache {
 class BinnedData {
  public:
   /// Bins each column of X into <= max_bins quantile bins.  max_bins must
-  /// be <= 256 (bins are stored as uint8).  An optional BinEdgeCache
-  /// carries edges across successive binnings (one cache per sequential
-  /// training loop; not thread-safe).
+  /// be <= 256 (bins are stored as uint8).  Columns are binned in parallel
+  /// over leaf::par; each writes only its own codes, edges and cache
+  /// state, so the result is the same at any thread count.  An optional
+  /// BinEdgeCache carries edges across successive binnings (one cache per
+  /// sequential training loop, see its thread-safety note).
   explicit BinnedData(const Matrix& X, int max_bins,
                       BinEdgeCache* cache = nullptr);
 
@@ -147,7 +155,9 @@ class FlatTrees {
   /// (bootstrap / subsample); empty means all rows.  The tree stores *raw*
   /// thresholds taken from `bd`.  A node's children are appended after it,
   /// the right one right after the left.  The tree always has at least its
-  /// root.
+  /// root.  Split search runs over leaf::par in batches of nodes (a whole
+  /// level when the search draws no randomness, see tree.cpp); the grown
+  /// tree and the draws from `rng` are the same at any thread count.
   void grow(const BinnedData& bd, std::span<const double> y,
             std::span<const double> w, std::span<const std::size_t> rows,
             const TreeConfig& cfg, Rng& rng);
@@ -211,10 +221,11 @@ class FlatTrees {
 /// (base + scale*t0(x) + scale*t1(x) + ...) / divisor: a Gbdt (divisor 1)
 /// or a Forest (base 0, scale 1, divisor = tree count).
 ///
-/// Construction copies X and walks each (tree, row) pair of it once.  It
-/// keeps the leaf, and for each column the pairs whose path tests that
-/// column, with the first node that tests it.  A call for column c
-/// re-walks only c's pairs, from that node.  A row with a changed leaf is
+/// Construction copies X, walks each (tree, row) pair of it down once and
+/// climbs back from the leaf once.  It keeps the leaf, and for each column
+/// the pairs whose path tests that column, with the first node that tests
+/// it, in one flat array.  A call for column c re-walks only c's pairs,
+/// from that node.  A row with a changed leaf is
 /// re-summed over its trees in tree order with the expression
 /// predict_into uses, so its bits are the same; every other row copies
 /// its base prediction.  Memory is O(rows * (columns + trees * depth)).
@@ -229,7 +240,7 @@ class TreeSweep final : public ColumnSweep {
                std::span<double> out) override;
 
   /// The (tree, row) pairs a call for column c re-walks.
-  std::size_t rewalks(std::size_t c) const { return paths_[c].size(); }
+  std::size_t rewalks(std::size_t c) const { return column_paths(c).size(); }
 
  private:
   /// A (tree, row) pair whose path first tests some column at `node` (the
@@ -238,6 +249,12 @@ class TreeSweep final : public ColumnSweep {
     std::uint32_t row;
     std::int32_t node;
   };
+
+  /// The pairs whose path tests column c, by row.
+  std::span<const PathEntry> column_paths(std::size_t c) const {
+    return {paths_.data() + path_begin_[c],
+            path_begin_[c + 1] - path_begin_[c]};
+  }
 
   /// out[r] = (base + scale * the sum of r's leaves in cur_, in tree
   /// order) / divisor for each listed row r.
@@ -254,7 +271,10 @@ class TreeSweep final : public ColumnSweep {
   /// Per node: steps from it that end on its leaf (its tree's depth less
   /// its own; a leaf steps to itself).
   std::vector<std::int32_t> node_steps_;
-  std::vector<std::vector<PathEntry>> paths_;  ///< per column, by row
+  /// Every column's pairs, column after column: column c's are
+  /// paths_[path_begin_[c], path_begin_[c + 1]).
+  std::vector<PathEntry> paths_;
+  std::vector<std::size_t> path_begin_;
   /// Leaf of pair (t, r) at [r * trees + t]: X's leaves, and X's leaves
   /// with the current call's changes.
   std::vector<std::int32_t> leaf_, cur_;
