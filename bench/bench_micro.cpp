@@ -6,7 +6,8 @@
 //
 // After the google-benchmark suite, main() runs a LEAF_THREADS scaling
 // sweep (threads ∈ {1,2,4,8} × {forest fit, GBDT fit, the LEAF-shaped GBDT
-// fit inside an open region, permutation importance, full run_scheme}) and
+// fit inside an open region, permutation importance, full run_scheme at top
+// level and inside an open region}) and
 // writes the measured wall times and speedups, with a host descriptor, to
 // $LEAF_BENCH_OUT/BENCH_parallel.json.  The sweep fails if the
 // run_scheme span sites did not record into the metrics section.  Last, a
@@ -464,6 +465,15 @@ void run_thread_sweep(bool smoke) {
   const data::CellularDataset ds =
       data::generate_fixed_dataset(eval_scale, 42);
   const data::Featurizer featurizer(ds, data::TargetKpi::kDVol);
+  const auto run_scheme = [&] {
+    const auto m =
+        models::make_model(models::ModelFamily::kGbdt, eval_scale, 1);
+    core::TriggeredScheme scheme;
+    benchmark::DoNotOptimize(
+        core::run_scheme(featurizer, *m, scheme,
+                         core::make_eval_config(eval_scale))
+            .retrain_count());
+  };
 
   const SweepWorkload workloads[] = {
       {"forest_fit",
@@ -499,15 +509,15 @@ void run_thread_sweep(bool smoke) {
          benchmark::DoNotOptimize(explain::permutation_importance(
              *imp_model, p.X, p.y, 1.0, rng, cfg));
        }},
-      {"run_scheme",
+      {"run_scheme", run_scheme},
+      // The same call in the first chunk of an open two-chunk region, as
+      // gbdt_fit_in_region runs one fit: its fits' regions then find the
+      // other threads polling instead of parked.
+      {"run_scheme_in_region",
        [&] {
-         const auto m =
-             models::make_model(models::ModelFamily::kGbdt, eval_scale, 1);
-         core::TriggeredScheme scheme;
-         benchmark::DoNotOptimize(
-             core::run_scheme(featurizer, *m, scheme,
-                              core::make_eval_config(eval_scale))
-                 .retrain_count());
+         par::parallel_for(2, [&](std::size_t i) {
+           if (i == 0) run_scheme();
+         });
        }},
   };
 

@@ -51,15 +51,6 @@ void CsvWriter::row(const std::vector<std::string>& fields) {
   out_ << '\n';
 }
 
-void CsvWriter::numeric_row(std::string_view label,
-                            const std::vector<double>& values) {
-  write_field(label, true);
-  for (double v : values) {
-    out_ << ',' << fmt(v);
-  }
-  out_ << '\n';
-}
-
 std::string fmt(double v) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%.6g", v);

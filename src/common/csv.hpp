@@ -34,9 +34,6 @@ class CsvWriter {
   void row(std::initializer_list<std::string_view> fields);
   void row(const std::vector<std::string>& fields);
 
-  /// Convenience: header then rows of doubles with one leading label.
-  void numeric_row(std::string_view label, const std::vector<double>& values);
-
  private:
   void write_field(std::string_view f, bool first);
   std::string path_;

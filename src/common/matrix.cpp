@@ -35,19 +35,4 @@ Matrix Matrix::transposed() const {
   return out;
 }
 
-Matrix Matrix::multiply(const Matrix& other) const {
-  assert(cols_ == other.rows());
-  Matrix out(rows_, other.cols(), 0.0);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    for (std::size_t k = 0; k < cols_; ++k) {
-      const double a = (*this)(r, k);
-      if (a == 0.0) continue;
-      const auto brow = other.row(k);
-      auto orow = out.row(r);
-      for (std::size_t c = 0; c < other.cols(); ++c) orow[c] += a * brow[c];
-    }
-  }
-  return out;
-}
-
 }  // namespace leaf

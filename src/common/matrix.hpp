@@ -57,9 +57,6 @@ class Matrix {
 
   Matrix transposed() const;
 
-  /// this (rows x cols) * other (cols x k) -> rows x k.
-  Matrix multiply(const Matrix& other) const;
-
  private:
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;

@@ -11,13 +11,6 @@
 
 namespace leaf::metrics {
 
-double rmse(std::span<const double> pred, std::span<const double> truth) {
-  assert(pred.size() == truth.size());
-  if (pred.empty()) return 0.0;
-  const double acc = simd::l2_distance2(pred, truth);
-  return std::sqrt(acc / static_cast<double>(pred.size()));
-}
-
 double nrmse(std::span<const double> pred, std::span<const double> truth,
              double norm_range) {
   assert(pred.size() == truth.size());

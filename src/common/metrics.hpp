@@ -4,17 +4,14 @@
 // max-min range — chosen so errors are comparable across KPIs whose
 // natural ranges differ by orders of magnitude ("call drop rates are
 // scalars mostly less than 1, while downlink volume scalars are often
-// greater than 300,000").  Footnote 1 lists the secondary metrics the
-// authors cross-checked; all of them are implemented here and exercised
-// by the drift-characterization tests.
+// greater than 300,000").  Plain RMSE is nrmse() with a norm_range of 1.
+// The secondary metrics below are the ones footnote 1 says the authors
+// cross-checked; no program reports them.
 #pragma once
 
 #include <span>
 
 namespace leaf::metrics {
-
-/// Root mean squared error.  Returns 0 for empty input.
-double rmse(std::span<const double> pred, std::span<const double> truth);
 
 /// RMSE / norm_range (the max-min of the target over the dataset).
 /// "NRMSE scores under 0.1 ... indicate that the regression model has very

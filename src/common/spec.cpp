@@ -2,18 +2,13 @@
 
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <stdexcept>
+
+#include "common/csv.hpp"
 
 namespace leaf::spec {
 
 namespace {
-
-std::string fmt(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.6g", v);
-  return buf;
-}
 
 [[noreturn]] void fail(std::string_view prefix, const std::string& key,
                        const std::string& value, const std::string& want) {

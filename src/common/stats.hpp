@@ -86,8 +86,8 @@ std::pair<double, double> linear_fit(std::span<const double> xs,
 /// Ranks with ties assigned their average rank (1-based).
 std::vector<double> ranks(std::span<const double> xs);
 
-/// Streaming mean/variance accumulator (Welford).  Used by detectors that
-/// must track error statistics online without storing the stream.
+/// Streaming mean/variance accumulator (Welford).  The drift detectors
+/// keep their own running sums; nothing in the library uses this class.
 class RunningStats {
  public:
   void push(double x);

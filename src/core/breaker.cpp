@@ -45,14 +45,6 @@ bool RetrainBreaker::allow(int day) {
   return true;
 }
 
-void RetrainBreaker::reset() {
-  state_ = State::kClosed;
-  window_.clear();
-  open_until_ = 0;
-  trips_ = 0;
-  suppressed_ = 0;
-}
-
 void RetrainBreaker::save_state(io::Serializer& out) const {
   out.put_i32(cfg_.max_retrains);
   out.put_i32(cfg_.window_days);

@@ -56,8 +56,6 @@ class RetrainBreaker {
   int open_until() const { return open_until_; }
   bool open() const { return state_ == State::kOpen; }
 
-  void reset();
-
   /// Snapshot hooks (leaf::io): the breaker is part of a serve shard's
   /// mutable state, so crash-equivalence requires it to round-trip.
   void save_state(io::Serializer& out) const;

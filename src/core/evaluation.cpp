@@ -1,12 +1,12 @@
 #include "core/evaluation.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <optional>
 #include <stdexcept>
 #include <string>
 
 #include "common/calendar.hpp"
+#include "common/csv.hpp"
 #include "common/metrics.hpp"
 #include "common/stats.hpp"
 #include "io/snapshot.hpp"
@@ -17,12 +17,6 @@ namespace leaf::core {
 double EvalResult::avg_nrmse() const { return stats::mean(nrmse); }
 
 namespace {
-
-std::string fmt6(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.6g", v);
-  return buf;
-}
 
 /// OUTAGE on either the day being scored or the day its features came
 /// from means the step's error is dominated by collection loss, not by
@@ -179,7 +173,7 @@ void Evaluation::step(const RetrainGate& gate, bool force_retrain) {
     ++result_.degraded.frozen_detector_days;
     ++result_.degraded.suppressed_retrains;
     frozen_ctr.inc();
-    emit(obs::EventKind::kOutageFreeze, "nrmse=" + fmt6(err));
+    emit(obs::EventKind::kOutageFreeze, "nrmse=" + fmt(err));
     if (observer_) observer_(day, err, false, false);
     return;
   }
@@ -206,8 +200,8 @@ void Evaluation::step(const RetrainGate& gate, bool force_retrain) {
     result_.drift_days.push_back(day);
     ctr.drifts.inc();
     emit(obs::EventKind::kDrift,
-         "detector=KSWIN,p=" + fmt6(detector_.last_p_value()) +
-             ",nrmse=" + fmt6(err));
+         "detector=KSWIN,p=" + fmt(detector_.last_p_value()) +
+             ",nrmse=" + fmt(err));
   }
 
   SchemeContext ctx{.featurizer = *featurizer_,
@@ -300,8 +294,6 @@ void Evaluation::save(io::Serializer& out) const {
   out.put_i32(result_.degraded.nonfinite_errors);
   out.put_i32(result_.degraded.frozen_detector_days);
   out.put_i32(result_.degraded.suppressed_retrains);
-  out.put_i64(result_.degraded.values_imputed);
-  out.put_i64(result_.degraded.quarantined_records);
   out.put_doubles(abs_ne_samples_);
 }
 
@@ -334,8 +326,6 @@ void Evaluation::load(io::Deserializer& in) {
   result_.degraded.nonfinite_errors = in.get_i32();
   result_.degraded.frozen_detector_days = in.get_i32();
   result_.degraded.suppressed_retrains = in.get_i32();
-  result_.degraded.values_imputed = in.get_i64();
-  result_.degraded.quarantined_records = in.get_i64();
   abs_ne_samples_ = in.get_doubles();
   if (result_.nrmse.size() != result_.days.size() ||
       result_.mean_ne.size() != result_.days.size())

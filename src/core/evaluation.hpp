@@ -90,8 +90,9 @@ struct DegradedStats {
   int nonfinite_errors = 0;       ///< non-finite NRMSE values suppressed
   int frozen_detector_days = 0;   ///< steps with the detector frozen (OUTAGE)
   int suppressed_retrains = 0;    ///< scheme steps bypassed during OUTAGE
-  std::int64_t values_imputed = 0;       ///< from the ingest report
-  std::int64_t quarantined_records = 0;  ///< from the ingest report
+  // Copied from the ingest report by finalized_result(); never snapshotted.
+  std::int64_t values_imputed = 0;
+  std::int64_t quarantined_records = 0;
 
   bool any() const {
     return days_skipped || nonfinite_errors || frozen_detector_days ||

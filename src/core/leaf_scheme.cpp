@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <numeric>
 
+#include "common/csv.hpp"
 #include "common/stats.hpp"
+#include "explain/grouping.hpp"
 #include "explain/importance.hpp"
 #include "explain/lea.hpp"
 #include "obs/events.hpp"
@@ -13,21 +14,11 @@
 
 namespace leaf::core {
 
-namespace {
-std::string fmt6(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.6g", v);
-  return buf;
-}
-}  // namespace
-
 LeafScheme::LeafScheme(LeafConfig cfg, double target_dispersion)
     : cfg_(cfg), dispersion_(target_dispersion), rng_(cfg.seed) {}
 
 void LeafScheme::reset() {
   rng_ = Rng(cfg_.seed);
-  last_groups_.clear();
-  last_contrast_ = 0.0;
 }
 
 std::string LeafScheme::name() const {
@@ -63,8 +54,9 @@ std::optional<data::SupervisedSet> LeafScheme::on_step(
   explain::GroupingConfig grp_cfg;
   grp_cfg.corr_threshold = cfg_.corr_threshold;
   grp_cfg.max_groups = cfg_.num_groups;
-  last_groups_ = explain::group_features(latest.X, importance, grp_cfg);
-  if (last_groups_.empty()) {
+  const std::vector<explain::FeatureGroup> groups =
+      explain::group_features(latest.X, importance, grp_cfg);
+  if (groups.empty()) {
     // No feature carries signal (can happen on tiny windows): fall back to
     // plain triggered behaviour rather than skipping mitigation.
     return latest;
@@ -75,16 +67,18 @@ std::optional<data::SupervisedSet> LeafScheme::on_step(
   // latest drifting samples.  Neither the model nor `latest` changes
   // between rounds, so each group's E_L is computed once.
   std::vector<explain::LeaResult> leas;
-  leas.reserve(last_groups_.size());
-  for (const auto& group : last_groups_)
+  leas.reserve(groups.size());
+  for (const auto& group : groups)
     leas.push_back(explain::compute_lea(ctx.model, latest,
                                         group.representative, cfg_.lea_bins,
                                         ctx.featurizer.norm_range()));
 
-  // Diagnostic: error contrast of the top group (how localized the error
-  // is over the representative feature's bins).  Recorded for the case
-  // study / benches; homogeneous drift legitimately produces flat
-  // profiles, so this is not used as a retrain gate.
+  // Diagnostic: error contrast of the top group, 1 - weighted_mean(E_L) /
+  // max(E_L): near 1 when the error concentrates in a few bins of the
+  // representative feature, near 0 for homogeneous drift.  A veto event
+  // records it; homogeneous drift legitimately produces flat profiles, so
+  // this is not used as a retrain gate.
+  double contrast = 0.0;
   {
     const explain::LeaResult& el = leas.front();
     double max_err = 0.0, sum_we = 0.0;
@@ -94,10 +88,8 @@ std::optional<data::SupervisedSet> LeafScheme::on_step(
       sum_we += el.error[b] * static_cast<double>(el.count[b]);
       total += el.count[b];
     }
-    last_contrast_ =
-        (max_err > 0.0 && total > 0)
-            ? 1.0 - sum_we / static_cast<double>(total) / max_err
-            : 0.0;
+    if (max_err > 0.0 && total > 0)
+      contrast = 1.0 - sum_we / static_cast<double>(total) / max_err;
   }
 
   // Over-sampling pool: the collected dataset, truncated to the recent
@@ -148,8 +140,8 @@ std::optional<data::SupervisedSet> LeafScheme::on_step(
                             ctx.shard,
                             data::to_string(ctx.featurizer.target()),
                             ctx.prototype->name(), name(),
-                            "contrast=" + fmt6(last_contrast_) + ",groups=" +
-                                std::to_string(last_groups_.size())});
+                            "contrast=" + fmt(contrast) + ",groups=" +
+                                std::to_string(groups.size())});
         }
         return std::nullopt;
       }
@@ -243,13 +235,6 @@ void LeafScheme::save_state(io::Serializer& out) const {
   out.put_i32(cfg_.num_groups);
   out.put_f64(dispersion_);
   io::write(out, rng_);
-  out.put_u64(last_groups_.size());
-  for (const explain::FeatureGroup& g : last_groups_) {
-    out.put_i32(g.representative);
-    out.put_f64(g.importance);
-    out.put_ints(g.members);
-  }
-  out.put_f64(last_contrast_);
 }
 
 void LeafScheme::load_state(io::Deserializer& in) {
@@ -262,17 +247,7 @@ void LeafScheme::load_state(io::Deserializer& in) {
         "LEAF scheme configuration mismatch between snapshot and scheme");
   Rng rng(cfg_.seed);
   io::read_rng(in, rng);
-  const std::size_t count = in.get_count(4 + 8 + 8);  // rep + imp + members len
-  std::vector<explain::FeatureGroup> groups(count);
-  for (explain::FeatureGroup& g : groups) {
-    g.representative = in.get_i32();
-    g.importance = in.get_f64();
-    g.members = in.get_ints();
-  }
-  const double contrast = in.get_f64();
   rng_ = rng;
-  last_groups_ = std::move(groups);
-  last_contrast_ = contrast;
 }
 
 }  // namespace leaf::core

@@ -27,7 +27,6 @@
 #pragma once
 
 #include "core/scheme.hpp"
-#include "explain/grouping.hpp"
 #include "explain/lea.hpp"
 
 namespace leaf::core {
@@ -112,18 +111,6 @@ class LeafScheme final : public MitigationScheme {
   std::optional<data::SupervisedSet> on_step(const SchemeContext& ctx) override;
   std::string name() const override;
 
-  /// The feature groups chosen at the most recent mitigation (empty before
-  /// the first drift event) — surfaced so benches / the case study can
-  /// report which features explained the drift.
-  const std::vector<explain::FeatureGroup>& last_groups() const {
-    return last_groups_;
-  }
-
-  /// Error contrast of the most recent drift event's first feature group:
-  /// 1 - weighted_mean(E_L)/max(E_L), near 1 when the error concentrates
-  /// in a few feature bins, near 0 for homogeneous drift.
-  double last_contrast() const { return last_contrast_; }
-
   void save_state(io::Serializer& out) const override;
   void load_state(io::Deserializer& in) override;
 
@@ -143,8 +130,6 @@ class LeafScheme final : public MitigationScheme {
   LeafConfig cfg_;
   double dispersion_;
   Rng rng_;
-  std::vector<explain::FeatureGroup> last_groups_;
-  double last_contrast_ = 0.0;
 };
 
 }  // namespace leaf::core

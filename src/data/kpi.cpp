@@ -260,13 +260,6 @@ int KpiSchema::column_of(const std::string& name) const {
   return -1;
 }
 
-std::vector<int> KpiSchema::columns_for_anchor(LatentAnchor a) const {
-  std::vector<int> out;
-  for (std::size_t i = 0; i < specs_.size(); ++i)
-    if (specs_[i].anchor == a) out.push_back(static_cast<int>(i));
-  return out;
-}
-
 double paper_dispersion(TargetKpi t, bool evolving) {
   // Table 2 (Evolving) and Table 6 (Fixed).
   switch (t) {

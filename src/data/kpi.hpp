@@ -106,11 +106,6 @@ class KpiSchema {
   /// Column index by KPI name; -1 when absent.
   int column_of(const std::string& name) const;
 
-  /// All column indices anchored to the given latent (the ground-truth
-  /// "feature group" — tests verify LEAF's correlation grouping recovers
-  /// these).
-  std::vector<int> columns_for_anchor(LatentAnchor a) const;
-
  private:
   std::vector<KpiSpec> specs_;
   std::array<int, 6> target_columns_{};

@@ -10,11 +10,6 @@ Adwin::Adwin(AdwinConfig cfg) : cfg_(cfg) {
   assert(cfg_.max_buckets >= 2);
 }
 
-double Adwin::window_mean() const {
-  return total_count_ > 0 ? total_sum_ / static_cast<double>(total_count_)
-                          : 0.0;
-}
-
 void Adwin::insert(double value) {
   if (rows_.empty()) rows_.emplace_back();
   rows_.front().push_front(Bucket{value, 0.0, 1});

@@ -30,7 +30,6 @@ class Adwin final : public DriftDetector {
   std::string name() const override { return "ADWIN"; }
 
   std::size_t window_length() const { return total_count_; }
-  double window_mean() const;
 
  private:
   struct Bucket {

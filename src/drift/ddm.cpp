@@ -31,11 +31,9 @@ bool Ddm::update(double value) {
     p_ = 1.0;
     s_ = 0.0;
     p_min_ = s_min_ = std::numeric_limits<double>::infinity();
-    warning_ = false;
     ctrs.firings.inc();
     return true;
   }
-  warning_ = p_ + s_ > p_min_ + cfg_.warn_level * s_min_;
   return false;
 }
 
@@ -45,7 +43,6 @@ void Ddm::reset() {
   p_ = 1.0;
   s_ = 0.0;
   p_min_ = s_min_ = std::numeric_limits<double>::infinity();
-  warning_ = false;
 }
 
 // --- EDDM ------------------------------------------------------------

@@ -18,7 +18,6 @@ namespace leaf::drift {
 
 struct DdmConfig {
   int min_samples = 30;
-  double warn_level = 2.0;
   double drift_level = 3.0;
   /// EWMA binarizer parameters (see EwmaBinarizer).  The slow adaptation
   /// rate makes a sustained level shift produce a sustained run of
@@ -34,7 +33,6 @@ class Ddm final : public DriftDetector {
   bool update(double value) override;
   void reset() override;
   std::string name() const override { return "DDM"; }
-  bool in_warning_zone() const { return warning_; }
 
  private:
   DdmConfig cfg_;
@@ -44,12 +42,10 @@ class Ddm final : public DriftDetector {
   double s_ = 0.0;
   double p_min_ = std::numeric_limits<double>::infinity();
   double s_min_ = std::numeric_limits<double>::infinity();
-  bool warning_ = false;
 };
 
 struct EddmConfig {
   int min_errors = 30;
-  double warn_threshold = 0.95;
   double drift_threshold = 0.9;
   double binarize_alpha = 0.005;
   double binarize_k = 2.0;

@@ -1,17 +1,8 @@
 #include "drift/detector.hpp"
 
 #include <cmath>
-#include <span>
 
 namespace leaf::drift {
-
-std::vector<std::size_t> detect_all(DriftDetector& detector,
-                                    std::span<const double> series) {
-  std::vector<std::size_t> hits;
-  for (std::size_t i = 0; i < series.size(); ++i)
-    if (detector.update(series[i])) hits.push_back(i);
-  return hits;
-}
 
 EwmaBinarizer::EwmaBinarizer(double alpha, double k) : alpha_(alpha), k_(k) {}
 

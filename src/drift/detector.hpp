@@ -9,9 +9,7 @@
 // comparison bench.
 #pragma once
 
-#include <span>
 #include <string>
-#include <vector>
 
 #include "obs/metrics.hpp"
 
@@ -46,10 +44,6 @@ class DriftDetector {
 
   virtual std::string name() const = 0;
 };
-
-/// Runs a detector over a whole series; returns the flagged indices.
-std::vector<std::size_t> detect_all(DriftDetector& detector,
-                                    std::span<const double> series);
 
 /// Adaptive binarizer used to feed the Bernoulli-stream detectors
 /// (DDM / EDDM) a continuous error series: emits 1 when the value exceeds

@@ -63,13 +63,4 @@ std::vector<double> permutation_importance(const models::Regressor& model,
   return scores;
 }
 
-std::vector<std::size_t> importance_ranking(std::span<const double> scores) {
-  std::vector<std::size_t> order(scores.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return scores[a] > scores[b];
-  });
-  return order;
-}
-
 }  // namespace leaf::explain

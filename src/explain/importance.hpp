@@ -47,7 +47,4 @@ std::vector<double> permutation_importance(const models::Regressor& model,
                                            double norm_range, Rng& rng,
                                            const ImportanceConfig& cfg = {});
 
-/// Column indices sorted by descending importance.
-std::vector<std::size_t> importance_ranking(std::span<const double> scores);
-
 }  // namespace leaf::explain

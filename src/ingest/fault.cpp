@@ -56,21 +56,6 @@ FaultSpec FaultSpec::at_rate(double rate, std::uint64_t seed) {
   return spec;
 }
 
-std::vector<TelemetryRecord> to_stream(const data::CellularDataset& ds) {
-  std::vector<TelemetryRecord> out;
-  out.reserve(static_cast<std::size_t>(ds.total_logs()));
-  const std::size_t k = static_cast<std::size_t>(ds.num_kpis());
-  for (int d = 0; d < ds.num_days(); ++d) {
-    const int n = ds.enbs_on_day(d);
-    for (int i = 0; i < n; ++i) {
-      const auto kpis = ds.log_on_day(d, i);
-      out.push_back(TelemetryRecord{
-          d, ds.enb_on_day(d, i), std::vector<float>(kpis.begin(), kpis.begin() + static_cast<std::ptrdiff_t>(k))});
-    }
-  }
-  return out;
-}
-
 std::vector<TelemetryRecord> inject_faults(const data::CellularDataset& ds,
                                            const FaultSpec& spec) {
   // `order` pairs each surviving record with a delivery key; late arrivals

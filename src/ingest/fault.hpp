@@ -72,9 +72,6 @@ struct FaultSpec {
   static FaultSpec at_rate(double rate, std::uint64_t seed = 1234);
 };
 
-/// Flattens a dataset into its (clean, in-order) record stream.
-std::vector<TelemetryRecord> to_stream(const data::CellularDataset& ds);
-
 /// Applies `spec` to the dataset's record stream.  Deterministic in
 /// `spec.seed`; the clean dataset is not modified.
 std::vector<TelemetryRecord> inject_faults(const data::CellularDataset& ds,

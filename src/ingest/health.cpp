@@ -1,7 +1,5 @@
 #include "ingest/health.hpp"
 
-#include <algorithm>
-
 namespace leaf::ingest {
 
 std::string to_string(HealthState s) {
@@ -15,11 +13,6 @@ std::string to_string(HealthState s) {
 }
 
 HealthTracker::HealthTracker(HealthConfig cfg) : cfg_(cfg) {}
-
-void HealthTracker::reset() {
-  state_ = HealthState::kOk;
-  bad_streak_ = verybad_streak_ = good_streak_ = 0;
-}
 
 HealthState HealthTracker::step(double valid_fraction) {
   const bool bad = valid_fraction < cfg_.degraded_below;
@@ -48,15 +41,6 @@ HealthState HealthTracker::step(double valid_fraction) {
       break;
   }
   return state_;
-}
-
-bool any_in_state(const HealthSeries& series, int first, int last,
-                  HealthState state) {
-  const int lo = std::max(first, 0);
-  const int hi = std::min<int>(last, static_cast<int>(series.size()) - 1);
-  for (int d = lo; d <= hi; ++d)
-    if (series[static_cast<std::size_t>(d)] == state) return true;
-  return false;
 }
 
 }  // namespace leaf::ingest

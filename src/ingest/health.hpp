@@ -53,7 +53,6 @@ class HealthTracker {
   /// *after* the transition.
   HealthState step(double valid_fraction);
   HealthState state() const { return state_; }
-  void reset();
 
  private:
   HealthConfig cfg_;
@@ -65,9 +64,5 @@ class HealthTracker {
 
 /// Day-indexed health series (one state per study day).
 using HealthSeries = std::vector<HealthState>;
-
-/// True when any day of `series` in [first, last] is in the given state.
-bool any_in_state(const HealthSeries& series, int first, int last,
-                  HealthState state);
 
 }  // namespace leaf::ingest

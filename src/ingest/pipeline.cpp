@@ -107,8 +107,8 @@ IngestResult ingest_stream(const data::CellularDataset& like,
     std::fill(valid_per_col.begin(), valid_per_col.end(), 0);
 
     // Pass 1: accept the first delivery per eNodeB, validate values, and
-    // feed every plausible value to the imputer (so group-median and the
-    // seasonal ring see the full day's cross-section before any imputation).
+    // feed every plausible value to the imputer (so the group median sees
+    // the full day's cross-section before any imputation).
     bool any_arrival = false;
     while (pos < stream.size() && stream[pos].day == d) {
       const TelemetryRecord& r = stream[pos++];

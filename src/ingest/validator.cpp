@@ -12,15 +12,6 @@ namespace {
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 }
 
-std::string to_string(ImputePolicy p) {
-  switch (p) {
-    case ImputePolicy::kCarryForward: return "carry-forward";
-    case ImputePolicy::kSeasonalNaive: return "seasonal-naive";
-    case ImputePolicy::kGroupMedian: return "group-median";
-  }
-  return "?";
-}
-
 bool KpiBounds::plausible(int column, double v) const {
   if (!std::isfinite(v)) return false;
   if (!fitted()) return true;
@@ -64,10 +55,6 @@ Imputer::Imputer(int num_enbs, int num_kpis, const ValidatorConfig& cfg)
       static_cast<std::size_t>(num_enbs) * static_cast<std::size_t>(num_kpis);
   last_val_.assign(cells, 0.0f);
   last_day_.assign(cells, -1);
-  const std::size_t period = static_cast<std::size_t>(
-      std::max(1, cfg_.seasonal_period));
-  ring_val_.assign(cells * period, 0.0f);
-  ring_day_.assign(cells * period, -1);
   today_.assign(static_cast<std::size_t>(num_kpis), {});
   fleet_median_.assign(static_cast<std::size_t>(num_kpis), 0.0f);
   fleet_median_seen_.assign(static_cast<std::size_t>(num_kpis), false);
@@ -82,11 +69,6 @@ void Imputer::observe(int enb, int column, double v) {
   const std::size_t c = cell(enb, column);
   last_val_[c] = static_cast<float>(v);
   last_day_[c] = day_;
-  const int period = std::max(1, cfg_.seasonal_period);
-  const std::size_t slot = c * static_cast<std::size_t>(period) +
-                           static_cast<std::size_t>(day_ % period);
-  ring_val_[slot] = static_cast<float>(v);
-  ring_day_[slot] = day_;
   today_[static_cast<std::size_t>(column)].push_back(v);
 
   // Frugal streaming median: cheap per-column fleet level for the final
@@ -114,17 +96,6 @@ double Imputer::carry_forward(int enb, int column) const {
              : kNaN;
 }
 
-double Imputer::seasonal(int enb, int column) const {
-  const int period = std::max(1, cfg_.seasonal_period);
-  const int want = day_ - period;
-  if (want < 0) return kNaN;
-  // The slot for `day_` still holds the value observed one period ago
-  // (this cell was not observed today, or it would not need imputing).
-  const std::size_t slot = cell(enb, column) * static_cast<std::size_t>(period) +
-                           static_cast<std::size_t>(day_ % period);
-  return ring_day_[slot] == want ? static_cast<double>(ring_val_[slot]) : kNaN;
-}
-
 double Imputer::group_median(int column) const {
   const auto& xs = today_[static_cast<std::size_t>(column)];
   if (xs.size() < 3) return kNaN;
@@ -132,14 +103,8 @@ double Imputer::group_median(int column) const {
 }
 
 double Imputer::impute(int enb, int column) const {
-  double v = kNaN;
-  switch (cfg_.policy) {
-    case ImputePolicy::kCarryForward: v = carry_forward(enb, column); break;
-    case ImputePolicy::kSeasonalNaive: v = seasonal(enb, column); break;
-    case ImputePolicy::kGroupMedian: v = group_median(column); break;
-  }
-  // Fallback chain: fresh carry → day cross-section → fleet median.
-  if (!std::isfinite(v)) v = carry_forward(enb, column);
+  // Fresh carry → day cross-section → fleet median.
+  double v = carry_forward(enb, column);
   if (!std::isfinite(v)) v = group_median(column);
   if (!std::isfinite(v) && fleet_median_seen_[static_cast<std::size_t>(column)])
     v = static_cast<double>(fleet_median_[static_cast<std::size_t>(column)]);

@@ -4,38 +4,23 @@
 // slice of the stream with robust quantiles plus headroom) and decides,
 // value by value, whether a delivered KPI is usable.  Implausible values —
 // NaN/Inf, negative counters, wrap-around spikes — are *quarantined* and
-// replaced through a configurable imputation policy; records with too many
-// quarantined columns are rejected wholesale and treated as missing.
+// imputed; records with too many quarantined columns are rejected wholesale
+// and treated as missing.
 //
-// Three imputation policies cover the spectrum real pipelines use:
-//   * carry-forward   — repeat the eNodeB's last good value, but only while
-//                       it is fresher than `staleness_cap_days` (a stale
-//                       carry is worse than an honest gap);
-//   * seasonal-naive  — the eNodeB's good value one `seasonal_period` ago
-//                       (weekly periodicity is the strongest KPI signal);
-//   * group-median    — median of the same KPI across the eNodeBs that did
-//                       report today (fleet-level cross-section).
-// Each policy falls back down the chain (policy → carry-forward → fleet
-// running median) so a partially-corrupt record can always be completed;
-// wholly-missing records are only synthesized while carry-forward is
-// fresh.
+// Imputation carries forward the eNodeB's last good value, but only while
+// it is fresher than `staleness_cap_days` (a stale carry is worse than an
+// honest gap).  Without a fresh carry it falls back to the median of the
+// same KPI across the eNodeBs that did report today (at least three), then
+// to the KPI's fleet running median, so a partially-corrupt record can
+// always be completed; wholly-missing records are only synthesized while
+// carry-forward is fresh.
 #pragma once
 
-#include <cstdint>
-#include <string>
 #include <vector>
 
 #include "data/kpi.hpp"
 
 namespace leaf::ingest {
-
-enum class ImputePolicy : std::uint8_t {
-  kCarryForward,
-  kSeasonalNaive,
-  kGroupMedian,
-};
-
-std::string to_string(ImputePolicy p);
 
 struct ValidatorConfig {
   /// Robust quantiles of the reference slice that anchor the bounds.
@@ -48,11 +33,8 @@ struct ValidatorConfig {
   /// rejected wholesale.
   double record_reject_fraction = 0.5;
 
-  ImputePolicy policy = ImputePolicy::kCarryForward;
   /// Carry-forward refuses values older than this many days.
   int staleness_cap_days = 7;
-  /// Period for the seasonal-naive policy (weekly).
-  int seasonal_period = 7;
 };
 
 /// Per-column [lo, hi] plausibility bounds.
@@ -73,8 +55,7 @@ KpiBounds fit_bounds(const std::vector<std::vector<double>>& column_samples,
 
 /// Stateful imputer: tracks each (eNodeB, column) last-good value and age,
 /// the per-column fleet running median, and the per-day cross-section, and
-/// produces replacement values per the configured policy.  Days must be
-/// fed in order.
+/// produces replacement values from them.  Days must be fed in order.
 class Imputer {
  public:
   Imputer(int num_enbs, int num_kpis, const ValidatorConfig& cfg);
@@ -84,7 +65,7 @@ class Imputer {
   /// Registers a validated good value (also feeds the cross-section).
   void observe(int enb, int column, double v);
   /// Replacement value for a quarantined / missing (enb, column), or NaN
-  /// when no policy (and no fallback) can produce one.
+  /// when neither carry-forward nor a fallback can produce one.
   double impute(int enb, int column) const;
   /// True while carry-forward for (enb, column) is within the staleness
   /// cap — the gate for synthesizing wholly-missing records.
@@ -92,7 +73,6 @@ class Imputer {
 
  private:
   double carry_forward(int enb, int column) const;
-  double seasonal(int enb, int column) const;
   double group_median(int column) const;
 
   std::size_t cell(int enb, int column) const {
@@ -108,9 +88,6 @@ class Imputer {
   // Flat (enb * num_kpis + column) state.
   std::vector<float> last_val_;  ///< last good value
   std::vector<int> last_day_;    ///< day of the last good value (-1 = none)
-  // Ring of one seasonal period per cell: slot (cell * period + day % period).
-  std::vector<float> ring_val_;
-  std::vector<int> ring_day_;
   std::vector<std::vector<double>> today_;  ///< per-column day cross-section
   std::vector<float> fleet_median_;  ///< per-column frugal median estimate
   std::vector<bool> fleet_median_seen_;

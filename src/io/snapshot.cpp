@@ -10,7 +10,7 @@ namespace leaf::io {
 
 namespace {
 
-// ScopedWriteFault state: byte budget for the next write_file call.
+// ScopedWriteFault state: byte budget for the next write_bytes call.
 // SIZE_MAX = disarmed.  Single-threaded by contract (see header).
 std::size_t g_write_fault_after = std::numeric_limits<std::size_t>::max();
 
@@ -57,10 +57,6 @@ std::vector<std::uint8_t> SnapshotWriter::encode() const {
     out.put_raw(body.bytes());
   }
   return out.take();
-}
-
-std::uint64_t SnapshotWriter::write_file(const std::string& path) const {
-  return write_bytes(path, encode());
 }
 
 std::uint64_t SnapshotWriter::write_bytes(const std::string& path,

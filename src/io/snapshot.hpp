@@ -48,10 +48,12 @@ inline constexpr char kMagic[8] = {'L', 'E', 'A', 'F', 'S', 'N', 'A', 'P'};
 // v4: fleet snapshots carry a "tsdb" section (telemetry store + meta-
 // drift detector state).
 // v5: shard sections drop the evaluation RNG, which no scheme drew from.
+// v6: shard sections drop LEAF's last feature groups and error contrast
+// and the evaluation's ingest counters, which no restore read.
 // The reader accepts exactly kFormatVersion.
-inline constexpr std::uint32_t kFormatVersion = 5;
+inline constexpr std::uint32_t kFormatVersion = 6;
 
-/// Test/chaos seam: while alive, the next SnapshotWriter::write_file
+/// Test/chaos seam: while alive, the next SnapshotWriter::write_bytes
 /// call fails after writing `after_bytes` bytes of the temporary file,
 /// exercising the error path (which must clean up the temporary).  One
 /// fault per scope arming; not thread-safe — arm only around
@@ -76,14 +78,11 @@ class SnapshotWriter {
   /// The whole container as bytes.
   std::vector<std::uint8_t> encode() const;
 
-  /// Writes the container to `path` (tmp file + rename).  Returns the
+  /// Writes encoded bytes to `path` (tmp file + rename).  Returns the
   /// byte count written.  Throws SnapshotError on any I/O failure; the
-  /// temporary file is removed on every error path.
-  std::uint64_t write_file(const std::string& path) const;
-
-  /// Writes pre-encoded container bytes to `path` with the same
-  /// tmp+rename+cleanup discipline (used by chaos snapshot corruption,
-  /// which mutates encoded bytes before they hit disk).
+  /// temporary file is removed on every error path.  Callers encode
+  /// first, so chaos snapshot corruption can mutate the bytes before they
+  /// hit disk.
   static std::uint64_t write_bytes(const std::string& path,
                                    std::span<const std::uint8_t> bytes);
 

@@ -367,8 +367,7 @@ void FlatTrees::grow(const BinnedData& bd, std::span<const double> y,
     for (const Pending& p : batch) {
       // Node totals stay a sequential reduction on purpose: they feed
       // leaf values and split gains directly, and reassociating this sum
-      // (e.g. through the lane-tree simd::sum) measurably perturbs grown
-      // trees.
+      // (e.g. through a reduce8 lane tree) measurably perturbs grown trees.
       double sum_w = 0.0, sum_wy = 0.0;
       for (std::size_t i = p.begin; i < p.end; ++i) {
         const std::size_t r = work[i];

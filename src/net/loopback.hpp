@@ -40,10 +40,7 @@ class LoopbackConnection : public ClientTransport {
   std::optional<Frame> receive() override;
 
   bool alive() const override { return !dropped_; }
-  /// Why the server dropped this connection (empty while alive).
-  const std::string& drop_reason() const { return drop_reason_; }
   ConnId id() const { return id_; }
-  std::size_t queued_responses() const { return responses_.size(); }
 
   /// Client-initiated close (discards this side's queued requests).
   void close();

@@ -50,7 +50,6 @@ class TcpServer : public ResponseSink {
   std::size_t poll_once(int timeout_ms);
 
   std::uint64_t requests_served() const { return core_.requests_served(); }
-  std::size_t open_connections() const { return conns_.size(); }
   ServerCore& core() { return core_; }
 
   // ResponseSink: the core hands encoded responses back for buffering.

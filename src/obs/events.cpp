@@ -83,10 +83,6 @@ void EventLog::emit(Event e) {
   events_.push_back(std::move(e));
 }
 
-std::string EventLog::to_jsonl(bool with_timing) const {
-  return to_jsonl(events_, with_timing);
-}
-
 std::string EventLog::to_jsonl(const std::vector<Event>& events,
                                bool with_timing) {
   std::string out;
@@ -127,21 +123,6 @@ void EventLog::load(io::Deserializer& in) {
     e.seconds = in.get_f64();
   }
   events_ = std::move(events);
-}
-
-std::uint64_t EventLog::write_jsonl(const std::string& path,
-                                    bool with_timing) const {
-  return write_jsonl(path, events_, with_timing);
-}
-
-std::uint64_t EventLog::write_jsonl(const std::string& path,
-                                    const std::vector<Event>& events,
-                                    bool with_timing) {
-  const std::string jsonl = to_jsonl(events, with_timing);
-  return io::SnapshotWriter::write_bytes(
-      path, std::span<const std::uint8_t>(
-                reinterpret_cast<const std::uint8_t*>(jsonl.data()),
-                jsonl.size()));
 }
 
 std::uint64_t EventLog::write_jsonl_rotated(const std::string& path,

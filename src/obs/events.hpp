@@ -12,7 +12,7 @@
 //
 // Wall-clock readings live only in the `seconds` field, rendered as
 // `"elapsed_seconds"` — the one JSONL key determinism tests mask (or drop
-// wholesale via to_jsonl(/*with_timing=*/false)).
+// wholesale via to_jsonl(events, /*with_timing=*/false)).
 //
 // Logs are snapshot-aware (save/load via leaf::io), so a SIGKILL +
 // --resume serve cycle replays to a byte-identical event stream.
@@ -80,35 +80,24 @@ class EventLog {
   bool empty() const { return events_.empty(); }
   void clear() { events_.clear(); }
 
-  /// One JSON object per line.  with_timing=false omits the
-  /// `elapsed_seconds` key entirely (the masked form determinism tests
-  /// compare).
-  std::string to_jsonl(bool with_timing = true) const;
-
   /// Snapshot support (leaf::io).
   void save(io::Serializer& out) const;
   void load(io::Deserializer& in);
 
-  /// Writes the JSONL rendering to `path` with the snapshot writer's
-  /// tmp+rename discipline: an unwritable path or a write that faults
-  /// mid-line throws io::SnapshotError and leaves neither a truncated
-  /// file under `path` nor `.tmp` litter — a partial event log that
-  /// parses as a shorter run is worse than no file.  Returns the byte
-  /// count written.
-  std::uint64_t write_jsonl(const std::string& path,
-                            bool with_timing = true) const;
-  static std::uint64_t write_jsonl(const std::string& path,
-                                   const std::vector<Event>& events,
-                                   bool with_timing);
-
-  /// Size-capped variant (`--events-max-mb`): when the rendering exceeds
-  /// `max_bytes`, it is split on line boundaries into at most three
-  /// files — the newest tail under `path`, older chunks under `path.1`
-  /// then `path.2`, oldest lines beyond that dropped — each written with
-  /// the same tmp+rename discipline (a fault mid-rotation throws and
-  /// leaves no `.tmp` litter).  `max_bytes` 0 means uncapped (plain
-  /// write_jsonl; stale `.1`/`.2` files from earlier capped writes are
-  /// still removed).  Returns the total bytes written across files.
+  /// Writes the JSONL rendering of `events` to `path` with the snapshot
+  /// writer's tmp+rename discipline: an unwritable path or a write that
+  /// faults mid-line throws io::SnapshotError and leaves neither a
+  /// truncated file under `path` nor `.tmp` litter — a partial event log
+  /// that parses as a shorter run is worse than no file.
+  ///
+  /// `max_bytes` caps the size (`--events-max-mb`): when the rendering
+  /// exceeds it, it is split on line boundaries into at most three files
+  /// — the newest tail under `path`, older chunks under `path.1` then
+  /// `path.2`, oldest lines beyond that dropped — each written the same
+  /// way (a fault mid-rotation throws and leaves no `.tmp` litter).
+  /// `max_bytes` 0 means uncapped: one plain write.  Stale `.1`/`.2` files
+  /// from earlier capped writes are removed either way.  Returns the total
+  /// bytes written across files.
   static std::uint64_t write_jsonl_rotated(const std::string& path,
                                            const std::vector<Event>& events,
                                            bool with_timing,
@@ -117,6 +106,9 @@ class EventLog {
   /// Merges shard logs into one deterministic stream: stable sort by
   /// (day, shard), preserving each log's insertion order within a day.
   static std::vector<Event> merge(const std::vector<const EventLog*>& logs);
+  /// One JSON object per line.  with_timing=false omits the
+  /// `elapsed_seconds` key entirely (the masked form determinism tests
+  /// compare).
   static std::string to_jsonl(const std::vector<Event>& events,
                               bool with_timing);
 

@@ -1,9 +1,9 @@
 #include "obs/slo.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <stdexcept>
 
+#include "common/csv.hpp"
 #include "common/spec.hpp"
 #include "obs/metrics.hpp"
 
@@ -18,12 +18,6 @@ double parse_rate(const std::string& key, const std::string& value,
 
 int parse_int(const std::string& key, const std::string& value, int min_value) {
   return static_cast<int>(spec::uint_in("slo", key, value, min_value, 1000000));
-}
-
-std::string fmt(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "%.6g", v);
-  return buf;
 }
 
 }  // namespace

@@ -116,8 +116,6 @@ class SloWatchdog {
   };
   Burn burn() const;
 
-  double baseline_nrmse() const { return baseline_nrmse_; }
-
  private:
   SloSpec spec_;
   std::deque<SloSample> window_;

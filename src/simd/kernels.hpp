@@ -97,11 +97,9 @@ inline constexpr std::size_t kHistLaneCutoff = 64;
 
 namespace scalar {
 
-double sum(const double* a, std::size_t n);
 double dot(const double* a, const double* b, std::size_t n);
 /// y[i] += alpha * x[i] (elementwise; bit-identical to the classic loop).
 void axpy(double alpha, const double* x, double* y, std::size_t n);
-double l2_distance2(const double* a, const double* b, std::size_t n);
 ErrorAcc squared_error(const double* pred, const double* truth,
                        std::size_t n);
 /// Squared L2 distances of a query `z` (ncols entries) to `rows` points
@@ -139,10 +137,8 @@ namespace vector {
 /// "scalar".
 const char* isa();
 
-double sum(const double* a, std::size_t n);
 double dot(const double* a, const double* b, std::size_t n);
 void axpy(double alpha, const double* x, double* y, std::size_t n);
-double l2_distance2(const double* a, const double* b, std::size_t n);
 ErrorAcc squared_error(const double* pred, const double* truth,
                        std::size_t n);
 void l2_distances_cols(const double* cols, std::size_t rows, const double* z,

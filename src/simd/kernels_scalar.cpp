@@ -22,16 +22,6 @@ struct Lanes {
 
 }  // namespace
 
-double sum(const double* a, std::size_t n) {
-  Lanes acc;
-  const std::size_t nb = n & ~(kLanes - 1);
-  for (std::size_t i = 0; i < nb; i += kLanes) {
-    for (std::size_t j = 0; j < kLanes; ++j) acc.v[j] += a[i + j];
-  }
-  for (std::size_t i = nb; i < n; ++i) acc.v[i - nb] += a[i];
-  return reduce8(acc.v);
-}
-
 double dot(const double* a, const double* b, std::size_t n) {
   Lanes acc;
   const std::size_t nb = n & ~(kLanes - 1);
@@ -44,22 +34,6 @@ double dot(const double* a, const double* b, std::size_t n) {
 
 void axpy(double alpha, const double* x, double* y, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) y[i] += alpha * x[i];
-}
-
-double l2_distance2(const double* a, const double* b, std::size_t n) {
-  Lanes acc;
-  const std::size_t nb = n & ~(kLanes - 1);
-  for (std::size_t i = 0; i < nb; i += kLanes) {
-    for (std::size_t j = 0; j < kLanes; ++j) {
-      const double d = a[i + j] - b[i + j];
-      acc.v[j] += d * d;
-    }
-  }
-  for (std::size_t i = nb; i < n; ++i) {
-    const double d = a[i] - b[i];
-    acc.v[i - nb] += d * d;
-  }
-  return reduce8(acc.v);
 }
 
 ErrorAcc squared_error(const double* pred, const double* truth,

@@ -132,21 +132,6 @@ using V = Ops::V;
 
 const char* isa() { return kIsa; }
 
-double sum(const double* a, std::size_t n) {
-  V acc[kRegs];
-  for (std::size_t r = 0; r < kRegs; ++r) acc[r] = Ops::zero();
-  const std::size_t nb = n & ~(kLanes - 1);
-  for (std::size_t i = 0; i < nb; i += kLanes) {
-    for (std::size_t r = 0; r < kRegs; ++r) {
-      acc[r] = Ops::add(acc[r], Ops::load(a + i + r * kW));
-    }
-  }
-  alignas(64) double lanes[kLanes];
-  for (std::size_t r = 0; r < kRegs; ++r) Ops::store(lanes + r * kW, acc[r]);
-  for (std::size_t i = nb; i < n; ++i) lanes[i - nb] += a[i];
-  return reduce8(lanes);
-}
-
 double dot(const double* a, const double* b, std::size_t n) {
   V acc[kRegs];
   for (std::size_t r = 0; r < kRegs; ++r) acc[r] = Ops::zero();
@@ -172,25 +157,6 @@ void axpy(double alpha, const double* x, double* y, std::size_t n) {
     Ops::store(y + i, Ops::add(Ops::load(y + i), Ops::mul(va, Ops::load(x + i))));
   }
   for (std::size_t i = nw; i < n; ++i) y[i] += alpha * x[i];
-}
-
-double l2_distance2(const double* a, const double* b, std::size_t n) {
-  V acc[kRegs];
-  for (std::size_t r = 0; r < kRegs; ++r) acc[r] = Ops::zero();
-  const std::size_t nb = n & ~(kLanes - 1);
-  for (std::size_t i = 0; i < nb; i += kLanes) {
-    for (std::size_t r = 0; r < kRegs; ++r) {
-      const V d = Ops::sub(Ops::load(a + i + r * kW), Ops::load(b + i + r * kW));
-      acc[r] = Ops::add(acc[r], Ops::mul(d, d));
-    }
-  }
-  alignas(64) double lanes[kLanes];
-  for (std::size_t r = 0; r < kRegs; ++r) Ops::store(lanes + r * kW, acc[r]);
-  for (std::size_t i = nb; i < n; ++i) {
-    const double d = a[i] - b[i];
-    lanes[i - nb] += d * d;
-  }
-  return reduce8(lanes);
 }
 
 ErrorAcc squared_error(const double* pred, const double* truth,
@@ -309,15 +275,11 @@ const char* isa() {
 #endif
 }
 
-double sum(const double* a, std::size_t n) { return scalar::sum(a, n); }
 double dot(const double* a, const double* b, std::size_t n) {
   return scalar::dot(a, b, n);
 }
 void axpy(double alpha, const double* x, double* y, std::size_t n) {
   scalar::axpy(alpha, x, y, n);
-}
-double l2_distance2(const double* a, const double* b, std::size_t n) {
-  return scalar::l2_distance2(a, b, n);
 }
 ErrorAcc squared_error(const double* pred, const double* truth,
                        std::size_t n) {

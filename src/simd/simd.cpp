@@ -44,13 +44,6 @@ const char* active_isa() {
   return vector_active() ? vector::isa() : "scalar";
 }
 
-double sum(std::span<const double> a) {
-  static obs::Counter& calls = kernel_counter("sum");
-  calls.inc();
-  return vector_active() ? vector::sum(a.data(), a.size())
-                         : scalar::sum(a.data(), a.size());
-}
-
 double dot(std::span<const double> a, std::span<const double> b) {
   static obs::Counter& calls = kernel_counter("dot");
   calls.inc();
@@ -66,13 +59,6 @@ void axpy(double alpha, std::span<const double> x, std::span<double> y) {
   } else {
     scalar::axpy(alpha, x.data(), y.data(), x.size());
   }
-}
-
-double l2_distance2(std::span<const double> a, std::span<const double> b) {
-  static obs::Counter& calls = kernel_counter("l2_distance2");
-  calls.inc();
-  return vector_active() ? vector::l2_distance2(a.data(), b.data(), a.size())
-                         : scalar::l2_distance2(a.data(), b.data(), a.size());
 }
 
 ErrorAcc squared_error(std::span<const double> pred,

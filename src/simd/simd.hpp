@@ -40,10 +40,8 @@ void set_vector_active(bool on);
 /// or "scalar".
 const char* active_isa();
 
-double sum(std::span<const double> a);
 double dot(std::span<const double> a, std::span<const double> b);
 void axpy(double alpha, std::span<const double> x, std::span<double> y);
-double l2_distance2(std::span<const double> a, std::span<const double> b);
 ErrorAcc squared_error(std::span<const double> pred,
                        std::span<const double> truth);
 /// out[r] = squared L2 distance from row r of the column-major matrix

@@ -52,12 +52,6 @@ TEST(Importance, InformativeFeatureRanksAboveNoise) {
   EXPECT_NEAR(scores[2], 0.0, 0.05);
 }
 
-TEST(Importance, RankingSortsDescending) {
-  const std::vector<double> scores = {0.1, 0.9, -0.2, 0.5};
-  const auto order = importance_ranking(scores);
-  EXPECT_EQ(order, (std::vector<std::size_t>{1, 3, 0, 2}));
-}
-
 TEST(Importance, RowSubsamplingStillFindsSignal) {
   const CorrelatedProblem p(2000);
   models::Ridge model;

@@ -1,6 +1,7 @@
 // Unit and integration tests for the telemetry ingestion layer (ingest/).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -32,6 +33,12 @@ const data::CellularDataset& tiny_ds() {
   return d;
 }
 
+/// The clean, in-order record stream: a fault spec with every rate zero
+/// (FaultInjector.ZeroRatesAreIdentity checks it is exactly the dataset).
+std::vector<TelemetryRecord> clean_stream(const data::CellularDataset& ds) {
+  return inject_faults(ds, FaultSpec{});
+}
+
 /// Bitwise record equality (NaN == NaN for this purpose).
 bool same_record(const TelemetryRecord& a, const TelemetryRecord& b) {
   return a.day == b.day && a.enb_index == b.enb_index &&
@@ -61,16 +68,24 @@ TEST(FaultInjector, DifferentSeedDifferentFaults) {
 }
 
 TEST(FaultInjector, ZeroRatesAreIdentity) {
+  const auto& ds = tiny_ds();
   FaultSpec spec;  // all rates zero
-  const auto clean = to_stream(tiny_ds());
-  const auto faulted = inject_faults(tiny_ds(), spec);
-  ASSERT_EQ(clean.size(), faulted.size());
-  for (std::size_t i = 0; i < clean.size(); ++i)
-    ASSERT_TRUE(same_record(clean[i], faulted[i])) << "record " << i;
+  const auto faulted = inject_faults(ds, spec);
+  ASSERT_EQ(faulted.size(), static_cast<std::size_t>(ds.total_logs()));
+  std::size_t i = 0;
+  for (int d = 0; d < ds.num_days(); ++d) {
+    for (int e = 0; e < ds.enbs_on_day(d); ++e, ++i) {
+      const auto kpis = ds.log_on_day(d, e).first(
+          static_cast<std::size_t>(ds.num_kpis()));
+      const TelemetryRecord rec{d, ds.enb_on_day(d, e),
+                                {kpis.begin(), kpis.end()}};
+      ASSERT_TRUE(same_record(rec, faulted[i])) << "record " << i;
+    }
+  }
 }
 
 TEST(FaultInjector, ModesManifestInTheStream) {
-  const auto clean = to_stream(tiny_ds());
+  const auto clean = clean_stream(tiny_ds());
 
   FaultSpec drop;
   drop.enb_drop_rate = 0.2;
@@ -217,29 +232,16 @@ TEST(HealthTracker, ModerateDaysHoldRecoveringWithoutRecovery) {
   EXPECT_EQ(t.step(0.1), HealthState::kOutage);
 }
 
-TEST(HealthTracker, ResetReturnsToPristineOk) {
-  HealthTracker t(fsm_cfg());
-  t.step(0.0);
-  t.step(0.0);
-  ASSERT_EQ(t.state(), HealthState::kOutage);
-  t.reset();
-  EXPECT_EQ(t.state(), HealthState::kOk);
-  // Streak counters are cleared too: one bad day must not trip.
-  EXPECT_EQ(t.step(0.0), HealthState::kOk);
-}
+// --- imputation --------------------------------------------------------------
 
-// --- imputation policies ---------------------------------------------------
-
-ValidatorConfig policy_cfg(ImputePolicy p) {
+ValidatorConfig imputer_cfg() {
   ValidatorConfig cfg;
-  cfg.policy = p;
   cfg.staleness_cap_days = 3;
-  cfg.seasonal_period = 7;
   return cfg;
 }
 
 TEST(Imputer, CarryForwardWithinStalenessCap) {
-  Imputer imp(2, 1, policy_cfg(ImputePolicy::kCarryForward));
+  Imputer imp(2, 1, imputer_cfg());
   imp.begin_day(0);
   imp.observe(0, 0, 5.0);
   imp.begin_day(2);
@@ -249,21 +251,9 @@ TEST(Imputer, CarryForwardWithinStalenessCap) {
   EXPECT_FALSE(imp.carry_fresh(0, 0));
 }
 
-TEST(Imputer, SeasonalNaiveUsesValueOnePeriodBack) {
-  Imputer imp(1, 1, policy_cfg(ImputePolicy::kSeasonalNaive));
-  for (int d = 0; d < 7; ++d) {
-    imp.begin_day(d);
-    imp.observe(0, 0, 10.0 + d);
-  }
-  imp.begin_day(7);
-  EXPECT_DOUBLE_EQ(imp.impute(0, 0), 10.0);  // day 0's value
-  imp.begin_day(8);
-  // Day 8's slot still holds day 1's value; day 8 - 7 == 1 -> usable.
-  EXPECT_DOUBLE_EQ(imp.impute(0, 0), 11.0);
-}
-
 TEST(Imputer, GroupMedianUsesDayCrossSection) {
-  Imputer imp(4, 1, policy_cfg(ImputePolicy::kGroupMedian));
+  // eNodeB 3 has never reported, so there is nothing to carry forward.
+  Imputer imp(4, 1, imputer_cfg());
   imp.begin_day(0);
   imp.observe(0, 0, 1.0);
   imp.observe(1, 0, 2.0);
@@ -272,20 +262,22 @@ TEST(Imputer, GroupMedianUsesDayCrossSection) {
 }
 
 TEST(Imputer, GroupMedianFallsBackToCarryWhenDayIsThin) {
-  ValidatorConfig cfg = policy_cfg(ImputePolicy::kGroupMedian);
-  Imputer imp(4, 1, cfg);
+  Imputer imp(4, 1, imputer_cfg());
   imp.begin_day(0);
   imp.observe(3, 0, 7.0);
   imp.begin_day(1);
   imp.observe(0, 0, 1.0);  // fewer than 3 reporters today
   EXPECT_DOUBLE_EQ(imp.impute(3, 0), 7.0);
+  // With nothing to carry either, the fleet running median answers: it
+  // started at 7 and stepped 5% of (7 + 1) / 2 toward 1.
+  EXPECT_FLOAT_EQ(static_cast<float>(imp.impute(1, 0)), 6.8f);
 }
 
 // --- pipeline --------------------------------------------------------------
 
 TEST(Pipeline, CleanStreamRoundTrips) {
   const auto& ds = tiny_ds();
-  const IngestResult res = ingest_stream(ds, to_stream(ds));
+  const IngestResult res = ingest_stream(ds, clean_stream(ds));
   EXPECT_EQ(res.report.records_in, ds.total_logs());
   EXPECT_EQ(res.report.records_out, ds.total_logs());
   EXPECT_EQ(res.report.duplicates_dropped, 0);
@@ -307,7 +299,7 @@ TEST(Pipeline, CleanStreamRoundTrips) {
 
 TEST(Pipeline, ImputesCarryForwardForAMissingRecord) {
   const auto& ds = tiny_ds();
-  auto stream = to_stream(ds);
+  auto stream = clean_stream(ds);
   // Drop eNodeB 0's record on day 400.
   const int day = 400;
   std::vector<float> prev;
@@ -332,7 +324,7 @@ TEST(Pipeline, ImputesCarryForwardForAMissingRecord) {
 
 TEST(Pipeline, QuarantinesImplausibleSpike) {
   const auto& ds = tiny_ds();
-  auto stream = to_stream(ds);
+  auto stream = clean_stream(ds);
   // A 1e8x spike on one column of one mid-study record.
   for (auto& r : stream) {
     if (r.day == 500 && r.enb_index == 1) {
@@ -363,9 +355,10 @@ TEST(Pipeline, DetectsDeclaredOutageWindow) {
     in_window += health[static_cast<std::size_t>(d)] == HealthState::kOutage;
   EXPECT_GE(in_window, 190);
   // ...and does not leak far past recovery.
-  EXPECT_FALSE(any_in_state(health, 0, 595, HealthState::kOutage));
-  EXPECT_FALSE(any_in_state(health, 810, ds.num_days() - 1,
-                            HealthState::kOutage));
+  EXPECT_EQ(std::count(health.begin(), health.begin() + 596,
+                       HealthState::kOutage), 0);
+  EXPECT_EQ(std::count(health.begin() + 810, health.end(),
+                       HealthState::kOutage), 0);
   EXPECT_EQ(res.outage_days(1), 0);  // other columns unaffected
 }
 
@@ -411,7 +404,8 @@ TEST(Pipeline, EmitsHealthTransitionAndQuarantineEvents) {
   IngestConfig cfg2;
   cfg2.events = &log2;
   ingest_stream(ds, inject_faults(ds, spec), cfg2);
-  EXPECT_EQ(log2.to_jsonl(false), log.to_jsonl(false));
+  EXPECT_EQ(obs::EventLog::to_jsonl(log2.events(), false),
+            obs::EventLog::to_jsonl(log.events(), false));
 }
 
 // --- end-to-end: run_scheme over a faulted stream --------------------------

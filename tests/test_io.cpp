@@ -208,7 +208,7 @@ TEST(Snapshot, FileRoundTripIsAtomic) {
   const std::string path = dir + "/t.leafsnap";
   SnapshotWriter w;
   w.section("s").put_u64(77);
-  const std::uint64_t bytes = w.write_file(path);
+  const std::uint64_t bytes = SnapshotWriter::write_bytes(path, w.encode());
   EXPECT_EQ(std::filesystem::file_size(path), bytes);
   // No temporary litter left next to the file.
   std::size_t entries = 0;
@@ -232,7 +232,7 @@ TEST(Snapshot, FileReadSpansManyBlocks) {
   SnapshotWriter w;
   w.section("big").put_doubles(big);
   w.section("tail").put_string("end");
-  const std::uint64_t bytes = w.write_file(path);
+  const std::uint64_t bytes = SnapshotWriter::write_bytes(path, w.encode());
   ASSERT_GT(bytes, std::uint64_t{1} << 19);
   const SnapshotReader r = SnapshotReader::from_file(path);
   EXPECT_EQ(r.section("big").get_doubles(), big);
@@ -277,12 +277,12 @@ TEST(Snapshot, WrongFormatVersionRejected) {
   leaf::testing::expect_snapshot_error(
       [&] { SnapshotReader r(bytes, SnapshotReader::ReadMode::kLenient); },
       "version");
-  // v4 files still hold the evaluation RNG that v5 dropped; the message
-  // names the file's version and the one this build reads.
-  const auto v4 = leaf::testing::with_format_version(small_snapshot(), 4);
+  // v5 files still hold LEAF's last feature groups that v6 dropped; the
+  // message names the file's version and the one this build reads.
+  const auto v5 = leaf::testing::with_format_version(small_snapshot(), 5);
   leaf::testing::expect_snapshot_error(
-      [&] { SnapshotReader r(v4); },
-      "unsupported format version 4 (this build reads 5)");
+      [&] { SnapshotReader r(v5); },
+      "unsupported format version 5 (this build reads 6)");
 }
 
 TEST(Snapshot, LenientReaderKeepsIntactSectionsReadable) {
@@ -318,15 +318,16 @@ TEST(Snapshot, WriteFailureLeavesNoTemporary) {
   w.section("s").put_doubles(std::vector<double>(64, 1.25));
   {
     const ScopedWriteFault fault(8);  // fail after 8 bytes of the tmp file
-    leaf::testing::expect_snapshot_error([&] { w.write_file(path); },
-                                         "injected fault");
+    leaf::testing::expect_snapshot_error(
+        [&] { SnapshotWriter::write_bytes(path, w.encode()); },
+        "injected fault");
     EXPECT_FALSE(ScopedWriteFault::armed()) << "fault should be consumed";
   }
   // Regression: the failed write must not leave `t.leafsnap.tmp` (or any
   // other litter) behind, and must not create the final file either.
   EXPECT_TRUE(std::filesystem::is_empty(dir));
   // The writer is reusable after a failed write.
-  const std::uint64_t bytes = w.write_file(path);
+  const std::uint64_t bytes = SnapshotWriter::write_bytes(path, w.encode());
   EXPECT_EQ(std::filesystem::file_size(path), bytes);
 }
 
@@ -337,13 +338,14 @@ TEST(Snapshot, WriteFailurePreservesPreviousSnapshot) {
   const std::string path = dir + "/t.leafsnap";
   SnapshotWriter first;
   first.section("s").put_u64(1);
-  first.write_file(path);
+  SnapshotWriter::write_bytes(path, first.encode());
   SnapshotWriter second;
   second.section("s").put_u64(2);
   {
     const ScopedWriteFault fault(4);
-    leaf::testing::expect_snapshot_error([&] { second.write_file(path); },
-                                         "injected fault");
+    leaf::testing::expect_snapshot_error(
+        [&] { SnapshotWriter::write_bytes(path, second.encode()); },
+        "injected fault");
   }
   // The old generation under the final name is untouched.  (The reader
   // must outlive the Deserializer, which views its buffer.)

@@ -78,37 +78,6 @@ TEST(Matrix, Transposed) {
   EXPECT_DOUBLE_EQ(t(0, 1), -2.0);
 }
 
-TEST(Matrix, MultiplyKnownProduct) {
-  Matrix a(2, 2);
-  a(0, 0) = 1.0;
-  a(0, 1) = 2.0;
-  a(1, 0) = 3.0;
-  a(1, 1) = 4.0;
-  Matrix b(2, 1);
-  b(0, 0) = 5.0;
-  b(1, 0) = 6.0;
-  const Matrix c = a.multiply(b);
-  EXPECT_EQ(c.rows(), 2u);
-  EXPECT_EQ(c.cols(), 1u);
-  EXPECT_DOUBLE_EQ(c(0, 0), 17.0);
-  EXPECT_DOUBLE_EQ(c(1, 0), 39.0);
-}
-
-TEST(Matrix, MultiplyIdentity) {
-  Matrix a(2, 2);
-  a(0, 0) = 1.0;
-  a(1, 1) = 1.0;
-  Matrix b(2, 2);
-  b(0, 0) = 7.0;
-  b(0, 1) = 8.0;
-  b(1, 0) = 9.0;
-  b(1, 1) = 10.0;
-  const Matrix c = a.multiply(b);
-  for (std::size_t r = 0; r < 2; ++r)
-    for (std::size_t col = 0; col < 2; ++col)
-      EXPECT_DOUBLE_EQ(c(r, col), b(r, col));
-}
-
 TEST(Matrix, EmptyMatrix) {
   Matrix m;
   EXPECT_TRUE(m.empty());

@@ -10,19 +10,20 @@
 namespace leaf::metrics {
 namespace {
 
+// Plain RMSE is NRMSE over a norm_range of 1.
 TEST(Metrics, RmseKnownValue) {
   const std::vector<double> p = {1.0, 2.0, 3.0};
   const std::vector<double> t = {1.0, 2.0, 5.0};
-  EXPECT_NEAR(rmse(p, t), std::sqrt(4.0 / 3.0), 1e-12);
+  EXPECT_NEAR(nrmse(p, t, 1.0), std::sqrt(4.0 / 3.0), 1e-12);
 }
 
 TEST(Metrics, RmsePerfectPrediction) {
   const std::vector<double> p = {1.0, 2.0};
-  EXPECT_DOUBLE_EQ(rmse(p, p), 0.0);
+  EXPECT_DOUBLE_EQ(nrmse(p, p, 1.0), 0.0);
 }
 
 TEST(Metrics, RmseEmpty) {
-  EXPECT_DOUBLE_EQ(rmse({}, {}), 0.0);
+  EXPECT_DOUBLE_EQ(nrmse({}, {}, 1.0), 0.0);
 }
 
 TEST(Metrics, NrmseNormalizesByRange) {

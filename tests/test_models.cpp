@@ -48,7 +48,7 @@ struct LinearProblem {
   }
 
   double test_rmse(const Regressor& model) const {
-    return metrics::rmse(model.predict(X_test), y_test);
+    return metrics::nrmse(model.predict(X_test), y_test, 1.0);
   }
 
   /// RMSE of always predicting the training mean.
@@ -57,7 +57,7 @@ struct LinearProblem {
     for (double v : y) m += v;
     m /= static_cast<double>(y.size());
     const std::vector<double> pred(y_test.size(), m);
-    return metrics::rmse(pred, y_test);
+    return metrics::nrmse(pred, y_test, 1.0);
   }
 };
 

@@ -214,12 +214,11 @@ TEST(Generator, CompanionsCorrelateWithAnchors) {
   const CellularDataset ds = generate_fixed_dataset(tiny_scale(), 42);
   const auto& schema = ds.schema();
   const int dvol_col = schema.target_column(TargetKpi::kDVol);
-  const auto dvol_cols = schema.columns_for_anchor(LatentAnchor::kDVol);
-  ASSERT_GT(dvol_cols.size(), 1u);
   // Pick a companion (not the target itself) and check |corr| with DVol.
   int companion = -1;
-  for (int c : dvol_cols)
-    if (c != dvol_col) companion = c;
+  for (int c = 0; c < schema.size(); ++c)
+    if (c != dvol_col && schema.spec(c).anchor == LatentAnchor::kDVol)
+      companion = c;
   ASSERT_GE(companion, 0);
   const auto x = ds.all_values(dvol_col);
   const auto y = ds.all_values(companion);
@@ -228,10 +227,14 @@ TEST(Generator, CompanionsCorrelateWithAnchors) {
 
 TEST(Generator, NoiseKpisUncorrelatedWithTarget) {
   const CellularDataset ds = generate_fixed_dataset(tiny_scale(), 42);
-  const auto noise_cols = ds.schema().columns_for_anchor(LatentAnchor::kNone);
-  ASSERT_FALSE(noise_cols.empty());
-  const auto x = ds.all_values(ds.schema().target_column(TargetKpi::kDVol));
-  const auto y = ds.all_values(noise_cols.front());
+  const auto& schema = ds.schema();
+  int noise_col = 0;
+  while (noise_col < schema.size() &&
+         schema.spec(noise_col).anchor != LatentAnchor::kNone)
+    ++noise_col;
+  ASSERT_LT(noise_col, schema.size());
+  const auto x = ds.all_values(schema.target_column(TargetKpi::kDVol));
+  const auto y = ds.all_values(noise_col);
   EXPECT_LT(std::abs(stats::pearson(x, y)), 0.25);
 }
 

@@ -324,8 +324,8 @@ TEST(ObsEvents, JsonlShapeAndTimingMask) {
   EventLog log;
   log.emit(sample_event());
   ASSERT_EQ(log.size(), 1u);
-  const std::string with = log.to_jsonl(true);
-  const std::string without = log.to_jsonl(false);
+  const std::string with = EventLog::to_jsonl(log.events(), true);
+  const std::string without = EventLog::to_jsonl(log.events(), false);
   EXPECT_NE(with.find("\"event\": \"drift\""), std::string::npos);
   EXPECT_NE(with.find("\"day\": 420"), std::string::npos);
   EXPECT_NE(with.find("\"shard\": 3"), std::string::npos);
@@ -351,7 +351,8 @@ TEST(ObsEvents, SaveLoadRoundTripsExactly) {
   EventLog restored;
   restored.load(in);
   EXPECT_EQ(restored.events(), log.events());
-  EXPECT_EQ(restored.to_jsonl(true), log.to_jsonl(true));
+  EXPECT_EQ(EventLog::to_jsonl(restored.events(), true),
+            EventLog::to_jsonl(log.events(), true));
 }
 
 TEST(ObsEvents, MergeIsStableByDayThenShard) {
@@ -384,12 +385,13 @@ TEST(ObsEvents, WriteJsonlRoundTripsThroughDisk) {
   const std::string path = dir + "/events.jsonl";
   EventLog log;
   log.emit(sample_event());
-  const std::uint64_t bytes = log.write_jsonl(path, /*with_timing=*/false);
+  const std::uint64_t bytes = EventLog::write_jsonl_rotated(
+      path, log.events(), /*with_timing=*/false, /*max_bytes=*/0);
   EXPECT_GT(bytes, 0u);
   std::ifstream in(path);
   std::stringstream buf;
   buf << in.rdbuf();
-  EXPECT_EQ(buf.str(), log.to_jsonl(false));
+  EXPECT_EQ(buf.str(), EventLog::to_jsonl(log.events(), false));
   std::filesystem::remove_all(dir);
 }
 
@@ -400,7 +402,8 @@ TEST(ObsEvents, WriteJsonlToUnwritablePathThrowsAndLeavesNoLitter) {
   const std::string path = dir + "/events.jsonl";
   EventLog log;
   log.emit(sample_event());
-  EXPECT_THROW(log.write_jsonl(path), io::SnapshotError);
+  EXPECT_THROW(EventLog::write_jsonl_rotated(path, log.events(), true, 0),
+               io::SnapshotError);
   EXPECT_FALSE(std::filesystem::exists(path));
   EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
 }
@@ -418,13 +421,14 @@ TEST(ObsEvents, WriteJsonlMidLineFaultThrowsAndCleansUpTheTemporary) {
     // shorter run is worse than no file, so the writer must throw and
     // leave neither `path` nor `.tmp` litter behind.
     io::ScopedWriteFault fault(/*after_bytes=*/10);
-    EXPECT_THROW(log.write_jsonl(path), io::SnapshotError);
+    EXPECT_THROW(EventLog::write_jsonl_rotated(path, log.events(), true, 0),
+                 io::SnapshotError);
   }
   EXPECT_FALSE(std::filesystem::exists(path));
   EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
   // With the fault gone the same call succeeds — the failure was the
   // injected I/O error, not state corruption.
-  EXPECT_GT(log.write_jsonl(path), 0u);
+  EXPECT_GT(EventLog::write_jsonl_rotated(path, log.events(), true, 0), 0u);
   EXPECT_TRUE(std::filesystem::exists(path));
   std::filesystem::remove_all(dir);
 }
@@ -447,7 +451,7 @@ TEST(ObsEvents, WriteJsonlRotatedSplitsOnLineBoundariesNewestLast) {
     e.day = i;  // distinguishable lines, oldest day first
     log.emit(e);
   }
-  const std::string full = log.to_jsonl(false);
+  const std::string full = EventLog::to_jsonl(log.events(), false);
   const std::uint64_t line_bytes = full.size() / 40;
 
   // Cap at ~10 lines per chunk: 3 chunks survive, the oldest ~10 drop.
@@ -585,7 +589,7 @@ TEST(ObsDeterminism, RunSchemeEventsIdenticalAcrossThreadCounts) {
         models::make_model(models::ModelFamily::kGbdt, scale, 1);
     core::TriggeredScheme scheme;
     core::run_scheme(featurizer, *model, scheme, cfg);
-    return log.to_jsonl(/*with_timing=*/false);
+    return EventLog::to_jsonl(log.events(), /*with_timing=*/false);
   };
 
   const std::string jsonl_t1 = run_with_threads(1);

@@ -27,13 +27,18 @@ TEST_P(MetricPropertyTest, MetricIdentities) {
     pred[i] = truth[i] + rng.normal(0.0, 2.0);
   }
 
+  // Plain RMSE is NRMSE over a norm_range of 1.
+  const auto rmse = [](std::span<const double> p, std::span<const double> t) {
+    return metrics::nrmse(p, t, 1.0);
+  };
+
   // RMSE is symmetric and non-negative; zero iff identical.
-  EXPECT_DOUBLE_EQ(metrics::rmse(pred, truth), metrics::rmse(truth, pred));
-  EXPECT_GE(metrics::rmse(pred, truth), 0.0);
-  EXPECT_DOUBLE_EQ(metrics::rmse(truth, truth), 0.0);
+  EXPECT_DOUBLE_EQ(rmse(pred, truth), rmse(truth, pred));
+  EXPECT_GE(rmse(pred, truth), 0.0);
+  EXPECT_DOUBLE_EQ(rmse(truth, truth), 0.0);
 
   // RMSE >= MAE >= 0 (power-mean inequality).
-  EXPECT_GE(metrics::rmse(pred, truth), metrics::mae(pred, truth) - 1e-12);
+  EXPECT_GE(rmse(pred, truth), metrics::mae(pred, truth) - 1e-12);
 
   // NRMSE scales inversely with the range.
   const double n1 = metrics::nrmse(pred, truth, 10.0);
@@ -51,8 +56,7 @@ TEST_P(MetricPropertyTest, MetricIdentities) {
     truth_s[i] = truth[i] + 100.0;
     pred_s[i] = pred[i] + 100.0;
   }
-  EXPECT_NEAR(metrics::rmse(pred_s, truth_s), metrics::rmse(pred, truth),
-              1e-9);
+  EXPECT_NEAR(rmse(pred_s, truth_s), rmse(pred, truth), 1e-9);
   EXPECT_NEAR(metrics::mae(pred_s, truth_s), metrics::mae(pred, truth), 1e-9);
 }
 
@@ -113,7 +117,7 @@ TEST_P(MetricPropertyTest, LeaDecompositionIsConsistent) {
   double acc = 0.0;
   for (std::size_t b = 0; b < lea.num_bins(); ++b)
     acc += lea.error[b] * lea.error[b] * static_cast<double>(lea.count[b]);
-  const double global = metrics::rmse(pred, truth);
+  const double global = metrics::nrmse(pred, truth, 1.0);
   EXPECT_NEAR(std::sqrt(acc / static_cast<double>(n)), global, 1e-9);
 
   // Every bin error is non-negative and bounded by the max per-sample

@@ -41,15 +41,6 @@ TEST(Csv, QuotesFieldsWithCommasAndQuotes) {
   EXPECT_EQ(slurp(path), "\"x,y\",\"he said \"\"hi\"\"\"\n");
 }
 
-TEST(Csv, NumericRow) {
-  const std::string path = ::testing::TempDir() + "/t3.csv";
-  {
-    CsvWriter w(path);
-    w.numeric_row("s", {1.0, 2.5});
-  }
-  EXPECT_EQ(slurp(path), "s,1,2.5\n");
-}
-
 TEST(Csv, UnwritablePathFailsLoudly) {
   // A path whose parent directory does not exist cannot be opened.
   const std::string path =

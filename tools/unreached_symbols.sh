@@ -1,0 +1,62 @@
+#!/usr/bin/env bash
+# unreached_symbols.sh — list the out-of-line src/ functions that no program
+# links: every bench/ binary, every examples/ binary and leafbench.
+#
+#   tools/unreached_symbols.sh [build-dir]     (default: build-unreached)
+#
+# Builds those programs at -O0 with one section per function and
+# --gc-sections, so a function survives the link only if a program reaches
+# it; -O0 also keeps header-inline functions out of line, so the linker sees
+# their calls too.  Every leaf:: function defined in a src/ static library
+# but absent from all program binaries is printed (a lambda goes with the
+# function that defines it).  Names listed in tools/unreached_symbols.allow,
+# each paired with the test that uses it, are skipped.  Exits 1 if anything
+# is printed.  Takes about a minute on 4 cores.
+#
+# An inline function that nothing calls is never emitted at all, so this
+# audit cannot see it: search for those by name.
+set -euo pipefail
+export LC_ALL=C  # one collation for sort and comm
+
+root=$(cd "$(dirname "$0")/.." && pwd)
+build=${1:-"$root/build-unreached"}
+allow="$root/tools/unreached_symbols.allow"
+
+programs=(leafbench)
+for f in "$root"/bench/bench_*.cpp "$root"/examples/*.cpp; do
+  programs+=("$(basename "$f" .cpp)")
+done
+
+# The leafbench project pulls in the repository as a subdirectory, so one
+# configure builds the libraries once for all the programs.
+cmake -S "$root/leafbench" -B "$build" -DCMAKE_BUILD_TYPE=None \
+  -DCMAKE_CXX_FLAGS="-O0 -ffunction-sections -fdata-sections" \
+  -DCMAKE_EXE_LINKER_FLAGS="-Wl,--gc-sections" >/dev/null
+cmake --build "$build" -j "$(nproc)" --target "${programs[@]}" >/dev/null
+
+# Mangled names of the functions (global, weak and local text symbols).
+functions() { nm --defined-only "$@" 2>/dev/null | awk '$2 ~ /^[TtWw]$/ { print $3 }' | sort -u; }
+
+mapfile -t libs < <(find "$build/leaf/src" -name 'libleaf_*.a' | sort)
+mapfile -t bins < <(find "$build" -maxdepth 3 -type f -perm -u+x \
+  \( -name leafbench -o -name 'bench_*' -o -name quickstart -o -name leafctl \
+     -o -name scheme_comparison -o -name capacity_planning \
+     -o -name detector_comparison \) | sort)
+if ((${#bins[@]} != ${#programs[@]})); then
+  echo "unreached_symbols: found ${#bins[@]} binaries, expected ${#programs[@]}" >&2
+  exit 2
+fi
+
+allowed() {
+  [[ -f "$allow" ]] || return 0
+  grep -v '^[[:space:]]*\(#\|$\)' "$allow" | sed 's/^[^[:space:]]*[[:space:]]*//'
+}
+
+unreached=$(comm -23 <(functions "${libs[@]}") <(functions "${bins[@]}") |
+  c++filt | grep -E '^([^ (]+ )?leaf::' | grep -vF '::{lambda(' | sort -u |
+  grep -vxF -f <(allowed; echo '') || true)
+
+if [[ -n "$unreached" ]]; then
+  echo "$unreached"
+  exit 1
+fi
