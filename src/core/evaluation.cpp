@@ -59,6 +59,41 @@ const LoopMetrics& loop_metrics() {
   return m;
 }
 
+/// Rebuilds a training set from the row keys Evaluation::save writes:
+/// each row is the featurizer's pair for (feature_day, enb), so X and y
+/// come from the restoring fleet's own dataset, not from the snapshot.
+/// `target_day` rides along as a check on the key.
+data::SupervisedSet read_keyed_rows(io::Deserializer& in,
+                                    const data::Featurizer& featurizer) {
+  data::SupervisedSet s;
+  s.feature_day = in.get_ints();
+  s.enb = in.get_ints();
+  s.target_day = in.get_ints();
+  const std::size_t n = s.feature_day.size();
+  if (s.enb.size() != n || s.target_day.size() != n)
+    throw io::SnapshotError("training-set keys with inconsistent row counts");
+  s.X = Matrix(n, static_cast<std::size_t>(featurizer.num_features()));
+  s.y.resize(n);
+  const auto bad_key = [&s](std::size_t r, const std::string& why) {
+    return io::SnapshotError(
+        "training row " + std::to_string(r) + " (feature day " +
+        std::to_string(s.feature_day[r]) + ", eNodeB " +
+        std::to_string(s.enb[r]) + ", target day " +
+        std::to_string(s.target_day[r]) + ") " + why);
+  };
+  const int horizon = featurizer.horizon();
+  for (std::size_t r = 0; r < n; ++r) {
+    const int fd = s.feature_day[r];
+    if (static_cast<std::int64_t>(s.target_day[r]) !=
+        static_cast<std::int64_t>(fd) + horizon)
+      throw bad_key(r, "has a target day not " + std::to_string(horizon) +
+                         " days after its feature day");
+    if (!featurizer.row(fd, s.enb[r], s.X.row(r), s.y[r]))
+      throw bad_key(r, "names no pair of this dataset");
+  }
+  return s;
+}
+
 }  // namespace
 
 Evaluation::Evaluation(const data::Featurizer& featurizer,
@@ -279,7 +314,10 @@ void Evaluation::save(io::Serializer& out) const {
   scheme_->save_state(out);
   models::save_regressor(out, *model_);
   fit_caches_->bin_edges.save(out);
-  io::write(out, train_);
+  // The training set travels as row keys only; load() rebuilds X and y.
+  out.put_ints(train_.feature_day);
+  out.put_ints(train_.enb);
+  out.put_ints(train_.target_day);
   out.put_i32(next_day_);
   out.put_i32(num_days_);
   out.put_f64(norm_range_);
@@ -308,7 +346,7 @@ void Evaluation::load(io::Deserializer& in) {
                             prototype_->name() + "'");
   fit_caches_->bin_edges.load(in);
   model_->attach_caches(fit_caches_.get());
-  train_ = io::read_supervised_set(in);
+  train_ = read_keyed_rows(in, *featurizer_);
   next_day_ = in.get_i32();
   num_days_ = in.get_i32();
   norm_range_ = in.get_f64();

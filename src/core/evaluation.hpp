@@ -177,9 +177,17 @@ class Evaluation {
     model_->predict_into(X, out);
   }
 
+  /// The current training set: the initial window, or the set of the
+  /// last accepted retrain.
+  const data::SupervisedSet& training_set() const { return train_; }
+
   /// Snapshot hooks: the complete run state (detector, scheme, model,
-  /// bin-edge cache, training set, cursor, partial results).  load()
-  /// validates what it reads and throws io::SnapshotError on damage.
+  /// bin-edge cache, training set, cursor, partial results).  The
+  /// training set travels as its row keys (feature day, eNodeB, target
+  /// day): load() rebuilds every row through the featurizer, so it must
+  /// read the same dataset the snapshot was taken over.  load()
+  /// validates what it reads and throws io::SnapshotError on damage,
+  /// including a key that names no pair of the featurizer's dataset.
   void save(io::Serializer& out) const;
   void load(io::Deserializer& in);
 

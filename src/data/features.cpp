@@ -118,8 +118,7 @@ SupervisedSet Featurizer::window(int first_feature_day,
       if (trow < 0) continue;
       fill_row(d, static_cast<int>(i), e, row);
       out.X.append_row(row);
-      out.y.push_back(static_cast<double>(
-          ds_->log_on_day(td, trow)[static_cast<std::size_t>(target_col_)]));
+      out.y.push_back(target_at(td, trow));
       out.feature_day.push_back(d);
       out.target_day.push_back(td);
       out.enb.push_back(e);
@@ -128,8 +127,27 @@ SupervisedSet Featurizer::window(int first_feature_day,
   return out;
 }
 
+double Featurizer::target_at(int target_day, int day_row) const {
+  return static_cast<double>(ds_->log_on_day(target_day, day_row)
+                                 [static_cast<std::size_t>(target_col_)]);
+}
+
 SupervisedSet Featurizer::at_target_day(int day) const {
   return window(day - horizon_, day - horizon_);
+}
+
+bool Featurizer::row(int feature_day, int enb, std::span<double> x,
+                     double& y) const {
+  assert(x.size() == static_cast<std::size_t>(num_features()));
+  if (feature_day < 0 || feature_day > ds_->num_days() - 1 - horizon_)
+    return false;
+  const int td = feature_day + horizon_;
+  const int frow = find_enb_row(ds_->enb_indices_on_day(feature_day), enb);
+  const int trow = find_enb_row(ds_->enb_indices_on_day(td), enb);
+  if (frow < 0 || trow < 0) return false;
+  fill_row(feature_day, frow, enb, x);
+  y = target_at(td, trow);
+  return true;
 }
 
 void Standardizer::fit(const Matrix& X) {

@@ -60,6 +60,14 @@ class Featurizer {
   /// window(day - horizon, day - horizon).
   SupervisedSet at_target_day(int day) const;
 
+  /// The pair window() builds for eNodeB `enb` on `feature_day`: its
+  /// feature vector into `x` (num_features() wide) and its target into
+  /// `y`, bit-identical to that window() row.  Returns false, writing
+  /// nothing, when no such pair exists: the feature day lies outside
+  /// [0, num_days - 1 - horizon], or `enb` does not report on the feature
+  /// day or on the target day.
+  bool row(int feature_day, int enb, std::span<double> x, double& y) const;
+
   /// max - min of the target over the full dataset: the NRMSE normalizer
   /// (§2.3 "we normalize the RMSE by maxmin").
   double norm_range() const { return norm_range_; }
@@ -67,6 +75,7 @@ class Featurizer {
  private:
   void fill_row(int day, int day_row, int enb_profile_idx,
                 std::span<double> out) const;
+  double target_at(int target_day, int day_row) const;
 
   const CellularDataset* ds_;
   TargetKpi target_;

@@ -183,27 +183,6 @@ Matrix read_matrix(Deserializer& in) {
   return m;
 }
 
-void write(Serializer& out, const data::SupervisedSet& s) {
-  write(out, s.X);
-  out.put_doubles(s.y);
-  out.put_ints(s.feature_day);
-  out.put_ints(s.target_day);
-  out.put_ints(s.enb);
-}
-
-data::SupervisedSet read_supervised_set(Deserializer& in) {
-  data::SupervisedSet s;
-  s.X = read_matrix(in);
-  s.y = in.get_doubles();
-  s.feature_day = in.get_ints();
-  s.target_day = in.get_ints();
-  s.enb = in.get_ints();
-  if (s.y.size() != s.X.rows() || s.feature_day.size() != s.y.size() ||
-      s.target_day.size() != s.y.size() || s.enb.size() != s.y.size())
-    throw SnapshotError("supervised set with inconsistent row counts");
-  return s;
-}
-
 void write(Serializer& out, const Rng& rng) {
   const Rng::State st = rng.capture();
   for (std::uint64_t w : st.words) out.put_u64(w);

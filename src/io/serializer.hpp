@@ -127,9 +127,6 @@ class Deserializer {
 void write(Serializer& out, const Matrix& m);
 Matrix read_matrix(Deserializer& in);
 
-void write(Serializer& out, const data::SupervisedSet& s);
-data::SupervisedSet read_supervised_set(Deserializer& in);
-
 void write(Serializer& out, const Rng& rng);
 void read_rng(Deserializer& in, Rng& rng);
 

@@ -50,8 +50,11 @@ inline constexpr char kMagic[8] = {'L', 'E', 'A', 'F', 'S', 'N', 'A', 'P'};
 // v5: shard sections drop the evaluation RNG, which no scheme drew from.
 // v6: shard sections drop LEAF's last feature groups and error contrast
 // and the evaluation's ingest counters, which no restore read.
+// v7: shard sections hold the training set as row keys (feature day,
+// eNodeB, target day) instead of its feature matrix and targets; the
+// fleet meta section carries a digest of the dataset they index.
 // The reader accepts exactly kFormatVersion.
-inline constexpr std::uint32_t kFormatVersion = 6;
+inline constexpr std::uint32_t kFormatVersion = 7;
 
 /// Test/chaos seam: while alive, the next SnapshotWriter::write_bytes
 /// call fails after writing `after_bytes` bytes of the temporary file,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <iterator>
 #include <limits>
 #include <map>
@@ -10,6 +11,7 @@
 #include <thread>
 #include <utility>
 
+#include "common/fnv.hpp"
 #include "core/scheme.hpp"
 #include "io/serializer.hpp"
 #include "obs/log.hpp"
@@ -27,6 +29,51 @@ class FleetMismatch : public io::SnapshotError {
  public:
   using io::SnapshotError::SnapshotError;
 };
+
+/// Digest of everything a shard's snapshot indexes into: the schema
+/// width, each profile's area, and every day's reporter list and KPI
+/// values.  Shards rebuild their training rows from the restoring
+/// dataset, so a snapshot must only restore onto the dataset it was taken
+/// over.  One multiply-xorshift round per 64-bit word of the raw bytes;
+/// days hash in parallel and combine in day order, so the digest is the
+/// same at any thread count.
+std::uint64_t dataset_digest(const data::CellularDataset& ds) {
+  const auto mix = [](std::uint64_t& h, std::uint64_t w) {
+    h = fnv1a_word(h, w);
+    h ^= h >> 29;
+  };
+  const auto mix_bytes = [&mix](std::uint64_t& h, const void* data,
+                                std::size_t n) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    mix(h, n);
+    for (; n >= 8; p += 8, n -= 8) {
+      std::uint64_t w;
+      std::memcpy(&w, p, 8);
+      mix(h, w);
+    }
+    std::uint64_t tail = 0;
+    std::memcpy(&tail, p, n);
+    mix(h, tail);
+  };
+  std::vector<std::uint64_t> days(static_cast<std::size_t>(ds.num_days()));
+  par::parallel_for(days.size(), [&](std::size_t d) {
+    std::uint64_t h = kFnvOffset;
+    const int day = static_cast<int>(d);
+    const std::span<const int> enbs = ds.enb_indices_on_day(day);
+    mix_bytes(h, enbs.data(), enbs.size_bytes());
+    for (int i = 0; i < static_cast<int>(enbs.size()); ++i) {
+      const std::span<const float> kpis = ds.log_on_day(day, i);
+      mix_bytes(h, kpis.data(), kpis.size_bytes());
+    }
+    days[d] = h;
+  });
+  std::uint64_t h = kFnvOffset;
+  mix(h, static_cast<std::uint64_t>(ds.num_kpis()));
+  for (const data::EnbProfile& p : ds.profiles())
+    mix(h, static_cast<std::uint64_t>(p.area));
+  mix_bytes(h, days.data(), days.size() * sizeof days[0]);
+  return h;
+}
 
 }  // namespace
 
@@ -106,6 +153,7 @@ FleetRuntime::FleetRuntime(const data::CellularDataset& ds, const Scale& scale,
                            std::uint64_t fleet_seed,
                            SupervisorConfig supervisor)
     : scale_(scale), fleet_seed_(fleet_seed),
+      dataset_digest_(dataset_digest(ds)),
       supervisor_(std::move(supervisor)), chaos_(supervisor_.chaos) {
   if (specs.empty())
     throw std::invalid_argument("FleetRuntime: at least one shard required");
@@ -339,6 +387,7 @@ std::uint64_t FleetRuntime::snapshot(const std::string& dir) {
 
   io::Serializer& meta = writer.section("meta");
   meta.put_u64(fleet_seed_);
+  meta.put_u64(dataset_digest_);
   meta.put_u64(steps_run_);
   meta.put_u64(shards_.size());
   for (const auto& shard : shards_) {
@@ -433,6 +482,10 @@ void FleetRuntime::restore(const std::string& dir) {
       if (meta.get_u64() != fleet_seed_)
         throw FleetMismatch(
             "fleet seed mismatch between snapshot and runtime");
+      if (meta.get_u64() != dataset_digest_)
+        throw FleetMismatch(
+            "dataset digest mismatch between snapshot and runtime (the "
+            "snapshot was taken over a different dataset)");
       gen_steps = meta.get_u64();
       if (meta.get_u64() != shards_.size())
         throw FleetMismatch(

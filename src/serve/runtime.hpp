@@ -26,8 +26,10 @@
 // window, scheme policy state, RNG streams, training set, partial
 // results, bin-edge caches, supervision state) as the next generation of
 // a SnapshotStore; killing the process, constructing an identically
-// configured runtime, and restore(dir)-ing it continues the run to
-// byte-identical EvalResults and an identical retrain timeline.
+// configured runtime over the same dataset, and restore(dir)-ing it
+// continues the run to byte-identical EvalResults and an identical
+// retrain timeline.  The training set is stored as row keys and rebuilt
+// from that dataset, whose digest the snapshot carries.
 #pragma once
 
 #include <memory>
@@ -154,9 +156,10 @@ class FleetRuntime {
 
   /// Restores from the snapshot generations in `dir` into this runtime.
   /// The runtime must have been constructed with the same dataset, scale,
-  /// specs, and fleet seed; a configuration mismatch throws
-  /// io::SnapshotError.  Damage in the newest generation (CRC mismatch,
-  /// truncation) triggers per-shard fallback to the newest older
+  /// specs, and fleet seed; a configuration mismatch, a dataset whose
+  /// digest differs included, throws io::SnapshotError.  Damage in the
+  /// newest generation (CRC mismatch, truncation, a training-row key that
+  /// names no row) triggers per-shard fallback to the newest older
   /// generation whose section is intact — recorded as `snapshot_fallback`
   /// supervision events — and only when a shard has no readable section
   /// in any retained generation does the restore fail.  Everything is
@@ -274,6 +277,7 @@ class FleetRuntime {
 
   Scale scale_;
   std::uint64_t fleet_seed_;
+  std::uint64_t dataset_digest_;  ///< of the dataset; checked on restore
   SupervisorConfig supervisor_;
   chaos::Engine chaos_;
   std::vector<std::unique_ptr<data::Featurizer>> featurizers_;  // one per KPI

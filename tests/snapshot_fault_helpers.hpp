@@ -7,9 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -105,6 +108,86 @@ inline bool corrupt_section_payload(std::vector<std::uint8_t>& bytes,
   } catch (const io::SnapshotError&) {
     return false;  // no such section, or a header no reader accepts
   }
+}
+
+/// Little-endian i32 / u64 at byte offset `at` of a payload.
+inline std::int32_t get_i32(const std::vector<std::uint8_t>& bytes,
+                            std::size_t at) {
+  std::int32_t v;
+  std::memcpy(&v, bytes.data() + at, sizeof v);
+  return v;
+}
+inline std::uint64_t get_u64(const std::vector<std::uint8_t>& bytes,
+                             std::size_t at) {
+  std::uint64_t v;
+  std::memcpy(&v, bytes.data() + at, sizeof v);
+  return v;
+}
+inline void put_i32(std::vector<std::uint8_t>& bytes, std::size_t at,
+                    std::int32_t v) {
+  std::memcpy(bytes.data() + at, &v, sizeof v);
+}
+inline void put_u64(std::vector<std::uint8_t>& bytes, std::size_t at,
+                    std::uint64_t v) {
+  std::memcpy(bytes.data() + at, &v, sizeof v);
+}
+
+/// Where a shard's training-set keys sit in its payload: three counted
+/// i32 arrays of `rows` elements each (feature days, eNodeBs, target
+/// days), as core::Evaluation::save writes them.
+struct KeyBlock {
+  std::size_t offset = 0;  ///< of the feature-day count
+  std::size_t rows = 0;
+
+  std::size_t feature_day(std::size_t r) const { return offset + 8 + 4 * r; }
+  std::size_t enb_count() const { return offset + 8 + 4 * rows; }
+  std::size_t enb(std::size_t r) const { return enb_count() + 8 + 4 * r; }
+  std::size_t target_day_count() const { return enb(rows); }
+  std::size_t target_day(std::size_t r) const {
+    return target_day_count() + 8 + 4 * r;
+  }
+  std::size_t end() const { return target_day(rows); }
+};
+
+/// The first key block in `payload`: a non-empty run of three counted i32
+/// arrays of one length whose third array is the first plus `horizon`,
+/// element by element.
+inline std::optional<KeyBlock> find_key_block(
+    const std::vector<std::uint8_t>& payload, int horizon) {
+  for (std::size_t at = 0; at + 8 <= payload.size(); ++at) {
+    KeyBlock k{at, static_cast<std::size_t>(get_u64(payload, at))};
+    if (k.rows == 0 || k.rows > payload.size() / 12 ||
+        k.end() > payload.size() ||
+        get_u64(payload, k.enb_count()) != k.rows ||
+        get_u64(payload, k.target_day_count()) != k.rows)
+      continue;
+    bool keyed = true;
+    for (std::size_t r = 0; r < k.rows && keyed; ++r)
+      keyed = static_cast<std::int64_t>(get_i32(payload, k.target_day(r))) ==
+              static_cast<std::int64_t>(get_i32(payload, k.feature_day(r))) +
+                  horizon;
+    if (keyed) return k;
+  }
+  return std::nullopt;
+}
+
+/// Rewrites the payload of section `name` in an encoded container in
+/// place (same length) and re-seals its CRC, the way a writer that stored
+/// those bytes would have: the damage then reaches the section decoder
+/// instead of failing the checksum.  The CRC word precedes the payload.
+template <typename Edit>
+void reseal_section(std::vector<std::uint8_t>& bytes, const std::string& name,
+                    Edit&& edit) {
+  const auto [offset, length] = io::SnapshotReader(bytes).payload_range(name);
+  std::vector<std::uint8_t> payload(
+      bytes.begin() + static_cast<std::ptrdiff_t>(offset),
+      bytes.begin() + static_cast<std::ptrdiff_t>(offset + length));
+  edit(payload);
+  ASSERT_EQ(payload.size(), length) << "reseal_section keeps the length";
+  std::copy(payload.begin(), payload.end(),
+            bytes.begin() + static_cast<std::ptrdiff_t>(offset));
+  const std::uint32_t crc = io::crc32(payload);
+  std::memcpy(bytes.data() + offset - sizeof crc, &crc, sizeof crc);
 }
 
 }  // namespace leaf::testing

@@ -277,12 +277,13 @@ TEST(Snapshot, WrongFormatVersionRejected) {
   leaf::testing::expect_snapshot_error(
       [&] { SnapshotReader r(bytes, SnapshotReader::ReadMode::kLenient); },
       "version");
-  // v5 files still hold LEAF's last feature groups that v6 dropped; the
-  // message names the file's version and the one this build reads.
-  const auto v5 = leaf::testing::with_format_version(small_snapshot(), 5);
+  // v6 files still hold each shard's training matrix that v7 replaced
+  // with row keys; the message names the file's version and the one this
+  // build reads.
+  const auto v6 = leaf::testing::with_format_version(small_snapshot(), 6);
   leaf::testing::expect_snapshot_error(
-      [&] { SnapshotReader r(v5); },
-      "unsupported format version 5 (this build reads 6)");
+      [&] { SnapshotReader r(v6); },
+      "unsupported format version 6 (this build reads 7)");
 }
 
 TEST(Snapshot, LenientReaderKeepsIntactSectionsReadable) {

@@ -8,6 +8,10 @@
 // Under ASan/UBSan this also checks that no accepted payload reads out of
 // bounds, and a payload that could make traversal loop would hang the
 // test.
+//
+// The same mutations hit the training-set keys of an evaluation snapshot
+// (ShardPayloadFuzz): each trial must throw io::SnapshotError or restore
+// a training set whose every row is the featurizer's pair for its key.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,6 +22,9 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "core/evaluation.hpp"
+#include "core/experiment.hpp"
+#include "data/generator.hpp"
 #include "io/serializer.hpp"
 #include "models/factory.hpp"
 #include "models/forest.hpp"
@@ -25,6 +32,8 @@
 #include "models/knn.hpp"
 #include "models/lstm.hpp"
 #include "models/ridge.hpp"
+#include "obs/metrics.hpp"
+#include "snapshot_fault_helpers.hpp"
 
 namespace leaf::models {
 namespace {
@@ -271,6 +280,74 @@ TEST(ModelPayloadFuzz, KnnWithoutNeighboursPredictsZero) {
     const std::unique_ptr<Regressor> model = load_regressor(in);
     EXPECT_EQ(model->predict_one(query), 0.0);
   }
+}
+
+// Mutations confined to the key block (the three counted i32 arrays) of
+// a Triggered Ridge evaluation's payload, spliced back between the
+// untouched bytes before and after it.
+TEST(ShardPayloadFuzz, MutatedTrainingKeysThrowOrRebuildTheirRows) {
+  const Scale scale = Scale::for_level(Scale::Level::kSmall);
+  const data::CellularDataset ds = data::generate_fixed_dataset(scale, 42);
+  const data::Featurizer fz(ds, data::TargetKpi::kDVol);
+  const core::EvalConfig cfg = core::make_eval_config(scale, 17);
+  const std::unique_ptr<Regressor> prototype =
+      make_model(ModelFamily::kRidge, scale, cfg.seed);
+  obs::SpanSite& span =
+      obs::MetricsRegistry::global().span_site("test.fuzz_fit");
+  const auto evaluation = [&](std::unique_ptr<core::MitigationScheme>& scheme) {
+    scheme = core::make_scheme("Triggered", 0.0, cfg.seed);
+    return std::make_unique<core::Evaluation>(fz, *prototype, *scheme, cfg,
+                                              span, span);
+  };
+  std::unique_ptr<core::MitigationScheme> scheme;
+  const std::unique_ptr<core::Evaluation> eval = evaluation(scheme);
+  eval->init();
+  for (int i = 0; i < 5; ++i) eval->step();
+  io::Serializer out;
+  eval->save(out);
+  const std::vector<std::uint8_t> clean(out.bytes().begin(),
+                                        out.bytes().end());
+  const auto keys = leaf::testing::find_key_block(clean, fz.horizon());
+  ASSERT_TRUE(keys.has_value());
+  ASSERT_EQ(keys->rows, eval->training_set().size());
+  const auto block_begin =
+      clean.begin() + static_cast<std::ptrdiff_t>(keys->offset);
+  const auto block_end = clean.begin() + static_cast<std::ptrdiff_t>(keys->end());
+
+  Rng rng(0x7EC5);
+  std::vector<double> x(static_cast<std::size_t>(fz.num_features()));
+  int rejected = 0, restored = 0;
+  for (int trial = 0; trial < kTrialsPerFamily; ++trial) {
+    std::vector<std::uint8_t> block(block_begin, block_end);
+    mutate(block, rng);
+    std::vector<std::uint8_t> bytes(clean.begin(), block_begin);
+    bytes.insert(bytes.end(), block.begin(), block.end());
+    bytes.insert(bytes.end(), block_end, clean.end());
+
+    std::unique_ptr<core::MitigationScheme> fresh_scheme;
+    const std::unique_ptr<core::Evaluation> fresh = evaluation(fresh_scheme);
+    io::Deserializer in(bytes);
+    try {
+      fresh->load(in);
+    } catch (const io::SnapshotError&) {
+      ++rejected;
+      continue;
+    }
+    ++restored;
+    const data::SupervisedSet& train = fresh->training_set();
+    ASSERT_EQ(train.X.rows(), train.size());
+    for (std::size_t r = 0; r < train.size(); ++r) {
+      ASSERT_EQ(train.target_day[r], train.feature_day[r] + fz.horizon());
+      double y = 0.0;
+      ASSERT_TRUE(fz.row(train.feature_day[r], train.enb[r], x, y));
+      ASSERT_EQ(std::memcmp(x.data(), train.X.row(r).data(),
+                            x.size() * sizeof(double)),
+                0);
+      ASSERT_EQ(std::memcmp(&y, &train.y[r], sizeof y), 0);
+    }
+  }
+  EXPECT_GT(rejected, 0);
+  EXPECT_GT(restored, 0);
 }
 
 }  // namespace

@@ -4,14 +4,20 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <functional>
+#include <iterator>
+#include <memory>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/fnv.hpp"
 #include "core/evaluation.hpp"
 #include "core/experiment.hpp"
 #include "data/generator.hpp"
+#include "ingest/fault.hpp"
+#include "ingest/pipeline.hpp"
 #include "io/serializer.hpp"
 #include "obs/metrics.hpp"
 #include "par/parallel.hpp"
@@ -34,6 +40,20 @@ struct ServeFixture : ::testing::Test {
     return {{data::TargetKpi::kDVol, models::ModelFamily::kGbdt, "Triggered", 0},
             {data::TargetKpi::kPU, models::ModelFamily::kRidge, "LEAF", 0},
             {data::TargetKpi::kDTP, models::ModelFamily::kGbdt, "Naive30", 0}};
+  }
+
+  /// LEAF on every model family, one shard each, KPIs taken in turn.
+  std::vector<ShardSpec> leaf_every_family() const {
+    const models::ModelFamily families[] = {
+        models::ModelFamily::kGbdt,         models::ModelFamily::kLightGbdt,
+        models::ModelFamily::kRandomForest, models::ModelFamily::kExtraTrees,
+        models::ModelFamily::kKnn,          models::ModelFamily::kLstm,
+        models::ModelFamily::kRidge};
+    std::vector<ShardSpec> specs;
+    for (std::size_t i = 0; i < std::size(families); ++i)
+      specs.push_back({data::kAllTargets[i % data::kAllTargets.size()],
+                       families[i], "LEAF", 0});
+    return specs;
   }
 
   std::string temp_dir(const std::string& leaf) const {
@@ -129,7 +149,7 @@ TEST_F(ServeFixture, SnapshotBytesMatchGolden) {
   const std::vector<std::uint8_t> bytes =
       leaf::testing::read_raw(dir + "/fleet-000001.leafsnap");
   const std::uint64_t got = fnv1a(bytes.data(), bytes.size());
-  EXPECT_EQ(got, 0xf11af76825b977a5ULL) << std::hex << got;
+  EXPECT_EQ(got, 0xf6226a0df6ffca06ULL) << std::hex << got;
 }
 
 // Same fleet, different thread counts → byte-identical results.
@@ -149,37 +169,152 @@ TEST_F(ServeFixture, ResultsIdenticalAtAnyThreadCount) {
 
 // The headline property: kill mid-run, restore into a fresh runtime,
 // continue — results and retrain timeline byte-identical to a run that
-// never stopped.  Exercised at one and four worker threads.
+// never stopped.  Each fleet crashes twice: at step 3, resumed at one
+// worker thread, and again halfway through the run, resumed at four.  It
+// runs on the small mixed fleet and on LEAF over every model family:
+// each restored shard rebuilds its training rows from their snapshot
+// keys.
 TEST_F(ServeFixture, CrashEquivalence) {
   ThreadGuard guard;
-  for (int threads : {1, 4}) {
-    par::set_threads(threads);
-
-    FleetRuntime uninterrupted(ds, scale, small_fleet());
+  const std::vector<std::pair<std::string, std::vector<ShardSpec>>> fleets = {
+      {"small", small_fleet()}, {"leaf_every_family", leaf_every_family()}};
+  for (const auto& [name, specs] : fleets) {
+    SCOPED_TRACE(name);
+    // Results are identical at any thread count
+    // (ResultsIdenticalAtAnyThreadCount), so one reference run serves.
+    FleetRuntime uninterrupted(ds, scale, specs);
     uninterrupted.run_steps(UINT64_MAX);
+    const std::uint64_t halfway = uninterrupted.steps_run() / 2;
+    ASSERT_GT(halfway, 3u);
 
-    FleetRuntime victim(ds, scale, small_fleet());
-    victim.run_steps(3);
-    ASSERT_FALSE(victim.done());
-    const std::string dir =
-        temp_dir("crash_t" + std::to_string(threads));
-    victim.snapshot(dir);
-    // "Crash": victim is abandoned here; a new process constructs an
-    // identically configured runtime and restores.
-    FleetRuntime revived(ds, scale, small_fleet());
-    revived.restore(dir);
-    EXPECT_EQ(revived.steps_run(), 3u);
-    revived.run_steps(UINT64_MAX);
+    FleetRuntime victim(ds, scale, specs);
+    std::unique_ptr<FleetRuntime> revived;
+    std::uint64_t crashed_at = 3;
+    for (int threads : {1, 4}) {
+      par::set_threads(threads);
+      FleetRuntime& running = revived ? *revived : victim;
+      running.run_steps(crashed_at - running.steps_run());
+      ASSERT_FALSE(running.done());
+      const std::string dir =
+          temp_dir("crash_" + name + "_t" + std::to_string(threads));
+      std::filesystem::remove_all(dir);
+      ASSERT_GT(running.snapshot(dir), 0u);
+      // "Crash": the running fleet is abandoned here; a new process
+      // constructs an identically configured runtime and restores.
+      revived = std::make_unique<FleetRuntime>(ds, scale, specs);
+      revived->restore(dir);
+      EXPECT_EQ(revived->steps_run(), crashed_at);
+      crashed_at = halfway;
+    }
+    revived->run_steps(UINT64_MAX);
 
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    expect_identical(revived.results(), uninterrupted.results());
-
+    expect_identical(revived->results(), uninterrupted.results());
     const ServeStats sa = uninterrupted.stats();
-    const ServeStats sb = revived.stats();
+    const ServeStats sb = revived->stats();
     EXPECT_EQ(sb.total_retrains, sa.total_retrains);
     EXPECT_EQ(sb.total_drift_events, sa.total_drift_events);
     EXPECT_EQ(sb.shards_done, sa.shards_done);
   }
+}
+
+// A shard whose newest section decodes but whose training keys name no
+// row of the dataset (the CRC re-sealed over the bad key, so only the key
+// check can catch it) rolls back to the previous generation alone, and
+// the fleet still replays to the uninterrupted results.
+TEST_F(ServeFixture, MalformedTrainingKeysFallBackToOlderGeneration) {
+  FleetRuntime uninterrupted(ds, scale, small_fleet());
+  uninterrupted.run_steps(UINT64_MAX);
+
+  FleetRuntime victim(ds, scale, small_fleet());
+  victim.run_steps(2);
+  const std::string dir = temp_dir("bad_keys");
+  std::filesystem::remove_all(dir);
+  ASSERT_GT(victim.snapshot(dir), 0u);  // gen 1
+  victim.run_steps(2);
+  ASSERT_GT(victim.snapshot(dir), 0u);  // gen 2
+  const std::string newest = dir + "/fleet-000002.leafsnap";
+  const std::vector<std::uint8_t> good = leaf::testing::read_raw(newest);
+  const int horizon = core::make_eval_config(scale).horizon;
+
+  // Each edit keeps the payload's length and breaks one key of shard 1.
+  using Edit = std::function<void(std::vector<std::uint8_t>&,
+                                  const leaf::testing::KeyBlock&)>;
+  const std::vector<std::pair<std::string, Edit>> edits = {
+      {"day out of range",
+       [&](std::vector<std::uint8_t>& p, const leaf::testing::KeyBlock& k) {
+         leaf::testing::put_i32(p, k.feature_day(0), ds.num_days());
+         leaf::testing::put_i32(p, k.target_day(0), ds.num_days() + horizon);
+       }},
+      {"eNodeB not reporting",
+       [&](std::vector<std::uint8_t>& p, const leaf::testing::KeyBlock& k) {
+         leaf::testing::put_i32(p, k.enb(0),
+                                static_cast<int>(ds.profiles().size()));
+       }},
+      {"target day off the horizon",
+       [&](std::vector<std::uint8_t>& p, const leaf::testing::KeyBlock& k) {
+         leaf::testing::put_i32(p, k.target_day(0),
+                                leaf::testing::get_i32(p, k.target_day(0)) + 1);
+       }},
+      {"inconsistent counts",
+       [&](std::vector<std::uint8_t>& p, const leaf::testing::KeyBlock& k) {
+         leaf::testing::put_u64(p, k.enb_count(), k.rows - 1);
+       }},
+  };
+  for (const auto& [what, edit] : edits) {
+    SCOPED_TRACE(what);
+    std::vector<std::uint8_t> bytes = good;
+    leaf::testing::reseal_section(bytes, "shard1", [&](auto& payload) {
+      const auto keys = leaf::testing::find_key_block(payload, horizon);
+      ASSERT_TRUE(keys.has_value());
+      edit(payload, *keys);
+    });
+    leaf::testing::write_raw(newest, bytes);
+    // The container itself is intact: only the shard decoder can object.
+    EXPECT_NO_THROW(io::SnapshotReader::from_file(newest));
+
+    FleetRuntime revived(ds, scale, small_fleet());
+    revived.restore(dir);
+    EXPECT_EQ(revived.steps_run(), 4u);  // anchored at the newest generation
+    EXPECT_EQ(revived.stats().snapshot_fallbacks, 1);
+    if (obs::kCompiledIn) {
+      const std::string sup = revived.supervision_jsonl(false);
+      EXPECT_NE(sup.find("snapshot_fallback"), std::string::npos);
+      EXPECT_NE(sup.find("\"shard\": 1"), std::string::npos);
+    }
+    revived.run_steps(UINT64_MAX);
+    expect_identical(revived.results(), uninterrupted.results());
+  }
+}
+
+// Training rows are rebuilt from the restoring fleet's dataset, so a
+// snapshot restores only onto the dataset it was taken over: another
+// generator seed or an ingest-repaired copy is a different fleet, with
+// the same fleet seed and shard specs.
+TEST_F(ServeFixture, RestoreRejectsDifferentDataset) {
+  FleetRuntime a(ds, scale, small_fleet());
+  a.run_steps(2);
+  const std::string dir = temp_dir("other_dataset");
+  std::filesystem::remove_all(dir);
+  ASSERT_GT(a.snapshot(dir), 0u);
+
+  const data::CellularDataset reseeded = data::generate_fixed_dataset(scale, 43);
+  ingest::FaultSpec spec = ingest::FaultSpec::at_rate(0.05, 7);
+  const ingest::IngestResult repaired =
+      ingest::ingest_stream(ds, ingest::inject_faults(ds, spec));
+  ASSERT_GT(repaired.report.values_imputed, 0);
+  for (const data::CellularDataset* other : {&reseeded, &repaired.clean}) {
+    FleetRuntime b(*other, scale, small_fleet());
+    leaf::testing::expect_snapshot_error([&] { b.restore(dir); },
+                                         "dataset digest mismatch");
+    // The failed restore left the runtime as it was.
+    b.run_steps(2);
+    EXPECT_EQ(b.steps_run(), 2u);
+  }
+  // The same dataset, generated again, restores.
+  const data::CellularDataset again = data::generate_fixed_dataset(scale, 42);
+  FleetRuntime c(again, scale, small_fleet());
+  c.restore(dir);
+  EXPECT_EQ(c.steps_run(), 2u);
 }
 
 // Snapshotting at the very end and restoring must also round-trip.
