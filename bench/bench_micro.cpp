@@ -223,9 +223,8 @@ struct LeafImportanceCase {
       out.train = featurizer.window(anchor - 13, anchor);
       out.latest = core::latest_labeled_window(featurizer, 1100, 14);
       out.norm_range = featurizer.norm_range();
-      const core::LeafConfig leaf;
-      out.cfg.repeats = leaf.importance_repeats;
-      out.cfg.max_rows = leaf.importance_max_rows;
+      out.cfg.repeats = core::LeafScheme::kImportanceRepeats;
+      out.cfg.max_rows = core::LeafScheme::kImportanceMaxRows;
       out.cfg.scored_columns =
           static_cast<std::size_t>(featurizer.num_kpi_features());
       return out;

@@ -12,6 +12,10 @@ namespace {
 
 constexpr const char* kGlyphs = "*+ox^#%&";
 
+/// Heat-map character budget; larger matrices are downsampled.
+constexpr std::size_t kHeatMapMaxWidth = 120;
+constexpr std::size_t kHeatMapMaxHeight = 40;
+
 std::string format_tick(double v) {
   char buf[32];
   if (std::abs(v) >= 1000.0 || (std::abs(v) < 0.01 && v != 0.0)) {
@@ -110,8 +114,8 @@ std::string heat_map(const Matrix& values, const HeatMapOptions& opts) {
 
   const std::size_t R = values.rows();
   const std::size_t C = values.cols();
-  const std::size_t H = std::min<std::size_t>(R, static_cast<std::size_t>(opts.max_height));
-  const std::size_t W = std::min<std::size_t>(C, static_cast<std::size_t>(opts.max_width));
+  const std::size_t H = std::min(R, kHeatMapMaxHeight);
+  const std::size_t W = std::min(C, kHeatMapMaxWidth);
 
   // Downsample by block averaging.
   Matrix cells(H, W, std::numeric_limits<double>::quiet_NaN());

@@ -39,12 +39,10 @@ struct HeatMapOptions {
   /// ('#' strong negative .. ' ' zero .. '@' strong positive); otherwise a
   /// sequential ramp is used.
   bool diverging = false;
-  int max_width = 120;
-  int max_height = 40;
 };
 
 /// Renders a matrix as an ASCII heat map, downsampling by averaging when
-/// the matrix exceeds the character budget.  NaN cells render as '.'.
+/// the matrix exceeds the character budget (120 columns by 40 rows).  NaN cells render as '.'.
 std::string heat_map(const Matrix& values, const HeatMapOptions& opts = {});
 
 /// Renders a horizontal bar chart (used for feature-importance rankings).

@@ -9,10 +9,23 @@
 
 namespace leaf::core {
 
-// --- Paired Learners -------------------------------------------------------
+namespace {
 
-PairedLearnersScheme::PairedLearnersScheme(PairedLearnersConfig cfg)
-    : cfg_(cfg) {}
+// Paired Learners.
+/// Number of recent evaluation steps compared.
+constexpr int kComparisonWindow = 20;
+/// Replace when the reactive learner wins more than this fraction.
+constexpr double kReplaceThreshold = 0.65;
+/// The reactive learner is refit every `kRefitEvery` evaluation steps
+/// (each refit costs one model training, like a periodic scheme's).
+constexpr int kRefitEvery = 4;
+
+// AUE2: keeps member weights 1 / (MSE + kEps) finite on a perfect fit.
+constexpr double kEps = 1e-12;
+
+}  // namespace
+
+// --- Paired Learners -------------------------------------------------------
 
 void PairedLearnersScheme::reset() {
   reactive_.reset();
@@ -23,7 +36,7 @@ void PairedLearnersScheme::reset() {
 std::optional<data::SupervisedSet> PairedLearnersScheme::on_step(
     const SchemeContext& ctx) {
   // Refit the reactive learner periodically on the latest window.
-  if (reactive_ == nullptr || ++steps_since_refit_ >= cfg_.refit_every) {
+  if (reactive_ == nullptr || ++steps_since_refit_ >= kRefitEvery) {
     const data::SupervisedSet window =
         latest_labeled_window(ctx.featurizer, ctx.eval_day, ctx.train_window);
     if (!window.empty() && ctx.prototype != nullptr) {
@@ -46,16 +59,16 @@ std::optional<data::SupervisedSet> PairedLearnersScheme::on_step(
       metrics::nrmse(reactive_->predict(probe.X), probe.y, range);
 
   reactive_wins_.push_back(reactive_err < stable_err);
-  if (static_cast<int>(reactive_wins_.size()) > cfg_.comparison_window)
+  if (static_cast<int>(reactive_wins_.size()) > kComparisonWindow)
     reactive_wins_.pop_front();
-  if (static_cast<int>(reactive_wins_.size()) < cfg_.comparison_window)
+  if (static_cast<int>(reactive_wins_.size()) < kComparisonWindow)
     return std::nullopt;
 
   int wins = 0;
   for (bool w : reactive_wins_) wins += w;
   const double frac =
       static_cast<double>(wins) / static_cast<double>(reactive_wins_.size());
-  if (frac <= cfg_.replace_threshold) return std::nullopt;
+  if (frac <= kReplaceThreshold) return std::nullopt;
 
   // Replace the stable learner: hand the engine the reactive window so it
   // refits the deployed model on it.
@@ -65,8 +78,6 @@ std::optional<data::SupervisedSet> PairedLearnersScheme::on_step(
 }
 
 // --- AUE2 ---------------------------------------------------------------
-
-Aue2Scheme::Aue2Scheme(Aue2Config cfg) : cfg_(cfg) {}
 
 void Aue2Scheme::reset() {
   last_chunk_day_ = -1;
@@ -79,7 +90,7 @@ std::optional<data::SupervisedSet> Aue2Scheme::on_step(
     const SchemeContext& ctx) {
   if (ctx.prototype == nullptr) return std::nullopt;
   if (last_chunk_day_ < 0) last_chunk_day_ = ctx.eval_day;  // clock start
-  if (ctx.eval_day - last_chunk_day_ < cfg_.chunk_days) return std::nullopt;
+  if (ctx.eval_day - last_chunk_day_ < kChunkDays) return std::nullopt;
   last_chunk_day_ = ctx.eval_day;
 
   const data::SupervisedSet chunk =
@@ -106,9 +117,9 @@ std::optional<data::SupervisedSet> Aue2Scheme::on_step(
   pool.push_back(candidate);
   std::vector<double> weights(pool.size());
   for (std::size_t i = 0; i < pool.size(); ++i)
-    weights[i] = 1.0 / (mse_on_chunk(*pool[i]) + cfg_.eps);
+    weights[i] = 1.0 / (mse_on_chunk(*pool[i]) + kEps);
 
-  // Keep the best max_members by weight.
+  // Keep the best kMaxMembers by weight.
   std::vector<std::size_t> order(pool.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::sort(order.begin(), order.end(),
@@ -117,7 +128,7 @@ std::optional<data::SupervisedSet> Aue2Scheme::on_step(
   member_weights_.clear();
   for (std::size_t i = 0;
        i < std::min<std::size_t>(order.size(),
-                                 static_cast<std::size_t>(cfg_.max_members));
+                                 static_cast<std::size_t>(kMaxMembers));
        ++i) {
     members_.push_back(pool[order[i]]);
     member_weights_.push_back(weights[order[i]]);

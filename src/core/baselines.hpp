@@ -22,44 +22,26 @@ namespace leaf::core {
 /// reactive learner has out-predicted the stable one on a sufficient
 /// fraction of recent evaluation steps, the stable model is replaced with
 /// a model trained on the reactive window.
-struct PairedLearnersConfig {
-  /// Number of recent evaluation steps compared.
-  int comparison_window = 20;
-  /// Replace when the reactive learner wins more than this fraction.
-  double replace_threshold = 0.65;
-  /// The reactive learner is refit every `refit_every` evaluation steps
-  /// (each refit costs one model training, like a periodic scheme's).
-  int refit_every = 4;
-};
-
 class PairedLearnersScheme final : public MitigationScheme {
  public:
-  explicit PairedLearnersScheme(PairedLearnersConfig cfg = {});
-
   void reset() override;
   std::optional<data::SupervisedSet> on_step(const SchemeContext& ctx) override;
   std::string name() const override { return "PairedLearners"; }
 
  private:
-  PairedLearnersConfig cfg_;
   std::unique_ptr<models::Regressor> reactive_;
   int steps_since_refit_ = 0;
   std::deque<bool> reactive_wins_;
 };
 
-/// AUE2 adapted to regression: every `chunk_days` a candidate model is
+/// AUE2 adapted to regression: every `kChunkDays` a candidate model is
 /// trained on the latest window; all members plus the candidate are scored
-/// on that window (weight = 1 / (MSE + eps)); the best `max_members`
+/// on that window (weight = 1 / (MSE + eps)); the best `kMaxMembers`
 /// survive and predict as a weighted ensemble.
-struct Aue2Config {
-  int chunk_days = 30;
-  int max_members = 5;
-  double eps = 1e-12;
-};
-
 class Aue2Scheme final : public MitigationScheme {
  public:
-  explicit Aue2Scheme(Aue2Config cfg = {});
+  static constexpr int kChunkDays = 30;
+  static constexpr int kMaxMembers = 5;
 
   void reset() override;
   std::optional<data::SupervisedSet> on_step(const SchemeContext& ctx) override;
@@ -69,7 +51,6 @@ class Aue2Scheme final : public MitigationScheme {
   std::size_t member_count() const { return members_.size(); }
 
  private:
-  Aue2Config cfg_;
   int last_chunk_day_ = -1;
   std::vector<std::shared_ptr<const models::Regressor>> members_;
   std::vector<double> member_weights_;

@@ -18,6 +18,9 @@ double EvalResult::avg_nrmse() const { return stats::mean(nrmse); }
 
 namespace {
 
+/// Skip evaluation days with fewer pairs than this (degenerate NRMSE).
+constexpr std::size_t kMinSamplesPerDay = 3;
+
 /// OUTAGE on either the day being scored or the day its features came
 /// from means the step's error is dominated by collection loss, not by
 /// the model: the detector must not see it.
@@ -177,7 +180,7 @@ void Evaluation::step(const RetrainGate& gate, bool force_retrain) {
 
   test_local_ = featurizer_->at_target_day(day);
   const data::SupervisedSet& test = test_local_;
-  if (static_cast<int>(test.size()) < cfg_.min_samples_per_day) {
+  if (test.size() < kMinSamplesPerDay) {
     ++result_.degraded.days_skipped;
     ctr.skipped.inc();
     return;

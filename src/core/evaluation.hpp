@@ -49,8 +49,6 @@ struct EvalConfig {
   int stride = 1;
   /// Detector configuration (KSWIN on the NRMSE stream, Appendix B).
   drift::KswinConfig detector;
-  /// Skip evaluation days with fewer pairs than this (degenerate NRMSE).
-  int min_samples_per_day = 3;
   std::uint64_t seed = 2024;
 
   // --- graceful degradation (leaf::ingest integration) --------------------

@@ -14,6 +14,25 @@
 
 namespace leaf::core {
 
+namespace {
+
+/// LEA quantile bins for the error distribution E_L.
+constexpr int kLeaBins = 10;
+/// Dispersion (Std/Mean of the target over the dataset) at or above which
+/// the high-dispersion strategy is used.
+constexpr double kDispersionThreshold = 1.0;
+/// Hard cap on any per-sample drop probability.
+constexpr double kForgetCap = 0.95;
+/// The over-sampling pool is "the existing collected dataset (including
+/// the latest drifting samples)" (§4.3); it is truncated to the most recent
+/// `kPoolWindow` labeled days for tractability.  A months-long pool is what
+/// makes the cubic high-dispersion strategy robust: burst samples are a
+/// minority inside every high-error bin, so focused over-sampling refreshes
+/// the region without overfitting the transient.
+constexpr int kPoolWindow = 120;
+
+}  // namespace
+
 LeafScheme::LeafScheme(LeafConfig cfg, double target_dispersion)
     : cfg_(cfg), dispersion_(target_dispersion), rng_(cfg.seed) {}
 
@@ -42,8 +61,8 @@ std::optional<data::SupervisedSet> LeafScheme::on_step(
   // represent a group, since resampling on e.g. day-of-week bins would be
   // meaningless.
   explain::ImportanceConfig imp_cfg;
-  imp_cfg.max_rows = cfg_.importance_max_rows;
-  imp_cfg.repeats = cfg_.importance_repeats;
+  imp_cfg.max_rows = kImportanceMaxRows;
+  imp_cfg.repeats = kImportanceRepeats;
   imp_cfg.scored_columns =
       static_cast<std::size_t>(ctx.featurizer.num_kpi_features());
   Rng imp_rng = rng_.fork(static_cast<std::uint64_t>(ctx.eval_day));
@@ -70,7 +89,7 @@ std::optional<data::SupervisedSet> LeafScheme::on_step(
   leas.reserve(groups.size());
   for (const auto& group : groups)
     leas.push_back(explain::compute_lea(ctx.model, latest,
-                                        group.representative, cfg_.lea_bins,
+                                        group.representative, kLeaBins,
                                         ctx.featurizer.norm_range()));
 
   // Diagnostic: error contrast of the top group, 1 - weighted_mean(E_L) /
@@ -93,9 +112,9 @@ std::optional<data::SupervisedSet> LeafScheme::on_step(
   }
 
   // Over-sampling pool: the collected dataset, truncated to the recent
-  // pool_window days (always contains the latest drifting samples).
+  // kPoolWindow days (always contains the latest drifting samples).
   const data::SupervisedSet pool =
-      latest_labeled_window(ctx.featurizer, ctx.eval_day, cfg_.pool_window);
+      latest_labeled_window(ctx.featurizer, ctx.eval_day, kPoolWindow);
 
   // --- Mitigate: iterate forgetting + over-sampling per feature group,
   // each round rebuilding from the previous round's restructured set.
@@ -126,7 +145,7 @@ std::optional<data::SupervisedSet> LeafScheme::on_step(
         cur_sq += w * dc * dc;
         cand_sq += w * dn * dn;
       }
-      const double tolerance = dispersion_ >= cfg_.dispersion_threshold
+      const double tolerance = dispersion_ >= kDispersionThreshold
                                    ? cfg_.validation_tolerance_high
                                    : cfg_.validation_tolerance_low;
       if (w_sum > 0.0 && std::sqrt(cand_sq) > tolerance * std::sqrt(cur_sq)) {
@@ -163,7 +182,7 @@ data::SupervisedSet LeafScheme::restructure(const SchemeContext& ctx,
                        : *std::max_element(el.error.begin(), el.error.end());
   if (max_err <= 0.0) return train;  // nothing to act on
 
-  const bool high_dispersion = dispersion_ >= cfg_.dispersion_threshold;
+  const bool high_dispersion = dispersion_ >= kDispersionThreshold;
 
   // --- Forgetting ------------------------------------------------------
   // Each training sample is weighted by the (normalized) E_L error of the
@@ -181,10 +200,10 @@ data::SupervisedSet LeafScheme::restructure(const SchemeContext& ctx,
     const std::size_t b = explain::lea_bin_of(train_fv[i], edges);
     double p_drop = strength * el.error[b] / max_err;
     if (!high_dispersion &&
-        ctx.eval_day - train.target_day[i] > cfg_.pool_window) {
+        ctx.eval_day - train.target_day[i] > kPoolWindow) {
       p_drop += cfg_.forget_age_prob;  // slow drain of very old samples
     }
-    if (!rng.bernoulli(std::min(cfg_.forget_cap, p_drop))) kept.push_back(i);
+    if (!rng.bernoulli(std::min(kForgetCap, p_drop))) kept.push_back(i);
   }
   // Never forget everything: keep at least an eighth of the set.
   if (kept.size() < train.size() / 8) {

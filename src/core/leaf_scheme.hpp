@@ -35,11 +35,6 @@ struct LeafConfig {
   /// Number of feature groups used per mitigation (the paper evaluates 1,
   /// 3, and 5).
   int num_groups = 1;
-  /// LEA quantile bins for the error distribution E_L.
-  int lea_bins = 10;
-  /// Dispersion (Std/Mean of the target over the dataset) at or above
-  /// which the high-dispersion strategy is used.
-  double dispersion_threshold = 1.0;
   /// Low-dispersion forgetting strength: drift in these KPIs is
   /// homogeneous (§6.2 "more homogenous distribution changes"), so stale
   /// samples are dropped with probability `strength * normalized bin
@@ -51,10 +46,8 @@ struct LeafConfig {
   /// forgetting is much gentler and the focus shifts to cubic
   /// over-sampling from the months-long pool.
   double forget_strength_high = 0.3;
-  /// Hard cap on any per-sample drop probability.
-  double forget_cap = 0.95;
   /// Age-based forgetting (low-dispersion path): samples whose *target*
-  /// day is older than pool_window also face this drop probability per
+  /// day is older than the over-sampling pool's window also face this drop probability per
   /// mitigation round, regardless of bin error.  Under multiplicative
   /// growth, very old samples sit in low-error bins (the fresh data
   /// dominates those bins) yet still drag the fitted level down; this term
@@ -63,13 +56,6 @@ struct LeafConfig {
   /// Over-sampling weight floor (fraction of the max bin error) so every
   /// region of the latest window keeps some representation.
   double oversample_floor = 0.05;
-  /// The over-sampling pool is "the existing collected dataset (including
-  /// the latest drifting samples)" (§4.3); it is truncated to the most
-  /// recent `pool_window` labeled days for tractability.  A months-long
-  /// pool is what makes the cubic high-dispersion strategy robust: burst
-  /// samples are a minority inside every high-error bin, so focused
-  /// over-sampling refreshes the region without overfitting the transient.
-  int pool_window = 120;
   /// Recency half-life (days) applied to pool samples on the
   /// high-dispersion path: the draw weight decays as exp(-age / tau).
   /// This is the continuous form of forgetting — old pool samples fade
@@ -93,9 +79,6 @@ struct LeafConfig {
   /// retrains than triggered.  Set huge to disable validation.
   double validation_tolerance_low = 1.3;
   double validation_tolerance_high = 1.0;
-  /// Permutation-importance evaluation rows / repeats (runtime knobs).
-  std::size_t importance_max_rows = 512;
-  int importance_repeats = 2;
   /// Correlation threshold for feature grouping.
   double corr_threshold = 0.7;
   std::uint64_t seed = 99;
@@ -103,6 +86,10 @@ struct LeafConfig {
 
 class LeafScheme final : public MitigationScheme {
  public:
+  /// Permutation-importance evaluation rows / repeats.
+  static constexpr std::size_t kImportanceMaxRows = 512;
+  static constexpr int kImportanceRepeats = 2;
+
   /// `target_dispersion` is the Std/Mean of the target KPI over the
   /// dataset (Table 2), which selects the mitigation aggressiveness.
   LeafScheme(LeafConfig cfg, double target_dispersion);

@@ -5,10 +5,15 @@
 
 namespace leaf::drift {
 
-Adwin::Adwin(AdwinConfig cfg) : cfg_(cfg) {
-  assert(cfg_.delta > 0.0 && cfg_.delta < 1.0);
-  assert(cfg_.max_buckets >= 2);
-}
+namespace {
+
+constexpr double kDelta = 0.002;  ///< confidence parameter
+constexpr int kMaxBuckets = 5;    ///< buckets per exponential row
+constexpr int kMinWindow = 10;    ///< don't test below this many samples
+/// Run the (O(buckets^2)) cut test every this many updates.
+constexpr int kCheckPeriod = 4;
+
+}  // namespace
 
 void Adwin::insert(double value) {
   if (rows_.empty()) rows_.emplace_back();
@@ -30,7 +35,7 @@ void Adwin::insert(double value) {
 void Adwin::compress() {
   for (std::size_t level = 0; level < rows_.size(); ++level) {
     auto& row = rows_[level];
-    if (static_cast<int>(row.size()) <= cfg_.max_buckets) break;
+    if (static_cast<int>(row.size()) <= kMaxBuckets) break;
     // Merge the two oldest buckets of this row into the next row.
     Bucket b2 = row.back();
     row.pop_back();
@@ -76,7 +81,7 @@ void Adwin::drop_oldest_bucket() {
 }
 
 bool Adwin::detect_cut() {
-  if (total_count_ < static_cast<std::uint64_t>(cfg_.min_window)) return false;
+  if (total_count_ < static_cast<std::uint64_t>(kMinWindow)) return false;
 
   bool drift = false;
   bool reduced = true;
@@ -90,7 +95,7 @@ bool Adwin::detect_cut() {
             ? total_var_ / static_cast<double>(total_count_ - 1)
             : 0.0;
     const double delta_prime =
-        cfg_.delta / std::log(static_cast<double>(total_count_) + 1.0);
+        kDelta / std::log(static_cast<double>(total_count_) + 1.0);
 
     for (std::size_t level = rows_.size(); level-- > 0 && !reduced;) {
       const auto& row = rows_[level];
@@ -127,7 +132,7 @@ bool Adwin::update(double value) {
   static DetectorCounters ctrs("ADWIN");
   ctrs.updates.inc();
   insert(value);
-  if (++since_check_ < cfg_.check_period) return false;
+  if (++since_check_ < kCheckPeriod) return false;
   since_check_ = 0;
   const bool drift = detect_cut();
   if (drift) ctrs.firings.inc();

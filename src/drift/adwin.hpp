@@ -14,17 +14,8 @@
 
 namespace leaf::drift {
 
-struct AdwinConfig {
-  double delta = 0.002;     ///< confidence parameter
-  int max_buckets = 5;      ///< buckets per exponential row
-  int min_window = 10;      ///< don't test below this many samples
-  int check_period = 4;     ///< run the (O(buckets^2)) test every k updates
-};
-
 class Adwin final : public DriftDetector {
  public:
-  explicit Adwin(AdwinConfig cfg = {});
-
   bool update(double value) override;
   void reset() override;
   std::string name() const override { return "ADWIN"; }
@@ -43,7 +34,6 @@ class Adwin final : public DriftDetector {
   bool detect_cut();
   void drop_oldest_bucket();
 
-  AdwinConfig cfg_;
   // rows_[i] holds buckets of capacity 2^i, newest first within a row;
   // rows_ ordered small (new) to large (old).
   std::deque<std::deque<Bucket>> rows_;

@@ -4,10 +4,35 @@
 
 namespace leaf::drift {
 
+namespace {
+
+/// EWMA binarizer parameters for DDM and EDDM (see EwmaBinarizer).  The
+/// slow adaptation rate makes a sustained level shift produce a sustained
+/// run of binarized errors, which is what DDM's cumulative error-rate test
+/// needs to fire.
+constexpr double kBinarizeAlpha = 0.005;
+constexpr double kBinarizeK = 2.0;
+
+// DDM.
+constexpr int kDdmMinSamples = 30;
+constexpr double kDdmDriftLevel = 3.0;
+
+// EDDM.
+constexpr int kEddmMinErrors = 30;
+constexpr double kEddmDriftThreshold = 0.9;
+
+// HDDM-A.
+constexpr double kHddmDriftConfidence = 0.001;
+
+// Page-Hinkley.
+constexpr double kPhForgetting = 0.9999;
+constexpr int kPhMinSamples = 30;
+
+}  // namespace
+
 // --- DDM -------------------------------------------------------------
 
-Ddm::Ddm(DdmConfig cfg)
-    : cfg_(cfg), binarizer_(cfg.binarize_alpha, cfg.binarize_k) {}
+Ddm::Ddm() : binarizer_(kBinarizeAlpha, kBinarizeK) {}
 
 bool Ddm::update(double value) {
   static DetectorCounters ctrs("DDM");
@@ -18,14 +43,14 @@ bool Ddm::update(double value) {
   p_ += (static_cast<double>(error) - p_) / static_cast<double>(n_);
   s_ = std::sqrt(p_ * (1.0 - p_) / static_cast<double>(n_));
 
-  if (n_ < static_cast<std::uint64_t>(cfg_.min_samples)) return false;
+  if (n_ < static_cast<std::uint64_t>(kDdmMinSamples)) return false;
 
   if (p_ + s_ < p_min_ + s_min_) {
     p_min_ = p_;
     s_min_ = s_;
   }
 
-  if (p_ + s_ > p_min_ + cfg_.drift_level * s_min_) {
+  if (p_ + s_ > p_min_ + kDdmDriftLevel * s_min_) {
     // Drift: restart estimation for the new concept.
     n_ = 0;
     p_ = 1.0;
@@ -47,8 +72,7 @@ void Ddm::reset() {
 
 // --- EDDM ------------------------------------------------------------
 
-Eddm::Eddm(EddmConfig cfg)
-    : cfg_(cfg), binarizer_(cfg.binarize_alpha, cfg.binarize_k) {}
+Eddm::Eddm() : binarizer_(kBinarizeAlpha, kBinarizeK) {}
 
 bool Eddm::update(double value) {
   static DetectorCounters ctrs("EDDM");
@@ -67,7 +91,7 @@ bool Eddm::update(double value) {
     ++num_errors_;
   }
   last_error_t_ = t_;
-  if (num_errors_ < static_cast<std::uint64_t>(cfg_.min_errors)) return false;
+  if (num_errors_ < static_cast<std::uint64_t>(kEddmMinErrors)) return false;
 
   const double var = num_errors_ > 2
                          ? dist_m2_ / static_cast<double>(num_errors_ - 2)
@@ -79,7 +103,7 @@ bool Eddm::update(double value) {
   }
   if (best_score_ <= 0.0) return false;
   const double ratio = score / best_score_;
-  if (ratio < cfg_.drift_threshold) {
+  if (ratio < kEddmDriftThreshold) {
     // Drift: restart distances for the new concept.
     num_errors_ = 0;
     dist_mean_ = 0.0;
@@ -103,11 +127,9 @@ void Eddm::reset() {
 
 // --- HDDM-A ----------------------------------------------------------
 
-HddmA::HddmA(HddmConfig cfg) : cfg_(cfg) {}
-
-double HddmA::hoeffding_bound(std::uint64_t n) const {
+double HddmA::hoeffding_bound(std::uint64_t n) {
   if (n == 0) return std::numeric_limits<double>::infinity();
-  return std::sqrt(std::log(1.0 / cfg_.drift_confidence) /
+  return std::sqrt(std::log(1.0 / kHddmDriftConfidence) /
                    (2.0 * static_cast<double>(n)));
 }
 
@@ -173,11 +195,11 @@ bool PageHinkley::update(double value) {
   static DetectorCounters ctrs("PageHinkley");
   ctrs.updates.inc();
   ++n_;
-  mean_ = mean_ * cfg_.forgetting + value * (1.0 - cfg_.forgetting);
+  mean_ = mean_ * kPhForgetting + value * (1.0 - kPhForgetting);
   if (n_ == 1) mean_ = value;
   cum_ += value - mean_ - cfg_.delta;
   cum_min_ = std::min(cum_min_, cum_);
-  if (n_ < static_cast<std::uint64_t>(cfg_.min_samples)) return false;
+  if (n_ < static_cast<std::uint64_t>(kPhMinSamples)) return false;
   if (cum_ - cum_min_ > cfg_.lambda) {
     const double m = mean_;
     reset();

@@ -16,26 +16,14 @@
 
 namespace leaf::drift {
 
-struct DdmConfig {
-  int min_samples = 30;
-  double drift_level = 3.0;
-  /// EWMA binarizer parameters (see EwmaBinarizer).  The slow adaptation
-  /// rate makes a sustained level shift produce a sustained run of
-  /// binarized errors, which is what DDM's cumulative error-rate test
-  /// needs to fire.
-  double binarize_alpha = 0.005;
-  double binarize_k = 2.0;
-};
-
 class Ddm final : public DriftDetector {
  public:
-  explicit Ddm(DdmConfig cfg = {});
+  Ddm();
   bool update(double value) override;
   void reset() override;
   std::string name() const override { return "DDM"; }
 
  private:
-  DdmConfig cfg_;
   EwmaBinarizer binarizer_;
   std::uint64_t n_ = 0;
   double p_ = 1.0;
@@ -44,24 +32,16 @@ class Ddm final : public DriftDetector {
   double s_min_ = std::numeric_limits<double>::infinity();
 };
 
-struct EddmConfig {
-  int min_errors = 30;
-  double drift_threshold = 0.9;
-  double binarize_alpha = 0.005;
-  double binarize_k = 2.0;
-};
-
 /// EDDM tracks the distances (in samples) between consecutive errors: a
 /// shrinking mean distance signals an increasing error rate.
 class Eddm final : public DriftDetector {
  public:
-  explicit Eddm(EddmConfig cfg = {});
+  Eddm();
   bool update(double value) override;
   void reset() override;
   std::string name() const override { return "EDDM"; }
 
  private:
-  EddmConfig cfg_;
   EwmaBinarizer binarizer_;
   std::uint64_t t_ = 0;
   std::uint64_t last_error_t_ = 0;
@@ -71,27 +51,21 @@ class Eddm final : public DriftDetector {
   double best_score_ = 0.0;
 };
 
-struct HddmConfig {
-  double drift_confidence = 0.001;
-};
-
 /// HDDM-A: Hoeffding-bound test on the running mean vs. the best
 /// (lowest-bound) historical mean.  Operates on continuous values
 /// normalized on the fly into [0, 1] by the running min/max.
 class HddmA final : public DriftDetector {
  public:
-  explicit HddmA(HddmConfig cfg = {});
   bool update(double value) override;
   void reset() override;
   std::string name() const override { return "HDDM-A"; }
 
  private:
-  double hoeffding_bound(std::uint64_t n) const;
+  static double hoeffding_bound(std::uint64_t n);
   /// Restarts mean tracking after a detection, keeping the running
   /// normalization range (the value scale doesn't reset with the concept).
   void rearm();
 
-  HddmConfig cfg_;
   std::uint64_t n_ = 0;
   double sum_ = 0.0;
   std::uint64_t n_min_ = 0;
@@ -104,8 +78,6 @@ class HddmA final : public DriftDetector {
 struct PageHinkleyConfig {
   double delta = 0.005;   ///< magnitude tolerance
   double lambda = 50.0;   ///< detection threshold on the cumulative stat
-  double forgetting = 0.9999;
-  int min_samples = 30;
 };
 
 /// Page–Hinkley test for an upward shift of the mean.

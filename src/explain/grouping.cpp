@@ -8,6 +8,14 @@
 
 namespace leaf::explain {
 
+namespace {
+
+/// Features with importance <= this never found a group ("the grouping
+/// stops when the feature has no importance value").
+constexpr double kMinImportance = 0.0;
+
+}  // namespace
+
 std::vector<FeatureGroup> group_features(const Matrix& X,
                                          std::span<const double> importance,
                                          const GroupingConfig& cfg) {
@@ -36,7 +44,7 @@ std::vector<FeatureGroup> group_features(const Matrix& X,
   for (std::size_t oi = 0; oi < k; ++oi) {
     const std::size_t rep = order[oi];
     if (grouped[rep]) continue;
-    if (importance[rep] <= cfg.min_importance) break;  // no signal left
+    if (importance[rep] <= kMinImportance) break;  // no signal left
     if (cfg.max_groups > 0 &&
         static_cast<int>(groups.size()) >= cfg.max_groups)
       break;

@@ -27,9 +27,6 @@ struct GroupingConfig {
   /// Stop after this many groups (the paper evaluates 1, 3, and 5 groups);
   /// <= 0 means unlimited.
   int max_groups = 0;
-  /// Features with importance <= this never found a group ("the grouping
-  /// stops when the feature has no importance value").
-  double min_importance = 0.0;
   /// Correlations are estimated on at most this many rows.
   std::size_t max_rows = 4000;
 };

@@ -23,14 +23,22 @@ std::uint64_t fault_seed(std::uint64_t seed, int day, int enb, int stream) {
 
 constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
 
+/// Fraction of KPI columns a NaN / spike / stuck corruption touches.
+constexpr double kCorruptColsFraction = 0.25;
+/// Factor a spike multiplies its columns by.
+constexpr double kSpikeMagnitude = 50.0;
+/// Length of the day blocks a stuck-at-zero run is decided for.
+constexpr int kStuckRunDays = 10;
+/// Farthest a late record is displaced, in days of records.
+constexpr int kShuffleHorizonDays = 5;
+
 /// Corrupts a deterministic subset of columns with `value_fn`.
 template <typename Fn>
-void corrupt_columns(std::vector<float>& kpis, Rng& rng, double fraction,
-                     Fn&& value_fn) {
+void corrupt_columns(std::vector<float>& kpis, Rng& rng, Fn&& value_fn) {
   const std::size_t k = kpis.size();
   std::size_t touched = 0;
   for (std::size_t c = 0; c < k; ++c) {
-    if (rng.bernoulli(fraction)) {
+    if (rng.bernoulli(kCorruptColsFraction)) {
       kpis[c] = value_fn(kpis[c]);
       ++touched;
     }
@@ -87,22 +95,19 @@ std::vector<TelemetryRecord> inject_faults(const data::CellularDataset& ds,
                                              src.begin() + static_cast<std::ptrdiff_t>(k))};
 
       // Stuck-at-zero: decided per (enb, block) so runs are contiguous.
-      if (spec.stuck_zero_rate > 0.0 && spec.stuck_run_days > 0) {
-        const int block = d / spec.stuck_run_days;
+      if (spec.stuck_zero_rate > 0.0) {
+        const int block = d / kStuckRunDays;
         Rng block_rng(fault_seed(spec.seed, block, enb, /*stream=*/2));
         if (block_rng.bernoulli(spec.stuck_zero_rate)) {
-          corrupt_columns(rec.kpis, block_rng, spec.corrupt_cols_fraction,
-                          [](float) { return 0.0f; });
+          corrupt_columns(rec.kpis, block_rng, [](float) { return 0.0f; });
         }
       }
       if (rng.bernoulli(spec.nan_rate)) {
-        corrupt_columns(rec.kpis, rng, spec.corrupt_cols_fraction,
-                        [](float) { return kNaN; });
+        corrupt_columns(rec.kpis, rng, [](float) { return kNaN; });
       }
       if (rng.bernoulli(spec.spike_rate)) {
-        const float mag = static_cast<float>(spec.spike_magnitude);
-        corrupt_columns(rec.kpis, rng, spec.corrupt_cols_fraction,
-                        [mag](float v) { return v * mag; });
+        const float mag = static_cast<float>(kSpikeMagnitude);
+        corrupt_columns(rec.kpis, rng, [mag](float v) { return v * mag; });
       }
       if (spec.outage_column >= 0 && d >= spec.outage_start &&
           d <= spec.outage_end &&
@@ -112,11 +117,11 @@ std::vector<TelemetryRecord> inject_faults(const data::CellularDataset& ds,
 
       // Delivery key: in-order position, displaced forward for late
       // arrivals.  Per-day average eNodeB count keeps displacement units in
-      // "records", so shuffle_horizon_days days of lateness is realistic.
+      // "records", so kShuffleHorizonDays days of lateness is realistic.
       double key = position;
       if (rng.bernoulli(spec.shuffle_rate)) {
         const double per_day = static_cast<double>(std::max(1, n));
-        key += rng.uniform(1.0, spec.shuffle_horizon_days * per_day);
+        key += rng.uniform(1.0, kShuffleHorizonDays * per_day);
       }
       const bool duplicate = rng.bernoulli(spec.duplicate_rate);
       if (duplicate) {

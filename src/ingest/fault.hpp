@@ -40,22 +40,16 @@ struct FaultSpec {
   /// Per-record NaN corruption: a random subset of KPI columns becomes NaN.
   double nan_rate = 0.0;
   /// Per-record spike corruption: a random subset of columns is multiplied
-  /// by `spike_magnitude` (counter wrap / unit bug).
+  /// by 50 (counter wrap / unit bug).
   double spike_rate = 0.0;
-  /// Stuck-at-zero runs: decided per (enb, block of `stuck_run_days`), so
-  /// affected counters read zero for a contiguous run of days.
+  /// Stuck-at-zero runs: decided per (enb, block of 10 days), so affected
+  /// counters read zero for a contiguous run of days.
   double stuck_zero_rate = 0.0;
   /// Per-record duplicated delivery (the copy also arrives displaced).
   double duplicate_rate = 0.0;
-  /// Per-record late delivery: the record is displaced up to
-  /// `shuffle_horizon_days` positions forward in the stream.
+  /// Per-record late delivery: the record is displaced up to 5 days of
+  /// records forward in the stream.
   double shuffle_rate = 0.0;
-
-  /// Fraction of KPI columns a NaN / spike corruption touches.
-  double corrupt_cols_fraction = 0.25;
-  double spike_magnitude = 50.0;
-  int stuck_run_days = 10;
-  int shuffle_horizon_days = 5;
 
   /// Declared sensor outage mirroring the paper's PU loss window: column
   /// `outage_column` reads NaN for every eNodeB on days in

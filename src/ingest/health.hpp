@@ -8,16 +8,17 @@
 // the fleet, or one eNodeB across its columns) runs this four-state
 // machine over its daily valid-data fraction:
 //
-//            frac < degraded_below              frac < outage_below
+//            frac < 0.8                         frac < 0.35
 //      OK ──────────────────────▶ DEGRADED ──────────────────────▶ OUTAGE
 //       ▲                            │ ▲                             │
-//       │ recover_days good days     │ └──────── relapse ────────────┤
+//       │ 3 good days                │ └──────── relapse ────────────┤
 //       │                            ▼                               ▼
 //      RECOVERING ◀──────────────────┴──────── frac recovers ── RECOVERING
 //
-// Entry into DEGRADED/OUTAGE requires `degrade_days` consecutive bad days
-// and exit requires `recover_days` consecutive good days (hysteresis), so
-// single-day blips neither trip nor clear a state.
+// Entry into DEGRADED/OUTAGE requires 2 consecutive bad days and exit
+// requires 3 consecutive good days (hysteresis), so single-day blips
+// neither trip nor clear a state.  The thresholds are constants in
+// health.cpp.
 #pragma once
 
 #include <string>
@@ -34,32 +35,18 @@ enum class HealthState : std::uint8_t {
 
 std::string to_string(HealthState s);
 
-struct HealthConfig {
-  /// Valid-data fraction below which a day counts as degraded.
-  double degraded_below = 0.8;
-  /// Valid-data fraction below which a day counts as an outage.
-  double outage_below = 0.35;
-  /// Consecutive bad days required to enter DEGRADED / OUTAGE.
-  int degrade_days = 2;
-  /// Consecutive good days required to leave RECOVERING (and DEGRADED).
-  int recover_days = 3;
-};
-
 class HealthTracker {
  public:
-  explicit HealthTracker(HealthConfig cfg = {});
-
   /// Feeds one day's valid-data fraction in [0, 1]; returns the state
   /// *after* the transition.
   HealthState step(double valid_fraction);
   HealthState state() const { return state_; }
 
  private:
-  HealthConfig cfg_;
   HealthState state_ = HealthState::kOk;
-  int bad_streak_ = 0;      ///< consecutive days below degraded_below
-  int verybad_streak_ = 0;  ///< consecutive days below outage_below
-  int good_streak_ = 0;     ///< consecutive days at/above degraded_below
+  int bad_streak_ = 0;      ///< consecutive days below the degraded line
+  int verybad_streak_ = 0;  ///< consecutive days below the outage line
+  int good_streak_ = 0;     ///< consecutive days at/above the degraded line
 };
 
 /// Day-indexed health series (one state per study day).

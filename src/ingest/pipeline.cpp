@@ -10,6 +10,16 @@
 
 namespace leaf::ingest {
 
+namespace {
+
+/// Leading slice of the stream used to fit per-KPI plausibility bounds.
+constexpr int kBoundsFitDays = 180;
+/// Records with more than this fraction of quarantined columns are
+/// rejected wholesale.
+constexpr double kRecordRejectFraction = 0.5;
+
+}  // namespace
+
 int IngestResult::outage_days(int column) const {
   const auto& series = kpi_health[static_cast<std::size_t>(column)];
   return static_cast<int>(
@@ -18,7 +28,7 @@ int IngestResult::outage_days(int column) const {
 
 IngestResult ingest_stream(const data::CellularDataset& like,
                            std::vector<TelemetryRecord> stream,
-                           const IngestConfig& cfg) {
+                           obs::EventLog* events) {
   LEAF_SPAN("ingest.stream");
   const int num_days = like.num_days();
   const int num_kpis = like.num_kpis();
@@ -55,17 +65,16 @@ IngestResult ingest_stream(const data::CellularDataset& like,
   // --- plausibility bounds from the leading slice --------------------------
   std::vector<std::vector<double>> reference(k);
   for (const TelemetryRecord& r : stream) {
-    if (r.day >= cfg.bounds_fit_days) break;
+    if (r.day >= kBoundsFitDays) break;
     for (std::size_t c = 0; c < k && c < r.kpis.size(); ++c)
       reference[c].push_back(static_cast<double>(r.kpis[c]));
   }
-  const KpiBounds bounds = fit_bounds(reference, cfg.validator);
+  const KpiBounds bounds = fit_bounds(reference);
 
   // --- day-by-day validate / impute / track health --------------------------
-  Imputer imputer(num_enbs, num_kpis, cfg.validator);
-  std::vector<HealthTracker> kpi_tracker(k, HealthTracker(cfg.health));
-  std::vector<HealthTracker> enb_tracker(static_cast<std::size_t>(num_enbs),
-                                         HealthTracker(cfg.health));
+  Imputer imputer(num_enbs, num_kpis);
+  std::vector<HealthTracker> kpi_tracker(k);
+  std::vector<HealthTracker> enb_tracker(static_cast<std::size_t>(num_enbs));
   res.kpi_health.assign(k, HealthSeries(static_cast<std::size_t>(num_days),
                                         HealthState::kOk));
   res.enb_health.assign(static_cast<std::size_t>(num_enbs),
@@ -84,13 +93,13 @@ IngestResult ingest_stream(const data::CellularDataset& like,
 
   // Health-FSM transitions and per-day quarantine totals feed the
   // structured event log; OUTAGE entries additionally warn on stderr.
-  const auto on_transition = [&cfg](int day, const std::string& entity,
-                                    HealthState from, HealthState to) {
+  const auto on_transition = [events](int day, const std::string& entity,
+                                     HealthState from, HealthState to) {
     if (from == to) return;
-    if (cfg.events != nullptr) {
-      cfg.events->emit({obs::EventKind::kHealthTransition, day, -1, "", "", "",
-                        "entity=" + entity + ",from=" + to_string(from) +
-                            ",to=" + to_string(to)});
+    if (events != nullptr) {
+      events->emit({obs::EventKind::kHealthTransition, day, -1, "", "", "",
+                    "entity=" + entity + ",from=" + to_string(from) +
+                        ",to=" + to_string(to)});
     }
     if (to == HealthState::kOutage) {
       LEAF_LOG_WARN("ingest: %s entered OUTAGE on day %d", entity.c_str(),
@@ -135,7 +144,7 @@ IngestResult ingest_stream(const data::CellularDataset& like,
       }
       // Too corrupt to trust any of it: reject wholesale.
       if (static_cast<double>(k - static_cast<std::size_t>(slot.good_count)) >
-          cfg.validator.record_reject_fraction * static_cast<double>(k)) {
+          kRecordRejectFraction * static_cast<double>(k)) {
         slot.rec = nullptr;
         ++rep.quarantined_records;
         continue;
@@ -183,7 +192,7 @@ IngestResult ingest_stream(const data::CellularDataset& like,
         if (!emit) ++rep.quarantined_records;  // unrepairable record
       } else if (last_report_day[static_cast<std::size_t>(e)] >= 0 &&
                  d - last_report_day[static_cast<std::size_t>(e)] <=
-                     cfg.validator.staleness_cap_days) {
+                     kStalenessCapDays) {
         // Wholly missing but recently seen: synthesize one record.  Long
         // gaps stay honest — the eNodeB simply drops out of the day.
         emit = true;
@@ -229,10 +238,10 @@ IngestResult ingest_stream(const data::CellularDataset& like,
 
     const std::int64_t q_records = rep.quarantined_records - q_records_before;
     const std::int64_t q_values = rep.quarantined_values - q_values_before;
-    if (cfg.events != nullptr && (q_records > 0 || q_values > 0)) {
-      cfg.events->emit({obs::EventKind::kQuarantine, d, -1, "", "", "",
-                        "records=" + std::to_string(q_records) +
-                            ",values=" + std::to_string(q_values)});
+    if (events != nullptr && (q_records > 0 || q_values > 0)) {
+      events->emit({obs::EventKind::kQuarantine, d, -1, "", "", "",
+                    "records=" + std::to_string(q_records) +
+                        ",values=" + std::to_string(q_values)});
     }
   }
 

@@ -14,8 +14,8 @@
 //   3. an `IngestReport` of every intervention, which the evaluation layer
 //      surfaces as `DegradedStats` so no repair is silent.
 //
-// Plausibility bounds are learned from the leading `bounds_fit_days` of
-// the stream itself (robust quantiles + headroom; see validator.hpp), so
+// Plausibility bounds are learned from the leading 180 days of the stream
+// itself (robust quantiles + headroom; see validator.hpp), so
 // ingest needs no access to ground-truth clean data.
 #pragma once
 
@@ -32,17 +32,6 @@ class EventLog;
 }
 
 namespace leaf::ingest {
-
-struct IngestConfig {
-  ValidatorConfig validator;
-  HealthConfig health;
-  /// Leading slice of the stream used to fit per-KPI plausibility bounds.
-  int bounds_fit_days = 180;
-  /// Optional structured event sink (leaf::obs): health-FSM transitions
-  /// and per-day quarantine aggregates are recorded here.  Single-writer;
-  /// may be null.
-  obs::EventLog* events = nullptr;
-};
 
 /// Counts of every intervention the pipeline made.
 struct IngestReport {
@@ -72,8 +61,11 @@ struct IngestResult {
 /// Runs the pipeline.  `like` supplies the schema, fleet, day count, and
 /// name — its KPI *values* are never read, so any stream (clean, faulted,
 /// or real) can be ingested against the same fleet description.
+/// `events` is an optional structured event sink (leaf::obs): health-FSM
+/// transitions and per-day quarantine aggregates are recorded there.
+/// Single-writer; may be null.
 IngestResult ingest_stream(const data::CellularDataset& like,
                            std::vector<TelemetryRecord> stream,
-                           const IngestConfig& cfg = {});
+                           obs::EventLog* events = nullptr);
 
 }  // namespace leaf::ingest

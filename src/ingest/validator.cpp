@@ -9,8 +9,17 @@
 namespace leaf::ingest {
 
 namespace {
+
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
-}
+
+/// Robust quantiles of the reference slice that anchor the bounds.
+constexpr double kBoundQuantileLo = 0.001;
+constexpr double kBoundQuantileHi = 0.999;
+/// Headroom multiplier applied above the high anchor (KPIs grow over the
+/// study; bounds must not quarantine organic growth).
+constexpr double kBoundHeadroom = 8.0;
+
+}  // namespace
 
 bool KpiBounds::plausible(int column, double v) const {
   if (!std::isfinite(v)) return false;
@@ -19,8 +28,7 @@ bool KpiBounds::plausible(int column, double v) const {
   return v >= lo[c] && v <= hi[c];
 }
 
-KpiBounds fit_bounds(const std::vector<std::vector<double>>& column_samples,
-                     const ValidatorConfig& cfg) {
+KpiBounds fit_bounds(const std::vector<std::vector<double>>& column_samples) {
   KpiBounds b;
   b.lo.reserve(column_samples.size());
   b.hi.reserve(column_samples.size());
@@ -36,21 +44,21 @@ KpiBounds fit_bounds(const std::vector<std::vector<double>>& column_samples,
       b.hi.push_back(std::numeric_limits<double>::max());
       continue;
     }
-    const double qlo = stats::quantile(finite, cfg.bound_quantile_lo);
-    const double qhi = stats::quantile(finite, cfg.bound_quantile_hi);
+    const double qlo = stats::quantile(finite, kBoundQuantileLo);
+    const double qhi = stats::quantile(finite, kBoundQuantileHi);
     const double span = std::max(qhi - qlo, std::abs(qhi) * 0.1 + 1e-9);
     // KPIs are non-negative counters/ratios in this schema, but the bounds
     // only assume what the reference shows: a little slack below the low
-    // anchor, `bound_headroom` spans above the high one (organic growth
+    // anchor, `kBoundHeadroom` spans above the high one (organic growth
     // must stay in-bounds; a 50x wrap spike must not).
     b.lo.push_back(qlo - 0.5 * span);
-    b.hi.push_back(qhi + cfg.bound_headroom * span);
+    b.hi.push_back(qhi + kBoundHeadroom * span);
   }
   return b;
 }
 
-Imputer::Imputer(int num_enbs, int num_kpis, const ValidatorConfig& cfg)
-    : cfg_(cfg), num_enbs_(num_enbs), num_kpis_(num_kpis) {
+Imputer::Imputer(int num_enbs, int num_kpis)
+    : num_enbs_(num_enbs), num_kpis_(num_kpis) {
   const std::size_t cells =
       static_cast<std::size_t>(num_enbs) * static_cast<std::size_t>(num_kpis);
   last_val_.assign(cells, 0.0f);
@@ -87,7 +95,7 @@ void Imputer::observe(int enb, int column, double v) {
 
 bool Imputer::carry_fresh(int enb, int column) const {
   const std::size_t c = cell(enb, column);
-  return last_day_[c] >= 0 && day_ - last_day_[c] <= cfg_.staleness_cap_days;
+  return last_day_[c] >= 0 && day_ - last_day_[c] <= kStalenessCapDays;
 }
 
 double Imputer::carry_forward(int enb, int column) const {

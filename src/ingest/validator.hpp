@@ -8,7 +8,7 @@
 // and treated as missing.
 //
 // Imputation carries forward the eNodeB's last good value, but only while
-// it is fresher than `staleness_cap_days` (a stale carry is worse than an
+// it is fresher than `kStalenessCapDays` (a stale carry is worse than an
 // honest gap).  Without a fresh carry it falls back to the median of the
 // same KPI across the eNodeBs that did report today (at least three), then
 // to the KPI's fleet running median, so a partially-corrupt record can
@@ -22,20 +22,8 @@
 
 namespace leaf::ingest {
 
-struct ValidatorConfig {
-  /// Robust quantiles of the reference slice that anchor the bounds.
-  double bound_quantile_lo = 0.001;
-  double bound_quantile_hi = 0.999;
-  /// Headroom multiplier applied above the high anchor (KPIs grow over the
-  /// study; bounds must not quarantine organic growth).
-  double bound_headroom = 8.0;
-  /// Records with more than this fraction of quarantined columns are
-  /// rejected wholesale.
-  double record_reject_fraction = 0.5;
-
-  /// Carry-forward refuses values older than this many days.
-  int staleness_cap_days = 7;
-};
+/// Carry-forward refuses values older than this many days.
+inline constexpr int kStalenessCapDays = 7;
 
 /// Per-column [lo, hi] plausibility bounds.
 struct KpiBounds {
@@ -48,17 +36,16 @@ struct KpiBounds {
 };
 
 /// Learns bounds from per-column samples (one vector per KPI column) using
-/// the config's robust quantiles + headroom.  Non-finite samples are
-/// ignored; columns with no finite samples accept any finite value.
-KpiBounds fit_bounds(const std::vector<std::vector<double>>& column_samples,
-                     const ValidatorConfig& cfg);
+/// robust quantiles + headroom.  Non-finite samples are ignored; columns
+/// with no finite samples accept any finite value.
+KpiBounds fit_bounds(const std::vector<std::vector<double>>& column_samples);
 
 /// Stateful imputer: tracks each (eNodeB, column) last-good value and age,
 /// the per-column fleet running median, and the per-day cross-section, and
 /// produces replacement values from them.  Days must be fed in order.
 class Imputer {
  public:
-  Imputer(int num_enbs, int num_kpis, const ValidatorConfig& cfg);
+  Imputer(int num_enbs, int num_kpis);
 
   /// Starts a new day; `day` must increase between calls.
   void begin_day(int day);
@@ -80,7 +67,6 @@ class Imputer {
            static_cast<std::size_t>(column);
   }
 
-  ValidatorConfig cfg_;
   int num_enbs_;
   int num_kpis_;
   int day_ = -1;

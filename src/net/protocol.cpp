@@ -100,12 +100,12 @@ void FrameDecoder::validate_header() {
   }
   if (b.size() >= kHeaderBytes) {
     const std::uint32_t payload_len = read_u32(b, kHeaderBytes - 8);
-    if (payload_len > max_frame_bytes_) {
+    if (payload_len > kMaxFrameBytes) {
       poisoned_ = true;
       throw ProtocolError(ErrorCode::kOversized,
                           "frame payload of " + std::to_string(payload_len) +
                               " bytes exceeds the " +
-                              std::to_string(max_frame_bytes_) +
+                              std::to_string(kMaxFrameBytes) +
                               "-byte frame bound");
     }
   }

@@ -53,8 +53,8 @@ inline constexpr std::uint32_t kProtocolVersion = 2;
 /// Frame header size: magic + version + type + request_id + trace_id +
 /// parent_span + payload_len + crc.
 inline constexpr std::size_t kHeaderBytes = 4 + 4 + 1 + 8 + 16 + 8 + 4 + 4;
-/// Default per-frame payload ceiling (NetConfig can lower it).
-inline constexpr std::size_t kDefaultMaxFrameBytes = 1u << 20;
+/// Per-frame payload ceiling; a longer frame is rejected as kOversized.
+inline constexpr std::size_t kMaxFrameBytes = 1u << 20;
 
 /// Frame/message types.  Requests are < 16, responses >= 16, so a peer
 /// can reject a response-typed frame arriving on a server connection.
@@ -130,9 +130,6 @@ std::vector<std::uint8_t> encode_frame(const Frame& frame);
 /// resynchronized).
 class FrameDecoder {
  public:
-  explicit FrameDecoder(std::size_t max_frame_bytes = kDefaultMaxFrameBytes)
-      : max_frame_bytes_(max_frame_bytes) {}
-
   void feed(std::span<const std::uint8_t> bytes);
   std::optional<Frame> next();
 
@@ -145,7 +142,6 @@ class FrameDecoder {
   void validate_header();
   void compact();
 
-  std::size_t max_frame_bytes_;
   std::vector<std::uint8_t> buf_;
   std::size_t pos_ = 0;
   bool poisoned_ = false;

@@ -11,6 +11,10 @@ namespace leaf::net {
 
 namespace {
 
+/// Ceiling on a query_series request's max_series; a request asking for
+/// more is rejected as kOversized.
+constexpr std::uint32_t kMaxQuerySeries = 64;
+
 obs::Counter& counter(const char* name, const std::string& labels = "") {
   return obs::MetricsRegistry::global().counter(name, labels);
 }
@@ -35,7 +39,7 @@ ServerCore::ServerCore(serve::FleetRuntime& fleet, NetConfig cfg,
 }
 
 void ServerCore::open(ConnId conn) {
-  conns_.emplace(conn, cfg_.max_frame_bytes);
+  conns_.try_emplace(conn);
   counter("leaf_net_connections_total").inc();
 }
 
@@ -234,12 +238,12 @@ void ServerCore::handle_frame(ConnId conn, const Frame& frame,
         return;
       case MsgType::kQuerySeries: {
         const auto req = decode<SeriesRequest>(p, frame);
-        if (req.query.max_series > cfg_.max_query_series)
+        if (req.query.max_series > kMaxQuerySeries)
           throw ProtocolError(
               ErrorCode::kOversized,
               "query_series asks for " + std::to_string(req.query.max_series) +
                   " series; the server caps responses at " +
-                  std::to_string(cfg_.max_query_series),
+                  std::to_string(kMaxQuerySeries),
               /*fatal=*/false);
         const tsdb::Store& store = std::as_const(*fleet_).telemetry();
         tsdb::Store::QueryResult result = store.query(req.query);

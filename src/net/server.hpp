@@ -71,9 +71,8 @@
 
 namespace leaf::net {
 
-/// Admission-control and framing bounds.
+/// Admission-control bounds.
 struct NetConfig {
-  std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
   /// Max queued predict requests per shard; beyond it new requests get an
   /// immediate kRetry.
   int queue_depth = 128;
@@ -82,9 +81,6 @@ struct NetConfig {
   int max_batch_rows = 64;
   /// Deadline applied to requests that carry none (0 = no deadline).
   std::uint32_t default_deadline_ms = 0;
-  /// Ceiling on a query_series request's max_series; a request asking for
-  /// more is rejected as kOversized.
-  std::uint32_t max_query_series = 64;
 };
 
 /// Millisecond clock the admission layer reads.  Injectable so loopback

@@ -466,8 +466,8 @@ void FleetRuntime::restore(const std::string& dir) {
   std::uint64_t anchor_gen = 0;  // generations are numbered from 1
   std::uint64_t steps_run = 0;
   bool tsdb_ok = false;
-  tsdb::Store restored_store(tsdb_.config());
-  tsdb::MetaDrift restored_md(meta_drift_.config());
+  tsdb::Store restored_store;
+  tsdb::MetaDrift restored_md;
   std::uint64_t restored_tick = 0;
   std::string first_error;
   std::size_t remaining = shards_.size();

@@ -12,6 +12,14 @@
 
 namespace leaf::serve {
 
+namespace {
+
+/// Fleet steps a FAULTED shard skips after its first consecutive failure;
+/// each further failure doubles the wait.
+constexpr std::uint64_t kBackoffBaseSteps = 1;
+
+}  // namespace
+
 const char* to_string(ShardHealth h) {
   switch (h) {
     case ShardHealth::kHealthy: return "healthy";
@@ -53,9 +61,8 @@ void ShardSupervisor::on_failure(std::uint64_t fleet_step, int day,
                    context.c_str());
   } else {
     health_ = ShardHealth::kFaulted;
-    backoff_until_ = fleet_step + 1 +
-                     (static_cast<std::uint64_t>(policy_.backoff_base_steps)
-                      << (consecutive_failures_ - 1));
+    backoff_until_ =
+        fleet_step + 1 + (kBackoffBaseSteps << (consecutive_failures_ - 1));
     emit(obs::EventKind::kShardFaulted, day,
          context + ",retry_at_step=" + std::to_string(backoff_until_));
     LEAF_LOG_WARN("serve: shard %d faulted, retry at fleet step %llu (%s)",

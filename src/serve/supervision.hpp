@@ -35,12 +35,12 @@ const char* to_string(ShardHealth h);
 
 /// Bounded-retry recovery policy for FAULTED shards.  All delays are in
 /// fleet steps, not wall-clock: after the k-th consecutive failure a
-/// shard skips `backoff_base_steps * 2^(k-1)` fleet steps before its
-/// next attempt, and after `max_retries` failed retries (i.e. on
-/// consecutive failure max_retries + 1) it is QUARANTINED.
+/// shard skips `kBackoffBaseSteps * 2^(k-1)` fleet steps (base 1, in
+/// supervision.cpp) before its next attempt, and after `max_retries`
+/// failed retries (i.e. on consecutive failure max_retries + 1) it is
+/// QUARANTINED.
 struct RecoveryPolicy {
   int max_retries = 3;
-  int backoff_base_steps = 1;
 };
 
 struct ShardStats;

@@ -6,12 +6,20 @@
 
 namespace leaf::tsdb {
 
-MetaDrift::MetaDrift(MetaDriftConfig cfg) : cfg_(std::move(cfg)) {}
+namespace {
 
-drift::Kswin MetaDrift::make_detector(const std::string& rule) const {
+/// KSWIN tuning for telemetry streams: smaller windows than the model
+/// detectors, because serving incidents play out over tens of ticks, not
+/// hundreds of evaluation days.
+constexpr drift::KswinConfig kKswin{/*window_size=*/24, /*stat_size=*/8,
+                                    /*alpha=*/0.01, /*seed=*/71};
+
+}  // namespace
+
+drift::Kswin MetaDrift::make_detector(const std::string& rule) {
   // Derive the rule's KSWIN seed from its name so every rule draws an
   // independent — but run-to-run stable — sample stream.
-  drift::KswinConfig kcfg = cfg_.kswin;
+  drift::KswinConfig kcfg = kKswin;
   kcfg.seed ^= fnv1a(rule.data(), rule.size());
   return drift::Kswin(kcfg);
 }
@@ -41,7 +49,7 @@ bool MetaDrift::observe(const std::string& rule, int shard,
 int MetaDrift::state(std::uint64_t tick) const {
   int active = 0;
   for (const auto& [name, r] : rules_)
-    if (r.ever_fired && tick - r.fired_at < cfg_.hold_ticks) ++active;
+    if (r.ever_fired && tick - r.fired_at < kHoldTicks) ++active;
   return active;
 }
 

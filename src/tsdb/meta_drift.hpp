@@ -12,7 +12,7 @@
 //
 // Firings emit `telemetry-drift` supervision events (merged into the
 // fleet supervision stream) and raise `state()` — the number of rules
-// that fired within the last `hold_ticks` ticks — which the runtime
+// that fired within the last `kHoldTicks` ticks — which the runtime
 // exports as the `leaf_telemetry_drift_state` gauge and the SloWatchdog
 // can escalate on (spec key `telemetry-drift=N`).
 //
@@ -34,21 +34,10 @@
 
 namespace leaf::tsdb {
 
-struct MetaDriftConfig {
-  /// KSWIN tuning for telemetry streams: smaller windows than the model
-  /// detectors, because serving incidents play out over tens of ticks,
-  /// not hundreds of evaluation days.
-  drift::KswinConfig kswin{/*window_size=*/24, /*stat_size=*/8,
-                           /*alpha=*/0.01, /*seed=*/71};
-  /// Ticks a fired rule keeps contributing to state().
-  std::uint64_t hold_ticks = 50;
-};
-
 class MetaDrift {
  public:
-  explicit MetaDrift(MetaDriftConfig cfg = {});
-
-  const MetaDriftConfig& config() const { return cfg_; }
+  /// Ticks a fired rule keeps contributing to state().
+  static constexpr std::uint64_t kHoldTicks = 50;
 
   /// One recording-rule tick.  Feeds `value` into the rule's detector
   /// (lazily created, seeded from the rule name); a non-finite value is
@@ -59,7 +48,7 @@ class MetaDrift {
   bool observe(const std::string& rule, int shard, std::uint64_t tick,
                double value);
 
-  /// Number of rules that fired within the last hold_ticks ticks as of
+  /// Number of rules that fired within the last kHoldTicks ticks as of
   /// `tick` — the `leaf_telemetry_drift_state` gauge value.
   int state(std::uint64_t tick) const;
 
@@ -85,9 +74,8 @@ class MetaDrift {
     bool ever_fired = false;
   };
 
-  drift::Kswin make_detector(const std::string& rule) const;
+  static drift::Kswin make_detector(const std::string& rule);
 
-  MetaDriftConfig cfg_;
   std::map<std::string, Rule> rules_;
   std::uint64_t firings_ = 0;
   obs::EventLog events_;

@@ -17,13 +17,6 @@ const char* to_string(Resolution r) {
   return "?";
 }
 
-Store::Store(StoreConfig cfg) : cfg_(cfg) {
-  if (cfg_.raw_capacity == 0) cfg_.raw_capacity = 1;
-  if (cfg_.agg10_capacity == 0) cfg_.agg10_capacity = 1;
-  if (cfg_.agg100_capacity == 0) cfg_.agg100_capacity = 1;
-  if (cfg_.max_series == 0) cfg_.max_series = 1;
-}
-
 void Store::fold(std::deque<AggBucket>& tier, std::uint64_t bucket_start,
                  double value, std::size_t capacity) {
   if (tier.empty() || tier.back().start_step != bucket_start) {
@@ -46,7 +39,7 @@ void Store::record(const std::string& name, const std::string& labels,
   }
   auto it = series_.find({name, labels});
   if (it == series_.end()) {
-    if (series_.size() >= cfg_.max_series) {
+    if (series_.size() >= kMaxSeries) {
       ++samples_dropped_;
       return;
     }
@@ -59,9 +52,9 @@ void Store::record(const std::string& name, const std::string& labels,
     return;
   }
   s.raw.push_back({step, value});
-  while (s.raw.size() > cfg_.raw_capacity) s.raw.pop_front();
-  fold(s.agg10, step - step % 10, value, cfg_.agg10_capacity);
-  fold(s.agg100, step - step % 100, value, cfg_.agg100_capacity);
+  while (s.raw.size() > kRawCapacity) s.raw.pop_front();
+  fold(s.agg10, step - step % 10, value, kAgg10Capacity);
+  fold(s.agg100, step - step % 100, value, kAgg100Capacity);
   last_step_ = std::max(last_step_, step);
   ++samples_recorded_;
 }

@@ -8,9 +8,9 @@
 // the logical step index (never wall-clock), into per-series ring
 // buffers with tiered downsampling:
 //
-//   raw       last `raw_capacity` (step, value) samples
-//   10-step   last `agg10_capacity` buckets of min/max/sum/count
-//   100-step  last `agg100_capacity` buckets of min/max/sum/count
+//   raw       last `kRawCapacity` (step, value) samples
+//   10-step   last `kAgg10Capacity` buckets of min/max/sum/count
+//   100-step  last `kAgg100Capacity` buckets of min/max/sum/count
 //
 // Because samples arrive from the runtime's serial step epilogue in
 // logical-step order, every ring buffer, every aggregate bucket, and the
@@ -46,15 +46,6 @@ enum class Resolution : std::uint8_t {
 };
 
 const char* to_string(Resolution r);
-
-/// Ring-buffer and retention bounds.  Defaults hold ~5k steps of history
-/// per series across the three tiers in a few KB.
-struct StoreConfig {
-  std::size_t raw_capacity = 512;     ///< raw samples kept per series
-  std::size_t agg10_capacity = 256;   ///< 10-step buckets kept per series
-  std::size_t agg100_capacity = 128;  ///< 100-step buckets kept per series
-  std::size_t max_series = 512;       ///< series cap; excess names dropped
-};
 
 /// One raw observation: logical step index + value.
 struct Sample {
@@ -94,9 +85,12 @@ struct SeriesData {
 
 class Store {
  public:
-  explicit Store(StoreConfig cfg = {});
-
-  const StoreConfig& config() const { return cfg_; }
+  // Ring-buffer and retention bounds: ~5k steps of history per series
+  // across the three tiers in a few KB.
+  static constexpr std::size_t kRawCapacity = 512;  ///< raw samples per series
+  static constexpr std::size_t kAgg10Capacity = 256;   ///< 10-step buckets
+  static constexpr std::size_t kAgg100Capacity = 128;  ///< 100-step buckets
+  static constexpr std::size_t kMaxSeries = 512;  ///< excess names dropped
 
   /// Records one sample for (name, labels) at logical step `step`.
   /// Non-finite values are dropped (a telemetry fault is not a data
@@ -155,7 +149,6 @@ class Store {
   static void fold(std::deque<AggBucket>& tier, std::uint64_t bucket_start,
                    double value, std::size_t capacity);
 
-  StoreConfig cfg_;
   std::map<std::pair<std::string, std::string>, Series> series_;
   std::uint64_t last_step_ = 0;
   std::uint64_t samples_recorded_ = 0;

@@ -144,30 +144,29 @@ TEST(PairedLearners, QuietWithoutPrototype) {
 
 TEST(Aue2, BuildsEnsembleEveryChunk) {
   const data::Featurizer f(ds(), data::TargetKpi::kDVol);
-  core::Aue2Config cfg;
-  cfg.chunk_days = 60;
-  core::Aue2Scheme scheme(cfg);
+  core::Aue2Scheme scheme;
   const auto model =
       models::make_model(models::ModelFamily::kRidge, tiny_scale(), 1);
   const core::EvalConfig ecfg = core::make_eval_config(tiny_scale());
   const auto run = core::run_scheme(f, *model, scheme, ecfg);
   // One replacement per chunk after the first.
   const int span = run.days.back() - run.days.front();
-  EXPECT_NEAR(run.retrain_count(), span / cfg.chunk_days, 2);
-  EXPECT_LE(scheme.member_count(), 5u);
+  EXPECT_NEAR(run.retrain_count(), span / core::Aue2Scheme::kChunkDays, 2);
   EXPECT_GE(scheme.member_count(), 1u);
 }
 
 TEST(Aue2, MemberCountCapped) {
   const data::Featurizer f(ds(), data::TargetKpi::kDVol);
-  core::Aue2Config cfg;
-  cfg.chunk_days = 30;
-  cfg.max_members = 3;
-  core::Aue2Scheme scheme(cfg);
+  core::Aue2Scheme scheme;
   const auto model =
       models::make_model(models::ModelFamily::kRidge, tiny_scale(), 1);
-  core::run_scheme(f, *model, scheme, core::make_eval_config(tiny_scale()));
-  EXPECT_LE(scheme.member_count(), 3u);
+  const auto run = core::run_scheme(f, *model, scheme,
+                                    core::make_eval_config(tiny_scale()));
+  // Many more chunks than members: the ensemble fills up to the cap and
+  // stays there.
+  ASSERT_GT(run.retrain_count(), 2 * core::Aue2Scheme::kMaxMembers);
+  EXPECT_EQ(scheme.member_count(),
+            static_cast<std::size_t>(core::Aue2Scheme::kMaxMembers));
 }
 
 TEST(Aue2, MitigatesRelativeToStatic) {

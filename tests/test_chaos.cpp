@@ -354,7 +354,6 @@ TEST_F(ChaosFixture, RetryBudgetEscalatesToQuarantine) {
   serve::SupervisorConfig sup =
       with_chaos("shards=3,step-throw=1");
   sup.recovery.max_retries = 3;
-  sup.recovery.backoff_base_steps = 1;
   serve::FleetRuntime fleet(ds, scale, fleet8(), 2024, sup);
   fleet.run_steps(UINT64_MAX);
 

@@ -116,24 +116,18 @@ TEST(FaultInjector, ModesManifestInTheStream) {
 
 // --- health state machine --------------------------------------------------
 
-HealthConfig fsm_cfg() {
-  HealthConfig cfg;
-  cfg.degraded_below = 0.8;
-  cfg.outage_below = 0.35;
-  cfg.degrade_days = 2;
-  cfg.recover_days = 3;
-  return cfg;
-}
+// The tracker's thresholds: a day below 0.8 valid is bad, below 0.35 very
+// bad; 2 consecutive bad days trip a state, 3 good days clear one.
 
 TEST(HealthTracker, SingleBlipDoesNotTrip) {
-  HealthTracker t(fsm_cfg());
+  HealthTracker t;
   EXPECT_EQ(t.step(1.0), HealthState::kOk);
-  EXPECT_EQ(t.step(0.0), HealthState::kOk);  // one bad day < degrade_days
+  EXPECT_EQ(t.step(0.0), HealthState::kOk);  // one bad day < kDegradeDays
   EXPECT_EQ(t.step(1.0), HealthState::kOk);
 }
 
 TEST(HealthTracker, TransitionTable) {
-  HealthTracker t(fsm_cfg());
+  HealthTracker t;
   // OK -> DEGRADED after two moderately-bad days.
   EXPECT_EQ(t.step(0.6), HealthState::kOk);
   EXPECT_EQ(t.step(0.6), HealthState::kDegraded);
@@ -142,13 +136,13 @@ TEST(HealthTracker, TransitionTable) {
   EXPECT_EQ(t.step(0.1), HealthState::kOutage);
   // OUTAGE -> RECOVERING as soon as data returns...
   EXPECT_EQ(t.step(0.9), HealthState::kRecovering);
-  // ...but OK only after recover_days consecutive good days.
+  // ...but OK only after kRecoverDays consecutive good days.
   EXPECT_EQ(t.step(0.9), HealthState::kRecovering);
   EXPECT_EQ(t.step(0.9), HealthState::kOk);
 }
 
 TEST(HealthTracker, RelapseFromRecovering) {
-  HealthTracker t(fsm_cfg());
+  HealthTracker t;
   t.step(0.0);
   t.step(0.0);
   ASSERT_EQ(t.state(), HealthState::kOutage);
@@ -157,7 +151,7 @@ TEST(HealthTracker, RelapseFromRecovering) {
 }
 
 TEST(HealthTracker, OkStraightToOutageOnTotalLoss) {
-  HealthTracker t(fsm_cfg());
+  HealthTracker t;
   EXPECT_EQ(t.step(0.0), HealthState::kOk);
   EXPECT_EQ(t.step(0.0), HealthState::kOutage);  // skips DEGRADED
 }
@@ -165,9 +159,9 @@ TEST(HealthTracker, OkStraightToOutageOnTotalLoss) {
 // --- hysteresis edge cases --------------------------------------------------
 
 TEST(HealthTracker, FlappingOneBelowDegradeDaysNeverTrips) {
-  // degrade_days - 1 consecutive bad days, then one good day, forever:
+  // kDegradeDays - 1 consecutive bad days, then one good day, forever:
   // the bad streak resets each cycle and the tracker must stay OK.
-  HealthTracker t(fsm_cfg());  // degrade_days = 2
+  HealthTracker t;  // 2 bad days trip
   for (int cycle = 0; cycle < 20; ++cycle) {
     EXPECT_EQ(t.step(0.6), HealthState::kOk);
     EXPECT_EQ(t.step(1.0), HealthState::kOk);
@@ -175,16 +169,16 @@ TEST(HealthTracker, FlappingOneBelowDegradeDaysNeverTrips) {
 }
 
 TEST(HealthTracker, ExactlyDegradeDaysTrips) {
-  HealthTracker t(fsm_cfg());
+  HealthTracker t;
   EXPECT_EQ(t.step(0.6), HealthState::kOk);        // day 1 of the streak
-  EXPECT_EQ(t.step(0.6), HealthState::kDegraded);  // day 2 == degrade_days
+  EXPECT_EQ(t.step(0.6), HealthState::kDegraded);  // day 2 == kDegradeDays
 }
 
 TEST(HealthTracker, ModerateDayResetsOutageEscalation) {
-  // DEGRADED -> OUTAGE needs degrade_days *consecutive* very-bad days; a
+  // DEGRADED -> OUTAGE needs kDegradeDays *consecutive* very-bad days; a
   // moderately-bad day in between resets the very-bad streak (but keeps
-  // the tracker DEGRADED, since it is still below degraded_below).
-  HealthTracker t(fsm_cfg());
+  // the tracker DEGRADED, since it is still below kDegradedBelow).
+  HealthTracker t;
   t.step(0.6);
   t.step(0.6);
   ASSERT_EQ(t.state(), HealthState::kDegraded);
@@ -195,17 +189,17 @@ TEST(HealthTracker, ModerateDayResetsOutageEscalation) {
 }
 
 TEST(HealthTracker, RecoveryAtExactlyRecoverDays) {
-  HealthTracker t(fsm_cfg());  // recover_days = 3
+  HealthTracker t;  // 3 good days clear
   t.step(0.6);
   t.step(0.6);
   ASSERT_EQ(t.state(), HealthState::kDegraded);
   EXPECT_EQ(t.step(0.9), HealthState::kDegraded);  // good day 1
   EXPECT_EQ(t.step(0.9), HealthState::kDegraded);  // good day 2
-  EXPECT_EQ(t.step(0.9), HealthState::kOk);        // good day 3 == recover_days
+  EXPECT_EQ(t.step(0.9), HealthState::kOk);        // good day 3 == kRecoverDays
 }
 
 TEST(HealthTracker, RelapseDuringRecoveryRestartsGoodStreak) {
-  HealthTracker t(fsm_cfg());
+  HealthTracker t;
   t.step(0.0);
   t.step(0.0);
   ASSERT_EQ(t.state(), HealthState::kOutage);
@@ -216,13 +210,13 @@ TEST(HealthTracker, RelapseDuringRecoveryRestartsGoodStreak) {
   EXPECT_EQ(t.step(0.1), HealthState::kOutage);  // relapse on one very-bad day
   EXPECT_EQ(t.step(0.9), HealthState::kRecovering);
   EXPECT_EQ(t.step(0.9), HealthState::kRecovering);
-  EXPECT_EQ(t.step(0.9), HealthState::kOk);  // full recover_days again
+  EXPECT_EQ(t.step(0.9), HealthState::kOk);  // full kRecoverDays again
 }
 
 TEST(HealthTracker, ModerateDaysHoldRecoveringWithoutRecovery) {
-  // A day above outage_below but below degraded_below leaves OUTAGE for
+  // A day above kOutageBelow but below kDegradedBelow leaves OUTAGE for
   // RECOVERING, yet never accumulates the good streak needed to reach OK.
-  HealthTracker t(fsm_cfg());
+  HealthTracker t;
   t.step(0.0);
   t.step(0.0);
   ASSERT_EQ(t.state(), HealthState::kOutage);
@@ -234,26 +228,20 @@ TEST(HealthTracker, ModerateDaysHoldRecoveringWithoutRecovery) {
 
 // --- imputation --------------------------------------------------------------
 
-ValidatorConfig imputer_cfg() {
-  ValidatorConfig cfg;
-  cfg.staleness_cap_days = 3;
-  return cfg;
-}
-
 TEST(Imputer, CarryForwardWithinStalenessCap) {
-  Imputer imp(2, 1, imputer_cfg());
+  Imputer imp(2, 1);
   imp.begin_day(0);
   imp.observe(0, 0, 5.0);
-  imp.begin_day(2);
+  imp.begin_day(kStalenessCapDays);  // exactly at the cap
   EXPECT_TRUE(imp.carry_fresh(0, 0));
   EXPECT_DOUBLE_EQ(imp.impute(0, 0), 5.0);
-  imp.begin_day(4);  // 4 days stale > cap of 3
+  imp.begin_day(kStalenessCapDays + 1);  // one day past it
   EXPECT_FALSE(imp.carry_fresh(0, 0));
 }
 
 TEST(Imputer, GroupMedianUsesDayCrossSection) {
   // eNodeB 3 has never reported, so there is nothing to carry forward.
-  Imputer imp(4, 1, imputer_cfg());
+  Imputer imp(4, 1);
   imp.begin_day(0);
   imp.observe(0, 0, 1.0);
   imp.observe(1, 0, 2.0);
@@ -262,7 +250,7 @@ TEST(Imputer, GroupMedianUsesDayCrossSection) {
 }
 
 TEST(Imputer, GroupMedianFallsBackToCarryWhenDayIsThin) {
-  Imputer imp(4, 1, imputer_cfg());
+  Imputer imp(4, 1);
   imp.begin_day(0);
   imp.observe(3, 0, 7.0);
   imp.begin_day(1);
@@ -373,9 +361,7 @@ TEST(Pipeline, EmitsHealthTransitionAndQuarantineEvents) {
   spec.seed = 7;
 
   obs::EventLog log;
-  IngestConfig cfg;
-  cfg.events = &log;
-  const IngestResult res = ingest_stream(ds, inject_faults(ds, spec), cfg);
+  const IngestResult res = ingest_stream(ds, inject_faults(ds, spec), &log);
   ASSERT_FALSE(log.empty());
 
   int transitions = 0, quarantines = 0, into_outage = 0;
@@ -401,9 +387,7 @@ TEST(Pipeline, EmitsHealthTransitionAndQuarantineEvents) {
   // The event stream is a pure function of the input: re-ingesting the
   // same faulted stream reproduces it byte-for-byte.
   obs::EventLog log2;
-  IngestConfig cfg2;
-  cfg2.events = &log2;
-  ingest_stream(ds, inject_faults(ds, spec), cfg2);
+  ingest_stream(ds, inject_faults(ds, spec), &log2);
   EXPECT_EQ(obs::EventLog::to_jsonl(log2.events(), false),
             obs::EventLog::to_jsonl(log.events(), false));
 }

@@ -174,12 +174,22 @@ TEST(NetProtocol, BadMagicBadVersionCrcFlipUnknownTypeAllTyped) {
     dec.feed(bytes);
     EXPECT_THROW(dec.next(), ProtocolError);
   }
-  {  // oversized payload_len against a small bound
-    FrameDecoder dec(/*max_frame_bytes=*/16);
-    const Frame big{MsgType::kPredict, 1,
-                    std::vector<std::uint8_t>(64, 0xAB)};
+  // A bare header announcing a payload of `len` bytes (little-endian).
+  const auto header_of = [&good](std::uint32_t len) {
+    std::vector<std::uint8_t> header(good.begin(), good.begin() + kHeaderBytes);
+    for (int i = 0; i < 4; ++i)
+      header[kHeaderBytes - 8 + i] = static_cast<std::uint8_t>(len >> (8 * i));
+    return header;
+  };
+  {  // a payload of exactly the frame bound is awaited
+    FrameDecoder dec;
+    dec.feed(header_of(static_cast<std::uint32_t>(kMaxFrameBytes)));
+    EXPECT_FALSE(dec.next().has_value());
+  }
+  {  // one byte over the frame bound
+    FrameDecoder dec;
     try {
-      dec.feed(encode_frame(big));
+      dec.feed(header_of(static_cast<std::uint32_t>(kMaxFrameBytes + 1)));
       FAIL() << "oversized frame accepted";
     } catch (const ProtocolError& e) {
       EXPECT_EQ(e.code(), ErrorCode::kOversized);

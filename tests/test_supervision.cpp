@@ -43,7 +43,7 @@ std::vector<obs::EventKind> kinds(const ShardSupervisor& sup) {
 
 TEST(ShardSupervisor, BackoffDoublesPerConsecutiveFailure) {
   ShardSupervisor sup =
-      make_supervisor({.max_retries = 4, .backoff_base_steps = 3});
+      make_supervisor({.max_retries = 4});
   std::uint64_t step = 10;
   for (int k = 1; k <= 4; ++k) {
     SCOPED_TRACE("failure " + std::to_string(k));
@@ -51,8 +51,8 @@ TEST(ShardSupervisor, BackoffDoublesPerConsecutiveFailure) {
     sup.on_failure(step, 0, "boom");
     EXPECT_EQ(sup.health(), ShardHealth::kFaulted);
     EXPECT_EQ(stats_of(sup).consecutive_failures, k);
-    // base * 2^(k-1) skipped steps, then the retry at backoff_until.
-    const std::uint64_t want = step + 1 + (3ULL << (k - 1));
+    // 2^(k-1) skipped steps, then the retry at backoff_until.
+    const std::uint64_t want = step + 1 + (1ULL << (k - 1));
     EXPECT_EQ(stats_of(sup).backoff_until, want);
     EXPECT_FALSE(sup.due(want - 1));
     EXPECT_TRUE(sup.due(want));
@@ -64,7 +64,7 @@ TEST(ShardSupervisor, BackoffDoublesPerConsecutiveFailure) {
 
 TEST(ShardSupervisor, QuarantinesOnFailureMaxRetriesPlusOne) {
   ShardSupervisor sup =
-      make_supervisor({.max_retries = 2, .backoff_base_steps = 1});
+      make_supervisor({.max_retries = 2});
   sup.on_failure(0, 5, "a");
   sup.on_failure(stats_of(sup).backoff_until, 5, "b");
   EXPECT_EQ(sup.health(), ShardHealth::kFaulted);
@@ -84,7 +84,7 @@ TEST(ShardSupervisor, QuarantinesOnFailureMaxRetriesPlusOne) {
 
 TEST(ShardSupervisor, InitFailureQuarantinesAtOnce) {
   ShardSupervisor sup =
-      make_supervisor({.max_retries = 5, .backoff_base_steps = 1});
+      make_supervisor({.max_retries = 5});
   sup.on_failure(0, 7, "bad data", /*init=*/true);
   EXPECT_TRUE(sup.quarantined());
   EXPECT_EQ(stats_of(sup).consecutive_failures, 1);
@@ -104,7 +104,7 @@ TEST(ShardSupervisor, InitFailureQuarantinesAtOnce) {
 
 TEST(ShardSupervisor, RecoveryResetsConsecutiveFailures) {
   ShardSupervisor sup =
-      make_supervisor({.max_retries = 3, .backoff_base_steps = 1});
+      make_supervisor({.max_retries = 3});
   sup.on_success(0, 1);  // healthy: nothing to recover from
   EXPECT_TRUE(sup.events().empty());
   sup.on_failure(0, 1, "x");

@@ -76,29 +76,35 @@ TEST(TsdbStore, DownsamplingGoldens) {
 }
 
 TEST(TsdbStore, RingBuffersWrapAroundKeepingTheNewest) {
-  StoreConfig cfg;
-  cfg.raw_capacity = 8;
-  cfg.agg10_capacity = 2;
-  cfg.agg100_capacity = 1;
-  Store store(cfg);
-  for (std::uint64_t s = 0; s < 40; ++s)
+  // Enough steps to wrap every tier, ending 40 steps into an open
+  // 100-step bucket.
+  const std::uint64_t n = 100 * (Store::kAgg100Capacity + 1) + 40;
+  Store store;
+  for (std::uint64_t s = 0; s < n; ++s)
     store.record("m", "", s, static_cast<double>(s));
 
   const auto raw = store.query({"m", "", 0, ~0ULL, Resolution::kRaw, 16});
-  ASSERT_EQ(raw.series[0].steps.size(), 8u);  // newest 8 survive
-  EXPECT_EQ(raw.series[0].steps.front(), 32u);
-  EXPECT_EQ(raw.series[0].steps.back(), 39u);
+  ASSERT_EQ(raw.series[0].steps.size(), Store::kRawCapacity);  // the newest
+  EXPECT_EQ(raw.series[0].steps.front(), n - Store::kRawCapacity);
+  EXPECT_EQ(raw.series[0].steps.back(), n - 1);
 
+  const std::uint64_t last_ten = (n - 1) - (n - 1) % 10;
   const auto ten =
       store.query({"m", "", 0, ~0ULL, Resolution::kTenStep, 16});
-  ASSERT_EQ(ten.series[0].steps.size(), 2u);  // buckets 20 and 30
-  EXPECT_EQ(ten.series[0].steps[0], 20u);
-  EXPECT_EQ(ten.series[0].steps[1], 30u);
+  ASSERT_EQ(ten.series[0].steps.size(), Store::kAgg10Capacity);
+  EXPECT_EQ(ten.series[0].steps.front(),
+            last_ten - 10 * (Store::kAgg10Capacity - 1));
+  EXPECT_EQ(ten.series[0].steps.back(), last_ten);
 
+  const std::uint64_t last_hundred = (n - 1) - (n - 1) % 100;
   const auto hundred =
       store.query({"m", "", 0, ~0ULL, Resolution::kHundredStep, 16});
-  ASSERT_EQ(hundred.series[0].steps.size(), 1u);
-  EXPECT_EQ(hundred.series[0].counts[0], 40u);  // still-open bucket 0
+  ASSERT_EQ(hundred.series[0].steps.size(), Store::kAgg100Capacity);
+  EXPECT_EQ(hundred.series[0].steps.front(),
+            last_hundred - 100 * (Store::kAgg100Capacity - 1));
+  EXPECT_EQ(hundred.series[0].steps.back(), last_hundred);
+  EXPECT_EQ(hundred.series[0].counts.front(), 100u);
+  EXPECT_EQ(hundred.series[0].counts.back(), 40u);  // still-open bucket
 }
 
 TEST(TsdbStore, QueryMatchersAndTruncation) {
@@ -138,15 +144,15 @@ TEST(TsdbStore, QueryMatchersAndTruncation) {
 }
 
 TEST(TsdbStore, RefusesBadSamplesAndCountsThem) {
-  StoreConfig cfg;
-  cfg.max_series = 1;
-  Store store(cfg);
+  Store store;
   store.record("a", "", 1, 1.0);
   store.record("a", "", 2, std::numeric_limits<double>::quiet_NaN());
   store.record("a", "", 0, 9.0);  // out-of-order step
+  for (std::size_t i = 1; i < Store::kMaxSeries; ++i)
+    store.record("f" + std::to_string(i), "", 1, 1.0);
   store.record("b", "", 3, 1.0);  // series cap hit
-  EXPECT_EQ(store.num_series(), 1u);
-  EXPECT_EQ(store.samples_recorded(), 1u);
+  EXPECT_EQ(store.num_series(), Store::kMaxSeries);
+  EXPECT_EQ(store.samples_recorded(), Store::kMaxSeries);
   EXPECT_EQ(store.samples_dropped(), 3u);
   const auto q = store.query({"a", "", 0, ~0ULL, Resolution::kRaw, 16});
   ASSERT_EQ(q.series[0].steps.size(), 1u);
@@ -228,9 +234,9 @@ TEST(TsdbMetaDrift, DistributionShiftFiresHoldsThenDecays) {
     EXPECT_NE(e.detail.find("tick="), std::string::npos);
   }
 
-  // After hold_ticks quiet ticks the rule stops contributing.
+  // After kHoldTicks quiet ticks the rule stops contributing.
   const std::uint64_t last_tick = t - 1;
-  EXPECT_EQ(md.state(last_tick + md.config().hold_ticks + 1), 0);
+  EXPECT_EQ(md.state(last_tick + MetaDrift::kHoldTicks + 1), 0);
 }
 
 TEST(TsdbMetaDrift, SaveLoadContinuesTheExactTrajectory) {
