@@ -106,6 +106,7 @@
 #include "common/calendar.hpp"
 #include "common/csv.hpp"
 #include "common/rng.hpp"
+#include "common/spec.hpp"
 #include "core/experiment.hpp"
 #include "data/generator.hpp"
 #include "models/factory.hpp"
@@ -229,7 +230,9 @@ std::vector<std::string> split_csv(const std::string& s) {
 // One option table serves every mode: a FlagSpec binds a flag name to the
 // variable it fills, so the per-mode "parse loop" is just the table.
 // Value-taking flags with a missing value and unknown flags keep the
-// historical strict behavior: usage() and exit code 2.
+// historical strict behavior: usage() and exit code 2.  Numeric values
+// follow the spec::uint_in rules (digits only, in range); a bad one
+// names its flag and exits 2.
 
 enum class FlagKind { kString, kInt, kU64, kU32, kBool };
 
@@ -240,7 +243,8 @@ struct FlagSpec {
 };
 
 /// Tries argv[i] against the table; consumes the flag's value (advancing
-/// i) on a match.  Exits 2 when a value-taking flag ends the argv.
+/// i) on a match.  Exits 2 when a value-taking flag ends the argv or its
+/// numeric value is malformed or out of range.
 bool parse_flag(const std::vector<FlagSpec>& flags, int argc, char** argv,
                 int& i) {
   const std::string arg = argv[i];
@@ -254,21 +258,30 @@ bool parse_flag(const std::vector<FlagSpec>& flags, int argc, char** argv,
       usage(argv[0]);
       std::exit(2);
     }
-    const char* value = argv[++i];
+    const std::string value = argv[++i];
+    const auto number = [&](std::uint64_t hi) {
+      try {
+        return spec::uint_in("leafctl", f.name, value, 0, hi);
+      } catch (const std::invalid_argument& e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        std::exit(2);
+      }
+    };
     switch (f.kind) {
       case FlagKind::kString:
         *static_cast<std::string*>(f.target) = value;
         break;
       case FlagKind::kInt:
-        *static_cast<int*>(f.target) = std::atoi(value);
+        *static_cast<int*>(f.target) = static_cast<int>(
+            number(static_cast<std::uint64_t>(std::numeric_limits<int>::max())));
         break;
       case FlagKind::kU64:
         *static_cast<std::uint64_t*>(f.target) =
-            std::strtoull(value, nullptr, 10);
+            number(std::numeric_limits<std::uint64_t>::max());
         break;
       case FlagKind::kU32:
         *static_cast<std::uint32_t*>(f.target) = static_cast<std::uint32_t>(
-            std::strtoul(value, nullptr, 10));
+            number(std::numeric_limits<std::uint32_t>::max()));
         break;
       case FlagKind::kBool:
         break;  // handled above

@@ -81,12 +81,6 @@ std::size_t Rng::index(std::size_t n) {
   }
 }
 
-std::int64_t Rng::integer(std::int64_t lo, std::int64_t hi) {
-  assert(lo <= hi);
-  return lo + static_cast<std::int64_t>(
-                  index(static_cast<std::size_t>(hi - lo + 1)));
-}
-
 double Rng::normal() {
   if (has_cached_normal_) {
     has_cached_normal_ = false;
@@ -107,35 +101,7 @@ double Rng::normal() {
 
 double Rng::normal(double mean, double stddev) { return mean + stddev * normal(); }
 
-double Rng::exponential(double rate) {
-  assert(rate > 0.0);
-  double u = 0.0;
-  do {
-    u = uniform();
-  } while (u <= 0.0);
-  return -std::log(u) / rate;
-}
-
 bool Rng::bernoulli(double p) { return uniform() < p; }
-
-std::uint64_t Rng::poisson(double mean) {
-  assert(mean >= 0.0);
-  if (mean == 0.0) return 0;
-  if (mean < 30.0) {
-    // Knuth's multiplicative method.
-    const double limit = std::exp(-mean);
-    double prod = uniform();
-    std::uint64_t n = 0;
-    while (prod > limit) {
-      ++n;
-      prod *= uniform();
-    }
-    return n;
-  }
-  // Normal approximation, adequate for the synthetic workloads here.
-  const double draw = normal(mean, std::sqrt(mean));
-  return draw <= 0.0 ? 0 : static_cast<std::uint64_t>(std::llround(draw));
-}
 
 double Rng::lognormal(double mu, double sigma) {
   return std::exp(normal(mu, sigma));
@@ -151,22 +117,6 @@ double Rng::heavy_tail(double dof) {
     chi2 += z * z;
   }
   return normal() / std::sqrt(chi2 / static_cast<double>(k));
-}
-
-std::size_t Rng::weighted_index(std::span<const double> weights) {
-  assert(!weights.empty());
-  double total = 0.0;
-  for (double w : weights) {
-    assert(w >= 0.0);
-    total += w;
-  }
-  if (total <= 0.0) return index(weights.size());
-  double target = uniform() * total;
-  for (std::size_t i = 0; i + 1 < weights.size(); ++i) {
-    target -= weights[i];
-    if (target < 0.0) return i;
-  }
-  return weights.size() - 1;
 }
 
 std::vector<std::size_t> Rng::sample_without_replacement(std::size_t n,

@@ -76,29 +76,18 @@ class Rng {
   double uniform(double lo, double hi);
   /// Uniform integer in [0, n).  Requires n > 0.
   std::size_t index(std::size_t n);
-  /// Uniform integer in [lo, hi] inclusive.
-  std::int64_t integer(std::int64_t lo, std::int64_t hi);
   /// Standard normal via Box–Muller (cached second deviate).
   double normal();
   /// Normal with the given mean / standard deviation.
   double normal(double mean, double stddev);
-  /// Exponential with the given rate (lambda > 0).
-  double exponential(double rate);
   /// Bernoulli trial.
   bool bernoulli(double p);
-  /// Poisson-distributed count (Knuth for small means, normal approx for
-  /// large means).  Mean must be >= 0.
-  std::uint64_t poisson(double mean);
   /// Log-normal: exp(Normal(mu, sigma)).
   double lognormal(double mu, double sigma);
   /// Student-t-ish heavy-tailed draw used for bursty KPI noise: a normal
   /// divided by sqrt of an averaged chi-square with `dof` degrees of
   /// freedom.  Small `dof` => heavy tails.
   double heavy_tail(double dof);
-
-  /// Samples an index in [0, weights.size()) proportionally to
-  /// non-negative `weights`.  All-zero weights degrade to uniform.
-  std::size_t weighted_index(std::span<const double> weights);
 
   /// Fisher–Yates shuffle.
   template <typename T>

@@ -10,8 +10,10 @@
 # their calls too.  Every leaf:: function defined in a src/ static library
 # but absent from all program binaries is printed (a lambda goes with the
 # function that defines it).  Names listed in tools/unreached_symbols.allow,
-# each paired with the test that uses it, are skipped.  Exits 1 if anything
-# is printed.  Takes about a minute on 4 cores.
+# each paired with the test that uses it, are skipped; an allowlist line
+# whose symbol no src/ library defines, or that a program now links, is
+# printed as stale.  Exits 1 if anything is printed.  Takes about a minute
+# on 4 cores.
 #
 # An inline function that nothing calls is never emitted at all, so this
 # audit cannot see it: search for those by name.
@@ -56,7 +58,21 @@ unreached=$(comm -23 <(functions "${libs[@]}") <(functions "${bins[@]}") |
   c++filt | grep -E '^([^ (]+ )?leaf::' | grep -vF '::{lambda(' | sort -u |
   grep -vxF -f <(allowed; echo '') || true)
 
-if [[ -n "$unreached" ]]; then
-  echo "$unreached"
+# An allowlist line outlives its reason once the function is deleted or a
+# program starts linking it.
+lib_names=$(functions "${libs[@]}" | c++filt | sort -u)
+bin_names=$(functions "${bins[@]}" | c++filt | sort -u)
+stale=""
+while IFS= read -r sym; do
+  if ! grep -qxF -- "$sym" <<<"$lib_names"; then
+    stale+="stale allowlist entry, no src/ library defines it: $sym"$'\n'
+  elif grep -qxF -- "$sym" <<<"$bin_names"; then
+    stale+="stale allowlist entry, a program links it: $sym"$'\n'
+  fi
+done < <(allowed)
+
+if [[ -n "$unreached" || -n "$stale" ]]; then
+  [[ -z "$unreached" ]] || echo "$unreached"
+  printf '%s' "$stale"
   exit 1
 fi
