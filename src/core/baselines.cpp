@@ -11,16 +11,15 @@ namespace leaf::core {
 
 namespace {
 
-// Paired Learners.
-/// Number of recent evaluation steps compared.
-constexpr int kComparisonWindow = 20;
+/// Paired Learners: number of recent evaluation steps compared.
+constexpr std::size_t kComparisonWindow = 20;
 /// Replace when the reactive learner wins more than this fraction.
 constexpr double kReplaceThreshold = 0.65;
 /// The reactive learner is refit every `kRefitEvery` evaluation steps
 /// (each refit costs one model training, like a periodic scheme's).
 constexpr int kRefitEvery = 4;
 
-// AUE2: keeps member weights 1 / (MSE + kEps) finite on a perfect fit.
+/// AUE2: keeps member weights 1 / (MSE + kEps) finite on a perfect fit.
 constexpr double kEps = 1e-12;
 
 }  // namespace
@@ -59,10 +58,8 @@ std::optional<data::SupervisedSet> PairedLearnersScheme::on_step(
       metrics::nrmse(reactive_->predict(probe.X), probe.y, range);
 
   reactive_wins_.push_back(reactive_err < stable_err);
-  if (static_cast<int>(reactive_wins_.size()) > kComparisonWindow)
-    reactive_wins_.pop_front();
-  if (static_cast<int>(reactive_wins_.size()) < kComparisonWindow)
-    return std::nullopt;
+  if (reactive_wins_.size() > kComparisonWindow) reactive_wins_.pop_front();
+  if (reactive_wins_.size() < kComparisonWindow) return std::nullopt;
 
   int wins = 0;
   for (bool w : reactive_wins_) wins += w;
@@ -126,10 +123,7 @@ std::optional<data::SupervisedSet> Aue2Scheme::on_step(
             [&](std::size_t a, std::size_t b) { return weights[a] > weights[b]; });
   members_.clear();
   member_weights_.clear();
-  for (std::size_t i = 0;
-       i < std::min<std::size_t>(order.size(),
-                                 static_cast<std::size_t>(kMaxMembers));
-       ++i) {
+  for (std::size_t i = 0; i < std::min(order.size(), kMaxMembers); ++i) {
     members_.push_back(pool[order[i]]);
     member_weights_.push_back(weights[order[i]]);
   }

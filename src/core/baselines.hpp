@@ -41,7 +41,7 @@ class PairedLearnersScheme final : public MitigationScheme {
 class Aue2Scheme final : public MitigationScheme {
  public:
   static constexpr int kChunkDays = 30;
-  static constexpr int kMaxMembers = 5;
+  static constexpr std::size_t kMaxMembers = 5;
 
   void reset() override;
   std::optional<data::SupervisedSet> on_step(const SchemeContext& ctx) override;

@@ -47,8 +47,8 @@ struct LeafConfig {
   /// over-sampling from the months-long pool.
   double forget_strength_high = 0.3;
   /// Age-based forgetting (low-dispersion path): samples whose *target*
-  /// day is older than the over-sampling pool's window also face this drop probability per
-  /// mitigation round, regardless of bin error.  Under multiplicative
+  /// day is older than the over-sampling pool's window also face this drop
+  /// probability per mitigation round, regardless of bin error.  Under multiplicative
   /// growth, very old samples sit in low-error bins (the fresh data
   /// dominates those bins) yet still drag the fitted level down; this term
   /// drains them over successive retrains.

@@ -7,9 +7,9 @@ namespace leaf::drift {
 
 namespace {
 
-constexpr double kDelta = 0.002;  ///< confidence parameter
-constexpr int kMaxBuckets = 5;    ///< buckets per exponential row
-constexpr int kMinWindow = 10;    ///< don't test below this many samples
+constexpr double kDelta = 0.002;          ///< confidence parameter
+constexpr std::size_t kMaxBuckets = 5;    ///< buckets per exponential row
+constexpr std::uint64_t kMinWindow = 10;  ///< samples before any cut test
 /// Run the (O(buckets^2)) cut test every this many updates.
 constexpr int kCheckPeriod = 4;
 
@@ -35,7 +35,7 @@ void Adwin::insert(double value) {
 void Adwin::compress() {
   for (std::size_t level = 0; level < rows_.size(); ++level) {
     auto& row = rows_[level];
-    if (static_cast<int>(row.size()) <= kMaxBuckets) break;
+    if (row.size() <= kMaxBuckets) break;
     // Merge the two oldest buckets of this row into the next row.
     Bucket b2 = row.back();
     row.pop_back();
@@ -81,7 +81,7 @@ void Adwin::drop_oldest_bucket() {
 }
 
 bool Adwin::detect_cut() {
-  if (total_count_ < static_cast<std::uint64_t>(kMinWindow)) return false;
+  if (total_count_ < kMinWindow) return false;
 
   bool drift = false;
   bool reduced = true;

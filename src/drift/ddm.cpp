@@ -14,11 +14,11 @@ constexpr double kBinarizeAlpha = 0.005;
 constexpr double kBinarizeK = 2.0;
 
 // DDM.
-constexpr int kDdmMinSamples = 30;
+constexpr std::uint64_t kDdmMinSamples = 30;
 constexpr double kDdmDriftLevel = 3.0;
 
 // EDDM.
-constexpr int kEddmMinErrors = 30;
+constexpr std::uint64_t kEddmMinErrors = 30;
 constexpr double kEddmDriftThreshold = 0.9;
 
 // HDDM-A.
@@ -26,7 +26,7 @@ constexpr double kHddmDriftConfidence = 0.001;
 
 // Page-Hinkley.
 constexpr double kPhForgetting = 0.9999;
-constexpr int kPhMinSamples = 30;
+constexpr std::uint64_t kPhMinSamples = 30;
 
 }  // namespace
 
@@ -43,7 +43,7 @@ bool Ddm::update(double value) {
   p_ += (static_cast<double>(error) - p_) / static_cast<double>(n_);
   s_ = std::sqrt(p_ * (1.0 - p_) / static_cast<double>(n_));
 
-  if (n_ < static_cast<std::uint64_t>(kDdmMinSamples)) return false;
+  if (n_ < kDdmMinSamples) return false;
 
   if (p_ + s_ < p_min_ + s_min_) {
     p_min_ = p_;
@@ -91,7 +91,7 @@ bool Eddm::update(double value) {
     ++num_errors_;
   }
   last_error_t_ = t_;
-  if (num_errors_ < static_cast<std::uint64_t>(kEddmMinErrors)) return false;
+  if (num_errors_ < kEddmMinErrors) return false;
 
   const double var = num_errors_ > 2
                          ? dist_m2_ / static_cast<double>(num_errors_ - 2)
@@ -199,7 +199,7 @@ bool PageHinkley::update(double value) {
   if (n_ == 1) mean_ = value;
   cum_ += value - mean_ - cfg_.delta;
   cum_min_ = std::min(cum_min_, cum_);
-  if (n_ < static_cast<std::uint64_t>(kPhMinSamples)) return false;
+  if (n_ < kPhMinSamples) return false;
   if (cum_ - cum_min_ > cfg_.lambda) {
     const double m = mean_;
     reset();

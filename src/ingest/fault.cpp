@@ -26,7 +26,7 @@ constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
 /// Fraction of KPI columns a NaN / spike / stuck corruption touches.
 constexpr double kCorruptColsFraction = 0.25;
 /// Factor a spike multiplies its columns by.
-constexpr double kSpikeMagnitude = 50.0;
+constexpr float kSpikeMagnitude = 50.0f;
 /// Length of the day blocks a stuck-at-zero run is decided for.
 constexpr int kStuckRunDays = 10;
 /// Farthest a late record is displaced, in days of records.
@@ -106,8 +106,8 @@ std::vector<TelemetryRecord> inject_faults(const data::CellularDataset& ds,
         corrupt_columns(rec.kpis, rng, [](float) { return kNaN; });
       }
       if (rng.bernoulli(spec.spike_rate)) {
-        const float mag = static_cast<float>(kSpikeMagnitude);
-        corrupt_columns(rec.kpis, rng, [mag](float v) { return v * mag; });
+        corrupt_columns(rec.kpis, rng,
+                        [](float v) { return v * kSpikeMagnitude; });
       }
       if (spec.outage_column >= 0 && d >= spec.outage_start &&
           d <= spec.outage_end &&

@@ -164,9 +164,9 @@ TEST(Aue2, MemberCountCapped) {
                                     core::make_eval_config(tiny_scale()));
   // Many more chunks than members: the ensemble fills up to the cap and
   // stays there.
-  ASSERT_GT(run.retrain_count(), 2 * core::Aue2Scheme::kMaxMembers);
-  EXPECT_EQ(scheme.member_count(),
-            static_cast<std::size_t>(core::Aue2Scheme::kMaxMembers));
+  ASSERT_GT(static_cast<std::size_t>(run.retrain_count()),
+            2 * core::Aue2Scheme::kMaxMembers);
+  EXPECT_EQ(scheme.member_count(), core::Aue2Scheme::kMaxMembers);
 }
 
 TEST(Aue2, MitigatesRelativeToStatic) {
