@@ -272,8 +272,8 @@ bool parse_flag(const std::vector<FlagSpec>& flags, int argc, char** argv,
         *static_cast<std::string*>(f.target) = value;
         break;
       case FlagKind::kInt:
-        *static_cast<int*>(f.target) = static_cast<int>(
-            number(static_cast<std::uint64_t>(std::numeric_limits<int>::max())));
+        *static_cast<int*>(f.target) =
+            static_cast<int>(number(std::numeric_limits<int>::max()));
         break;
       case FlagKind::kU64:
         *static_cast<std::uint64_t*>(f.target) =

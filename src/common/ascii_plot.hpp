@@ -42,7 +42,8 @@ struct HeatMapOptions {
 };
 
 /// Renders a matrix as an ASCII heat map, downsampling by averaging when
-/// the matrix exceeds the character budget (120 columns by 40 rows).  NaN cells render as '.'.
+/// the matrix exceeds the character budget (120 columns by 40 rows).  NaN
+/// cells render as '.'.
 std::string heat_map(const Matrix& values, const HeatMapOptions& opts = {});
 
 /// Renders a horizontal bar chart (used for feature-importance rankings).

@@ -47,11 +47,11 @@ struct LeafConfig {
   /// over-sampling from the months-long pool.
   double forget_strength_high = 0.3;
   /// Age-based forgetting (low-dispersion path): samples whose *target*
-  /// day is older than the over-sampling pool's window also face this drop
-  /// probability per mitigation round, regardless of bin error.  Under multiplicative
-  /// growth, very old samples sit in low-error bins (the fresh data
-  /// dominates those bins) yet still drag the fitted level down; this term
-  /// drains them over successive retrains.
+  /// day is older than the over-sampling pool's window also face this
+  /// drop probability per mitigation round, regardless of bin error.
+  /// Under multiplicative growth, very old samples sit in low-error bins
+  /// (the fresh data dominates those bins) yet still drag the fitted level
+  /// down; this term drains them over successive retrains.
   double forget_age_prob = 0.35;
   /// Over-sampling weight floor (fraction of the max bin error) so every
   /// region of the latest window keeps some representation.

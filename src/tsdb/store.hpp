@@ -87,10 +87,14 @@ class Store {
  public:
   // Ring-buffer and retention bounds: ~5k steps of history per series
   // across the three tiers in a few KB.
-  static constexpr std::size_t kRawCapacity = 512;  ///< raw samples per series
-  static constexpr std::size_t kAgg10Capacity = 256;   ///< 10-step buckets
-  static constexpr std::size_t kAgg100Capacity = 128;  ///< 100-step buckets
-  static constexpr std::size_t kMaxSeries = 512;  ///< excess names dropped
+  /// Raw samples kept per series.
+  static constexpr std::size_t kRawCapacity = 512;
+  /// 10-step buckets kept per series.
+  static constexpr std::size_t kAgg10Capacity = 256;
+  /// 100-step buckets kept per series.
+  static constexpr std::size_t kAgg100Capacity = 128;
+  /// Series cap; samples for further names are dropped.
+  static constexpr std::size_t kMaxSeries = 512;
 
   /// Records one sample for (name, labels) at logical step `step`.
   /// Non-finite values are dropped (a telemetry fault is not a data

@@ -149,7 +149,7 @@ TEST(TsdbStore, RefusesBadSamplesAndCountsThem) {
   store.record("a", "", 2, std::numeric_limits<double>::quiet_NaN());
   store.record("a", "", 0, 9.0);  // out-of-order step
   for (std::size_t i = 1; i < Store::kMaxSeries; ++i)
-    store.record("f" + std::to_string(i), "", 1, 1.0);
+    store.record(std::to_string(i), "", 1, 1.0);
   store.record("b", "", 3, 1.0);  // series cap hit
   EXPECT_EQ(store.num_series(), Store::kMaxSeries);
   EXPECT_EQ(store.samples_recorded(), Store::kMaxSeries);
