@@ -12,12 +12,14 @@
 
 #include "common/config.hpp"
 #include "common/fnv.hpp"
+#include "common/matrix.hpp"
 #include "common/rng.hpp"
 #include "core/baselines.hpp"
 #include "core/experiment.hpp"
 #include "data/generator.hpp"
 #include "drift/adwin.hpp"
 #include "drift/ddm.hpp"
+#include "explain/grouping.hpp"
 #include "ingest/fault.hpp"
 #include "ingest/pipeline.hpp"
 #include "models/factory.hpp"
@@ -156,6 +158,52 @@ TEST(SettingGoldens, DetectorsIngestAndBaselinesMatchRecordedDefaults) {
   core::Aue2Scheme aue2;
   EXPECT_EQ(result_fingerprint(core::run_scheme(f, *model, aue2, ecfg)),
             0xf1ab8e4e82032d2ULL);
+}
+
+/// 4500 rows (past the grouping's 4000-row correlation sample, so every
+/// second row is used) of eight columns whose |Pearson| with their group's
+/// representative straddles the 0.7 threshold.  Column 4 copies column 3
+/// on even rows only, so it correlates with it far more on the sample than
+/// on all rows.
+Matrix grouping_matrix() {
+  Rng rng(31);
+  Matrix X(4500, 8);
+  for (std::size_t r = 0; r < X.rows(); ++r) {
+    const double a = rng.normal();
+    const double b = rng.normal();
+    X(r, 0) = a;
+    X(r, 1) = a + 0.9 * rng.normal();
+    X(r, 2) = a + 1.1 * rng.normal();
+    X(r, 3) = b;
+    X(r, 4) = r % 2 == 0 ? b : rng.normal();
+    X(r, 5) = -b + 0.95 * rng.normal();
+    X(r, 6) = rng.normal();
+    X(r, 7) = 0.6 * a + 0.8 * b;
+  }
+  return X;
+}
+
+/// Each group's members, representative first.
+std::vector<std::vector<int>> members(
+    const std::vector<explain::FeatureGroup>& groups) {
+  std::vector<std::vector<int>> out;
+  for (const explain::FeatureGroup& g : groups) {
+    EXPECT_EQ(g.members.front(), g.representative);
+    out.push_back(g.members);
+  }
+  return out;
+}
+
+TEST(SettingGoldens, GroupingMatchesRecordedDefaults) {
+  const Matrix X = grouping_matrix();
+  const std::vector<double> importance = {0.9, 0.5, 0.4, 0.8,
+                                          0.3, 0.2, 0.1, 0.6};
+  explain::GroupingConfig cfg;
+  EXPECT_EQ(members(explain::group_features(X, importance, cfg)),
+            (std::vector<std::vector<int>>{{0, 1}, {3, 4, 5, 7}, {2}, {6}}));
+  cfg.max_groups = 3;
+  EXPECT_EQ(members(explain::group_features(X, importance, cfg)),
+            (std::vector<std::vector<int>>{{0, 1}, {3, 4, 5, 7}, {2}}));
 }
 
 }  // namespace
