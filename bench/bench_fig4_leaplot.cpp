@@ -62,10 +62,8 @@ int main() {
   for (std::size_t c = static_cast<std::size_t>(featurizer.num_kpi_features());
        c < kpi_importance.size(); ++c)
     kpi_importance[c] = 0.0;
-  explain::GroupingConfig gcfg;
-  gcfg.max_groups = 3;
   const std::vector<explain::FeatureGroup> groups =
-      explain::group_features(early_2022.X, kpi_importance, gcfg);
+      explain::group_features(early_2022.X, kpi_importance, 3);
 
   std::printf("--- contributing factors (top %zu feature groups) ---\n",
               groups.size());

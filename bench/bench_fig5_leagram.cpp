@@ -128,7 +128,7 @@ int main() {
   auto run_with_gram = [&](core::MitigationScheme& scheme) {
     LeaGramAccumulator acc{feature, edges, {}};
     const core::EvalResult result = core::run_scheme(
-        featurizer, *model, scheme, cfg, {},
+        featurizer, *model, scheme, cfg,
         [&](int day, const data::SupervisedSet& test,
             std::span<const double> pred) {
           acc.add(day, test, pred, norm_range);

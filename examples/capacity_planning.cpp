@@ -64,9 +64,7 @@ int main() {
   for (std::size_t c = static_cast<std::size_t>(featurizer.num_kpi_features());
        c < kpi_importance.size(); ++c)
     kpi_importance[c] = 0.0;
-  explain::GroupingConfig gcfg;
-  gcfg.max_groups = 3;
-  const auto groups = explain::group_features(early_2022.X, kpi_importance, gcfg);
+  const auto groups = explain::group_features(early_2022.X, kpi_importance, 3);
 
   std::printf("\ncontributing feature groups for the early-2022 drift:\n");
   for (std::size_t g = 0; g < groups.size(); ++g) {

@@ -33,16 +33,6 @@ double dispersion(std::span<const double> xs) {
   return stddev(xs) / std::abs(m);
 }
 
-double min(std::span<const double> xs) {
-  assert(!xs.empty());
-  return *std::min_element(xs.begin(), xs.end());
-}
-
-double max(std::span<const double> xs) {
-  assert(!xs.empty());
-  return *std::max_element(xs.begin(), xs.end());
-}
-
 double quantile_sorted(std::span<const double> sorted, double q) {
   assert(!sorted.empty());
   q = std::clamp(q, 0.0, 1.0);
@@ -91,22 +81,6 @@ double skewness(std::span<const double> xs) {
   return m3 / std::pow(m2, 1.5);
 }
 
-double kurtosis(std::span<const double> xs) {
-  const std::size_t n = xs.size();
-  if (n < 4) return 0.0;
-  const double m = mean(xs);
-  double m2 = 0.0, m4 = 0.0;
-  for (double x : xs) {
-    const double d = x - m;
-    m2 += d * d;
-    m4 += d * d * d * d;
-  }
-  m2 /= static_cast<double>(n);
-  m4 /= static_cast<double>(n);
-  if (m2 <= 0.0) return 0.0;
-  return m4 / (m2 * m2) - 3.0;
-}
-
 double pearson(std::span<const double> xs, std::span<const double> ys) {
   assert(xs.size() == ys.size());
   const std::size_t n = xs.size();
@@ -122,32 +96,6 @@ double pearson(std::span<const double> xs, std::span<const double> ys) {
   }
   if (sxx <= 0.0 || syy <= 0.0) return 0.0;
   return sxy / std::sqrt(sxx * syy);
-}
-
-std::vector<double> ranks(std::span<const double> xs) {
-  const std::size_t n = xs.size();
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(),
-            [&](std::size_t a, std::size_t b) { return xs[a] < xs[b]; });
-  std::vector<double> out(n, 0.0);
-  std::size_t i = 0;
-  while (i < n) {
-    std::size_t j = i;
-    while (j + 1 < n && xs[order[j + 1]] == xs[order[i]]) ++j;
-    // Average rank for the tie group [i, j].
-    const double avg = (static_cast<double>(i) + static_cast<double>(j)) / 2.0 + 1.0;
-    for (std::size_t k = i; k <= j; ++k) out[order[k]] = avg;
-    i = j + 1;
-  }
-  return out;
-}
-
-double spearman(std::span<const double> xs, std::span<const double> ys) {
-  assert(xs.size() == ys.size());
-  const auto rx = ranks(xs);
-  const auto ry = ranks(ys);
-  return pearson(rx, ry);
 }
 
 double autocorrelation(std::span<const double> xs, std::size_t lag) {
@@ -256,56 +204,6 @@ double ks_p_value(std::span<const double> a, std::span<const double> b) {
   // Stephens' small-sample correction.
   const double lambda = (sqrt_ne + 0.12 + 0.11 / sqrt_ne) * d;
   return kolmogorov_q(lambda);
-}
-
-std::pair<double, double> linear_fit(std::span<const double> xs,
-                                     std::span<const double> ys) {
-  assert(xs.size() == ys.size());
-  const std::size_t n = xs.size();
-  if (n < 2) return {n == 1 ? ys[0] : 0.0, 0.0};
-  const double mx = mean(xs), my = mean(ys);
-  double sxy = 0.0, sxx = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    sxy += (xs[i] - mx) * (ys[i] - my);
-    sxx += (xs[i] - mx) * (xs[i] - mx);
-  }
-  if (sxx <= 0.0) return {my, 0.0};
-  const double slope = sxy / sxx;
-  return {my - slope * mx, slope};
-}
-
-void RunningStats::push(double x) {
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-void RunningStats::pop(double x) {
-  assert(n_ > 0);
-  if (n_ == 1) {
-    reset();
-    return;
-  }
-  const double old_mean = (static_cast<double>(n_) * mean_ - x) /
-                          static_cast<double>(n_ - 1);
-  m2_ -= (x - mean_) * (x - old_mean);
-  if (m2_ < 0.0) m2_ = 0.0;  // numerical floor
-  mean_ = old_mean;
-  --n_;
-}
-
-double RunningStats::variance() const {
-  if (n_ < 2) return 0.0;
-  return m2_ / static_cast<double>(n_ - 1);
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
-
-void RunningStats::reset() {
-  n_ = 0;
-  mean_ = 0.0;
-  m2_ = 0.0;
 }
 
 }  // namespace leaf::stats

@@ -6,9 +6,7 @@
 #pragma once
 
 #include <cstddef>
-#include <optional>
 #include <span>
-#include <utility>
 #include <vector>
 
 namespace leaf::stats {
@@ -26,10 +24,6 @@ double stddev(std::span<const double> xs);
 /// Returns 0 when the mean is 0.
 double dispersion(std::span<const double> xs);
 
-/// Smallest / largest element.  Both require a non-empty range.
-double min(std::span<const double> xs);
-double max(std::span<const double> xs);
-
 /// Linear-interpolation quantile, q in [0, 1].  Requires non-empty input.
 /// Does not require sorted input (copies internally).
 double quantile(std::span<const double> xs, double q);
@@ -46,15 +40,9 @@ std::vector<double> quantile_edges(std::span<const double> xs, std::size_t bins)
 /// Fisher skewness (g1); 0 for n < 3 or zero variance.
 double skewness(std::span<const double> xs);
 
-/// Excess kurtosis; 0 for n < 4 or zero variance.
-double kurtosis(std::span<const double> xs);
-
 /// Pearson correlation in [-1, 1]; 0 when either side has zero variance.
 /// Requires equal sizes.
 double pearson(std::span<const double> xs, std::span<const double> ys);
-
-/// Spearman rank correlation (average ranks for ties).
-double spearman(std::span<const double> xs, std::span<const double> ys);
 
 /// Autocorrelation of the series at the given lag; 0 when undefined.
 double autocorrelation(std::span<const double> xs, std::size_t lag);
@@ -77,33 +65,5 @@ double ks_statistic(std::span<const double> a, std::span<const double> b);
 /// Asymptotic p-value for the two-sample KS test (Kolmogorov distribution,
 /// with the Marsaglia-style effective-n correction).
 double ks_p_value(std::span<const double> a, std::span<const double> b);
-
-/// Simple linear regression y = a + b x; returns {intercept, slope}.
-/// Slope is 0 when x has zero variance.
-std::pair<double, double> linear_fit(std::span<const double> xs,
-                                     std::span<const double> ys);
-
-/// Ranks with ties assigned their average rank (1-based).
-std::vector<double> ranks(std::span<const double> xs);
-
-/// Streaming mean/variance accumulator (Welford).  The drift detectors
-/// keep their own running sums; nothing in the library uses this class.
-class RunningStats {
- public:
-  void push(double x);
-  /// Removes the effect of a previously pushed value.  Only valid when the
-  /// value was actually in the window (caller's responsibility).
-  void pop(double x);
-  std::size_t count() const { return n_; }
-  double mean() const { return n_ ? mean_ : 0.0; }
-  double variance() const;
-  double stddev() const;
-  void reset();
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-};
 
 }  // namespace leaf::stats

@@ -1,6 +1,8 @@
 #include "core/evaluation.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -104,7 +106,6 @@ Evaluation::Evaluation(const data::Featurizer& featurizer,
                        MitigationScheme& scheme, const EvalConfig& cfg,
                        obs::SpanSite& initial_fit_span,
                        obs::SpanSite& retrain_fit_span,
-                       const StepObserver& observer,
                        const PredictionSink& sink)
     : featurizer_(&featurizer),
       prototype_(&prototype),
@@ -112,7 +113,6 @@ Evaluation::Evaluation(const data::Featurizer& featurizer,
       cfg_(cfg),
       initial_fit_span_(&initial_fit_span),
       retrain_fit_span_(&retrain_fit_span),
-      observer_(observer),
       sink_(sink),
       fit_caches_(std::make_unique<models::FitCaches>()),
       detector_(cfg.detector) {}
@@ -197,7 +197,6 @@ void Evaluation::step(const RetrainGate& gate, bool force_retrain) {
     ++result_.degraded.nonfinite_errors;
     ctr.nonfinite.inc();
     emit(obs::EventKind::kNonFinite, "rows=" + std::to_string(test.size()));
-    if (observer_) observer_(day, err, false, false);
     return;
   }
   // Collection outage on this step: labels and/or features are imputed
@@ -212,7 +211,6 @@ void Evaluation::step(const RetrainGate& gate, bool force_retrain) {
     ++result_.degraded.suppressed_retrains;
     frozen_ctr.inc();
     emit(obs::EventKind::kOutageFreeze, "nrmse=" + fmt(err));
-    if (observer_) observer_(day, err, false, false);
     return;
   }
   if (sink_) sink_(day, test, pred);
@@ -298,13 +296,19 @@ void Evaluation::step(const RetrainGate& gate, bool force_retrain) {
     emit(obs::EventKind::kRetrain,
          "train_rows=" + std::to_string(train_.size()), secs);
   }
-  if (observer_) observer_(day, err, drift, retrained);
 }
 
 EvalResult Evaluation::finalized_result() const {
   EvalResult out = result_;
-  out.ne_p95 =
-      abs_ne_samples_.empty() ? 0.0 : stats::quantile(abs_ne_samples_, 0.95);
+  // An unguarded run can keep NaN samples.  NaN has no rank (sorting it
+  // breaks strict weak ordering), so the percentile is NaN as well.
+  const auto is_nan = [](double x) { return std::isnan(x); };
+  if (abs_ne_samples_.empty())
+    out.ne_p95 = 0.0;
+  else if (std::ranges::any_of(abs_ne_samples_, is_nan))
+    out.ne_p95 = std::numeric_limits<double>::quiet_NaN();
+  else
+    out.ne_p95 = stats::quantile(abs_ne_samples_, 0.95);
   if (cfg_.ingest_report != nullptr) {
     out.degraded.values_imputed = cfg_.ingest_report->values_imputed;
     out.degraded.quarantined_records = cfg_.ingest_report->quarantined_records;
@@ -376,14 +380,13 @@ void Evaluation::load(io::Deserializer& in) {
 EvalResult run_scheme(const data::Featurizer& featurizer,
                       const models::Regressor& prototype,
                       MitigationScheme& scheme, const EvalConfig& cfg,
-                      const StepObserver& observer,
                       const PredictionSink& sink) {
   static obs::SpanSite& initial_fit_span =
       obs::MetricsRegistry::global().span_site("run_scheme.initial_fit");
   static obs::SpanSite& retrain_fit_span =
       obs::MetricsRegistry::global().span_site("run_scheme.retrain_fit");
   Evaluation eval(featurizer, prototype, scheme, cfg, initial_fit_span,
-                  retrain_fit_span, observer, sink);
+                  retrain_fit_span, sink);
   eval.init();
   while (!eval.done()) eval.step();
   return eval.finalized_result();

@@ -110,15 +110,12 @@ struct EvalResult {
   int retrain_count() const { return static_cast<int>(retrain_days.size()); }
   double avg_nrmse() const;
   /// 95th percentile of |NE| across all evaluated samples (Table 7 tracks
-  /// the 95th percentile of normalized error).
+  /// the 95th percentile of normalized error); NaN when a run with
+  /// guard_nonfinite off kept a NaN sample.
   double ne_p95 = 0.0;
   /// Graceful-degradation accounting (see DegradedStats).
   DegradedStats degraded;
 };
-
-/// Optional per-step observer (used by benches that dump time-series).
-using StepObserver = std::function<void(int day, double nrmse, bool drift,
-                                        bool retrained)>;
 
 /// Optional per-step prediction sink: receives the day's test slice and
 /// the in-use model's predictions for it (used by the LEAgram bench,
@@ -137,16 +134,15 @@ using RetrainGate = std::function<bool(int day)>;
 /// paused, snapshotted, and resumed into an identical continuation.
 ///
 /// The featurizer, prototype, scheme and span sites are borrowed and must
-/// outlive the evaluation, as must whatever `cfg` points at; the observer
-/// and sink are copied.  The span sites time the initial fit and every
-/// retrain fit under caller-chosen names.
+/// outlive the evaluation, as must whatever `cfg` points at; the sink is
+/// copied.  The span sites time the initial fit and every retrain fit
+/// under caller-chosen names.
 class Evaluation {
  public:
   Evaluation(const data::Featurizer& featurizer,
              const models::Regressor& prototype, MitigationScheme& scheme,
              const EvalConfig& cfg, obs::SpanSite& initial_fit_span,
              obs::SpanSite& retrain_fit_span,
-             const StepObserver& observer = {},
              const PredictionSink& sink = {});
 
   /// Fits the initial model on the `train_window` days ending at the
@@ -196,7 +192,6 @@ class Evaluation {
   EvalConfig cfg_;
   obs::SpanSite* initial_fit_span_;
   obs::SpanSite* retrain_fit_span_;
-  StepObserver observer_;
   PredictionSink sink_;
 
   /// Heap-held so models keep a stable pointer to it across moves.
@@ -223,7 +218,6 @@ class Evaluation {
 EvalResult run_scheme(const data::Featurizer& featurizer,
                       const models::Regressor& prototype,
                       MitigationScheme& scheme, const EvalConfig& cfg,
-                      const StepObserver& observer = {},
                       const PredictionSink& sink = {});
 
 /// ΔNRMSE̅ of `mitigated` against `static_run` in percent (Eq. 1).

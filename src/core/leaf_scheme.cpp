@@ -70,11 +70,8 @@ std::optional<data::SupervisedSet> LeafScheme::on_step(
       ctx.model, latest.X, latest.y, ctx.featurizer.norm_range(), imp_rng,
       imp_cfg);
 
-  explain::GroupingConfig grp_cfg;
-  grp_cfg.corr_threshold = cfg_.corr_threshold;
-  grp_cfg.max_groups = cfg_.num_groups;
   const std::vector<explain::FeatureGroup> groups =
-      explain::group_features(latest.X, importance, grp_cfg);
+      explain::group_features(latest.X, importance, cfg_.num_groups);
   if (groups.empty()) {
     // No feature carries signal (can happen on tiny windows): fall back to
     // plain triggered behaviour rather than skipping mitigation.

@@ -79,8 +79,6 @@ struct LeafConfig {
   /// retrains than triggered.  Set huge to disable validation.
   double validation_tolerance_low = 1.3;
   double validation_tolerance_high = 1.0;
-  /// Correlation threshold for feature grouping.
-  double corr_threshold = 0.7;
   std::uint64_t seed = 99;
 };
 

@@ -6,13 +6,6 @@ namespace leaf::drift {
 
 namespace {
 
-/// EWMA binarizer parameters for DDM and EDDM (see EwmaBinarizer).  The
-/// slow adaptation rate makes a sustained level shift produce a sustained
-/// run of binarized errors, which is what DDM's cumulative error-rate test
-/// needs to fire.
-constexpr double kBinarizeAlpha = 0.005;
-constexpr double kBinarizeK = 2.0;
-
 // DDM.
 constexpr std::uint64_t kDdmMinSamples = 30;
 constexpr double kDdmDriftLevel = 3.0;
@@ -31,8 +24,6 @@ constexpr std::uint64_t kPhMinSamples = 30;
 }  // namespace
 
 // --- DDM -------------------------------------------------------------
-
-Ddm::Ddm() : binarizer_(kBinarizeAlpha, kBinarizeK) {}
 
 bool Ddm::update(double value) {
   static DetectorCounters ctrs("DDM");
@@ -71,8 +62,6 @@ void Ddm::reset() {
 }
 
 // --- EDDM ------------------------------------------------------------
-
-Eddm::Eddm() : binarizer_(kBinarizeAlpha, kBinarizeK) {}
 
 bool Eddm::update(double value) {
   static DetectorCounters ctrs("EDDM");

@@ -18,7 +18,6 @@ namespace leaf::drift {
 
 class Ddm final : public DriftDetector {
  public:
-  Ddm();
   bool update(double value) override;
   void reset() override;
   std::string name() const override { return "DDM"; }
@@ -36,7 +35,6 @@ class Ddm final : public DriftDetector {
 /// shrinking mean distance signals an increasing error rate.
 class Eddm final : public DriftDetector {
  public:
-  Eddm();
   bool update(double value) override;
   void reset() override;
   std::string name() const override { return "EDDM"; }

@@ -4,7 +4,15 @@
 
 namespace leaf::drift {
 
-EwmaBinarizer::EwmaBinarizer(double alpha, double k) : alpha_(alpha), k_(k) {}
+namespace {
+
+/// EWMA adaptation rate and flagging width.  The slow rate makes a
+/// sustained level shift produce a sustained run of binarized errors,
+/// which is what DDM's cumulative error-rate test needs to fire.
+constexpr double kAlpha = 0.005;
+constexpr double kWidth = 2.0;
+
+}  // namespace
 
 bool EwmaBinarizer::push(double value) {
   if (!primed_) {
@@ -14,10 +22,10 @@ bool EwmaBinarizer::push(double value) {
     return false;
   }
   const double deviation = value - mean_;
-  const bool flagged = deviation > k_ * std::sqrt(var_) && var_ > 0.0;
+  const bool flagged = deviation > kWidth * std::sqrt(var_) && var_ > 0.0;
   // Update after testing so a spike doesn't mask itself.
-  mean_ += alpha_ * deviation;
-  var_ = (1.0 - alpha_) * (var_ + alpha_ * deviation * deviation);
+  mean_ += kAlpha * deviation;
+  var_ = (1.0 - kAlpha) * (var_ + kAlpha * deviation * deviation);
   return flagged;
 }
 

@@ -47,17 +47,14 @@ class DriftDetector {
 
 /// Adaptive binarizer used to feed the Bernoulli-stream detectors
 /// (DDM / EDDM) a continuous error series: emits 1 when the value exceeds
-/// an exponentially-weighted mean by `k` exponentially-weighted standard
-/// deviations.  Exposed for tests.
+/// an exponentially-weighted mean (rate 0.005) by two exponentially-
+/// weighted standard deviations.  Exposed for tests.
 class EwmaBinarizer {
  public:
-  explicit EwmaBinarizer(double alpha = 0.05, double k = 2.0);
   bool push(double value);
   void reset();
 
  private:
-  double alpha_;
-  double k_;
   bool primed_ = false;
   double mean_ = 0.0;
   double var_ = 0.0;

@@ -14,11 +14,18 @@ namespace {
 /// stops when the feature has no importance value").
 constexpr double kMinImportance = 0.0;
 
+/// A feature joins a group when its |Pearson correlation| with the
+/// group's representative reaches this.
+constexpr double kCorrThreshold = 0.7;
+
+/// Correlations are estimated on at most this many rows.
+constexpr std::size_t kMaxRows = 4000;
+
 }  // namespace
 
 std::vector<FeatureGroup> group_features(const Matrix& X,
                                          std::span<const double> importance,
-                                         const GroupingConfig& cfg) {
+                                         int max_groups) {
   const std::size_t k = X.cols();
   std::vector<FeatureGroup> groups;
   if (k == 0 || importance.size() != k) return groups;
@@ -26,7 +33,7 @@ std::vector<FeatureGroup> group_features(const Matrix& X,
   // Row subsample (deterministic stride) for correlation estimation.
   const std::size_t n = X.rows();
   const std::size_t stride =
-      n > cfg.max_rows ? (n + cfg.max_rows - 1) / cfg.max_rows : 1;
+      n > kMaxRows ? (n + kMaxRows - 1) / kMaxRows : 1;
   std::vector<std::vector<double>> cols(k);
   for (std::size_t c = 0; c < k; ++c) {
     auto& col = cols[c];
@@ -45,8 +52,7 @@ std::vector<FeatureGroup> group_features(const Matrix& X,
     const std::size_t rep = order[oi];
     if (grouped[rep]) continue;
     if (importance[rep] <= kMinImportance) break;  // no signal left
-    if (cfg.max_groups > 0 &&
-        static_cast<int>(groups.size()) >= cfg.max_groups)
+    if (max_groups > 0 && static_cast<int>(groups.size()) >= max_groups)
       break;
 
     FeatureGroup g;
@@ -58,7 +64,7 @@ std::vector<FeatureGroup> group_features(const Matrix& X,
     for (std::size_t c = 0; c < k; ++c) {
       if (grouped[c]) continue;
       const double corr = stats::pearson(cols[rep], cols[c]);
-      if (std::abs(corr) >= cfg.corr_threshold) {
+      if (std::abs(corr) >= kCorrThreshold) {
         g.members.push_back(static_cast<int>(c));
         grouped[c] = true;
       }

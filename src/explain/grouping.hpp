@@ -6,7 +6,8 @@
 //
 // Greedy procedure: repeatedly take the highest-importance not-yet-grouped
 // feature as a new group's representative and absorb every ungrouped
-// feature whose |Pearson correlation| with it exceeds the threshold.
+// feature whose |Pearson correlation| with it reaches 0.7, estimated on at
+// most 4000 evenly strided rows.
 #pragma once
 
 #include <span>
@@ -22,19 +23,12 @@ struct FeatureGroup {
   std::vector<int> members;    ///< includes the representative
 };
 
-struct GroupingConfig {
-  double corr_threshold = 0.7;
-  /// Stop after this many groups (the paper evaluates 1, 3, and 5 groups);
-  /// <= 0 means unlimited.
-  int max_groups = 0;
-  /// Correlations are estimated on at most this many rows.
-  std::size_t max_rows = 4000;
-};
-
 /// Groups the columns of X.  `importance` must have X.cols() entries.
 /// Groups come out ordered by descending representative importance.
+/// Grouping stops after `max_groups` groups (the paper evaluates 1, 3 and
+/// 5); <= 0 means unlimited.
 std::vector<FeatureGroup> group_features(const Matrix& X,
                                          std::span<const double> importance,
-                                         const GroupingConfig& cfg = {});
+                                         int max_groups = 0);
 
 }  // namespace leaf::explain

@@ -3,6 +3,10 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <memory>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "common/calendar.hpp"
@@ -285,27 +289,13 @@ TEST(Evaluation, NrmseMatchesManualComputation) {
   EXPECT_NEAR(r.nrmse[5], manual, 1e-12);
 }
 
-TEST(Evaluation, ObserverSeesEveryStep) {
-  StaticScheme scheme;
-  std::size_t calls = 0;
-  const EvalResult r = run_scheme(
-      featurizer(),
-      *models::make_model(models::ModelFamily::kRidge, tiny_scale(), 1), scheme,
-      tiny_config(),
-      [&](int, double, bool, bool retrained) {
-        ++calls;
-        EXPECT_FALSE(retrained);
-      });
-  EXPECT_EQ(calls, r.days.size());
-}
-
 TEST(Evaluation, PredictionSinkReceivesTestSlices) {
   StaticScheme scheme;
   std::size_t total_preds = 0;
   const EvalResult r = run_scheme(
       featurizer(),
       *models::make_model(models::ModelFamily::kRidge, tiny_scale(), 1), scheme,
-      tiny_config(), {},
+      tiny_config(),
       [&](int day, const data::SupervisedSet& test,
           std::span<const double> pred) {
         EXPECT_EQ(test.size(), pred.size());
@@ -332,6 +322,44 @@ TEST(Evaluation, DeltaVsStaticSelfIsZero) {
                  *models::make_model(models::ModelFamily::kRidge, tiny_scale(), 1),
                  scheme, tiny_config());
   EXPECT_DOUBLE_EQ(delta_vs_static(r, r), 0.0);
+}
+
+/// Forecasts 0 for every row except every third one, which gets NaN.
+class NanEveryThirdRow final : public models::Regressor {
+ public:
+  void fit(const Matrix&, std::span<const double>,
+           std::span<const double>) override {
+    trained_ = true;
+  }
+  double predict_one(std::span<const double>) const override { return 0.0; }
+  void predict_into(const Matrix& X, std::span<double> out) const override {
+    for (std::size_t i = 0; i < X.rows(); ++i)
+      out[i] = i % 3 == 0 ? std::numeric_limits<double>::quiet_NaN() : 0.0;
+  }
+  std::unique_ptr<models::Regressor> clone_untrained() const override {
+    return std::make_unique<NanEveryThirdRow>();
+  }
+  std::string name() const override { return "NanEveryThirdRow"; }
+  bool trained() const override { return trained_; }
+
+ private:
+  bool trained_ = false;
+};
+
+TEST(Evaluation, NanSampleMakesNePercentileNaN) {
+  const NanEveryThirdRow model;
+  StaticScheme scheme;
+  EvalConfig cfg = tiny_config();
+  cfg.guard_nonfinite = false;
+  const EvalResult r = run_scheme(featurizer(), model, scheme, cfg);
+  ASSERT_FALSE(r.days.empty());
+  EXPECT_TRUE(std::isnan(r.ne_p95));
+
+  // NRMSE skips the NaN rows either way; the guard also drops their |NE|.
+  cfg.guard_nonfinite = true;
+  const EvalResult guarded = run_scheme(featurizer(), model, scheme, cfg);
+  EXPECT_EQ(guarded.days, r.days);
+  EXPECT_TRUE(std::isfinite(guarded.ne_p95));
 }
 
 TEST(Experiment, KpiDispersionMatchesStats) {

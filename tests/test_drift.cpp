@@ -202,21 +202,21 @@ TEST(Ddm, QuietOnStationary) {
 }
 
 TEST(EwmaBinarizer, FlagsSpikes) {
-  EwmaBinarizer bin(0.05, 2.0);
+  EwmaBinarizer bin;
   Rng rng(4);
   int flags = 0;
-  for (int i = 0; i < 200; ++i) flags += bin.push(1.0 + 0.01 * rng.normal());
-  EXPECT_LE(flags, 12);  // ~2-sigma exceedances only
+  for (int i = 0; i < 2000; ++i) flags += bin.push(1.0 + 0.01 * rng.normal());
+  EXPECT_LE(flags, 120);  // ~2-sigma exceedances only
   EXPECT_TRUE(bin.push(2.0));  // clear spike
 }
 
 TEST(EwmaBinarizer, AdaptsToNewLevel) {
-  EwmaBinarizer bin(0.1, 2.0);
-  for (int i = 0; i < 100; ++i) bin.push(1.0);
+  EwmaBinarizer bin;
+  for (int i = 0; i < 1000; ++i) bin.push(1.0);
   // After a step, the first samples flag...
   EXPECT_TRUE(bin.push(2.0) || bin.push(2.0));
   // ...but after adaptation the new level is normal.
-  for (int i = 0; i < 100; ++i) bin.push(2.0 + 0.001 * i * 0.0);
+  for (int i = 0; i < 2000; ++i) bin.push(2.0);
   EXPECT_FALSE(bin.push(2.0));
 }
 

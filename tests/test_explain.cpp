@@ -9,6 +9,7 @@
 #include <tuple>
 
 #include "common/rng.hpp"
+#include "common/stats.hpp"
 #include "explain/grouping.hpp"
 #include "explain/importance.hpp"
 #include "explain/lea.hpp"
@@ -187,9 +188,7 @@ TEST(Grouping, RepresentativeHasHighestImportance) {
 TEST(Grouping, MaxGroupsHonored) {
   const CorrelatedProblem p;
   const std::vector<double> importance = {1.0, 0.8, 0.5};
-  GroupingConfig cfg;
-  cfg.max_groups = 1;
-  const auto groups = group_features(p.X, importance, cfg);
+  const auto groups = group_features(p.X, importance, 1);
   EXPECT_EQ(groups.size(), 1u);
 }
 
@@ -212,12 +211,26 @@ TEST(Grouping, GroupsOrderedByImportance) {
 }
 
 TEST(Grouping, ThresholdControlsAbsorption) {
-  const CorrelatedProblem p;
-  const std::vector<double> importance = {1.0, 0.8, 0.5};
-  GroupingConfig strict;
-  strict.corr_threshold = 0.9999;  // nothing correlates this hard
-  const auto groups = group_features(p.X, importance, strict);
-  EXPECT_EQ(groups.size(), 3u);  // every feature its own group
+  // x1 correlates with x0 at about 0.75 and x2 at about 0.65, either side
+  // of the 0.7 grouping threshold.
+  Rng rng(22);
+  Matrix X(2000, 3);
+  for (std::size_t i = 0; i < X.rows(); ++i) {
+    const double base = rng.normal();
+    X(i, 0) = base;
+    X(i, 1) = base + 0.882 * rng.normal();
+    X(i, 2) = base + 1.169 * rng.normal();
+  }
+  const std::vector<double> x0 = X.col(0);
+  ASSERT_GT(stats::pearson(x0, X.col(1)), 0.7);
+  ASSERT_LT(stats::pearson(x0, X.col(2)), 0.7);
+  ASSERT_GT(stats::pearson(x0, X.col(2)), 0.6);
+
+  const std::vector<double> importance = {1.0, 0.5, 0.4};
+  const auto groups = group_features(X, importance);
+  ASSERT_EQ(groups.size(), 2u);
+  EXPECT_EQ(groups[0].members, (std::vector<int>{0, 1}));
+  EXPECT_EQ(groups[1].members, (std::vector<int>{2}));
 }
 
 // --- LEA -------------------------------------------------------------------

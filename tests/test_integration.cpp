@@ -121,9 +121,7 @@ TEST(Integration, ExplainerRecoversVolumeGroupForDVolDrift) {
   Rng rng(5);
   const auto importance = explain::permutation_importance(
       *model, recent.X, recent.y, f.norm_range(), rng);
-  explain::GroupingConfig gcfg;
-  gcfg.max_groups = 3;
-  const auto groups = explain::group_features(recent.X, importance, gcfg);
+  const auto groups = explain::group_features(recent.X, importance, 3);
   ASSERT_FALSE(groups.empty());
 
   // The representative of group 1 must be a KPI column anchored on DVol

@@ -2,6 +2,7 @@
 // generator (data/generator.hpp).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 
@@ -257,8 +258,8 @@ TEST(Generator, ValueRangeCoversData) {
   const auto [lo, hi] = ds.value_range(col);
   EXPECT_LT(lo, hi);
   const auto all = ds.all_values(col);
-  EXPECT_DOUBLE_EQ(lo, stats::min(all));
-  EXPECT_DOUBLE_EQ(hi, stats::max(all));
+  EXPECT_DOUBLE_EQ(lo, std::ranges::min(all));
+  EXPECT_DOUBLE_EQ(hi, std::ranges::max(all));
 }
 
 TEST(Generator, SeriesReturnsNaNBeforeInstall) {

@@ -2,6 +2,7 @@
 // input, swept with parameterized gtest.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/metrics.hpp"
@@ -68,13 +69,13 @@ TEST_P(MetricPropertyTest, StatsIdentities) {
 
   // Quantiles are monotone in q and bounded by min/max.
   double prev = stats::quantile(xs, 0.0);
-  EXPECT_DOUBLE_EQ(prev, stats::min(xs));
+  EXPECT_DOUBLE_EQ(prev, std::ranges::min(xs));
   for (double q : {0.1, 0.25, 0.5, 0.75, 0.9, 1.0}) {
     const double cur = stats::quantile(xs, q);
     EXPECT_GE(cur, prev - 1e-12);
     prev = cur;
   }
-  EXPECT_DOUBLE_EQ(prev, stats::max(xs));
+  EXPECT_DOUBLE_EQ(prev, std::ranges::max(xs));
 
   // Pearson is scale/shift invariant and bounded.
   std::vector<double> ys(n);

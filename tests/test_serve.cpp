@@ -167,6 +167,15 @@ TEST_F(ServeFixture, ResultsIdenticalAtAnyThreadCount) {
   expect_identical(a.results(), b.results());
 }
 
+/// Fleet under test, by name: "small" or "leaf_every_family".
+class ServeCrashTest : public ServeFixture,
+                       public ::testing::WithParamInterface<std::string> {
+ protected:
+  std::vector<ShardSpec> fleet() const {
+    return GetParam() == "small" ? small_fleet() : leaf_every_family();
+  }
+};
+
 // The headline property: kill mid-run, restore into a fresh runtime,
 // continue — results and retrain timeline byte-identical to a run that
 // never stopped.  Each fleet crashes twice: at step 3, resumed at one
@@ -174,48 +183,52 @@ TEST_F(ServeFixture, ResultsIdenticalAtAnyThreadCount) {
 // runs on the small mixed fleet and on LEAF over every model family:
 // each restored shard rebuilds its training rows from their snapshot
 // keys.
-TEST_F(ServeFixture, CrashEquivalence) {
+TEST_P(ServeCrashTest, CrashEquivalence) {
   ThreadGuard guard;
-  const std::vector<std::pair<std::string, std::vector<ShardSpec>>> fleets = {
-      {"small", small_fleet()}, {"leaf_every_family", leaf_every_family()}};
-  for (const auto& [name, specs] : fleets) {
-    SCOPED_TRACE(name);
-    // Results are identical at any thread count
-    // (ResultsIdenticalAtAnyThreadCount), so one reference run serves.
-    FleetRuntime uninterrupted(ds, scale, specs);
-    uninterrupted.run_steps(UINT64_MAX);
-    const std::uint64_t halfway = uninterrupted.steps_run() / 2;
-    ASSERT_GT(halfway, 3u);
+  const std::string name = GetParam();
+  const std::vector<ShardSpec> specs = fleet();
+  // Results are identical at any thread count
+  // (ResultsIdenticalAtAnyThreadCount), so one reference run serves.
+  FleetRuntime uninterrupted(ds, scale, specs);
+  uninterrupted.run_steps(UINT64_MAX);
+  const std::uint64_t halfway = uninterrupted.steps_run() / 2;
+  ASSERT_GT(halfway, 3u);
 
-    FleetRuntime victim(ds, scale, specs);
-    std::unique_ptr<FleetRuntime> revived;
-    std::uint64_t crashed_at = 3;
-    for (int threads : {1, 4}) {
-      par::set_threads(threads);
-      FleetRuntime& running = revived ? *revived : victim;
-      running.run_steps(crashed_at - running.steps_run());
-      ASSERT_FALSE(running.done());
-      const std::string dir =
-          temp_dir("crash_" + name + "_t" + std::to_string(threads));
-      std::filesystem::remove_all(dir);
-      ASSERT_GT(running.snapshot(dir), 0u);
-      // "Crash": the running fleet is abandoned here; a new process
-      // constructs an identically configured runtime and restores.
-      revived = std::make_unique<FleetRuntime>(ds, scale, specs);
-      revived->restore(dir);
-      EXPECT_EQ(revived->steps_run(), crashed_at);
-      crashed_at = halfway;
-    }
-    revived->run_steps(UINT64_MAX);
-
-    expect_identical(revived->results(), uninterrupted.results());
-    const ServeStats sa = uninterrupted.stats();
-    const ServeStats sb = revived->stats();
-    EXPECT_EQ(sb.total_retrains, sa.total_retrains);
-    EXPECT_EQ(sb.total_drift_events, sa.total_drift_events);
-    EXPECT_EQ(sb.shards_done, sa.shards_done);
+  FleetRuntime victim(ds, scale, specs);
+  std::unique_ptr<FleetRuntime> revived;
+  std::uint64_t crashed_at = 3;
+  for (int threads : {1, 4}) {
+    par::set_threads(threads);
+    FleetRuntime& running = revived ? *revived : victim;
+    running.run_steps(crashed_at - running.steps_run());
+    ASSERT_FALSE(running.done());
+    const std::string dir =
+        temp_dir("crash_" + name + "_t" + std::to_string(threads));
+    std::filesystem::remove_all(dir);
+    ASSERT_GT(running.snapshot(dir), 0u);
+    // "Crash": the running fleet is abandoned here; a new process
+    // constructs an identically configured runtime and restores.
+    revived = std::make_unique<FleetRuntime>(ds, scale, specs);
+    revived->restore(dir);
+    EXPECT_EQ(revived->steps_run(), crashed_at);
+    crashed_at = halfway;
   }
+  revived->run_steps(UINT64_MAX);
+
+  expect_identical(revived->results(), uninterrupted.results());
+  const ServeStats sa = uninterrupted.stats();
+  const ServeStats sb = revived->stats();
+  EXPECT_EQ(sb.total_retrains, sa.total_retrains);
+  EXPECT_EQ(sb.total_drift_events, sa.total_drift_events);
+  EXPECT_EQ(sb.shards_done, sa.shards_done);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Fleets, ServeCrashTest,
+    ::testing::Values("small", "leaf_every_family"),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      return info.param;
+    });
 
 // A shard whose newest section decodes but whose training keys name no
 // row of the dataset (the CRC re-sealed over the bad key, so only the key

@@ -1,6 +1,6 @@
 // Goldens recorded before the fixed settings of the Appendix-B comparator
-// detectors, the ingest guards and the extension baselines became named
-// constants.  Each value below was printed by the code that still read the
+// detectors, the ingest guards, the extension baselines and the feature
+// grouping became named constants.  Each value below was printed by the code that still read the
 // defaults from config structs, so a constant that differs from the
 // default it replaced moves one of them.
 #include <gtest/gtest.h>
@@ -198,11 +198,9 @@ TEST(SettingGoldens, GroupingMatchesRecordedDefaults) {
   const Matrix X = grouping_matrix();
   const std::vector<double> importance = {0.9, 0.5, 0.4, 0.8,
                                           0.3, 0.2, 0.1, 0.6};
-  explain::GroupingConfig cfg;
-  EXPECT_EQ(members(explain::group_features(X, importance, cfg)),
+  EXPECT_EQ(members(explain::group_features(X, importance, 0)),
             (std::vector<std::vector<int>>{{0, 1}, {3, 4, 5, 7}, {2}, {6}}));
-  cfg.max_groups = 3;
-  EXPECT_EQ(members(explain::group_features(X, importance, cfg)),
+  EXPECT_EQ(members(explain::group_features(X, importance, 3)),
             (std::vector<std::vector<int>>{{0, 1}, {3, 4, 5, 7}, {2}}));
 }
 

@@ -12,7 +12,8 @@
 # function that defines it).  Names listed in tools/unreached_symbols.allow,
 # each paired with the test that uses it, are skipped; an allowlist line
 # whose symbol no src/ library defines, or that a program now links, is
-# printed as stale.  Exits 1 if anything is printed.  Takes about a minute
+# printed as stale, and so is one whose test has no TEST, TEST_F or TEST_P
+# under tests/.  Exits 1 if anything is printed.  Takes about a minute
 # on 4 cores.
 #
 # An inline function that nothing calls is never emitted at all, so this
@@ -49,10 +50,11 @@ if ((${#bins[@]} != ${#programs[@]})); then
   exit 2
 fi
 
-allowed() {
+entries() {
   [[ -f "$allow" ]] || return 0
-  grep -v '^[[:space:]]*\(#\|$\)' "$allow" | sed 's/^[^[:space:]]*[[:space:]]*//'
+  grep -v '^[[:space:]]*\(#\|$\)' "$allow"
 }
+allowed() { entries | sed 's/^[^[:space:]]*[[:space:]]*//'; }
 
 unreached=$(comm -23 <(functions "${libs[@]}") <(functions "${bins[@]}") |
   c++filt | grep -E '^([^ (]+ )?leaf::' | grep -vF '::{lambda(' | sort -u |
@@ -70,6 +72,19 @@ while IFS= read -r sym; do
     stale+="stale allowlist entry, a program links it: $sym"$'\n'
   fi
 done < <(allowed)
+
+# The test column is a claim too: a renamed or deleted test leaves a line
+# that pairs the symbol with nothing.  A parameterized name
+# (Prefix/Suite.Name/param) is matched by its Suite and Name.
+while IFS= read -r test; do
+  suite=${test%%.*}
+  suite=${suite##*/}
+  name=${test#*.}
+  name=${name%%/*}
+  s='[[:space:]]*'
+  grep -rqE "TEST(_F|_P)?\($s$suite$s,$s$name$s\)" "$root/tests" ||
+    stale+="stale allowlist entry, no test under tests/ is named: $test"$'\n'
+done < <(entries | awk '{ print $1 }')
 
 if [[ -n "$unreached" || -n "$stale" ]]; then
   [[ -z "$unreached" ]] || echo "$unreached"
